@@ -3,7 +3,7 @@ constructions, with exact-probability certificates throughout."""
 
 from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                    RandomSource, binom, floor_root, pow2_floor, read_bit_file,
-                   window, write_bit_file)
+                   write_bit_file)
 from .spreader import (Allocation, CoverageError, InconsistentWindowError,
                        WeightSeries, boosted_count, choose_start_level, geometric,
                        inverse_triangular, plan_allocation, recover_prefix, spread,
@@ -14,7 +14,8 @@ from .forbidden import (AveragedBoundError, ImplicitLevel, LayeredParams,
                         count_simple, derandomize_family, distinct_substrings,
                         family_avoid_probability, family_avoids, hit_probability,
                         interval_schedule, is_simple, miss_probability_random_set,
-                        multi_level_family, sample_uniform_set, two_level_family)
+                        multi_level_family, random_level_family, recertify_family,
+                        recertify_schedule, sample_uniform_set, two_level_family)
 from .adversary import (PositionalFamily, average_avoid_probability,
                         avoid_probability, positional_family_search,
                         required_positions, truncated_search)

@@ -1,8 +1,9 @@
 """Command-line surface: deterministic runs, bit-file I/O, JSON reports.
 
 Every subcommand is a pure function of its flags; all randomness flows from
---seed.  Reports embed the inputs needed to re-derive every certificate, and
-`verify` replays them with zero external state.
+--seed.  Each report kind has one entry in KINDS: `run` computes the results
+and certificates a command reports, and `check` re-derives them for
+`verify`, which compares every field and trusts none.
 
 Exit codes: 0 success, 1 verification failure, 2 bad parameters,
 3 budget exhausted.
@@ -14,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
 from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
@@ -23,6 +25,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_BUDGET = 3
+
+# Errors that mean the inputs cannot be run: a bad flag or input file exits 2,
+# and a report whose replay raises one of these does not reproduce.
+INPUT_ERRORS = (ValueError, CertificateError, spreader.CoverageError)
+
+# A report is a JSON object with these keys; verify ignores the wall time.
+REPORT_KEYS = ("command", "seed", "parameters", "results", "certificates", "wall_time_s")
 
 
 def _sha256_bits(bits: BitString) -> str:
@@ -43,48 +52,184 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
-def _report(command: str, seed, parameters: dict, results: dict,
-            certificates: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "seed": seed,
-        "parameters": parameters,
-        "results": results,
-        "certificates": certificates,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+def _epsilon(parameters: dict) -> ExactProb:
+    return ExactProb(Fraction(parameters["epsilon"]))
 
 
-def _emit_report(args, doc) -> None:
-    if getattr(args, "report", None):
-        _write_json(args.report, doc)
+def _run_spread(p: dict, seed) -> tuple:
+    weights = spreader.weight_preset(p["weights"])
+    alloc = spreader.plan_allocation(weights, start_level=p["start_level"],
+                                     max_level=p["max_level"])
+    omega, tau = spreader.spread_random(alloc, RandomSource(seed), p["length"])
+    return ({"output_sha256": _sha256_bits(omega), "source_bits_used": len(tau),
+             "levels_built": alloc.levels_built()},
+            {"density_budget": frac_to_str(alloc.budget_used()),
+             "start_level_certificate": frac_to_str(
+                 spreader.start_level_certificate(weights, alloc.start_level))},
+            (omega, alloc))
+
+
+def _run_family(p: dict, seed) -> tuple:
+    family, cert = forbidden.two_level_family(Fraction(p["alpha"]), _epsilon(p), p["n_min"],
+                                              RandomSource(seed))
+    return ({"random_length": cert.random_length, "top_length": cert.top_length,
+             "threshold": cert.threshold, "sample_size": cert.sample_size,
+             "family": family.to_json()},
+            {"miss_bound": frac_to_str(cert.miss_bound),
+             "top_cardinality": str(cert.top_cardinality),
+             "top_size_bound": str(cert.top_size_bound)},
+            family.to_json())
+
+
+def _run_family_levels(p: dict, seed) -> tuple:
+    family = forbidden.random_level_family(Fraction(p["alpha"]), p["lengths"],
+                                           RandomSource(seed))
+    return ({"family": family.to_json()},
+            {f"size_bound_{n}": str(family.size_bound(n)) for n in p["lengths"]},
+            family.to_json())
+
+
+def _derandomized(family, certificate) -> tuple:
+    return ({"family": family.to_json()}, {"avoid_probability": frac_to_str(certificate)},
+            family.to_json())
+
+
+def _run_family_derandomize(p: dict, seed) -> tuple:
+    return _derandomized(*forbidden.derandomize_family(
+        FiniteDistribution.from_json(p["dist"]), Fraction(p["alpha"]), _epsilon(p),
+        RandomSource(seed), level_length=p["level_length"]))
+
+
+def _check_family_derandomize(p: dict, seed, results: dict) -> tuple:
+    return _derandomized(*forbidden.recertify_family(
+        FiniteDistribution.from_json(p["dist"]), Fraction(p["alpha"]), _epsilon(p),
+        forbidden.LevelFamily.from_json(results["family"]),
+        level_length=p["level_length"]))[:2]
+
+
+def _schedule_dists(p: dict) -> Callable:
+    if p["dist_family"] != "uniform":
+        raise ValueError(f"unknown distribution family {p['dist_family']!r}")
+    return FiniteDistribution.uniform
+
+
+def _scheduled(entries: list) -> tuple:
+    intervals = [{"lower": e.lower, "upper": e.upper, "epsilon": frac_to_str(e.epsilon),
+                  "certificate": frac_to_str(e.certificate), "family": e.family.to_json()}
+                 for e in entries]
+    return ({"intervals": intervals},
+            {f"interval_{i}": r["certificate"] for i, r in enumerate(intervals, start=1)},
+            {"intervals": intervals})
+
+
+def _run_family_schedule(p: dict, seed) -> tuple:
+    return _scheduled(forbidden.interval_schedule(
+        _schedule_dists(p), Fraction(p["alpha"]), p["count"], RandomSource(seed),
+        first_length=p["first_length"], max_length=p["max_length"]))
+
+
+def _check_family_schedule(p: dict, seed, results: dict) -> tuple:
+    witnesses = [forbidden.LevelFamily.from_json(entry["family"])
+                 for entry in results["intervals"]]
+    return _scheduled(forbidden.recertify_schedule(
+        _schedule_dists(p), Fraction(p["alpha"]), p["count"], witnesses,
+        first_length=p["first_length"]))[:2]
+
+
+def _adversary(dist, family) -> tuple:
+    return ({"N": family.position_count, "family": family.to_json()},
+            {"avoid_probability": frac_to_str(family.certificate),
+             "deficit": frac_to_str(dist.deficit)},
+            family.to_json())
+
+
+def _run_adversary(p: dict, seed) -> tuple:
+    dist = FiniteDistribution.from_json(p["dist"])
+    return _adversary(dist, adversary.truncated_search(dist, p["n"], _epsilon(p)))
+
+
+def _check_adversary(p: dict, seed, results: dict) -> tuple:
+    dist = FiniteDistribution.from_json(p["dist"])
+    strings = adversary.PositionalFamily.from_json(results["family"]).strings
+    certificate = adversary.avoid_probability(dist, adversary.PositionalFamily(p["n"], strings))
+    if not certificate < _epsilon(p):
+        raise CertificateError(f"avoid probability {frac_to_str(certificate)} is not below "
+                               f"{p['epsilon']}")
+    return _adversary(dist, adversary.PositionalFamily(p["n"], strings, certificate))[:2]
+
+
+def _run_avoid(p: dict, seed) -> tuple:
+    family = forbidden.LevelFamily.from_json(p["family"])
+    result = avoider.build_avoiding_string(
+        avoider.AvoidanceInstance(family, p["length"], p["budget"], RandomSource(seed)))
+    return ({"succeeded": result.succeeded, "resamples": result.resamples,
+             "residual_violations": result.residual_violations,
+             "output_sha256": _sha256_bits(result.string) if result.succeeded else None},
+            {"violations": 0 if result.succeeded else result.residual_violations},
+            result.string)
+
+
+def _profile(bits: BitString, window: int, stride: int) -> tuple:
+    profile = proxy.window_profile(bits, window, stride)
+    return profile.to_json(), {}, profile
+
+
+def _run_profile(p: dict, seed) -> tuple:
+    if p["bits_text"] is None:
+        raise ValueError("the report does not inline its bits")
+    return _profile(BitString.from_text(p["bits_text"]), p["window"], p["stride"])
+
+
+class Kind(NamedTuple):
+    run: Callable    # (parameters, seed) -> (results, certificates, what the command writes)
+    check: Callable  # (parameters, seed, results) -> (results, certificates), re-derived
+
+
+def _replay(run: Callable) -> Callable:
+    """The check of a generating kind: run it again, reading no reported result."""
+    return lambda parameters, seed, results: run(parameters, seed)[:2]
+
+
+# One entry per report kind.  The generating kinds are checked by running them
+# again.  The search kinds re-certify the witness family their report records
+# instead of repeating the search, which would double the cost of verifying.
+KINDS = {
+    "spread": Kind(_run_spread, _replay(_run_spread)),
+    "family": Kind(_run_family, _replay(_run_family)),
+    "family-levels": Kind(_run_family_levels, _replay(_run_family_levels)),
+    "family-derandomize": Kind(_run_family_derandomize, _check_family_derandomize),
+    "family-schedule": Kind(_run_family_schedule, _check_family_schedule),
+    "adversary": Kind(_run_adversary, _check_adversary),
+    "avoid": Kind(_run_avoid, _replay(_run_avoid)),
+    "profile": Kind(_run_profile, _replay(_run_profile)),
+}
+
+
+def _run(args, command: str, seed, parameters: dict, run: Callable = None) -> tuple:
+    """Run one report kind, by default through its table entry, and write its
+    report when --report names a file; returns what the run returned."""
+    started = time.perf_counter()
+    results, certificates, written = (run or KINDS[command].run)(parameters, seed)
+    if args.report:
+        _write_json(args.report, {
+            "command": command, "seed": seed, "parameters": parameters,
+            "results": results, "certificates": certificates,
+            "wall_time_s": round(time.perf_counter() - started, 6)})
+    return results, certificates, written
 
 
 def cmd_spread(args) -> int:
-    started = time.perf_counter()
-    weights = spreader.weight_preset(args.weights)
-    certified = spreader.choose_start_level(weights)
-    start_level = args.m0 if args.m0 is not None else certified
-    alloc = spreader.plan_allocation(weights, start_level=start_level,
-                                     max_level=args.max_level)
-    omega, tau = spreader.spread_random(alloc, RandomSource(args.seed), args.length)
+    certified = spreader.choose_start_level(spreader.weight_preset(args.weights))
+    parameters = {"weights": args.weights,
+                  "start_level": certified if args.m0 is None else args.m0,
+                  "certified_start_level": certified, "length": args.length,
+                  "max_level": args.max_level, "format": args.format}
+    results, _, (omega, alloc) = _run(args, "spread", args.seed, parameters)
     write_bit_file(args.out, omega, fmt=args.format)
     if args.alloc_out:
         _write_json(args.alloc_out, alloc.export())
-    doc = _report(
-        "spread", args.seed,
-        {"weights": args.weights, "start_level": alloc.start_level,
-         "certified_start_level": certified, "length": args.length,
-         "max_level": args.max_level, "format": args.format},
-        {"output_sha256": _sha256_bits(omega), "source_bits_used": len(tau),
-         "levels_built": alloc.levels_built()},
-        {"density_budget": frac_to_str(alloc.budget_used()),
-         "start_level_certificate": frac_to_str(
-             spreader.start_level_certificate(weights, alloc.start_level))},
-        started)
-    _emit_report(args, doc)
-    print(f"spread: wrote {args.length} bits to {args.out} "
-          f"(start level {alloc.start_level}, {len(tau)} source bits)")
+    print(f"spread: wrote {args.length} bits to {args.out} (start level "
+          f"{alloc.start_level}, {results['source_bits_used']} source bits)")
     return EXIT_OK
 
 
@@ -101,6 +246,7 @@ def cmd_check_windows(args) -> int:
 
     frontier = alloc.least_uncovered()
     usable = len(bits) if frontier is None else min(len(bits), frontier)
+    top = min(args.m_max, usable.bit_length() - 1)  # the highest level whose windows fit
     mapping = alloc.source_map(0, usable)
     bit_list = bits.to_bits()
 
@@ -116,10 +262,8 @@ def cmd_check_windows(args) -> int:
         else:
             firsts[j] = p
 
-    for m in range(alloc.start_level, args.m_max + 1):
+    for m in range(alloc.start_level, top + 1):
         size = 1 << m
-        if size > usable:
-            break
         top_count = alloc.source_count_through(m)
         base_count = top_count - alloc.counts()[m]
         max_start = usable - size
@@ -152,152 +296,80 @@ def cmd_check_windows(args) -> int:
         for v in violations[:20]:
             print(f"  {v}")
         return EXIT_VERIFY_FAILED
-    print(f"check-windows: all windows pass up to level {args.m_max}")
+    print(f"check-windows: all windows pass up to level {top}")
     return EXIT_OK
 
 
 def cmd_family(args) -> int:
-    started = time.perf_counter()
-    alpha = Fraction(args.alpha)
-    epsilon = ExactProb(Fraction(args.epsilon))
-    rs = RandomSource(args.seed)
+    alpha = frac_to_str(Fraction(args.alpha))
+    epsilon = frac_to_str(ExactProb(Fraction(args.epsilon)))
     if args.schedule:
-        entries = forbidden.interval_schedule(
-            FiniteDistribution.uniform, alpha, args.schedule, rs,
-            first_length=args.n_min, max_length=args.max_length)
-        results = []
-        for e in entries:
-            results.append({"lower": e.lower, "upper": e.upper,
-                            "epsilon": frac_to_str(e.epsilon),
-                            "certificate": frac_to_str(e.certificate),
-                            "family": e.family.to_json()})
-        doc = _report("family-schedule", args.seed,
-                      {"alpha": frac_to_str(alpha), "count": args.schedule,
-                       "first_length": args.n_min, "max_length": args.max_length,
-                       "dist_family": "uniform"},
-                      {"intervals": results},
-                      {f"interval_{i + 1}": r["certificate"] for i, r in enumerate(results)},
-                      started)
-        _emit_report(args, doc)
-        if args.out:
-            _write_json(args.out, {"intervals": results})
-        print(f"family: {len(entries)} disjoint certified intervals")
-        return EXIT_OK
-    if args.levels:
-        lengths = sorted({int(tok) for tok in args.levels.split(",")})
-        levels = []
-        for n in lengths:
-            size = forbidden.pow2_floor(alpha * n)
-            strings = frozenset(
-                b.to_numeral()
-                for b in forbidden.sample_uniform_set(n, size, rs.substream(n)))
-            levels.append(forbidden.SampledLevel(n, strings, (), 1 << n))
-        family = forbidden.LevelFamily(alpha, levels)
-        if args.out:
-            _write_json(args.out, family.to_json())
-        doc = _report("family-levels", args.seed,
-                      {"alpha": frac_to_str(alpha), "lengths": lengths},
-                      {"family": family.to_json()},
-                      {f"size_bound_{n}": str(family.size_bound(n)) for n in lengths},
-                      started)
-        _emit_report(args, doc)
-        print(f"family: explicit random levels {lengths}, sizes "
-              f"{[family.size_of(n) for n in lengths]}")
-        return EXIT_OK
-    if args.derandomize:
+        kind = "family-schedule"
+        parameters = {"alpha": alpha, "count": args.schedule, "first_length": args.n_min,
+                      "max_length": args.max_length, "dist_family": "uniform"}
+    elif args.levels:
+        kind = "family-levels"
+        parameters = {"alpha": alpha,
+                      "lengths": sorted({int(tok) for tok in args.levels.split(",")})}
+    elif args.derandomize:
+        kind = "family-derandomize"
         dist = FiniteDistribution.from_json(_load_json(args.derandomize))
-        family, certificate = forbidden.derandomize_family(
-            dist, alpha, epsilon, rs, level_length=args.level_length)
-        if args.out:
-            _write_json(args.out, family.to_json())
-        doc = _report("family-derandomize", args.seed,
-                      {"alpha": frac_to_str(alpha), "epsilon": frac_to_str(epsilon),
-                       "level_length": args.level_length, "dist": dist.to_json()},
-                      {"family": family.to_json()},
-                      {"avoid_probability": frac_to_str(certificate)},
-                      started)
-        _emit_report(args, doc)
-        print(f"family: derandomized, avoid probability {frac_to_str(certificate)} "
-              f"< {frac_to_str(epsilon)}")
-        return EXIT_OK
-    family, cert = forbidden.two_level_family(alpha, epsilon, args.n_min, rs)
+        parameters = {"alpha": alpha, "epsilon": epsilon, "level_length": args.level_length,
+                      "dist": dist.to_json()}
+    else:
+        kind = "family"
+        parameters = {"alpha": alpha, "epsilon": epsilon, "n_min": args.n_min}
+    results, certificates, written = _run(args, kind, args.seed, parameters)
     if args.out:
-        _write_json(args.out, family.to_json())
-    doc = _report("family", args.seed,
-                  {"alpha": frac_to_str(alpha), "epsilon": frac_to_str(epsilon),
-                   "n_min": args.n_min},
-                  {"random_length": cert.random_length, "top_length": cert.top_length,
-                   "threshold": cert.threshold, "sample_size": cert.sample_size,
-                   "family": family.to_json()},
-                  {"miss_bound": frac_to_str(cert.miss_bound),
-                   "top_cardinality": str(cert.top_cardinality),
-                   "top_size_bound": str(cert.top_size_bound)},
-                  started)
-    _emit_report(args, doc)
-    print(f"family: lengths ({cert.random_length}, {cert.top_length}), "
-          f"miss bound {frac_to_str(cert.miss_bound)} < {frac_to_str(epsilon)}")
+        _write_json(args.out, written)
+    if args.schedule:
+        print(f"family: {len(results['intervals'])} disjoint certified intervals")
+    elif args.levels:
+        sizes = [len(level["strings_hex"]) for level in results["family"]["levels"]]
+        print(f"family: explicit random levels {parameters['lengths']}, sizes {sizes}")
+    elif args.derandomize:
+        print(f"family: derandomized, avoid probability "
+              f"{certificates['avoid_probability']} < {epsilon}")
+    else:
+        print(f"family: lengths ({results['random_length']}, {results['top_length']}), "
+              f"miss bound {certificates['miss_bound']} < {epsilon}")
     return EXIT_OK
 
 
 def cmd_adversary(args) -> int:
-    started = time.perf_counter()
     dist = FiniteDistribution.from_json(_load_json(args.dist))
-    epsilon = ExactProb(Fraction(args.epsilon))
-    family = adversary.truncated_search(dist, args.n, epsilon)
+    parameters = {"n": args.n, "epsilon": frac_to_str(ExactProb(Fraction(args.epsilon))),
+                  "dist": dist.to_json()}
+    results, certificates, family = _run(args, "adversary", None, parameters)
     if args.out:
-        _write_json(args.out, family.to_json())
-    doc = _report("adversary", None,
-                  {"n": args.n, "epsilon": frac_to_str(epsilon), "dist": dist.to_json()},
-                  {"N": family.position_count, "family": family.to_json()},
-                  {"avoid_probability": frac_to_str(family.certificate),
-                   "deficit": frac_to_str(dist.deficit)},
-                  started)
-    _emit_report(args, doc)
-    print(f"adversary: n={args.n} N={family.position_count} "
-          f"certificate {frac_to_str(family.certificate)} < {frac_to_str(epsilon)}")
+        _write_json(args.out, family)
+    print(f"adversary: n={args.n} N={results['N']} "
+          f"certificate {certificates['avoid_probability']} < {parameters['epsilon']}")
     return EXIT_OK
 
 
 def cmd_avoid(args) -> int:
-    started = time.perf_counter()
     family = forbidden.LevelFamily.from_json(_load_json(args.family))
-    inst = avoider.AvoidanceInstance(family, args.length, args.budget,
-                                     RandomSource(args.seed))
-    result = avoider.build_avoiding_string(inst)
-    doc = _report("avoid", args.seed,
-                  {"family": family.to_json(), "length": args.length,
-                   "budget": args.budget},
-                  {"succeeded": result.succeeded, "resamples": result.resamples,
-                   "residual_violations": result.residual_violations,
-                   "output_sha256": (_sha256_bits(result.string)
-                                     if result.succeeded else None)},
-                  {"violations": 0 if result.succeeded else result.residual_violations},
-                  started)
-    _emit_report(args, doc)
-    if not result.succeeded:
-        print(f"avoid: budget exhausted after {result.resamples} resamples, "
-              f"{result.residual_violations} residual violations")
+    parameters = {"family": family.to_json(), "length": args.length, "budget": args.budget}
+    results, _, string = _run(args, "avoid", args.seed, parameters)
+    if not results["succeeded"]:
+        print(f"avoid: budget exhausted after {results['resamples']} resamples, "
+              f"{results['residual_violations']} residual violations")
         return EXIT_BUDGET
     if args.out:
-        write_bit_file(args.out, result.string, fmt=args.format)
-    print(f"avoid: success in {result.resamples} resamples")
+        write_bit_file(args.out, string, fmt=args.format)
+    print(f"avoid: success in {results['resamples']} resamples")
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
-    started = time.perf_counter()
     bits = read_bit_file(args.bits)
-    profile = proxy.window_profile(bits, args.window, args.stride)
-    doc = _report("profile", None,
-                  {"bits_sha256": _sha256_bits(bits), "window": args.window,
-                   "stride": args.stride, "bit_count": len(bits),
-                   "bits_text": bits.to_text() if len(bits) <= 1 << 16 else None},
-                  profile.to_json(),
-                  {},
-                  started)
-    if args.out:
-        _write_json(args.out, doc)
-    _emit_report(args, doc)
+    parameters = {"bits_sha256": _sha256_bits(bits), "window": args.window,
+                  "stride": args.stride, "bit_count": len(bits),
+                  "bits_text": bits.to_text() if len(bits) <= 1 << 16 else None}
+    # the bits are at hand here, and a report inlines them only up to 2**16
+    _, _, profile = _run(args, "profile", None, parameters,
+                         lambda p, seed: _profile(bits, p["window"], p["stride"]))
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("offset,bits\n")
@@ -308,163 +380,32 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _verify_spread(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    weights = spreader.weight_preset(p["weights"])
-    cert = spreader.start_level_certificate(weights, p["start_level"])
-    if frac_to_str(cert) != doc["certificates"]["start_level_certificate"] or cert > 1:
-        problems.append("start level certificate mismatch")
-    alloc = spreader.plan_allocation(weights, start_level=p["start_level"],
-                                     max_level=p["max_level"])
-    omega, tau = spreader.spread_random(alloc, RandomSource(doc["seed"]), p["length"])
-    if _sha256_bits(omega) != doc["results"]["output_sha256"]:
-        problems.append("output digest mismatch")
-    if len(tau) != doc["results"]["source_bits_used"]:
-        problems.append("source bit count mismatch")
-    if Fraction(doc["certificates"]["density_budget"]) > 1:
-        problems.append("density budget above 1")
-    return problems
-
-
-def _verify_family(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    rs = RandomSource(doc["seed"])
-    family, cert = forbidden.two_level_family(Fraction(p["alpha"]),
-                                              ExactProb(Fraction(p["epsilon"])),
-                                              p["n_min"], rs)
-    if family.to_json() != doc["results"]["family"]:
-        problems.append("family regeneration mismatch")
-    if frac_to_str(cert.miss_bound) != doc["certificates"]["miss_bound"]:
-        problems.append("miss bound mismatch")
-    if not cert.miss_bound < Fraction(p["epsilon"]):
-        problems.append("miss bound does not beat epsilon")
-    card = forbidden.count_simple(cert.top_length, cert.random_length, cert.threshold)
-    if str(card) != doc["certificates"]["top_cardinality"] or card > cert.top_size_bound:
-        problems.append("top level size certificate mismatch")
-    return problems
-
-
-def _verify_family_levels(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    alpha = Fraction(p["alpha"])
-    rs = RandomSource(doc["seed"])
-    levels = []
-    for n in p["lengths"]:
-        size = forbidden.pow2_floor(alpha * n)
-        strings = frozenset(
-            b.to_numeral()
-            for b in forbidden.sample_uniform_set(n, size, rs.substream(n)))
-        levels.append(forbidden.SampledLevel(n, strings, (), 1 << n))
-    family = forbidden.LevelFamily(alpha, levels)
-    if family.to_json() != doc["results"]["family"]:
-        problems.append("family regeneration mismatch")
-    for n in p["lengths"]:
-        if family.size_of(n) > family.size_bound(n):
-            problems.append(f"level {n} exceeds its size bound")
-    return problems
-
-
-def _verify_family_derandomize(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    dist = FiniteDistribution.from_json(p["dist"])
-    family = forbidden.LevelFamily.from_json(doc["results"]["family"])
-    cert = forbidden.family_avoid_probability(dist, family)
-    if frac_to_str(cert) != doc["certificates"]["avoid_probability"]:
-        problems.append("avoid probability mismatch")
-    if not cert < Fraction(p["epsilon"]):
-        problems.append("certificate does not beat epsilon")
-    return problems
-
-
-def _verify_family_schedule(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    if p["dist_family"] != "uniform":
-        return ["unknown distribution family"]
-    previous_upper = None
-    for i, entry in enumerate(doc["results"]["intervals"], start=1):
-        family = forbidden.LevelFamily.from_json(entry["family"])
-        dist = FiniteDistribution.uniform(entry["upper"])
-        cert = forbidden.family_avoid_probability(dist, family)
-        if frac_to_str(cert) != entry["certificate"]:
-            problems.append(f"interval {i}: certificate mismatch")
-        if not cert < Fraction(entry["epsilon"]):
-            problems.append(f"interval {i}: certificate does not beat epsilon")
-        if previous_upper is not None and entry["lower"] <= previous_upper:
-            problems.append(f"interval {i}: overlaps the previous interval")
-        previous_upper = entry["upper"]
-    return problems
-
-
-def _verify_adversary(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    dist = FiniteDistribution.from_json(p["dist"])
-    family = adversary.PositionalFamily.from_json(doc["results"]["family"])
-    cert = adversary.avoid_probability(dist, family)
-    if frac_to_str(cert) != doc["certificates"]["avoid_probability"]:
-        problems.append("avoid probability mismatch")
-    if not cert < Fraction(p["epsilon"]):
-        problems.append("certificate does not beat epsilon")
-    if dist.string_length != family.position_count + family.window_length - 1:
-        problems.append("family shape does not match the distribution length")
-    return problems
-
-
-def _verify_avoid(doc) -> list:
-    problems = []
-    p = doc["parameters"]
-    family = forbidden.LevelFamily.from_json(p["family"])
-    inst = avoider.AvoidanceInstance(family, p["length"], p["budget"],
-                                     RandomSource(doc["seed"]))
-    result = avoider.build_avoiding_string(inst)
-    if result.succeeded != doc["results"]["succeeded"]:
-        problems.append("outcome mismatch")
-    if result.succeeded:
-        if _sha256_bits(result.string) != doc["results"]["output_sha256"]:
-            problems.append("output digest mismatch")
-        if avoider.scan_violations(result.string, family):
-            problems.append("rebuilt string has violations")
-    return problems
-
-
-def _verify_profile(doc) -> list:
-    p = doc["parameters"]
-    if p.get("bits_text") is None:
-        return ["profile report lacks inline bits"]
-    bits = BitString.from_text(p["bits_text"])
-    profile = proxy.window_profile(bits, p["window"], p["stride"])
-    if profile.to_json() != {k: doc["results"][k] for k in profile.to_json()}:
-        return ["profile values mismatch"]
-    return []
-
-
-_VERIFIERS = {
-    "spread": _verify_spread,
-    "family": _verify_family,
-    "family-levels": _verify_family_levels,
-    "family-derandomize": _verify_family_derandomize,
-    "family-schedule": _verify_family_schedule,
-    "adversary": _verify_adversary,
-    "avoid": _verify_avoid,
-    "profile": _verify_profile,
-}
+def _canonical(fields: dict, key: str):
+    return json.dumps(fields[key], sort_keys=True) if key in fields else None
 
 
 def cmd_verify(args) -> int:
     doc = _load_json(args.report)
-    verifier = _VERIFIERS.get(doc.get("command"))
-    if verifier is None:
-        print(f"verify: no verifier for command {doc.get('command')!r}")
-        return EXIT_BAD_PARAMS
-    problems = verifier(doc)
+    sections = ("parameters", "results", "certificates")
+    if not (isinstance(doc, dict) and all(key in doc for key in REPORT_KEYS)
+            and all(isinstance(doc[key], dict) for key in sections)):
+        raise ValueError(f"not a report: expected a JSON object with {', '.join(REPORT_KEYS)}, "
+                         f"where {', '.join(sections)} are objects")
+    kind = KINDS.get(doc["command"]) if isinstance(doc["command"], str) else None
+    if kind is None:
+        raise ValueError(f"no verifier for command {doc['command']!r}")
+    try:
+        derived = dict(zip(sections[1:],
+                           kind.check(doc["parameters"], doc["seed"], doc["results"])))
+    except INPUT_ERRORS + (KeyError, TypeError) as exc:
+        print(f"verify: FAIL the report does not reproduce: {type(exc).__name__}: {exc}")
+        return EXIT_VERIFY_FAILED
+    problems = [f"{section}.{key}" for section, fields in derived.items()
+                for key in sorted(fields.keys() | doc[section].keys())
+                if _canonical(fields, key) != _canonical(doc[section], key)]
+    for field in problems:
+        print(f"verify: FAIL {field} does not reproduce")
     if problems:
-        for issue in problems:
-            print(f"verify: FAIL {issue}")
         return EXIT_VERIFY_FAILED
     print(f"verify: OK ({doc['command']})")
     return EXIT_OK
@@ -537,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_profile)
@@ -554,8 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CertificateError, forbidden.PoolTooSmallError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS + (OSError,) as exc:
         print(f"ecseq {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

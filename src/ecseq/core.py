@@ -218,10 +218,6 @@ class BitString:
         return self.to_text()
 
 
-def window(x: BitString, start: int, length: int) -> BitString:
-    return x.window(start, length)
-
-
 def write_bit_file(path, bits: BitString, fmt: str = "packed") -> None:
     if fmt == "ascii":
         text = bits.to_text()
@@ -394,9 +390,15 @@ class FiniteDistribution:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteDistribution":
-        masses = {BitString.from_text(k): ExactProb(frac_from_str(v))
-                  for k, v in doc["masses"].items()}
-        return cls(doc["length"], masses, ExactProb(frac_from_str(doc.get("deficit", "0/1"))))
+        """Parse a distribution written by to_json; ValueError on any other shape."""
+        try:
+            masses = {BitString.from_text(k): ExactProb(frac_from_str(v))
+                      for k, v in doc["masses"].items()}
+            return cls(doc["length"], masses,
+                       ExactProb(frac_from_str(doc.get("deficit", "0/1"))))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed distribution JSON ({type(exc).__name__}: {exc})") from exc
 
     def __repr__(self) -> str:
         return (f"FiniteDistribution(length={self.string_length}, "

@@ -237,26 +237,30 @@ class LevelFamily:
         return {"alpha": frac_to_str(self.alpha), "levels": entries}
 
     @classmethod
-    def from_json(cls, doc: dict, enforce_bounds: bool = True) -> "LevelFamily":
-        levels = []
-        for entry in doc["levels"]:
-            length = entry["length"]
-            if entry["kind"] == "sampled":
-                levels.append(SampledLevel(
-                    length,
-                    frozenset(int(h, 16) for h in entry["strings_hex"]),
-                    tuple(tuple(p) for p in entry.get("pool_chain", [])),
-                    int(entry["pool_size"]),
-                ))
-            elif entry["kind"] == "implicit":
-                levels.append(ImplicitLevel(
-                    length,
-                    tuple(tuple(p) for p in entry["chain"]),
-                    int(entry["cardinality"]),
-                ))
-            else:
-                raise ValueError(f"unknown level kind {entry['kind']!r}")
-        return cls(frac_from_str(doc["alpha"]), levels, enforce_bounds=enforce_bounds)
+    def from_json(cls, doc: dict) -> "LevelFamily":
+        """Parse a family written by to_json; ValueError on any other shape."""
+        try:
+            levels = []
+            for entry in doc["levels"]:
+                length = entry["length"]
+                if entry["kind"] == "sampled":
+                    levels.append(SampledLevel(
+                        length,
+                        frozenset(int(h, 16) for h in entry["strings_hex"]),
+                        tuple(tuple(p) for p in entry.get("pool_chain", [])),
+                        int(entry["pool_size"]),
+                    ))
+                elif entry["kind"] == "implicit":
+                    levels.append(ImplicitLevel(
+                        length,
+                        tuple(tuple(p) for p in entry["chain"]),
+                        int(entry["cardinality"]),
+                    ))
+                else:
+                    raise ValueError(f"unknown level kind {entry['kind']!r}")
+            return cls(frac_from_str(doc["alpha"]), levels)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -318,6 +322,17 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
     certificate = TwoLevelCertificate(n, top_length, threshold, size, miss_bound,
                                       Fraction(epsilon), cardinality, top_bound)
     return family, certificate
+
+
+def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
+    """Explicit levels, the avoider's input shape: at each length n, a uniform
+    draw of floor(2**(alpha*n)) strings from substream n of rs."""
+    alpha = Fraction(alpha)
+    levels = []
+    for n in lengths:
+        strings = sample_uniform_set(n, pow2_floor(alpha * n), rs.substream(n))
+        levels.append(SampledLevel(n, frozenset(b.to_numeral() for b in strings), (), 1 << n))
+    return LevelFamily(alpha, levels)
 
 
 @dataclass(frozen=True)
@@ -460,6 +475,25 @@ def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> E
     return ExactProb(total)
 
 
+def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLevel]:
+    """The simple-string top level over blocks of length ln, when n_total is a
+    multiple of ln and its exact count fits the size bound."""
+    threshold = 1 << ((ln + 1) // 2)
+    if n_total % ln == 0:
+        cardinality = count_simple(n_total, ln, threshold)
+        if cardinality <= pow2_floor(alpha * n_total):
+            return ImplicitLevel(n_total, ((ln, threshold),), cardinality)
+    return None
+
+
+def _drawn_family(alpha: Fraction, ln: int, strings, top, n_total: int) -> LevelFamily:
+    # an empty top keeps the family's string length pinned to the dist length
+    return LevelFamily(alpha, [
+        SampledLevel(ln, frozenset(strings), (), 1 << ln),
+        top if top is not None else SampledLevel(n_total, frozenset(), (), 1 << n_total),
+    ])
+
+
 def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSource,
                        level_length: int = None, max_tries: int = 100000):
     """Concrete family whose exact avoid probability under dist is below
@@ -474,19 +508,13 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
     epsilon = ExactProb(epsilon)
     n_total = dist.string_length
     candidates = [level_length] if level_length is not None else list(range(1, n_total))
-    chosen = None
     for ln in candidates:
         if not 0 < ln < n_total:
             continue
         size = pow2_floor(alpha * ln)
         if size < 1 or size > (1 << ln):
             continue
-        threshold = 1 << ((ln + 1) // 2)
-        top = None
-        if n_total % ln == 0:
-            cardinality = count_simple(n_total, ln, threshold)
-            if cardinality <= pow2_floor(alpha * n_total):
-                top = ImplicitLevel(n_total, ((ln, threshold),), cardinality)
+        top = _simple_top(alpha, ln, n_total)
         average = Fraction(dist.deficit)
         for x, mass in dist.items():
             if top is not None and is_chain_simple(x.to_numeral(), n_total, top.chain):
@@ -494,25 +522,42 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
             d = distinct_substrings(x, ln)
             average += Fraction(mass) * Fraction(miss_probability_random_set(d, ln, size))
         if average < epsilon:
-            chosen = (ln, size, top)
             break
-    if chosen is None:
+    else:
         raise AveragedBoundError(
             f"averaged avoid bound not below {frac_to_str(epsilon)} for any admissible level"
         )
-    ln, size, top = chosen
     for attempt in range(max_tries):
-        draw = rs.substream(attempt)
-        strings = frozenset(_floyd_sample(1 << ln, size, draw))
-        levels = [SampledLevel(ln, strings, (), 1 << ln)]
-        # an empty top keeps the family's string length pinned to the dist length
-        levels.append(top if top is not None
-                      else SampledLevel(n_total, frozenset(), (), 1 << n_total))
-        family = LevelFamily(alpha, levels)
+        strings = _floyd_sample(1 << ln, size, rs.substream(attempt))
+        family = _drawn_family(alpha, ln, strings, top, n_total)
         certificate = family_avoid_probability(dist, family)
         if certificate < epsilon:
             return family, certificate
     raise CertificateError(f"no draw beat the bound within {max_tries} attempts")
+
+
+def recertify_family(dist: FiniteDistribution, alpha, epsilon, witness: LevelFamily,
+                     level_length: int = None):
+    """Check a family that derandomize_family reported, without repeating its
+    draws: rebuild the family it makes around the witness's drawn strings, and
+    require that family's exact avoid probability to be below epsilon.
+
+    The drawn level is the witness's shortest when level_length is None.
+    Returns (family, certificate)."""
+    alpha = Fraction(alpha)
+    n_total = dist.string_length
+    ln = min(witness.levels) if level_length is None else level_length
+    drawn = witness.levels.get(ln)
+    if not (0 < ln < n_total and isinstance(drawn, SampledLevel)
+            and len(drawn.strings) == pow2_floor(alpha * ln)):
+        raise CertificateError(f"the witness holds no full draw of length {ln} "
+                               f"below length {n_total}")
+    family = _drawn_family(alpha, ln, drawn.strings, _simple_top(alpha, ln, n_total), n_total)
+    certificate = family_avoid_probability(dist, family)
+    if not certificate < epsilon:
+        raise CertificateError(f"avoid probability {frac_to_str(certificate)} is not below "
+                               f"{frac_to_str(epsilon)}")
+    return family, certificate
 
 
 @dataclass(frozen=True)
@@ -524,6 +569,13 @@ class ScheduleEntry:
     certificate: ExactProb
 
 
+def _next_interval(entries: list, first_length: int):
+    """Level length and epsilon of the schedule's next interval: its lengths
+    lie above the previous interval, and interval i gets epsilon 2**-i."""
+    ln = entries[-1].upper + 2 if entries else first_length
+    return ln, ExactProb(1, 1 << (len(entries) + 1))
+
+
 def interval_schedule(dist_for_length: Callable[[int], FiniteDistribution], alpha,
                       count: int, rs: RandomSource, first_length: int = 2,
                       max_length: int = 64) -> list:
@@ -533,11 +585,8 @@ def interval_schedule(dist_for_length: Callable[[int], FiniteDistribution], alph
     if count < 1:
         raise ValueError("need at least one interval")
     entries = []
-    next_length = first_length
     for i in range(1, count + 1):
-        epsilon = ExactProb(1, 1 << i)
-        ln = next_length
-        built = None
+        ln, epsilon = _next_interval(entries, first_length)
         for top_length in range(ln + 1, max_length + 1):
             dist = dist_for_length(top_length)
             try:
@@ -545,12 +594,28 @@ def interval_schedule(dist_for_length: Callable[[int], FiniteDistribution], alph
                     dist, alpha, epsilon, rs.substream(i), level_length=ln)
             except AveragedBoundError:
                 continue
-            built = ScheduleEntry(ln - 1, top_length, epsilon, family, certificate)
             break
-        if built is None:
+        else:
             raise AveragedBoundError(
                 f"interval {i}: no top length up to {max_length} admits the bound"
             )
-        entries.append(built)
-        next_length = built.upper + 2
+        entries.append(ScheduleEntry(ln - 1, top_length, epsilon, family, certificate))
+    return entries
+
+
+def recertify_schedule(dist_for_length: Callable[[int], FiniteDistribution], alpha,
+                       count: int, witnesses: list, first_length: int = 2) -> list:
+    """Check a schedule that interval_schedule reported, without repeating its
+    search: each witness family is re-certified by recertify_family at the
+    level length and epsilon of its interval, against the distribution of its
+    own top length."""
+    if len(witnesses) != count:
+        raise CertificateError(f"a schedule of {count} intervals lists {len(witnesses)}")
+    entries = []
+    for witness in witnesses:
+        ln, epsilon = _next_interval(entries, first_length)
+        upper = witness.string_length
+        family, certificate = recertify_family(dist_for_length(upper), alpha, epsilon,
+                                               witness, level_length=ln)
+        entries.append(ScheduleEntry(ln - 1, upper, epsilon, family, certificate))
     return entries

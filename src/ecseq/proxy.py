@@ -117,6 +117,8 @@ class ComplexityProfile:
 
 def window_profile(x: BitString, window_length: int, stride: int = 1) -> ComplexityProfile:
     """Proxy size of every window at the given stride."""
+    if window_length < 1:
+        raise ValueError("window length must be positive")
     if window_length > len(x):
         raise ValueError("window longer than the string")
     if stride < 1:

@@ -187,13 +187,11 @@ class Allocation:
     below the cap are exact even when a level's assignment extends past it.
     """
 
-    def __init__(self, start_level: int, max_level: int, count_for: Callable[[int], int],
-                 test_mode: bool = False):
+    def __init__(self, start_level: int, max_level: int, count_for: Callable[[int], int]):
         if start_level < 0 or max_level < start_level:
             raise ValueError("need 0 <= start_level <= max_level")
         self.start_level = start_level
         self.max_level = max_level
-        self.test_mode = test_mode
         self._count_for = count_for
         self._cap = 1 << max(start_level, 13)
         self._reset()
@@ -290,13 +288,9 @@ class Allocation:
         record = self._levels[idx]
         return record.source_base + record.count
 
-    def budget_used(self, through_level: int = None) -> Fraction:
-        if through_level is not None:
-            self.ensure_level(through_level)
+    def budget_used(self) -> Fraction:
         total = Fraction(0)
         for lv in self._levels:
-            if through_level is not None and lv.level > through_level:
-                break
             total += Fraction(lv.count, 1 << lv.level)
         return total
 
@@ -377,7 +371,7 @@ class Allocation:
         if not counts:
             raise ValueError("allocation export lists no levels")
         alloc = cls(doc["start_level"], doc["max_level"],
-                    lambda m: counts.get(m, 0), test_mode=True)
+                    lambda m: counts.get(m, 0))
         alloc._grow_cap(doc["cap"], exact=doc["cap"])
         alloc.ensure_level(max(counts))
         if len(doc["levels"]) != alloc.levels_built():
@@ -401,7 +395,7 @@ def plan_allocation(weights: WeightSeries, start_level: int = None, max_level: i
             raise ValueError("explicit counts must name at least one level")
         m0 = min(explicit_counts) if start_level is None else start_level
         top = max(max(explicit_counts), max_level if max_level is not None else 0)
-        return Allocation(m0, top, lambda m: explicit_counts.get(m, 0), test_mode=True)
+        return Allocation(m0, top, lambda m: explicit_counts.get(m, 0))
     if weights is None:
         raise ValueError("weight series required outside test mode")
     m0 = choose_start_level(weights) if start_level is None else start_level
@@ -413,12 +407,8 @@ def plan_allocation(weights: WeightSeries, start_level: int = None, max_level: i
     return Allocation(m0, max_level, lambda m: boosted_count(weights, m))
 
 
-def spread(alloc: Allocation, source_bits, length: int) -> BitString:
-    """Output of the generator: position i carries source bit source_index(i).
-
-    source_bits may be a BitString or a RandomSource (drawn on demand)."""
-    if isinstance(source_bits, RandomSource):
-        return spread_random(alloc, source_bits, length)[0]
+def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:
+    """Output of the generator: position i carries source bit source_index(i)."""
     mapping = alloc.source_map(0, length)
     needed = max(mapping) + 1 if mapping else 0
     if len(source_bits) < needed:

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import pytest
 
-from ecseq import cli
+from ecseq import adversary, cli, forbidden
 from ecseq.core import BitString, FiniteDistribution, read_bit_file, write_bit_file
 
 
@@ -191,3 +192,125 @@ def test_verify_unknown_report(tmp_path):
 def test_missing_file_is_bad_params(tmp_path):
     assert run("profile", "--bits", str(tmp_path / "nope.bits"),
                "--window", "8") == cli.EXIT_BAD_PARAMS
+
+
+# ------------------------------------------------- every report kind, end to end
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """One report of every kind, written by the commands themselves."""
+    d = tmp_path_factory.mktemp("reports")
+    with open(d / "u4.json", "w") as fh:
+        json.dump(FiniteDistribution.uniform(4).to_json(), fh)
+    with open(d / "u8.json", "w") as fh:
+        json.dump(FiniteDistribution.uniform(8).to_json(), fh)
+    write_bit_file(d / "x.bits", BitString.from_text("0110" * 100))
+    commands = {
+        "spread": ["spread", "--length", "4096", "--seed", "1", "--out", d / "s.bits"],
+        "family": ["family", "--alpha", "3/5", "--epsilon", "1/2", "--n-min", "2",
+                   "--seed", "3"],
+        "family-levels": ["family", "--alpha", "3/10", "--levels", "8,9,10", "--seed", "42",
+                          "--out", d / "levels.json"],
+        "family-derandomize": ["family", "--alpha", "9/10", "--epsilon", "1/4",
+                               "--derandomize", d / "u8.json", "--seed", "5"],
+        "family-schedule": ["family", "--alpha", "9/10", "--schedule", "2", "--seed", "11"],
+        "adversary": ["adversary", "--dist", d / "u4.json", "--n", "2", "--epsilon", "1/2"],
+        "avoid": ["avoid", "--family", d / "levels.json", "--length", "1000", "--seed", "5"],
+        "profile": ["profile", "--bits", d / "x.bits", "--window", "64", "--stride", "48"],
+    }
+    paths = {}
+    for kind, argv in commands.items():
+        paths[kind] = d / f"{kind}.report.json"
+        assert run(*map(str, argv), "--report", str(paths[kind])) == cli.EXIT_OK
+        assert read_json(paths[kind])["command"] == kind
+    return paths
+
+
+def leaves(node, path=()):
+    """(path, value) of every scalar inside a JSON value."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from leaves(child, path + (index,))
+    else:
+        yield path, node
+
+
+def altered(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "0"
+    return 0
+
+
+def verify_doc(tmp_path, doc):
+    path = tmp_path / "report.json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return run("verify", "--report", str(path))
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_every_report_kind_round_trips(reports, kind, monkeypatch):
+    # the search kinds are re-certified from their witness, never searched again
+    for owner, name in ((adversary, "truncated_search"), (forbidden, "derandomize_family"),
+                        (forbidden, "interval_schedule")):
+        monkeypatch.setattr(owner, name, None)
+    assert run("verify", "--report", str(reports[kind])) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_every_altered_field_fails_verify(reports, kind, tmp_path):
+    doc = read_json(reports[kind])
+    for section in ("results", "certificates"):
+        for path, value in leaves(doc[section]):
+            bad = copy.deepcopy(doc)
+            node = bad[section]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = altered(value)
+            assert verify_doc(tmp_path, bad) == cli.EXIT_VERIFY_FAILED, (section, path)
+    for key in cli.REPORT_KEYS:
+        bad = dict(doc)
+        del bad[key]
+        assert verify_doc(tmp_path, bad) == cli.EXIT_BAD_PARAMS, key
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "report", {"command": "spread"}])
+def test_verify_rejects_documents_that_are_not_reports(tmp_path, doc):
+    assert verify_doc(tmp_path, doc) == cli.EXIT_BAD_PARAMS
+
+
+def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
+    doc = read_json(reports["spread"])
+    doc["parameters"]["max_level"] = 3
+    assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED
+
+
+@pytest.mark.parametrize("document, argv", [
+    ({"alpha": "1/2"}, ["avoid", "--family", "{doc}", "--length", "10"]),
+    ({"length": 2, "masses": ["00"]}, ["adversary", "--dist", "{doc}", "--n", "1",
+                                       "--epsilon", "1/2"]),
+    (None, ["profile", "--bits", "{dir}", "--window", "4"]),
+    (None, ["profile", "--bits", "{bits}", "--window", "0"]),
+    (None, ["spread", "--length", "8192", "--max-level", "9", "--out", "{dir}/x.bits"]),
+])
+def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
+    with open(tmp_path / "doc.json", "w") as fh:
+        json.dump(document, fh)
+    write_bit_file(tmp_path / "x.bits", BitString.from_text("01" * 16))
+    names = {"doc": tmp_path / "doc.json", "dir": tmp_path, "bits": tmp_path / "x.bits"}
+    assert run(*(a.format(**names) for a in argv)) == cli.EXIT_BAD_PARAMS
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_check_windows_names_the_highest_level_checked(tmp_path, spread_run, capsys):
+    bits, alloc, _ = spread_run
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
+               "--m-max", "40", "--samples", "2") == cli.EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("up to level 13")

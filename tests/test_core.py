@@ -5,7 +5,7 @@ import pytest
 
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         binom, floor_root, frac_from_str, frac_to_str, pow2_floor,
-                        read_bit_file, window, write_bit_file)
+                        read_bit_file, write_bit_file)
 
 
 def bs(text):
@@ -55,10 +55,10 @@ def test_binom_rejects_negative():
 # ---------------------------------------------------------------- windows
 
 def test_window_examples():
-    assert window(bs("0110"), 0, 4) == bs("0110")
-    assert window(bs("0110"), 1, 2) == bs("11")
+    assert bs("0110").window(0, 4) == bs("0110")
+    assert bs("0110").window(1, 2) == bs("11")
     with pytest.raises(ValueError):
-        window(bs("0110"), 3, 2)
+        bs("0110").window(3, 2)
 
 
 def test_window_identity_and_composition():

@@ -141,7 +141,6 @@ def test_spread_random_round_trip_against_spread():
     alloc = plan_allocation(inverse_triangular())
     omega, tau = spread_random(alloc, RandomSource(5), 4096)
     assert spread(alloc, tau, 4096) == omega
-    assert spread(alloc, RandomSource(5), 4096) == omega
 
 
 # ---------------------------------------------------------------- recovery
