@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import BitString, RandomSource
-from .forbidden import LevelFamily, SampledLevel
+from .forbidden import LevelFamily
 
 
 @dataclass(frozen=True)
@@ -46,50 +46,9 @@ class AvoidanceResult:
 
 def scan_violations(x: BitString, family: LevelFamily) -> list:
     """All (position, length) pairs whose window is forbidden, sorted."""
-    found = []
-    for n in family.level_lengths():
-        if n > len(x):
-            continue
-        level = family.levels[n]
-        explicit = level.strings if isinstance(level, SampledLevel) else None
-        for k, w in enumerate(x.numeral_windows(n)):
-            if explicit is not None:
-                if w in explicit:
-                    found.append((k, n))
-            elif family.membership(n, w):
-                found.append((k, n))
-    found.sort()
-    return found
-
-
-def _level_tables(family: LevelFamily, length: int):
-    lengths = [n for n in family.level_lengths() if n <= length]
-    sets = {n: family.levels[n].strings for n in lengths}
-    return lengths, sets
-
-
-def _first_violation(bits: list, lengths: list, sets: dict, start: int):
-    """Leftmost violating occurrence at position >= start, shortest length
-    first at equal positions; assumes no violation starts before `start`."""
-    total = len(bits)
-    values = {}
-    for n in lengths:
-        if start + n <= total:
-            v = 0
-            for i in range(start, start + n):
-                v = (v << 1) | bits[i]
-            values[n] = v
-    for k in range(start, total):
-        for n in lengths:
-            if n in values and k + n <= total and values[n] in sets[n]:
-                return k, n
-        for n in lengths:
-            if n in values:
-                if k + n < total:
-                    values[n] = ((values[n] & ((1 << (n - 1)) - 1)) << 1) | bits[k + n]
-                else:
-                    del values[n]
-    return None
+    if not family.explicit_only():
+        raise ValueError("scanning needs explicit level sets")
+    return sorted(family.scanner().occurrences(x.to_bits()))
 
 
 def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
@@ -99,14 +58,13 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     (leftmost violation, shortest on ties), and every redraw come from the
     instance's source in a fixed sequence.
     """
-    lengths, sets = _level_tables(inst.family, inst.length)
-    longest = max(lengths, default=1)
+    scanner = inst.family.scanner()
     rs = inst.source
     bits = rs.bits(inst.length).to_bits()
     resamples = 0
     scan_from = 0
     while True:
-        hit = _first_violation(bits, lengths, sets, scan_from)
+        hit = scanner.first(bits, scan_from)
         if hit is None:
             return AvoidanceResult(True, BitString.from_bits(bits), resamples, 0)
         if resamples >= inst.max_resamples:
@@ -118,7 +76,7 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
             bits[k + i] = redraw[i]
         resamples += 1
         # fresh violations can only overlap the redrawn block
-        scan_from = max(0, k - longest + 1)
+        scan_from = max(0, k - scanner.longest + 1)
 
 
 def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]:
@@ -127,30 +85,20 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]
     exactly numeric (most-significant-bit-first) order."""
     if length > 24:
         raise ValueError("brute force capped at length 24")
-    lengths, sets = _level_tables(family, length)
-    prefix = []
+    if not family.explicit_only():
+        raise ValueError("brute force needs explicit level sets")
+    scanner = family.scanner()
 
-    def forbidden_suffix() -> bool:
-        d = len(prefix)
-        for n in lengths:
-            if n <= d:
-                v = 0
-                for i in range(d - n, d):
-                    v = (v << 1) | prefix[i]
-                if v in sets[n]:
-                    return True
-        return False
-
-    def descend() -> bool:
-        if len(prefix) == length:
-            return True
+    def smallest(state: int, depth: int) -> Optional[list]:
+        if depth == 0:
+            return []
         for b in (0, 1):
-            prefix.append(b)
-            if not forbidden_suffix() and descend():
-                return True
-            prefix.pop()
-        return False
+            child = scanner.goto[state][b]
+            # a prefix is forbidden exactly when its automaton state accepts
+            rest = None if scanner.ends[child] else smallest(child, depth - 1)
+            if rest is not None:
+                return [b] + rest
+        return None
 
-    if descend():
-        return BitString.from_bits(prefix)
-    return None
+    found = smallest(0, length)
+    return None if found is None else BitString.from_bits(found)

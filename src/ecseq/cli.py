@@ -28,7 +28,7 @@ EXIT_BUDGET = 3
 
 # Errors that mean the inputs cannot be run: a bad flag or input file exits 2,
 # and a report whose replay raises one of these does not reproduce.
-INPUT_ERRORS = (ValueError, CertificateError, spreader.CoverageError)
+INPUT_ERRORS = (ValueError, ZeroDivisionError, CertificateError, spreader.CoverageError)
 
 # A report is a JSON object with these keys; verify ignores the wall time.
 REPORT_KEYS = ("command", "seed", "parameters", "results", "certificates", "wall_time_s")
@@ -58,6 +58,9 @@ def _epsilon(parameters: dict) -> ExactProb:
 
 def _run_spread(p: dict, seed) -> tuple:
     weights = spreader.weight_preset(p["weights"])
+    if p["certified_start_level"] != spreader.choose_start_level(weights):
+        raise ValueError(f"the certified start level of {p['weights']} is not "
+                         f"{p['certified_start_level']}")
     alloc = spreader.plan_allocation(weights, start_level=p["start_level"],
                                      max_level=p["max_level"])
     omega, tau = spreader.spread_random(alloc, RandomSource(seed), p["length"])
@@ -177,7 +180,10 @@ def _profile(bits: BitString, window: int, stride: int) -> tuple:
 def _run_profile(p: dict, seed) -> tuple:
     if p["bits_text"] is None:
         raise ValueError("the report does not inline its bits")
-    return _profile(BitString.from_text(p["bits_text"]), p["window"], p["stride"])
+    bits = BitString.from_text(p["bits_text"])
+    if (_sha256_bits(bits), len(bits)) != (p["bits_sha256"], p["bit_count"]):
+        raise ValueError("the inlined bits do not match bits_sha256 and bit_count")
+    return _profile(bits, p["window"], p["stride"])
 
 
 class Kind(NamedTuple):

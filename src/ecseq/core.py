@@ -392,11 +392,8 @@ class FiniteDistribution:
     def from_json(cls, doc: dict) -> "FiniteDistribution":
         """Parse a distribution written by to_json; ValueError on any other shape."""
         try:
-            masses = {BitString.from_text(k): ExactProb(frac_from_str(v))
-                      for k, v in doc["masses"].items()}
-            return cls(doc["length"], masses,
-                       ExactProb(frac_from_str(doc.get("deficit", "0/1"))))
-        except (KeyError, TypeError, AttributeError) as exc:
+            return cls(doc["length"], doc["masses"], doc.get("deficit", "0/1"))
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"malformed distribution JSON ({type(exc).__name__}: {exc})") from exc
 

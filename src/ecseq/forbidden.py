@@ -156,6 +156,61 @@ class ImplicitLevel:
     cardinality: int
 
 
+class Scanner:
+    """Aho-Corasick automaton (CACM 18(6), 1975) over the bits 0 and 1 for
+    forbidden strings given as {length: numerals}.  State 0 is the empty
+    prefix, goto[s][b] the state after reading bit b in state s, and ends[s]
+    the sorted lengths of the forbidden strings that end on reaching s."""
+
+    def __init__(self, patterns: dict):
+        goto, ends = [[0, 0]], [set()]  # in the trie, child 0 means no child
+        for n, numerals in patterns.items():
+            for v in numerals:
+                s = 0
+                for i in reversed(range(n)):
+                    b = (v >> i) & 1
+                    if not goto[s][b]:
+                        goto[s][b] = len(goto)
+                        goto.append([0, 0])
+                        ends.append(set())
+                    s = goto[s][b]
+                ends[s].add(n)
+        # breadth first, so each failure state is complete before it is used
+        fail, order = [0] * len(goto), [child for child in goto[0] if child]
+        for s in order:
+            ends[s] |= ends[fail[s]]
+            for b, child in enumerate(goto[s]):
+                if child:
+                    fail[child] = goto[fail[s]][b]
+                    order.append(child)
+                else:
+                    goto[s][b] = goto[fail[s]][b]
+        self.goto, self.ends = goto, [tuple(sorted(lengths)) for lengths in ends]
+        self.longest = max((n for n, numerals in patterns.items() if numerals), default=0)
+
+    def occurrences(self, bits, start: int = 0):
+        """Yield (position, length) of every forbidden string in the bit
+        sequence that starts at or after `start`, in order of end position."""
+        goto, ends = self.goto, self.ends
+        s = 0
+        for i in range(start, len(bits)):
+            s = goto[s][bits[i]]
+            for n in ends[s]:
+                yield i - n + 1, n
+
+    def first(self, bits, start: int = 0):
+        """The leftmost occurrence at or after `start`, shortest on ties, or
+        None.  A longer string ending up to longest - 1 bits after the first
+        match can start before it, so the scan looks that far ahead."""
+        best = None
+        for k, n in self.occurrences(bits, start):
+            if best is not None and k + n >= best[0] + self.longest:
+                break  # it ends too late to start before best
+            if best is None or k < best[0]:
+                best = (k, n)
+        return best
+
+
 class LevelFamily:
     """Per-length forbidden sets with certified sizes at most floor(2**(alpha*i))."""
 
@@ -166,6 +221,8 @@ class LevelFamily:
         self.alpha = alpha
         self.levels = {}
         for level in levels:
+            if level.length < 1:
+                raise ValueError(f"level length {level.length} is not positive")
             if level.length in self.levels:
                 raise ValueError(f"duplicate level length {level.length}")
             if isinstance(level, SampledLevel):
@@ -180,6 +237,7 @@ class LevelFamily:
                     f"{self.size_bound(level.length)}"
                 )
             self.levels[level.length] = level
+        self._scanner = None
 
     def size_bound(self, length: int) -> int:
         return pow2_floor(self.alpha * length)
@@ -201,6 +259,12 @@ class LevelFamily:
 
     def explicit_only(self) -> bool:
         return all(isinstance(lv, SampledLevel) for lv in self.levels.values())
+
+    def scanner(self) -> Scanner:
+        """The automaton of the sampled levels, built on first use."""
+        if self._scanner is None:
+            self._scanner = Scanner({lv.length: lv.strings for lv in self.sampled_levels()})
+        return self._scanner
 
     def membership(self, length: int, numeral: int) -> bool:
         level = self.levels.get(length)
@@ -259,7 +323,7 @@ class LevelFamily:
                 else:
                     raise ValueError(f"unknown level kind {entry['kind']!r}")
             return cls(frac_from_str(doc["alpha"]), levels)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
 
 
@@ -306,21 +370,14 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
             if miss_bound < epsilon:
                 break
         n += 1
-    blocks = 1
-    while True:
-        top_length = n * blocks
-        cardinality = count_simple(top_length, n, threshold)
-        top_bound = pow2_floor(alpha * top_length)
-        if cardinality <= top_bound:
-            break
-        blocks += 1
+    top_length = n
+    while (top := _simple_top(alpha, n, top_length)) is None:
+        top_length += n
     strings = frozenset(b.to_numeral() for b in sample_uniform_set(n, size, rs))
-    family = LevelFamily(alpha, [
-        SampledLevel(n, strings, (), 1 << n),
-        ImplicitLevel(top_length, ((n, threshold),), cardinality),
-    ])
+    family = LevelFamily(alpha, [SampledLevel(n, strings, (), 1 << n), top])
     certificate = TwoLevelCertificate(n, top_length, threshold, size, miss_bound,
-                                      Fraction(epsilon), cardinality, top_bound)
+                                      Fraction(epsilon), top.cardinality,
+                                      pow2_floor(alpha * top_length))
     return family, certificate
 
 
@@ -454,13 +511,7 @@ def family_avoids(x: BitString, family: LevelFamily) -> bool:
     top = family.implicit_top()
     if top is not None and is_chain_simple(x.to_numeral(), len(x), top.chain):
         return False
-    for level in family.sampled_levels():
-        if level.length > len(x) or not level.strings:
-            continue
-        for w in x.numeral_windows(level.length):
-            if w in level.strings:
-                return False
-    return True
+    return next(family.scanner().occurrences(x.to_bits()), None) is None
 
 
 def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> ExactProb:

@@ -5,7 +5,7 @@ import pytest
 from ecseq.avoider import (AvoidanceInstance, brute_force_avoider,
                            build_avoiding_string, scan_violations)
 from ecseq.core import BitString, RandomSource
-from ecseq.forbidden import LevelFamily, SampledLevel
+from ecseq.forbidden import LevelFamily, SampledLevel, two_level_family
 
 
 def bs(text):
@@ -53,6 +53,35 @@ def test_scan_agrees_with_naive_oracle():
             sets[n] = [BitString.from_numeral(v, n).to_text() for v in members]
         family = explicit_family(1, sets)
         assert scan_violations(x, family) == naive_scan(x, family)
+
+
+def test_first_agrees_with_naive_oracle():
+    rs = RandomSource(29)
+    for trial in range(200):
+        x = rs.bits(4 + rs.below(40))
+        sets = {}
+        for n in range(2, 8):
+            if rs.below(2):
+                members = {rs.below(1 << n) for _ in range(1 + rs.below(4))}
+                sets[n] = [BitString.from_numeral(v, n).to_text() for v in members]
+        family = explicit_family(1, sets)
+        start = rs.below(len(x) + 1)
+        expected = min((hit for hit in naive_scan(x, family) if hit[0] >= start), default=None)
+        assert family.scanner().first(x.to_bits(), start) == expected
+
+
+def test_first_looks_ahead_past_the_first_match():
+    # "10001" starts at 2, but the first match to end is "00" at 3
+    family = explicit_family(1, {2: ["00"], 5: ["10001"]})
+    bits = bs("0110001").to_bits()
+    assert family.scanner().first(bits) == (2, 5)
+    assert family.scanner().first(bits, 3) == (3, 2)
+
+
+def test_scan_rejects_implicit_levels():
+    family, _ = two_level_family(Fraction(3, 5), Fraction(1, 2), 2, RandomSource(3))
+    with pytest.raises(ValueError):
+        scan_violations(RandomSource(0).bits(family.string_length), family)
 
 
 # ---------------------------------------------------------------- building

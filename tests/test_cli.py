@@ -264,17 +264,25 @@ def test_every_report_kind_round_trips(reports, kind, monkeypatch):
     assert run("verify", "--report", str(reports[kind])) == cli.EXIT_OK
 
 
+# parameters that a command derives from the others, so verify re-derives them
+DERIVED_PARAMETERS = {"spread": ("certified_start_level",),
+                      "profile": ("bits_sha256", "bit_count")}
+
+
 @pytest.mark.parametrize("kind", sorted(cli.KINDS))
 def test_every_altered_field_fails_verify(reports, kind, tmp_path):
     doc = read_json(reports[kind])
-    for section in ("results", "certificates"):
-        for path, value in leaves(doc[section]):
-            bad = copy.deepcopy(doc)
-            node = bad[section]
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = altered(value)
-            assert verify_doc(tmp_path, bad) == cli.EXIT_VERIFY_FAILED, (section, path)
+    fields = [(section, path, value) for section in ("results", "certificates")
+              for path, value in leaves(doc[section])]
+    fields += [("parameters", (key,), doc["parameters"][key])
+               for key in DERIVED_PARAMETERS.get(kind, ())]
+    for section, path, value in fields:
+        bad = copy.deepcopy(doc)
+        node = bad[section]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = altered(value)
+        assert verify_doc(tmp_path, bad) == cli.EXIT_VERIFY_FAILED, (section, path)
     for key in cli.REPORT_KEYS:
         bad = dict(doc)
         del bad[key]
@@ -287,9 +295,10 @@ def test_verify_rejects_documents_that_are_not_reports(tmp_path, doc):
 
 
 def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
-    doc = read_json(reports["spread"])
-    doc["parameters"]["max_level"] = 3
-    assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED
+    for kind, parameter, value in (("spread", "max_level", 3), ("family", "alpha", "1/0")):
+        doc = read_json(reports[kind])
+        doc["parameters"][parameter] = value
+        assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED, kind
 
 
 @pytest.mark.parametrize("document, argv", [
@@ -299,6 +308,15 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
     (None, ["profile", "--bits", "{dir}", "--window", "4"]),
     (None, ["profile", "--bits", "{bits}", "--window", "0"]),
     (None, ["spread", "--length", "8192", "--max-level", "9", "--out", "{dir}/x.bits"]),
+    (None, ["family", "--alpha", "1/0"]),
+    (None, ["family", "--alpha", "3/5", "--epsilon", "1/0"]),
+    ({"length": 1, "masses": {"0": "1/1"}}, ["adversary", "--dist", "{doc}", "--n", "1",
+                                             "--epsilon", "1/0"]),
+    ({"length": 1, "masses": {"0": "1/0"}}, ["adversary", "--dist", "{doc}", "--n", "1",
+                                             "--epsilon", "1/2"]),
+    ({"alpha": "1/1", "levels": [{"length": 0, "kind": "sampled", "strings_hex": ["0"],
+                                  "pool_size": "1"}]}, ["avoid", "--family", "{doc}",
+                                                        "--length", "10"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:

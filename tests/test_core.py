@@ -215,6 +215,19 @@ def test_distribution_json_round_trip():
     assert back.deficit == Fraction(1, 8)
 
 
+@pytest.mark.parametrize("doc", [
+    {"length": 1, "masses": {"0": "1/0", "1": "1/1"}},
+    {"length": 1, "masses": {"0": "1/1"}, "deficit": "1/0"},
+    {"length": 1, "masses": {"0": "one"}},
+    {"length": 1, "masses": {"01": "1/1"}},
+    {"length": 1, "masses": ["0"]},
+    {"masses": {"0": "1/1"}},
+])
+def test_distribution_from_json_rejects_malformed_input(doc):
+    with pytest.raises(ValueError):
+        FiniteDistribution.from_json(doc)
+
+
 def test_distribution_rescaling():
     d = FiniteDistribution.uniform(4).scaled_to_deficit(ExactProb(1, 8))
     assert d.deficit == Fraction(1, 8)

@@ -347,6 +347,20 @@ def test_derandomize_point_mass_on_constant():
     assert not family_avoids(BitString.zeros(8), family)
 
 
+def test_family_avoids_agrees_with_naive_window_loop():
+    cube = FiniteDistribution.uniform(12)
+    for level_length, has_top in ((2, True), (3, False), (4, False)):
+        for seed in range(2):
+            family, _ = derandomize_family(cube, Fraction(3, 4), Fraction(1, 2),
+                                           RandomSource(seed), level_length=level_length)
+            assert (family.implicit_top() is not None) == has_top
+            for x, _ in cube.items():
+                naive = not any(family.membership(n, x.window(k, n).to_numeral())
+                                for n in family.level_lengths()
+                                for k in range(len(x) - n + 1))
+                assert family_avoids(x, family) == naive
+
+
 def test_derandomize_point_mass_all_distinct_windows():
     x = bs("00011101")  # all 3-windows distinct
     assert distinct_substrings(x, 3) == 6
