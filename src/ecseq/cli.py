@@ -240,33 +240,31 @@ def cmd_spread(args) -> int:
 
 
 def cmd_check_windows(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     bits = read_bit_file(args.bits)
     alloc = spreader.Allocation.from_export(_load_json(args.alloc))
-    if args.m_max < alloc.start_level:
-        print(f"warning: m-max {args.m_max} below start level {alloc.start_level}; "
-              "nothing to check")
-        return EXIT_OK
-    rs = RandomSource(args.seed)
-    violations = []
-    consensus = {}  # source index -> bit, shared across windows
-
     frontier = alloc.least_uncovered()
     usable = len(bits) if frontier is None else min(len(bits), frontier)
     top = min(args.m_max, usable.bit_length() - 1)  # the highest level whose windows fit
+    if top < alloc.start_level:
+        print(f"warning: the highest level that fits m-max and {usable} usable bits is "
+              f"{top}, below start level {alloc.start_level}; nothing to check")
+        return EXIT_OK
+    rs = RandomSource(args.seed)
+    consensus = {}  # source index -> bit, shared across windows
     mapping = alloc.source_map(0, usable)
-    bit_list = bits.to_bits()
+    text = bits.to_text()
 
-    # whole-file pass: every repetition of one source bit must agree
-    firsts = {}
-    for p in range(usable):
-        j = mapping[p]
-        b = bit_list[p]
-        if j in firsts:
-            if bit_list[firsts[j]] != b:
-                violations.append({"position": p, "source_bit": j,
-                                   "disagrees_with_position": firsts[j]})
-        else:
-            firsts[j] = p
+    # whole-file pass: every repetition of one source bit must agree with its first
+    violations = []
+    for offset, step, j in alloc._progressions(0, usable):
+        copies = text[offset:usable:step]
+        if ("1" if copies[0] == "0" else "0") in copies:
+            violations.extend({"position": offset + i * step, "source_bit": j,
+                               "disagrees_with_position": offset}
+                              for i, b in enumerate(copies) if b != copies[0])
+    violations.sort(key=lambda v: v["position"])
 
     for m in range(alloc.start_level, top + 1):
         size = 1 << m
@@ -309,7 +307,7 @@ def cmd_check_windows(args) -> int:
 def cmd_family(args) -> int:
     alpha = frac_to_str(Fraction(args.alpha))
     epsilon = frac_to_str(ExactProb(Fraction(args.epsilon)))
-    if args.schedule:
+    if args.schedule is not None:
         kind = "family-schedule"
         parameters = {"alpha": alpha, "count": args.schedule, "first_length": args.n_min,
                       "max_length": args.max_length, "dist_family": "uniform"}
@@ -328,7 +326,7 @@ def cmd_family(args) -> int:
     results, certificates, written = _run(args, kind, args.seed, parameters)
     if args.out:
         _write_json(args.out, written)
-    if args.schedule:
+    if args.schedule is not None:
         print(f"family: {len(results['intervals'])} disjoint certified intervals")
     elif args.levels:
         sizes = [len(level["strings_hex"]) for level in results["family"]["levels"]]

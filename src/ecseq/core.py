@@ -132,10 +132,6 @@ class BitString:
     def ones(cls, length: int) -> "BitString":
         return cls((1 << length) - 1, length)
 
-    @property
-    def value(self) -> int:
-        return self._value
-
     def __len__(self) -> int:
         return self._length
 
@@ -283,9 +279,6 @@ class RandomSource:
             value |= self.next_word() << got
             got += 64
         return value & ((1 << bit_count) - 1)
-
-    def bit(self) -> int:
-        return self._take(1)
 
     def bits(self, count: int) -> BitString:
         if count < 0:

@@ -18,6 +18,7 @@ from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                    RandomSource, binom, frac_from_str, frac_to_str, pow2_floor)
 
 ENUMERATION_CAP = 1 << 22
+MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 
 
 class AveragedBoundError(CertificateError):
@@ -400,7 +401,6 @@ class LayeredParams:
     alpha: Fraction
     lengths: tuple
     thresholds: tuple
-    epsilon: Optional[Fraction] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -420,7 +420,7 @@ class LayeredParams:
                 raise ValueError("lengths must increase and form a divisibility chain")
 
     @classmethod
-    def with_default_thresholds(cls, alpha, lengths, epsilon=None) -> "LayeredParams":
+    def with_default_thresholds(cls, alpha, lengths) -> "LayeredParams":
         """Thresholds 2**ceil(length * (t + 1 - j) / (t + 1)) for stage j,
         matching 2**ceil(n/2) in the two-level case."""
         lengths = tuple(lengths)
@@ -429,7 +429,7 @@ class LayeredParams:
             1 << math.ceil(Fraction(lengths[j] * (stages + 1 - (j + 1)), stages + 1))
             for j in range(stages)
         )
-        return cls(Fraction(alpha), lengths, thresholds, epsilon)
+        return cls(Fraction(alpha), lengths, thresholds)
 
 
 @dataclass(frozen=True)
@@ -546,7 +546,7 @@ def _drawn_family(alpha: Fraction, ln: int, strings, top, n_total: int) -> Level
 
 
 def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSource,
-                       level_length: int = None, max_tries: int = 100000):
+                       level_length: int = None):
     """Concrete family whose exact avoid probability under dist is below
     epsilon, found by enumerating substream draws.
 
@@ -578,13 +578,13 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
         raise AveragedBoundError(
             f"averaged avoid bound not below {frac_to_str(epsilon)} for any admissible level"
         )
-    for attempt in range(max_tries):
+    for attempt in range(MAX_DRAWS):
         strings = _floyd_sample(1 << ln, size, rs.substream(attempt))
         family = _drawn_family(alpha, ln, strings, top, n_total)
         certificate = family_avoid_probability(dist, family)
         if certificate < epsilon:
             return family, certificate
-    raise CertificateError(f"no draw beat the bound within {max_tries} attempts")
+    raise CertificateError(f"no draw beat the bound within {MAX_DRAWS} attempts")
 
 
 def recertify_family(dist: FiniteDistribution, alpha, epsilon, witness: LevelFamily,

@@ -135,13 +135,6 @@ class _Intervals:
     def pairs(self):
         return list(zip(self.los, self.his))
 
-    def index_of(self, x: int):
-        """Rank of x among the elements, or None when absent."""
-        j = bisect_right(self.los, x) - 1
-        if j >= 0 and x < self.his[j]:
-            return self.cum[j] + (x - self.los[j])
-        return None
-
     def take_prefix(self, k: int):
         """Split off the k smallest elements (all of them if k >= total)."""
         if k >= self.total:
@@ -301,18 +294,30 @@ class Allocation:
                 f"{self.max_level}; raise max_level"
             )
 
+    def _progressions(self, start: int, length: int, top_level: int = None):
+        """Yield (offset, step, source index) for every built progression at
+        levels up to top_level that meets [start, start + length), where offset
+        is its first position in the range minus start.  Levels come in order
+        and, within a level, first terms ascend, so source indices ascend.
+
+        A level's progressions meeting the range are those whose first terms
+        are residues of the range modulo the step: at most two spans, the
+        second one wrapping round to 0."""
+        for lv in self._levels:
+            if top_level is not None and lv.level > top_level:
+                break
+            step = 1 << lv.level
+            lo = start % step
+            hi = lo + min(length, step)
+            spans = [(0, hi - step, step - lo)] if hi > step else []
+            spans.append((lo, min(hi, step), -lo))
+            for a, b, shift in spans:
+                for c, rank in lv.assigned.enumerate_range(a, b):
+                    yield c + shift, step, lv.source_base + rank
+
     def source_index(self, position: int) -> int:
         """The source bit carried at an output position."""
-        if position < 0:
-            raise ValueError("position must be non-negative")
-        self.ensure_horizon(position + 1)
-        self._require_covered(position + 1)
-        for lv in self._levels:
-            r = position & ((1 << lv.level) - 1)
-            idx = lv.assigned.index_of(r)
-            if idx is not None:
-                return lv.source_base + idx
-        raise AssertionError("progression partition violated")
+        return self.source_map(position, 1)[0]
 
     def source_map(self, start: int, length: int) -> list:
         """Source indices for every position in [start, start + length)."""
@@ -322,26 +327,9 @@ class Allocation:
         self.ensure_horizon(end)
         self._require_covered(end)
         out = [-1] * length
-        for lv in self._levels:
-            step = 1 << lv.level
-            if step <= length:
-                for lo, hi in lv.assigned.pairs():
-                    base = lv.assigned.index_of(lo) + lv.source_base
-                    for off, c in enumerate(range(lo, hi)):
-                        p = start + ((c - start) % step)
-                        for q in range(p, end, step):
-                            out[q - start] = base + off
-            else:
-                lo_res = start % step
-                spans = [(lo_res, min(lo_res + length, step))]
-                if lo_res + length > step:
-                    spans.append((0, lo_res + length - step))
-                for a, b in spans:
-                    for c, rank in lv.assigned.enumerate_range(a, b):
-                        p = start + ((c - start) % step)
-                        if p < end:
-                            out[p - start] = lv.source_base + rank
-        if any(v < 0 for v in out):
+        for offset, step, index in self._progressions(start, length):
+            out[offset::step] = [index] * ((length - offset - 1) // step + 1)
+        if -1 in out:
             raise AssertionError("progression partition left a hole")
         return out
 
@@ -386,18 +374,10 @@ class Allocation:
         return alloc
 
 
-def plan_allocation(weights: WeightSeries, start_level: int = None, max_level: int = 64,
-                    explicit_counts: dict = None) -> Allocation:
-    """Build an allocation from a weight series, or from explicit per-level
-    counts in test mode (no certificate; feasibility still enforced)."""
-    if explicit_counts is not None:
-        if not explicit_counts:
-            raise ValueError("explicit counts must name at least one level")
-        m0 = min(explicit_counts) if start_level is None else start_level
-        top = max(max(explicit_counts), max_level if max_level is not None else 0)
-        return Allocation(m0, top, lambda m: explicit_counts.get(m, 0))
-    if weights is None:
-        raise ValueError("weight series required outside test mode")
+def plan_allocation(weights: WeightSeries, start_level: int = None,
+                    max_level: int = 64) -> Allocation:
+    """Build an allocation from a weight series, starting at the certified
+    start level unless another admissible one is given."""
     m0 = choose_start_level(weights) if start_level is None else start_level
     cert = start_level_certificate(weights, m0)
     if cert > 1:
@@ -407,23 +387,27 @@ def plan_allocation(weights: WeightSeries, start_level: int = None, max_level: i
     return Allocation(m0, max_level, lambda m: boosted_count(weights, m))
 
 
+def _place(alloc: Allocation, length: int, source_for: Callable[[int], BitString]):
+    """Spread [0, length): source_for gets the number of source bits the range
+    needs and returns them; position i carries source bit source_index(i)."""
+    mapping = alloc.source_map(0, length)
+    source_bits = source_for(max(mapping) + 1 if mapping else 0)
+    text = source_bits.to_text()
+    return BitString.from_text("".join([text[j] for j in mapping])), source_bits
+
+
 def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:
     """Output of the generator: position i carries source bit source_index(i)."""
-    mapping = alloc.source_map(0, length)
-    needed = max(mapping) + 1 if mapping else 0
-    if len(source_bits) < needed:
-        raise ValueError(f"source too short: need {needed} bits, got {len(source_bits)}")
-    src = source_bits.to_bits()
-    return BitString.from_bits(src[j] for j in mapping)
+    def checked(needed: int) -> BitString:
+        if len(source_bits) < needed:
+            raise ValueError(f"source too short: need {needed} bits, got {len(source_bits)}")
+        return source_bits
+    return _place(alloc, length, checked)[0]
 
 
 def spread_random(alloc: Allocation, rs: RandomSource, length: int):
     """Draw exactly the source bits the range needs, then spread them."""
-    mapping = alloc.source_map(0, length)
-    needed = max(mapping) + 1 if mapping else 0
-    source_bits = rs.bits(needed)
-    src = source_bits.to_bits()
-    return BitString.from_bits(src[j] for j in mapping), source_bits
+    return _place(alloc, length, rs.bits)
 
 
 def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: int) -> BitString:
@@ -443,25 +427,17 @@ def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: in
         raise ValueError("offset_mod out of range")
     alloc.ensure_cap(size)
     alloc.ensure_level(level)
-    wbits = win.to_bits()
+    text = win.to_text()
     out = []
-    for lv_level, count, base, pairs in alloc.level_records():
-        if lv_level > level:
-            break
-        step = 1 << lv_level
-        seen = 0
-        for lo, hi in pairs:
-            for c in range(lo, hi):
-                t0 = (c - offset_mod) % step
-                value = wbits[t0]
-                for t in range(t0 + step, size, step):
-                    if wbits[t] != value:
-                        raise InconsistentWindowError(
-                            f"source bit {base + seen} reads differently at window "
-                            f"offsets {t0} and {t}"
-                        )
-                out.append(value)
-                seen += 1
-        if seen != count:
-            raise AssertionError(f"level {lv_level} assignment not fully tracked")
-    return BitString.from_bits(out)
+    # every step divides the window length, so window offsets are offsets from offset_mod
+    for offset, step, index in alloc._progressions(offset_mod, size, level):
+        copies = text[offset::step]
+        value = copies[0]
+        other = copies.find("1" if value == "0" else "0")
+        if other >= 0:
+            raise InconsistentWindowError(
+                f"source bit {index} reads differently at window "
+                f"offsets {offset} and {offset + other * step}"
+            )
+        out.append(value)
+    return BitString.from_text("".join(out))

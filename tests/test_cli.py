@@ -317,6 +317,11 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
     ({"alpha": "1/1", "levels": [{"length": 0, "kind": "sampled", "strings_hex": ["0"],
                                   "pool_size": "1"}]}, ["avoid", "--family", "{doc}",
                                                         "--length", "10"]),
+    (None, ["family", "--alpha", "3/5", "--schedule", "0"]),
+    (None, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12",
+            "--samples", "0"]),
+    (None, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12",
+            "--samples", "-3"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -332,3 +337,15 @@ def test_check_windows_names_the_highest_level_checked(tmp_path, spread_run, cap
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "40", "--samples", "2") == cli.EXIT_OK
     assert capsys.readouterr().out.strip().endswith("up to level 13")
+
+
+def test_check_windows_warns_when_no_window_of_the_start_level_fits(tmp_path, capsys):
+    bits, alloc = tmp_path / "short.bits", tmp_path / "alloc.json"
+    assert run("spread", "--length", "100", "--out", str(bits),
+               "--alloc-out", str(alloc)) == cli.EXIT_OK
+    capsys.readouterr()
+    # start level 8: a 100-bit file holds no window of length 256
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
+               "--m-max", "12") == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "warning" in out and "nothing to check" in out and "pass" not in out

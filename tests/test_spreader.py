@@ -14,9 +14,14 @@ def bs(text):
     return BitString.from_text(text)
 
 
+def toy(counts, max_level=64):
+    """An allocation with explicit per-level counts and no certificate."""
+    return Allocation(min(counts), max_level, lambda m: counts.get(m, 0))
+
+
 def toy_alloc():
     # level 1 gets {0,2,4,...}; level 2 gets {1,5,9,...} and {3,7,11,...}
-    return plan_allocation(None, explicit_counts={1: 1, 2: 2})
+    return toy({1: 1, 2: 2})
 
 
 # ---------------------------------------------------------------- start level
@@ -89,7 +94,7 @@ def test_source_index_hand_values():
 
 
 def test_full_occupation_is_parity():
-    alloc = plan_allocation(None, explicit_counts={1: 2})
+    alloc = toy({1: 2})
     assert [alloc.source_index(i) for i in range(10)] == [i % 2 for i in range(10)]
     assert alloc.source_index(4) == 0
 
@@ -113,7 +118,7 @@ def test_first_term_below_difference():
 
 
 def test_explicit_counts_infeasible():
-    alloc = plan_allocation(None, explicit_counts={1: 3})
+    alloc = toy({1: 3})
     with pytest.raises(CertificateError):
         alloc.ensure_level(1)
 
@@ -128,7 +133,7 @@ def test_start_level_certificate_guard():
 def test_spread_hand_values():
     alloc = toy_alloc()
     assert spread(alloc, bs("101"), 8) == bs("10111011")
-    assert spread(plan_allocation(None, explicit_counts={1: 2}), bs("10"), 6) == bs("101010")
+    assert spread(toy({1: 2}), bs("10"), 6) == bs("101010")
     assert spread(alloc, bs("000"), 12) == BitString.zeros(12)
 
 
@@ -204,7 +209,7 @@ def test_partition_over_2_16():
 
 def test_window_coverage_exhaustive_small_levels():
     # full-budget toy: 1/2 + 1/4 + 2/8 = 1, so every position is covered
-    alloc = plan_allocation(None, explicit_counts={1: 1, 2: 1, 3: 2})
+    alloc = toy({1: 1, 2: 1, 3: 2})
     for m in (1, 2, 3):
         size = 1 << m
         top = alloc.source_count_through(m)
@@ -234,9 +239,97 @@ def test_least_uncovered_progress():
 
 
 def test_coverage_error_when_levels_exhausted():
-    alloc = plan_allocation(None, explicit_counts={1: 1}, max_level=1)
+    alloc = toy({1: 1}, max_level=1)
     with pytest.raises(CoverageError):
         alloc.source_index(1)
+
+
+# ---------------------------------------------------------------- progression walk against oracles
+
+def oracle_source_map(alloc, start, length):
+    """The per-level residue loop: position p sits on the level whose assigned
+    first terms hold p mod 2**level, at the rank of that first term."""
+    alloc.ensure_horizon(start + length)
+    records = alloc.level_records()
+    out = []
+    for p in range(start, start + length):
+        for level, _, base, pairs in records:
+            r, rank = p % (1 << level), 0
+            for lo, hi in pairs:
+                if lo <= r < hi:
+                    break
+                rank += hi - lo
+            else:
+                continue
+            out.append(base + rank + r - lo)
+            break
+        else:
+            raise AssertionError(f"position {p} not covered")
+    return out
+
+
+def oracle_recover_prefix(alloc, win, offset_mod, level):
+    """The copy loop: every source bit at levels up to `level` is read at its
+    first window offset, and each later copy is compared with that one."""
+    size = 1 << level
+    alloc.ensure_cap(size)
+    alloc.ensure_level(level)
+    wbits = win.to_bits()
+    out = []
+    for lv_level, _, base, pairs in alloc.level_records():
+        if lv_level > level:
+            break
+        step = 1 << lv_level
+        for seen, c in enumerate(c for lo, hi in pairs for c in range(lo, hi)):
+            t0 = (c - offset_mod) % step
+            for t in range(t0 + step, size, step):
+                if wbits[t] != wbits[t0]:
+                    raise InconsistentWindowError(
+                        f"source bit {base + seen} reads differently at window "
+                        f"offsets {t0} and {t}")
+            out.append(wbits[t0])
+    return BitString.from_bits(out)
+
+
+@pytest.mark.parametrize("preset", ["inverse-triangular", "zero", "geometric:1/3"])
+def test_source_map_agrees_with_residue_loop_oracle(preset):
+    weights = weight_preset(preset)
+    rs = RandomSource(17)
+    # the cap starts at 2**13: some ranges cross it, most starts are unaligned
+    ranges = [(0, 1 << 14), (8000, 400), (8191, 2), (8192, 1), (3, 0), (5, 1)]
+    ranges += [(rs.below(1 << 15), rs.below(1 << 12)) for _ in range(12)]
+    oracle = plan_allocation(weights)
+    shared = plan_allocation(weights)
+    for start, length in ranges:
+        expected = oracle_source_map(oracle, start, length)
+        assert plan_allocation(weights).source_map(start, length) == expected, (start, length)
+        assert shared.source_map(start, length) == expected, (start, length)
+    for p in (0, 1, 8191, 8192, 20011):
+        assert shared.source_index(p) == oracle_source_map(oracle, p, 1)[0]
+
+
+@pytest.mark.parametrize("counts", [{1: 1, 2: 1, 3: 2}, {2: 3, 3: 1, 4: 2}])
+def test_recover_prefix_agrees_with_copy_loop_oracle(counts):
+    alloc = toy(counts)
+    top = max(counts)
+    length = 4 << top
+    omega = spread(alloc, RandomSource(9).bits(sum(counts.values())), length)
+    for m in range(alloc.start_level, top + 1):
+        size = 1 << m
+        for k in range(length - size + 1):
+            win = omega.window(k, size).to_bits()
+            # the clean window, then each single-bit tamper of it
+            for flip in [None] + list(range(size)):
+                bits = list(win)
+                if flip is not None:
+                    bits[flip] ^= 1
+                outcomes = []
+                for recover in (recover_prefix, oracle_recover_prefix):
+                    try:
+                        outcomes.append(recover(alloc, BitString.from_bits(bits), k % size, m))
+                    except InconsistentWindowError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (m, k, flip)
 
 
 # ---------------------------------------------------------------- export
