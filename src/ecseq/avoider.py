@@ -48,7 +48,7 @@ def scan_violations(x: BitString, family: LevelFamily) -> list:
     """All (position, length) pairs whose window is forbidden, sorted."""
     if not family.explicit_only():
         raise ValueError("scanning needs explicit level sets")
-    return sorted(family.scanner().occurrences(x.to_bits()))
+    return sorted(family.scanner().occurrences(x.to_text().encode()))
 
 
 def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
@@ -60,20 +60,18 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     """
     scanner = inst.family.scanner()
     rs = inst.source
-    bits = rs.bits(inst.length).to_bits()
+    text = bytearray(rs.bits(inst.length).to_text(), "ascii")
     resamples = 0
     scan_from = 0
     while True:
-        hit = scanner.first(bits, scan_from)
+        hit = scanner.first(text, scan_from)
         if hit is None:
-            return AvoidanceResult(True, BitString.from_bits(bits), resamples, 0)
+            return AvoidanceResult(True, BitString.from_text(text.decode()), resamples, 0)
         if resamples >= inst.max_resamples:
-            residual = len(scan_violations(BitString.from_bits(bits), inst.family))
+            residual = sum(1 for _ in scanner.occurrences(text))
             return AvoidanceResult(False, None, resamples, residual)
         k, n = hit
-        redraw = rs.bits(n)
-        for i in range(n):
-            bits[k + i] = redraw[i]
+        text[k:k + n] = rs.bits(n).to_text().encode()
         resamples += 1
         # fresh violations can only overlap the redrawn block
         scan_from = max(0, k - scanner.longest + 1)
@@ -89,16 +87,16 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]
         raise ValueError("brute force needs explicit level sets")
     scanner = family.scanner()
 
-    def smallest(state: int, depth: int) -> Optional[list]:
+    def smallest(state: int, depth: int) -> Optional[str]:
         if depth == 0:
-            return []
+            return ""
         for b in (0, 1):
             child = scanner.goto[state][b]
             # a prefix is forbidden exactly when its automaton state accepts
             rest = None if scanner.ends[child] else smallest(child, depth - 1)
             if rest is not None:
-                return [b] + rest
+                return "01"[b] + rest
         return None
 
     found = smallest(0, length)
-    return None if found is None else BitString.from_bits(found)
+    return None if found is None else BitString.from_text(found)

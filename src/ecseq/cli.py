@@ -274,8 +274,8 @@ def cmd_check_windows(args) -> int:
         if max_start + 1 <= args.samples:
             starts = list(range(max_start + 1))
         else:
-            starts = sorted(rs.substream(m).below(max_start + 1)
-                            for _ in range(args.samples))
+            draws = rs.substream(m)
+            starts = sorted(draws.below(max_start + 1) for _ in range(args.samples))
         for k in starts:
             tally = {}
             for j in mapping[k:k + size]:
@@ -291,7 +291,7 @@ def cmd_check_windows(args) -> int:
             except spreader.InconsistentWindowError as exc:
                 violations.append({"k": k, "m": m, "inconsistent": str(exc)})
                 continue
-            for j, b in enumerate(prefix.bits()):
+            for j, b in enumerate(prefix.to_text()):
                 if consensus.setdefault(j, b) != b:
                     violations.append({"k": k, "m": m, "disagrees_at_source_bit": j})
                     break

@@ -1,6 +1,6 @@
 """Foundational value types shared by every subsystem.
 
-Everything here is exact and deterministic: packed bit strings, big-rational
+Everything here is exact and deterministic: bit strings, big-rational
 probabilities, integer counting helpers, and a counter-based random source
 whose output is a pure function of (seed, stream, draw index).  No floating
 point is used anywhere in this module.
@@ -14,6 +14,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0x5851F42D4C957F2D
 
 BIT_FILE_MAGIC = b"ECS1"
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # text bytes -> bit values
 
 
 class CertificateError(RuntimeError):
@@ -87,42 +88,48 @@ class ExactProb(Fraction):
 
 
 class BitString:
-    """Immutable finite bit string.
+    """Immutable finite bit string, held as its '0'/'1' text.
 
-    Bit i is the i-th character of the text form; the payload packs bit i at
-    integer bit position i (least significant bit first), which is also the
-    byte-packing order of the binary file format.
+    Bit i is character i of the text.  Every other form is derived from it;
+    the packed integer, which holds bit i at integer bit position i (least
+    significant bit first, the byte order of the binary file format), is
+    built only by the packed constructor and the packed-byte conversions.
     """
 
-    __slots__ = ("_value", "_length")
+    __slots__ = ("_text",)
 
     def __init__(self, value: int, length: int):
+        """Unpack a payload that holds bit i at integer bit position i."""
         if length < 0:
             raise ValueError("length must be non-negative")
         if value < 0 or value >> length:
             raise ValueError("payload does not fit declared length")
-        self._value = value
-        self._length = length
+        self._text = format(value, f"0{length}b")[::-1] if length else ""
+
+    @classmethod
+    def _of(cls, text: str) -> "BitString":
+        """Wrap text already known to hold only '0' and '1'."""
+        self = object.__new__(cls)
+        self._text = text
+        return self
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
         compact = "".join(text.split())
         if compact and set(compact) - {"0", "1"}:
             raise ValueError("bit text may contain only '0' and '1'")
-        value = int(compact[::-1], 2) if compact else 0
-        return cls(value, len(compact))
+        return cls._of(compact)
 
     @classmethod
     def from_bits(cls, bits) -> "BitString":
-        text = "".join("1" if b else "0" for b in bits)
-        return cls.from_text(text)
+        return cls._of("".join("1" if b else "0" for b in bits))
 
     @classmethod
     def from_numeral(cls, numeral: int, length: int) -> "BitString":
         """Build from the most-significant-bit-first integer reading."""
         if numeral < 0 or numeral >> length:
             raise ValueError("numeral does not fit declared length")
-        return cls.from_text(format(numeral, f"0{length}b") if length else "")
+        return cls._of(format(numeral, f"0{length}b") if length else "")
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
@@ -133,57 +140,46 @@ class BitString:
         return cls((1 << length) - 1, length)
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._text)
 
     def __getitem__(self, index: int) -> int:
-        if not 0 <= index < self._length:
-            raise IndexError(f"bit index {index} out of range [0, {self._length})")
-        return (self._value >> index) & 1
-
-    def bits(self):
-        value = self._value
-        for _ in range(self._length):
-            yield value & 1
-            value >>= 1
+        if not 0 <= index < len(self._text):
+            raise IndexError(f"bit index {index} out of range [0, {len(self._text)})")
+        return ord(self._text[index]) & 1
 
     def to_bits(self) -> list:
-        return list(self.bits())
+        return list(self._text.encode().translate(_BIT_VALUES))
 
     def window(self, start: int, length: int) -> "BitString":
         """The substring covering positions [start, start + length)."""
-        if start < 0 or length < 0 or start + length > self._length:
+        if start < 0 or length < 0 or start + length > len(self._text):
             raise ValueError(
-                f"window [{start}, {start + length}) overruns length {self._length}"
+                f"window [{start}, {start + length}) overruns length {len(self._text)}"
             )
-        return BitString((self._value >> start) & ((1 << length) - 1), length)
+        return BitString._of(self._text[start:start + length])
 
     def to_text(self) -> str:
-        if self._length == 0:
-            return ""
-        return format(self._value, f"0{self._length}b")[::-1]
+        return self._text
 
     def to_numeral(self) -> int:
         """Most-significant-bit-first integer reading (position 0 on top)."""
-        if self._length == 0:
-            return 0
-        return int(self.to_text(), 2)
+        return int(self._text, 2) if self._text else 0
 
     def numeral_windows(self, length: int):
         """Yield the numeral of every window of the given length, in order."""
-        if length <= 0 or length > self._length:
+        if length <= 0 or length > len(self._text):
             raise ValueError(f"window length {length} out of range")
-        bits = self.to_bits()
-        value = 0
-        for i in range(length):
-            value = (value << 1) | bits[i]
+        data = self._text.encode()
+        value = int(data[:length], 2)
         yield value
-        low_mask = (1 << (length - 1)) - 1
-        for i in range(length, self._length):
-            value = ((value & low_mask) << 1) | bits[i]
+        mask = (1 << length) - 1
+        for c in data[length:]:
+            value = ((value << 1) & mask) | (c & 1)
             yield value
 
     def to_packed_bytes(self) -> bytes:
-        return self._value.to_bytes((self._length + 7) // 8, "little")
+        value = int(self._text[::-1], 2) if self._text else 0
+        return value.to_bytes((len(self._text) + 7) // 8, "little")
 
     @classmethod
     def from_packed_bytes(cls, payload: bytes, bit_count: int) -> "BitString":
@@ -193,25 +189,22 @@ class BitString:
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return BitString(self._value | (other._value << self._length),
-                         self._length + other._length)
+        return BitString._of(self._text + other._text)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, BitString)
-                and self._length == other._length
-                and self._value == other._value)
+        return isinstance(other, BitString) and self._text == other._text
 
     def __hash__(self) -> int:
-        return hash((self._length, self._value))
+        return hash(self._text)
 
     def __repr__(self) -> str:
-        text = self.to_text()
+        text = self._text
         if len(text) > 40:
             text = text[:37] + "..."
-        return f"BitString({text!r}, length={self._length})"
+        return f"BitString({text!r}, length={len(self._text)})"
 
     def __str__(self) -> str:
-        return self.to_text()
+        return self._text
 
 
 def write_bit_file(path, bits: BitString, fmt: str = "packed") -> None:

@@ -190,12 +190,14 @@ class Scanner:
         self.longest = max((n for n, numerals in patterns.items() if numerals), default=0)
 
     def occurrences(self, bits, start: int = 0):
-        """Yield (position, length) of every forbidden string in the bit
-        sequence that starts at or after `start`, in order of end position."""
+        """Yield (position, length) of every forbidden string that starts at
+        or after `start`, in order of end position.  `bits` is the bytes of a
+        bit string's text or a sequence of 0s and 1s: either way, the low bit
+        of each item is the bit."""
         goto, ends = self.goto, self.ends
         s = 0
         for i in range(start, len(bits)):
-            s = goto[s][bits[i]]
+            s = goto[s][bits[i] & 1]
             for n in ends[s]:
                 yield i - n + 1, n
 
@@ -511,7 +513,7 @@ def family_avoids(x: BitString, family: LevelFamily) -> bool:
     top = family.implicit_top()
     if top is not None and is_chain_simple(x.to_numeral(), len(x), top.chain):
         return False
-    return next(family.scanner().occurrences(x.to_bits()), None) is None
+    return next(family.scanner().occurrences(x.to_text().encode()), None) is None
 
 
 def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> ExactProb:

@@ -15,23 +15,22 @@ LENGTH_HEADER_BITS = 32
 
 
 def _emit(out: list, value: int, width: int):
-    for i in range(width):
-        out.append((value >> i) & 1)
+    """Append the low `width` bits of value as text, least significant first."""
+    if width:
+        out.append(format(value, f"0{width}b")[::-1])
 
 
 class _Reader:
-    def __init__(self, bits: list):
-        self.bits = bits
+    def __init__(self, text: str):
+        self.text = text
         self.pos = 0
 
     def read(self, width: int) -> int:
-        if self.pos + width > len(self.bits):
+        if self.pos + width > len(self.text):
             raise ValueError("compressed stream truncated")
-        value = 0
-        for i in range(width):
-            value |= self.bits[self.pos + i] << i
+        chunk = self.text[self.pos:self.pos + width]
         self.pos += width
-        return value
+        return int(chunk[::-1], 2) if width else 0
 
 
 def compress_bits(x: BitString) -> BitString:
@@ -43,7 +42,7 @@ def compress_bits(x: BitString) -> BitString:
     trie = {}
     next_id = 1  # node 0 is the empty root
     node = 0
-    for bit in x.bits():
+    for bit in x.to_text():
         key = (node, bit)
         if key in trie:
             node = trie[key]
@@ -57,27 +56,26 @@ def compress_bits(x: BitString) -> BitString:
     if node != 0:
         # input ended mid-walk: emit the node, decoder truncates by the header
         _emit(out, node, (next_id - 1).bit_length())
-    return BitString.from_bits(out)
+    return BitString.from_text("".join(out))
 
 
 def decompress_bits(stream: BitString) -> BitString:
-    reader = _Reader(stream.to_bits())
+    reader = _Reader(stream.to_text())
     total = reader.read(LENGTH_HEADER_BITS)
-    phrases = [[]]
+    phrases = [""]
     out = []
-    while len(out) < total:
+    produced = 0
+    while produced < total:
         width = (len(phrases) - 1).bit_length()
-        parent = reader.read(width)
-        phrase = phrases[parent]
-        remaining = total - len(out)
-        if remaining <= len(phrase):
-            out.extend(phrase[:remaining])
+        phrase = phrases[reader.read(width)]
+        if total - produced <= len(phrase):
+            out.append(phrase[:total - produced])
             break
-        bit = reader.read(1)
-        out.extend(phrase)
-        out.append(bit)
-        phrases.append(phrase + [bit])
-    return BitString.from_bits(out)
+        phrase += "01"[reader.read(1)]
+        out.append(phrase)
+        produced += len(phrase)
+        phrases.append(phrase)
+    return BitString.from_text("".join(out))
 
 
 def compress_size(x: BitString) -> int:

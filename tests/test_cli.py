@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ecseq import adversary, cli, forbidden
+import ecseq
+from ecseq import adversary, cli, forbidden, spreader
 from ecseq.core import BitString, FiniteDistribution, read_bit_file, write_bit_file
 
 
@@ -69,6 +74,22 @@ def test_check_windows_mmax_below_start(tmp_path, spread_run, capsys):
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "3") == cli.EXIT_OK
     assert "warning" in capsys.readouterr().out
+
+
+def test_check_windows_samples_distinct_starts(spread_run, monkeypatch):
+    # every level here has far more window starts than samples, so one
+    # substream per level must draw more than one distinct start
+    bits, alloc, _ = spread_run
+    recover, seen = spreader.recover_prefix, {}
+
+    def recording(alloc_, win, offset_mod, level):
+        seen.setdefault(level, set()).add((offset_mod, win.to_text()))
+        return recover(alloc_, win, offset_mod, level)
+
+    monkeypatch.setattr(spreader, "recover_prefix", recording)
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
+               "--m-max", "10", "--samples", "5") == cli.EXIT_OK
+    assert seen and all(len(windows) > 1 for windows in seen.values())
 
 
 def test_spread_report_verifies(spread_run):
@@ -349,3 +370,39 @@ def test_check_windows_warns_when_no_window_of_the_start_level_fits(tmp_path, ca
                "--m-max", "12") == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "warning" in out and "nothing to check" in out and "pass" not in out
+
+
+HASH_SEED_SCRIPT = """
+import sys
+from ecseq import cli
+out = sys.argv[1]
+for argv in (
+    ["family", "--alpha", "3/10", "--levels", "8,9,10", "--seed", "42",
+     "--out", out + "/family.json", "--report", out + "/family.report.json"],
+    ["avoid", "--family", out + "/family.json", "--length", "3000", "--seed", "5",
+     "--report", out + "/avoid.report.json"],
+    ["adversary", "--dist", out + "/dist.json", "--n", "2", "--epsilon", "1/2",
+     "--report", out + "/adversary.report.json"],
+):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_reports_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # a bit string hashes as its text, and str hashes are salted per process
+    dist = FiniteDistribution(5, {BitString.from_numeral(v, 5): "1/8"
+                                  for v in (1, 4, 9, 12, 19, 22, 27, 30)})
+    src = str(Path(ecseq.__file__).resolve().parents[1])
+    sections = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        (out / "dist.json").write_text(json.dumps(dist.to_json()))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, str(out)], env=env,
+                       check=True, capture_output=True)
+        sections.append({name: {key: read_json(out / name)[key]
+                                for key in ("results", "certificates")}
+                         for name in ("family.report.json", "avoid.report.json",
+                                      "adversary.report.json")})
+    assert sections[0] == sections[1]

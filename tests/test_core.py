@@ -100,6 +100,92 @@ def test_numeral_windows_against_naive():
         assert got == naive
 
 
+class PackedReference:
+    """The int-packed bit string BitString used to be: bit i at integer bit
+    position i, read by a shift loop.  Kept as the oracle for the text form."""
+
+    def __init__(self, value, length):
+        self.value, self.length = value, length
+
+    def bits_reference(self):
+        value = self.value
+        for _ in range(self.length):
+            yield value & 1
+            value >>= 1
+
+    def numeral_windows(self, length):
+        bits = list(self.bits_reference())
+        value = 0
+        for i in range(length):
+            value = (value << 1) | bits[i]
+        yield value
+        low_mask = (1 << (length - 1)) - 1
+        for i in range(length, self.length):
+            value = ((value & low_mask) << 1) | bits[i]
+            yield value
+
+    def window(self, start, length):
+        return PackedReference((self.value >> start) & ((1 << length) - 1), length)
+
+    def to_numeral(self):
+        value = 0
+        for b in self.bits_reference():
+            value = (value << 1) | b
+        return value
+
+    def to_packed_bytes(self):
+        return self.value.to_bytes((self.length + 7) // 8, "little")
+
+    @classmethod
+    def from_packed_bytes(cls, payload, bit_count):
+        return cls(int.from_bytes(payload, "little") & ((1 << bit_count) - 1), bit_count)
+
+    def __add__(self, other):
+        return PackedReference(self.value | (other.value << self.length),
+                               self.length + other.length)
+
+
+def _agrees(x, ref):
+    assert len(x) == ref.length
+    assert x.to_bits() == list(ref.bits_reference())
+    assert [x[i] for i in range(len(x))] == x.to_bits()
+    assert x.to_numeral() == ref.to_numeral()
+    assert x.to_packed_bytes() == ref.to_packed_bytes()
+
+
+def test_bitstring_agrees_with_packed_reference():
+    rs = RandomSource(2024)
+    lengths = [0, 1, 7, 8, 9, 63, 64, 65] + [rs.below(301) for _ in range(40)]
+    for length in lengths:
+        value = rs.below(1 << length) if length else 0
+        x, ref = BitString(value, length), PackedReference(value, length)
+        _agrees(x, ref)
+        assert BitString.from_text(x.to_text()) == x
+        # the packed round trip ignores payload bits beyond the bit count
+        padded = bytearray(ref.to_packed_bytes() + b"\xff")
+        if length % 8:
+            padded[-2] |= (0xFF << (length % 8)) & 0xFF
+        assert BitString.from_packed_bytes(bytes(padded), length) == x
+        for _ in range(5):
+            start = rs.below(length + 1)
+            size = rs.below(length - start + 1)
+            _agrees(x.window(start, size), ref.window(start, size))
+        for n in (1, 2, 12, length, 1 + rs.below(length or 1)):
+            if 1 <= n <= length:
+                assert list(x.numeral_windows(n)) == list(ref.numeral_windows(n))
+        tail_length = rs.below(70)
+        tail_value = rs.below(1 << tail_length) if tail_length else 0
+        _agrees(x + BitString(tail_value, tail_length),
+                ref + PackedReference(tail_value, tail_length))
+        # equal bits are equal and hash alike; a different length or bit is not equal
+        twin = BitString.from_bits(ref.bits_reference())
+        assert twin == x and hash(twin) == hash(x)
+        assert x + BitString(0, 1) != x
+        if length:
+            flipped = BitString(value ^ (1 << rs.below(length)), length)
+            assert flipped != x
+
+
 def test_bit_file_round_trip(tmp_path):
     x = RandomSource(9).bits(777)
     packed = tmp_path / "x.bits"
