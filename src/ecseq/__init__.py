@@ -6,22 +6,19 @@ from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                    write_bit_file)
 from .spreader import (Allocation, CoverageError, InconsistentWindowError,
                        WeightSeries, boosted_count, choose_start_level, geometric,
-                       inverse_triangular, plan_allocation, recover_prefix, spread,
+                       inverse_triangular, plan_allocation, recover_prefix,
                        spread_random, start_level_certificate, weight_preset,
                        zero_series)
-from .forbidden import (AveragedBoundError, ImplicitLevel, LayeredParams,
-                        LevelFamily, PoolTooSmallError, SampledLevel,
-                        count_simple, derandomize_family, distinct_substrings,
-                        family_avoid_probability, family_avoids, hit_probability,
-                        interval_schedule, is_simple, miss_probability_random_set,
-                        multi_level_family, random_level_family, recertify_family,
-                        recertify_schedule, sample_uniform_set, two_level_family)
-from .adversary import (PositionalFamily, average_avoid_probability,
-                        avoid_probability, positional_family_search,
-                        required_positions, truncated_search)
-from .avoider import (AvoidanceInstance, AvoidanceResult, brute_force_avoider,
-                      build_avoiding_string, scan_violations)
-from .proxy import (ComplexityProfile, compress_bits, compress_size,
-                    decompress_bits, window_profile)
+from .forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
+                        PoolTooSmallError, SampledLevel, count_simple,
+                        derandomize_family, distinct_substrings,
+                        family_avoid_probability, family_avoids, interval_schedule,
+                        miss_probability_random_set, random_level_family,
+                        recertify_family, recertify_schedule, sample_uniform_set,
+                        two_level_family)
+from .adversary import (PositionalFamily, avoid_probability,
+                        positional_family_search, truncated_search)
+from .avoider import AvoidanceInstance, AvoidanceResult, build_avoiding_string
+from .proxy import ComplexityProfile, compress_bits, compress_size, window_profile
 
 __version__ = "0.1.0"

@@ -77,10 +77,6 @@ def required_positions(window_length: int, epsilon) -> int:
     return hi
 
 
-def _window_numerals(x: BitString, window_length: int) -> tuple:
-    return tuple(x.numeral_windows(window_length))
-
-
 def avoid_probability(dist: FiniteDistribution, family: PositionalFamily) -> ExactProb:
     """Mass of strings matching no forbidden window at its position; deficit
     counts as avoiding."""
@@ -93,7 +89,7 @@ def avoid_probability(dist: FiniteDistribution, family: PositionalFamily) -> Exa
     targets = family.numerals()
     total = Fraction(dist.deficit)
     for x, mass in dist.items():
-        if all(w != t for w, t in zip(_window_numerals(x, n), targets)):
+        if all(w != t for w, t in zip(x.numeral_windows(n), targets)):
             total += mass
     return ExactProb(total)
 
@@ -121,7 +117,7 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
     q_power = (1 - Fraction(1, 1 << n)) ** N
     if not (1 - deficit) * q_power + deficit < epsilon:
         raise ValueError("averaged existence bound fails for these parameters")
-    support = [(list(_window_numerals(x, n)), Fraction(mass)) for x, mass in dist.items()]
+    support = [(list(x.numeral_windows(n)), Fraction(mass)) for x, mass in dist.items()]
     for candidate in itertools.product(range(1 << n), repeat=N):
         acc = deficit
         good = True
@@ -153,31 +149,3 @@ def truncated_search(dist: FiniteDistribution, window_length: int,
             f"{frac_to_str(Fraction(epsilon) / 2)}"
         )
     return positional_family_search(dist, window_length, epsilon)
-
-
-def average_avoid_probability(dist: FiniteDistribution, window_length: int,
-                              position_count: int) -> ExactProb:
-    """Exact average of the avoid probability over all equiprobable families,
-    by full enumeration; asserts it equals (1 - 2**-n)**N."""
-    n, N = window_length, position_count
-    if Fraction(dist.deficit) != 0:
-        raise ValueError("identity requires a total distribution (zero deficit)")
-    if dist.string_length != N + n - 1:
-        raise ValueError("distribution length does not match the family shape")
-    family_count = (1 << n) ** N
-    if family_count > (1 << 20):
-        raise ValueError("family space too large to enumerate; use the closed form")
-    support = [(list(_window_numerals(x, n)), Fraction(mass)) for x, mass in dist.items()]
-    total = Fraction(0)
-    for candidate in itertools.product(range(1 << n), repeat=N):
-        for windows, mass in support:
-            if all(w != t for w, t in zip(windows, candidate)):
-                total += mass
-    average = total / family_count
-    expected = (1 - Fraction(1, 1 << n)) ** N
-    if average != expected:
-        raise AssertionError(
-            f"enumerated average {frac_to_str(average)} differs from closed form "
-            f"{frac_to_str(expected)}"
-        )
-    return ExactProb(average)

@@ -2,8 +2,7 @@
 
 Start from uniform random bits and, while some forbidden string occurs,
 redraw the leftmost (shortest first) violating occurrence, in the style of
-Moser-Tardos constraint resampling.  A brute-force enumerator doubles as the
-testing oracle at small lengths.
+Moser-Tardos constraint resampling.
 """
 
 from dataclasses import dataclass
@@ -75,28 +74,3 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
         resamples += 1
         # fresh violations can only overlap the redrawn block
         scan_from = max(0, k - scanner.longest + 1)
-
-
-def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]:
-    """Numerically smallest avoiding string of the given length, or None when
-    none exists.  Depth-first with prefix pruning, which visits candidates in
-    exactly numeric (most-significant-bit-first) order."""
-    if length > 24:
-        raise ValueError("brute force capped at length 24")
-    if not family.explicit_only():
-        raise ValueError("brute force needs explicit level sets")
-    scanner = family.scanner()
-
-    def smallest(state: int, depth: int) -> Optional[str]:
-        if depth == 0:
-            return ""
-        for b in (0, 1):
-            child = scanner.goto[state][b]
-            # a prefix is forbidden exactly when its automaton state accepts
-            rest = None if scanner.ends[child] else smallest(child, depth - 1)
-            if rest is not None:
-                return "01"[b] + rest
-        return None
-
-    found = smallest(0, length)
-    return None if found is None else BitString.from_text(found)

@@ -66,10 +66,6 @@ def frac_to_str(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def frac_from_str(text: str) -> Fraction:
-    return Fraction(text)
-
-
 class ExactProb(Fraction):
     """Exact probability: a Fraction constrained to [0, 1].
 
@@ -82,9 +78,6 @@ class ExactProb(Fraction):
         if self < 0 or self > 1:
             raise ValueError(f"probability out of [0, 1]: {str(self)}")
         return self
-
-    def complement(self) -> "ExactProb":
-        return ExactProb(1 - self)
 
 
 class BitString:
@@ -130,14 +123,6 @@ class BitString:
         if numeral < 0 or numeral >> length:
             raise ValueError("numeral does not fit declared length")
         return cls._of(format(numeral, f"0{length}b") if length else "")
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls(0, length)
-
-    @classmethod
-    def ones(cls, length: int) -> "BitString":
-        return cls((1 << length) - 1, length)
 
     def __len__(self) -> int:
         return len(self._text)
@@ -340,31 +325,8 @@ class FiniteDistribution:
         return cls(string_length,
                    {BitString(v, string_length): share for v in range(1 << string_length)})
 
-    @classmethod
-    def point_mass(cls, x: BitString) -> "FiniteDistribution":
-        return cls(len(x), {x: ExactProb(1)})
-
-    def mass(self, x: BitString) -> ExactProb:
-        return self._masses.get(x, ExactProb(0))
-
     def items(self):
         return self._masses.items()
-
-    def support_size(self) -> int:
-        return len(self._masses)
-
-    def total_mass(self) -> Fraction:
-        return 1 - Fraction(self.deficit)
-
-    def scaled_to_deficit(self, new_deficit) -> "FiniteDistribution":
-        """Rescale the enumerated part proportionally to leave the given deficit."""
-        new_deficit = ExactProb(new_deficit)
-        old_mass = self.total_mass()
-        if old_mass == 0:
-            raise ValueError("cannot rescale an all-deficit distribution")
-        factor = (1 - Fraction(new_deficit)) / old_mass
-        masses = {x: ExactProb(Fraction(m) * factor) for x, m in self.items()}
-        return FiniteDistribution(self.string_length, masses, new_deficit)
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, binom, frac_from_str, frac_to_str, pow2_floor)
+                   RandomSource, binom, frac_to_str, pow2_floor)
 
 ENUMERATION_CAP = 1 << 22
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
@@ -92,11 +92,6 @@ def count_chain(chain, length: int) -> int:
     return count_limited_block_strings(pool, length // block_length, threshold)
 
 
-def is_simple(x: BitString, block_length: int, threshold: int) -> bool:
-    """True when the aligned blocks of x take at most `threshold` values."""
-    return is_chain_simple(x.to_numeral(), len(x), ((block_length, threshold),))
-
-
 def count_simple(total_length: int, block_length: int, threshold: int) -> int:
     return count_chain(((block_length, threshold),), total_length)
 
@@ -124,9 +119,8 @@ def _floyd_sample(universe: int, size: int, rs: RandomSource) -> set:
 
 
 def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
-    """Uniformly random set of `size` distinct strings of a length."""
-    numerals = _floyd_sample(1 << length, size, rs)
-    return frozenset(BitString.from_numeral(v, length) for v in numerals)
+    """Uniformly random set of `size` distinct strings of a length, as numerals."""
+    return frozenset(_floyd_sample(1 << length, size, rs))
 
 
 def enumerate_chain_pool(chain, length: int, cap: int = ENUMERATION_CAP) -> list:
@@ -269,14 +263,6 @@ class LevelFamily:
             self._scanner = Scanner({lv.length: lv.strings for lv in self.sampled_levels()})
         return self._scanner
 
-    def membership(self, length: int, numeral: int) -> bool:
-        level = self.levels.get(length)
-        if level is None:
-            return False
-        if isinstance(level, SampledLevel):
-            return numeral in level.strings
-        return is_chain_simple(numeral, length, level.chain)
-
     def size_of(self, length: int) -> int:
         level = self.levels[length]
         return len(level.strings) if isinstance(level, SampledLevel) else level.cardinality
@@ -325,7 +311,7 @@ class LevelFamily:
                     ))
                 else:
                     raise ValueError(f"unknown level kind {entry['kind']!r}")
-            return cls(frac_from_str(doc["alpha"]), levels)
+            return cls(Fraction(doc["alpha"]), levels)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
 
@@ -376,7 +362,7 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
     top_length = n
     while (top := _simple_top(alpha, n, top_length)) is None:
         top_length += n
-    strings = frozenset(b.to_numeral() for b in sample_uniform_set(n, size, rs))
+    strings = sample_uniform_set(n, size, rs)
     family = LevelFamily(alpha, [SampledLevel(n, strings, (), 1 << n), top])
     certificate = TwoLevelCertificate(n, top_length, threshold, size, miss_bound,
                                       Fraction(epsilon), top.cardinality,
@@ -391,7 +377,7 @@ def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
     levels = []
     for n in lengths:
         strings = sample_uniform_set(n, pow2_floor(alpha * n), rs.substream(n))
-        levels.append(SampledLevel(n, frozenset(b.to_numeral() for b in strings), (), 1 << n))
+        levels.append(SampledLevel(n, strings, (), 1 << n))
     return LevelFamily(alpha, levels)
 
 
@@ -458,7 +444,7 @@ def multi_level_family(params: LayeredParams, rs: RandomSource,
         size = pow2_floor(alpha * length)
         if j == 0:
             pool_size = 1 << length
-            strings = frozenset(_floyd_sample(pool_size, size, rs))
+            strings = sample_uniform_set(length, size, rs)
         else:
             pool = enumerate_chain_pool(chain, length)
             pool_size = len(pool)
@@ -581,7 +567,7 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
             f"averaged avoid bound not below {frac_to_str(epsilon)} for any admissible level"
         )
     for attempt in range(MAX_DRAWS):
-        strings = _floyd_sample(1 << ln, size, rs.substream(attempt))
+        strings = sample_uniform_set(ln, size, rs.substream(attempt))
         family = _drawn_family(alpha, ln, strings, top, n_total)
         certificate = family_avoid_probability(dist, family)
         if certificate < epsilon:
@@ -637,6 +623,8 @@ def interval_schedule(dist_for_length: Callable[[int], FiniteDistribution], alph
     so the certificates stack."""
     if count < 1:
         raise ValueError("need at least one interval")
+    if first_length < 1:
+        raise ValueError(f"the first level length must be positive, got {first_length}")
     entries = []
     for i in range(1, count + 1):
         ln, epsilon = _next_interval(entries, first_length)

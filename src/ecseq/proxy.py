@@ -66,8 +66,10 @@ def decompress_bits(stream: BitString) -> BitString:
     out = []
     produced = 0
     while produced < total:
-        width = (len(phrases) - 1).bit_length()
-        phrase = phrases[reader.read(width)]
+        index = reader.read((len(phrases) - 1).bit_length())
+        if index >= len(phrases):
+            raise ValueError(f"compressed stream names phrase {index} of {len(phrases)}")
+        phrase = phrases[index]
         if total - produced <= len(phrase):
             out.append(phrase[:total - produced])
             break

@@ -169,7 +169,6 @@ class _Level:
     count: int
     assigned: _Intervals
     source_base: int
-    least_after: object = None
 
 
 class Allocation:
@@ -226,7 +225,6 @@ class Allocation:
                        for lo, hi in pairs if lo + step < self._cap]
             self._pool = _Intervals(pairs + shifted)
             self._pool_total = 2 * remaining
-        record.least_after = self._least_uncovered
         return True
 
     def _grow_cap(self, need: int, exact: int = None):
@@ -315,10 +313,6 @@ class Allocation:
                 for c, rank in lv.assigned.enumerate_range(a, b):
                     yield c + shift, step, lv.source_base + rank
 
-    def source_index(self, position: int) -> int:
-        """The source bit carried at an output position."""
-        return self.source_map(position, 1)[0]
-
     def source_map(self, start: int, length: int) -> list:
         """Source indices for every position in [start, start + length)."""
         if start < 0 or length < 0:
@@ -354,24 +348,28 @@ class Allocation:
     @classmethod
     def from_export(cls, doc: dict) -> "Allocation":
         """Rebuild by replaying the recorded counts, then verify the recorded
-        assignments match the replay exactly."""
-        counts = {entry["level"]: entry["count"] for entry in doc["levels"]}
-        if not counts:
-            raise ValueError("allocation export lists no levels")
-        alloc = cls(doc["start_level"], doc["max_level"],
-                    lambda m: counts.get(m, 0))
-        alloc._grow_cap(doc["cap"], exact=doc["cap"])
-        alloc.ensure_level(max(counts))
-        if len(doc["levels"]) != alloc.levels_built():
-            raise CertificateError("allocation export inconsistent: level list length")
-        for entry, (level, count, base, pairs) in zip(doc["levels"], alloc.level_records()):
-            recorded = [tuple(p) for p in entry["assigned"]]
-            if (entry["level"], entry["count"], entry["source_base"]) != (level, count, base) \
-                    or recorded != pairs:
-                raise CertificateError(f"allocation export inconsistent at level {level}")
-        if alloc._least_uncovered != doc.get("least_uncovered"):
-            raise CertificateError("allocation export inconsistent: coverage frontier")
-        return alloc
+        assignments match the replay exactly; ValueError on any other shape."""
+        try:
+            counts = {entry["level"]: entry["count"] for entry in doc["levels"]}
+            if not counts:
+                raise ValueError("allocation export lists no levels")
+            alloc = cls(doc["start_level"], doc["max_level"],
+                        lambda m: counts.get(m, 0))
+            alloc._grow_cap(doc["cap"], exact=doc["cap"])
+            alloc.ensure_level(max(counts))
+            if len(doc["levels"]) != alloc.levels_built():
+                raise CertificateError("allocation export inconsistent: level list length")
+            for entry, (level, count, base, pairs) in zip(doc["levels"], alloc.level_records()):
+                recorded = [tuple(p) for p in entry["assigned"]]
+                if (entry["level"], entry["count"], entry["source_base"]) \
+                        != (level, count, base) or recorded != pairs:
+                    raise CertificateError(f"allocation export inconsistent at level {level}")
+            if alloc._least_uncovered != doc.get("least_uncovered"):
+                raise CertificateError("allocation export inconsistent: coverage frontier")
+            return alloc
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed allocation export ({type(exc).__name__}: {exc})") from exc
 
 
 def plan_allocation(weights: WeightSeries, start_level: int = None,
@@ -387,27 +385,13 @@ def plan_allocation(weights: WeightSeries, start_level: int = None,
     return Allocation(m0, max_level, lambda m: boosted_count(weights, m))
 
 
-def _place(alloc: Allocation, length: int, source_for: Callable[[int], BitString]):
-    """Spread [0, length): source_for gets the number of source bits the range
-    needs and returns them; position i carries source bit source_index(i)."""
+def spread_random(alloc: Allocation, rs: RandomSource, length: int):
+    """Draw exactly the source bits [0, length) needs, then spread them:
+    position i carries source bit source_map(i, 1)[0]."""
     mapping = alloc.source_map(0, length)
-    source_bits = source_for(max(mapping) + 1 if mapping else 0)
+    source_bits = rs.bits(max(mapping) + 1 if mapping else 0)
     text = source_bits.to_text()
     return BitString.from_text("".join([text[j] for j in mapping])), source_bits
-
-
-def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:
-    """Output of the generator: position i carries source bit source_index(i)."""
-    def checked(needed: int) -> BitString:
-        if len(source_bits) < needed:
-            raise ValueError(f"source too short: need {needed} bits, got {len(source_bits)}")
-        return source_bits
-    return _place(alloc, length, checked)[0]
-
-
-def spread_random(alloc: Allocation, rs: RandomSource, length: int):
-    """Draw exactly the source bits the range needs, then spread them."""
-    return _place(alloc, length, rs.bits)
 
 
 def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: int) -> BitString:

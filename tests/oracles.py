@@ -1,0 +1,101 @@
+"""Slow or convenient reference implementations that only the tests use.
+
+Each one restates, by enumeration or by the plainest loop, something the
+library computes another way, so a test can compare the two.
+"""
+
+import itertools
+from fractions import Fraction
+from typing import Optional
+
+from ecseq.core import BitString, ExactProb, FiniteDistribution, frac_to_str
+from ecseq.forbidden import LevelFamily, SampledLevel, is_chain_simple
+from ecseq.spreader import Allocation
+
+
+def point_mass(x: BitString) -> FiniteDistribution:
+    return FiniteDistribution(len(x), {x: ExactProb(1)})
+
+
+def scaled_to_deficit(dist: FiniteDistribution, new_deficit) -> FiniteDistribution:
+    """Rescale the enumerated part proportionally to leave the given deficit."""
+    new_deficit = ExactProb(new_deficit)
+    old_mass = 1 - Fraction(dist.deficit)
+    if old_mass == 0:
+        raise ValueError("cannot rescale an all-deficit distribution")
+    factor = (1 - Fraction(new_deficit)) / old_mass
+    masses = {x: ExactProb(Fraction(m) * factor) for x, m in dist.items()}
+    return FiniteDistribution(dist.string_length, masses, new_deficit)
+
+
+def membership(family: LevelFamily, length: int, numeral: int) -> bool:
+    """Whether the family forbids the string of this length and numeral."""
+    level = family.levels.get(length)
+    if level is None:
+        return False
+    if isinstance(level, SampledLevel):
+        return numeral in level.strings
+    return is_chain_simple(numeral, length, level.chain)
+
+
+def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:
+    """Output of the generator: position i carries source bit source_map(i, 1)[0]."""
+    mapping = alloc.source_map(0, length)
+    needed = max(mapping) + 1 if mapping else 0
+    if len(source_bits) < needed:
+        raise ValueError(f"source too short: need {needed} bits, got {len(source_bits)}")
+    text = source_bits.to_text()
+    return BitString.from_text("".join([text[j] for j in mapping]))
+
+
+def average_avoid_probability(dist: FiniteDistribution, window_length: int,
+                              position_count: int) -> ExactProb:
+    """Exact average of the avoid probability over all equiprobable families,
+    by full enumeration; asserts it equals (1 - 2**-n)**N."""
+    n, N = window_length, position_count
+    if Fraction(dist.deficit) != 0:
+        raise ValueError("identity requires a total distribution (zero deficit)")
+    if dist.string_length != N + n - 1:
+        raise ValueError("distribution length does not match the family shape")
+    family_count = (1 << n) ** N
+    if family_count > (1 << 20):
+        raise ValueError("family space too large to enumerate; use the closed form")
+    support = [(list(x.numeral_windows(n)), Fraction(mass)) for x, mass in dist.items()]
+    total = Fraction(0)
+    for candidate in itertools.product(range(1 << n), repeat=N):
+        for windows, mass in support:
+            if all(w != t for w, t in zip(windows, candidate)):
+                total += mass
+    average = total / family_count
+    expected = (1 - Fraction(1, 1 << n)) ** N
+    if average != expected:
+        raise AssertionError(
+            f"enumerated average {frac_to_str(average)} differs from closed form "
+            f"{frac_to_str(expected)}"
+        )
+    return ExactProb(average)
+
+
+def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]:
+    """Numerically smallest avoiding string of the given length, or None when
+    none exists.  Depth-first with prefix pruning, which visits candidates in
+    exactly numeric (most-significant-bit-first) order."""
+    if length > 24:
+        raise ValueError("brute force capped at length 24")
+    if not family.explicit_only():
+        raise ValueError("brute force needs explicit level sets")
+    scanner = family.scanner()
+
+    def smallest(state: int, depth: int) -> Optional[str]:
+        if depth == 0:
+            return ""
+        for b in (0, 1):
+            child = scanner.goto[state][b]
+            # a prefix is forbidden exactly when its automaton state accepts
+            rest = None if scanner.ends[child] else smallest(child, depth - 1)
+            if rest is not None:
+                return "01"[b] + rest
+        return None
+
+    found = smallest(0, length)
+    return None if found is None else BitString.from_text(found)

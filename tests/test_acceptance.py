@@ -6,22 +6,22 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 import time
 from fractions import Fraction
 
-from ecseq.adversary import (average_avoid_probability, avoid_probability,
-                             positional_family_search, required_positions,
-                             truncated_search)
-from ecseq.avoider import (AvoidanceInstance, brute_force_avoider,
-                           build_avoiding_string, scan_violations)
+from ecseq.adversary import (avoid_probability, positional_family_search,
+                             required_positions, truncated_search)
+from ecseq.avoider import AvoidanceInstance, build_avoiding_string, scan_violations
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         binom, pow2_floor)
 from ecseq.forbidden import (LevelFamily, SampledLevel, count_simple,
                              distinct_substrings, hit_probability,
-                             interval_schedule, is_simple,
+                             interval_schedule, is_chain_simple,
                              miss_probability_random_set, sample_uniform_set,
                              two_level_family)
 from ecseq.proxy import compress_bits, compress_size, decompress_bits
 from ecseq.spreader import (boost_tail, choose_start_level, inverse_triangular,
                             plan_allocation, recover_prefix, spread_random,
                             zero_series)
+
+from oracles import average_avoid_probability, brute_force_avoider, scaled_to_deficit
 
 
 def _report(number, ok, detail):
@@ -103,13 +103,13 @@ def test_criterion_4_miss_probability_and_count_simple():
     target = {0b10}
     misses = 0
     for seed in range(trials):
-        draw = {v.to_numeral() for v in sample_uniform_set(2, 2, RandomSource(seed))}
+        draw = sample_uniform_set(2, 2, RandomSource(seed))
         if not target & draw:
             misses += 1
     sigma = (trials * 0.25) ** 0.5  # sqrt(n p (1-p)) at p = 1/2
     mc_ok = abs(misses - trials * 0.5) <= 3 * sigma
 
-    brute = sum(1 for v in range(64) if is_simple(BitString.from_numeral(v, 6), 2, 2))
+    brute = sum(1 for v in range(64) if is_chain_simple(v, 6, ((2, 2),)))
     cs_ok = count_simple(6, 2, 2) == brute == 40
 
     _report(4, ok and mc_ok and cs_ok,
@@ -136,7 +136,7 @@ def test_criterion_5_two_level_dichotomy():
         if i % 4 == 0:
             structured.append(BitString.from_text(("01" * N)[:N]))
         elif i % 4 == 1:
-            structured.append(BitString.zeros(N) if i % 8 == 1 else BitString.ones(N))
+            structured.append(BitString(0 if i % 8 == 1 else (1 << N) - 1, N))
         elif i % 4 == 2:
             structured.append(BitString.from_bits(
                 [block[j % n] for j in range(N)]))  # one block repeated
@@ -150,7 +150,7 @@ def test_criterion_5_two_level_dichotomy():
     cache = {}
     for x in samples + structured:
         hit = hit_probability(x, family)
-        if is_simple(x, n, t):
+        if is_chain_simple(x.to_numeral(), N, ((n, t),)):
             if hit != 1:
                 bad += 1
             continue
@@ -196,7 +196,7 @@ def test_criterion_6_adversary_toy():
 
 
 def test_criterion_7_truncation_accounting():
-    dist = FiniteDistribution.uniform(4).scaled_to_deficit(ExactProb(1, 8))
+    dist = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(1, 8))
     family = truncated_search(dist, 2, ExactProb(1, 2))
     # independent recomputation over the enumerated support
     recomputed = Fraction(dist.deficit)
@@ -216,8 +216,7 @@ def _acceptance_avoider_family():
     levels = []
     for n in range(8, 13):
         size = pow2_floor(Fraction(3, 10) * n)
-        strings = frozenset(b.to_numeral()
-                            for b in sample_uniform_set(n, size, master.substream(n)))
+        strings = sample_uniform_set(n, size, master.substream(n))
         levels.append(SampledLevel(n, strings, (), 1 << n))
     return LevelFamily(Fraction(3, 10), levels)
 
@@ -287,7 +286,7 @@ def test_criterion_10_proxy():
         x = rs.bits(rs.below(160))
         if decompress_bits(compress_bits(x)) != x:
             bad += 1
-    zeros = compress_size(BitString.zeros(4096))
+    zeros = compress_size(BitString(0, 4096))
     wins = sum(1 for seed in range(100)
                if zeros < compress_size(RandomSource(seed).bits(4096)))
     _report(10, bad == 0 and wins >= 95,

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from ecseq.adversary import (PositionalFamily, average_avoid_probability,
-                             avoid_probability, positional_family_search,
-                             required_positions, truncated_search)
+from ecseq.adversary import (PositionalFamily, avoid_probability,
+                             positional_family_search, required_positions,
+                             truncated_search)
 from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource
+
+from oracles import average_avoid_probability, point_mass, scaled_to_deficit
 
 
 def bs(text):
@@ -45,7 +47,7 @@ def test_required_positions_monotone():
 
 def test_avoid_probability_point_mass_hit_at_zero():
     x = bs("0011")
-    dist = FiniteDistribution.point_mass(x)
+    dist = point_mass(x)
     assert avoid_probability(dist, fam("00", "00", "00")) == 0
 
 
@@ -98,12 +100,12 @@ def test_search_first_lex_matches_exhaustive_oracle():
 def test_search_point_mass():
     # a point mass avoids or hits outright, so any returned family scores 0
     y = bs("1001")  # contains 00: the all-zero family hits immediately
-    dist = FiniteDistribution.point_mass(y)
+    dist = point_mass(y)
     family = positional_family_search(dist, 2, ExactProb(1, 2))
     assert [s.to_text() for s in family.strings] == ["00", "00", "00"]
     assert family.certificate == 0
     x = bs("1111")  # no 00 anywhere: the search advances to the first hit
-    dist = FiniteDistribution.point_mass(x)
+    dist = point_mass(x)
     family = positional_family_search(dist, 2, ExactProb(1, 2))
     expected, cert = _oracle_first_family(dist, 2, 3, Fraction(1, 2))
     assert family.numerals() == expected
@@ -120,7 +122,7 @@ def test_search_epsilon_one():
 
 def test_search_existence_precondition():
     # deficit exceeds epsilon: impossible
-    dist = FiniteDistribution.uniform(4).scaled_to_deficit(ExactProb(3, 4))
+    dist = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(3, 4))
     with pytest.raises(ValueError):
         positional_family_search(dist, 2, ExactProb(1, 2))
 
@@ -135,7 +137,7 @@ def test_truncated_reduces_to_plain_search_without_deficit():
 
 
 def test_truncated_uniform_with_deficit_eighth():
-    dist = FiniteDistribution.uniform(4).scaled_to_deficit(ExactProb(1, 8))
+    dist = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(1, 8))
     family = truncated_search(dist, 2, ExactProb(1, 2))
     # full-distribution certificate below 1/2, enumerated part below 3/8
     assert family.certificate < Fraction(1, 2)
@@ -148,7 +150,7 @@ def test_truncated_uniform_with_deficit_eighth():
 
 
 def test_truncated_deficit_guard():
-    dist = FiniteDistribution.uniform(4).scaled_to_deficit(ExactProb(1, 2))
+    dist = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(1, 2))
     with pytest.raises(ValueError):
         truncated_search(dist, 2, ExactProb(1, 2))
 
@@ -158,7 +160,7 @@ def test_deficit_monotonicity_on_perturbed_toys():
     family = fam("00", "01", "10")
     before = Fraction(avoid_probability(base, family))
     for delta in (Fraction(1, 16), Fraction(1, 8), Fraction(1, 4)):
-        moved = base.scaled_to_deficit(ExactProb(delta))
+        moved = scaled_to_deficit(base, ExactProb(delta))
         after = Fraction(avoid_probability(moved, family))
         assert before <= after <= before + delta
 
@@ -172,7 +174,7 @@ def test_average_avoid_identity_uniform():
 
 def test_average_avoid_identity_point_mass():
     for text in ("0000", "0110", "1011"):
-        dist = FiniteDistribution.point_mass(bs(text))
+        dist = point_mass(bs(text))
         assert average_avoid_probability(dist, 2, 3) == Fraction(3, 4) ** 3
 
 
@@ -183,7 +185,7 @@ def test_average_avoid_identity_small_grid():
             if (1 << n) ** N > 1 << 14:
                 continue
             x = rs.bits(N + n - 1)
-            dist = FiniteDistribution.point_mass(x)
+            dist = point_mass(x)
             assert average_avoid_probability(dist, n, N) == \
                 (1 - Fraction(1, 1 << n)) ** N
 
@@ -197,11 +199,11 @@ def test_average_avoid_linearity_mixture():
 
 def test_average_avoid_rejects_large_enumeration():
     with pytest.raises(ValueError):
-        average_avoid_probability(FiniteDistribution.point_mass(bs("0" * 24)), 4, 21)
+        average_avoid_probability(point_mass(bs("0" * 24)), 4, 21)
 
 
 def test_average_avoid_requires_total_mass():
-    dist = FiniteDistribution.uniform(4).scaled_to_deficit(ExactProb(1, 8))
+    dist = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(1, 8))
     with pytest.raises(ValueError):
         average_avoid_probability(dist, 2, 3)
 

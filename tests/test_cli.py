@@ -343,6 +343,11 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
             "--samples", "0"]),
     (None, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12",
             "--samples", "-3"]),
+    ({}, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"]),
+    ([1, 2], ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"]),
+    ({"start_level": 1, "max_level": 4, "cap": 8192, "least_uncovered": None,
+      "levels": [{"level": 1, "count": "x", "source_base": 0, "assigned": []}]},
+     ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:

@@ -11,9 +11,11 @@ from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LayeredParams,
                              derandomize_family, distinct_substrings,
                              enumerate_chain_pool, family_avoid_probability,
                              family_avoids, hit_probability, interval_schedule,
-                             is_chain_simple, is_simple, miss_probability_random_set,
+                             is_chain_simple, miss_probability_random_set,
                              multi_level_family, sample_uniform_set, surjections,
                              two_level_family)
+
+from oracles import membership, point_mass
 
 
 def bs(text):
@@ -42,7 +44,7 @@ def test_distinct_substrings_de_bruijn():
 def test_sample_full_cube_any_seed():
     for seed in (0, 1, 99):
         got = sample_uniform_set(3, 8, RandomSource(seed))
-        assert got == frozenset(BitString.from_numeral(v, 3) for v in range(8))
+        assert got == frozenset(range(8))
 
 
 def test_sample_empty_and_too_big():
@@ -56,7 +58,7 @@ def test_sample_singleton_frequencies_chi_square():
     counts = [0, 0, 0, 0]
     for seed in range(trials):
         (only,) = sample_uniform_set(2, 1, RandomSource(seed))
-        counts[only.to_numeral()] += 1
+        counts[only] += 1
     expected = trials / 4
     sigma = (trials * 0.25 * 0.75) ** 0.5
     for c in counts:
@@ -70,8 +72,7 @@ def test_sample_is_uniform_over_subsets():
     trials = 30000
     seen = {}
     for seed in range(trials):
-        key = tuple(sorted(v.to_numeral() for v in
-                           sample_uniform_set(2, 2, RandomSource(seed))))
+        key = tuple(sorted(sample_uniform_set(2, 2, RandomSource(seed))))
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 6
     expected = trials / 6
@@ -116,12 +117,11 @@ def test_miss_probability_monotone_grid():
 # ---------------------------------------------------------------- simple strings
 
 def test_is_simple_examples():
-    assert is_simple(bs("010101"), 2, 2)
-    assert not is_simple(bs("000110"), 2, 1)
-    assert sum(1 for v in range(64)
-               if is_simple(BitString.from_numeral(v, 6), 2, 2)) == 40
+    assert is_chain_simple(bs("010101").to_numeral(), 6, ((2, 2),))
+    assert not is_chain_simple(bs("000110").to_numeral(), 6, ((2, 1),))
+    assert sum(1 for v in range(64) if is_chain_simple(v, 6, ((2, 2),))) == 40
     with pytest.raises(ValueError):
-        is_simple(bs("00011"), 2, 1)
+        is_chain_simple(bs("00011").to_numeral(), 5, ((2, 1),))
 
 
 def test_count_simple_examples():
@@ -184,11 +184,11 @@ def test_two_level_dichotomy_local():
     n, N, t = cert.random_length, cert.top_length, cert.threshold
     rs = RandomSource(50)
     samples = [rs.bits(N) for _ in range(200)]
-    samples.append(BitString.zeros(N))
+    samples.append(BitString(0, N))
     samples.append(bs("01" * (N // 2)))
     for x in samples:
         hit = hit_probability(x, family)
-        if is_simple(x, n, t):
+        if is_chain_simple(x.to_numeral(), N, ((n, t),)):
             assert hit == 1
         else:
             d = distinct_substrings(x, n)
@@ -199,7 +199,7 @@ def test_two_level_dichotomy_local():
 
 def test_hit_probability_simple_string_is_one():
     family, _ = toy_two_level()
-    assert hit_probability(BitString.zeros(family.string_length), family) == 1
+    assert hit_probability(BitString(0, family.string_length), family) == 1
 
 
 def test_two_level_alpha_guard():
@@ -219,7 +219,7 @@ def small_family():
 def test_hit_probability_formula_case():
     family = small_family()
     x = bs("0001")  # windows {00, 01}, not simple at threshold 1
-    assert not is_simple(x, 2, 1)
+    assert not is_chain_simple(x.to_numeral(), 4, ((2, 1),))
     assert hit_probability(x, family) == 1 - Fraction(1, 6)  # miss C(2,2)/C(4,2)
 
 
@@ -230,7 +230,7 @@ def test_hit_probability_monte_carlo_three_sigma():
     hits = 0
     windows = set(x.numeral_windows(2))
     for seed in range(trials):
-        draw = {v.to_numeral() for v in sample_uniform_set(2, 2, RandomSource(seed))}
+        draw = sample_uniform_set(2, 2, RandomSource(seed))
         if windows & draw:
             hits += 1
     sigma = (trials * exact * (1 - exact)) ** 0.5
@@ -340,11 +340,11 @@ def test_derandomize_uniform_toy_matches_full_summation():
 
 
 def test_derandomize_point_mass_on_constant():
-    dist = FiniteDistribution.point_mass(BitString.zeros(8))
+    dist = point_mass(BitString(0, 8))
     family, certificate = derandomize_family(dist, Fraction(9, 10), ExactProb(1, 2),
                                              RandomSource(2), level_length=2)
     assert certificate == 0
-    assert not family_avoids(BitString.zeros(8), family)
+    assert not family_avoids(BitString(0, 8), family)
 
 
 def test_family_avoids_agrees_with_naive_window_loop():
@@ -355,7 +355,7 @@ def test_family_avoids_agrees_with_naive_window_loop():
                                            RandomSource(seed), level_length=level_length)
             assert (family.implicit_top() is not None) == has_top
             for x, _ in cube.items():
-                naive = not any(family.membership(n, x.window(k, n).to_numeral())
+                naive = not any(membership(family, n, x.window(k, n).to_numeral())
                                 for n in family.level_lengths()
                                 for k in range(len(x) - n + 1))
                 assert family_avoids(x, family) == naive
@@ -364,7 +364,7 @@ def test_family_avoids_agrees_with_naive_window_loop():
 def test_derandomize_point_mass_all_distinct_windows():
     x = bs("00011101")  # all 3-windows distinct
     assert distinct_substrings(x, 3) == 6
-    dist = FiniteDistribution.point_mass(x)
+    dist = point_mass(x)
     family, certificate = derandomize_family(dist, Fraction(9, 10), ExactProb(1, 2),
                                              RandomSource(4), level_length=3)
     assert certificate == 0
@@ -372,7 +372,7 @@ def test_derandomize_point_mass_all_distinct_windows():
 
 
 def test_derandomize_averaged_bound_error():
-    dist = FiniteDistribution.point_mass(BitString.zeros(6))
+    dist = point_mass(BitString(0, 6))
     # alpha so small the sampled set has one string: miss(1) too big for eps
     with pytest.raises(AveragedBoundError):
         derandomize_family(dist, Fraction(1, 5), ExactProb(1, 100),
@@ -397,6 +397,15 @@ def test_interval_schedule_three_intervals():
         previous_upper = entry.upper
         for length in entry.family.level_lengths():
             assert entry.family.size_of(length) <= entry.family.size_bound(length)
+
+
+@pytest.mark.parametrize("first_length", [0, -3])
+def test_interval_schedule_rejects_a_nonpositive_first_length_at_once(first_length):
+    def no_distribution(length):
+        raise AssertionError(f"a distribution of length {length} was built")
+    with pytest.raises(ValueError):
+        interval_schedule(no_distribution, Fraction(9, 10), 1, RandomSource(0),
+                          first_length=first_length)
 
 
 def test_interval_schedule_single_matches_derandomize():

@@ -10,7 +10,7 @@ def bs(text):
 
 
 def test_empty_string_is_header_only():
-    assert compress_size(BitString.zeros(0)) == LENGTH_HEADER_BITS
+    assert compress_size(BitString(0, 0)) == LENGTH_HEADER_BITS
 
 
 def test_round_trip_random_strings():
@@ -26,13 +26,28 @@ def test_round_trip_structured_strings():
         assert decompress_bits(compress_bits(x)) == x
 
 
+def test_foreign_streams_decode_or_raise_value_error():
+    rs = RandomSource(41)
+    for trial in range(300):
+        stream = rs.bits(rs.below(260))
+        try:
+            decompress_bits(stream)
+        except ValueError:
+            pass
+    # the phrases are "", "1" and "10" when the third index is read, in two
+    # bits: "11" names phrase 3, which does not exist
+    header = format(10, f"0{LENGTH_HEADER_BITS}b")[::-1]
+    with pytest.raises(ValueError):
+        decompress_bits(bs(header + "1" + "10" + "11"))
+
+
 def test_compress_size_deterministic():
     x = RandomSource(8).bits(500)
     assert compress_size(x) == compress_size(x) == len(compress_bits(x))
 
 
 def test_zero_run_compresses_below_random():
-    zeros = compress_size(BitString.zeros(4096))
+    zeros = compress_size(BitString(0, 4096))
     wins = sum(1 for seed in range(100)
                if zeros < compress_size(RandomSource(seed).bits(4096)))
     assert wins >= 95
@@ -48,7 +63,7 @@ def test_subadditivity_on_random_pairs():
 
 
 def test_profile_constant_string():
-    profile = window_profile(BitString.ones(256), 64, stride=16)
+    profile = window_profile(BitString((1 << 256) - 1, 256), 64, stride=16)
     assert len(set(profile.sizes)) == 1
     assert profile.min_size == profile.max_size == profile.mean_size
 
@@ -70,7 +85,7 @@ def test_profile_finds_embedded_zero_run():
     hits = 0
     for seed in range(20):
         rs = RandomSource(seed)
-        x = rs.bits(1024) + BitString.zeros(512) + rs.bits(1024)
+        x = rs.bits(1024) + BitString(0, 512) + rs.bits(1024)
         profile = window_profile(x, 256, stride=32)
         best = profile.offsets[profile.sizes.index(profile.min_size)]
         if 1024 <= best and best + 256 <= 1024 + 512:

