@@ -11,7 +11,6 @@ accounting work: certifying the enumerated part against a reduced target
 certifies the full distribution against the original one.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -87,11 +86,11 @@ def avoid_probability(dist: FiniteDistribution, family: PositionalFamily) -> Exa
             f"of window length {n}"
         )
     targets = family.numerals()
-    total = Fraction(dist.deficit)
-    for x, mass in dist.items():
+    total = dist.deficit_weight
+    for x, weight in dist.weights():
         if all(w != t for w, t in zip(x.numeral_windows(n), targets)):
-            total += mass
-    return ExactProb(total)
+            total += weight
+    return ExactProb(total, dist.denominator)
 
 
 def positional_family_search(dist: FiniteDistribution, window_length: int,
@@ -105,7 +104,15 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
     (1 - deficit) * (1 - 2**-n)**N + deficit < epsilon
     holds; it is re-checked exactly here, and it equals the average avoid
     probability over uniformly random families, so a qualifying family must
-    exist."""
+    exist.
+
+    The search walks prefixes of the family in lexicographic order over
+    integer weights.  A prefix keeps the support strings that match none of
+    its windows; choosing the window at a later position removes at most the
+    heaviest single-window weight among them there, so a prefix whose
+    surviving weight, less that much at each remaining position, still
+    reaches epsilon has no qualifying completion and is skipped.  Skipping
+    only prefixes without a qualifying family leaves the first one found."""
     epsilon = ExactProb(epsilon)
     deficit = Fraction(dist.deficit)
     if not deficit < epsilon:
@@ -117,20 +124,65 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
     q_power = (1 - Fraction(1, 1 << n)) ** N
     if not (1 - deficit) * q_power + deficit < epsilon:
         raise ValueError("averaged existence bound fails for these parameters")
-    support = [(list(x.numeral_windows(n)), Fraction(mass)) for x, mass in dist.items()]
-    for candidate in itertools.product(range(1 << n), repeat=N):
-        acc = deficit
-        good = True
-        for windows, mass in support:
-            if all(w != t for w, t in zip(windows, candidate)):
-                acc += mass
-                if acc >= epsilon:
-                    good = False
-                    break
-        if good:
-            strings = tuple(BitString.from_numeral(v, n) for v in candidate)
-            return PositionalFamily(n, strings, ExactProb(acc))
-    raise AssertionError("averaged bound held but no family qualified")
+    # an integer avoid weight A certifies exactly when A < epsilon * denominator
+    limit = -(-epsilon.numerator * dist.denominator // epsilon.denominator)
+    base = dist.deficit_weight
+    weights = [w for _, w in dist.weights()]
+    # columns[p][i]: the window of support string i at position p (all empty
+    # when the support is)
+    columns = list(zip(*(x.numeral_windows(n) for x, _ in dist.weights()))) or [()] * N
+
+    def options(p: int, alive: list, total: int):
+        """The window values at position p, in order, that may lead to a
+        qualifying family, each with the strings and weight surviving it."""
+        tallies = []
+        for column in columns[p:]:
+            tally = {}
+            for i in alive:
+                tally[column[i]] = tally.get(column[i], 0) + weights[i]
+            tallies.append(tally)
+        here = tallies[0]
+        least = base + total - sum(max(t.values(), default=0) for t in tallies[1:])
+        column, walked_unchanged = columns[p], False
+        for v in range(1 << n):
+            removed = here.get(v, 0)
+            if least - removed >= limit:
+                continue
+            if not removed:
+                # every value the survivors never show here leaves the same
+                # subtree, so only the first of them is worth walking
+                if walked_unchanged:
+                    continue
+                walked_unchanged = True
+                yield v, alive, total
+            elif p == N - 1:
+                yield v, None, total - removed
+            else:
+                yield v, [i for i in alive if column[i] != v], total - removed
+
+    prefix = []
+    alive, total = list(range(len(weights))), sum(weights)
+    walk = [options(0, alive, total)]
+    # until the prefix is a whole family or its survivors already weigh under
+    # the limit; a step back leaves a prefix at least as heavy as the one left
+    while len(prefix) < N and base + total >= limit:
+        step = next(walk[-1], None)
+        if step is None:
+            walk.pop()
+            if not prefix:
+                raise AssertionError("averaged bound held but no family qualified")
+            prefix.pop()
+        else:
+            v, alive, total = step
+            prefix.append(v)
+            walk.append(options(len(prefix), alive, total))
+    if len(prefix) < N:
+        # every completion qualifies, and zeros are the first of them
+        rest = columns[len(prefix):]
+        total = sum(weights[i] for i in alive if all(column[i] for column in rest))
+        prefix += [0] * len(rest)
+    strings = tuple(BitString.from_numeral(v, n) for v in prefix)
+    return PositionalFamily(n, strings, ExactProb(base + total, dist.denominator))
 
 
 def truncated_search(dist: FiniteDistribution, window_length: int,

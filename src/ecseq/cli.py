@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alloc-out", default=None)
     p.add_argument("--format", choices=["ascii", "packed"], default="packed")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_spread)
 
     p = sub.add_parser("check-windows", help="verify window coverage and recovery")
     p.add_argument("--bits", required=True)
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check_windows)
 
     p = sub.add_parser("family", help="build a certified forbidden family")
     p.add_argument("--alpha", required=True, help="rational like 3/5")
@@ -458,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build this many disjoint certified intervals")
     p.add_argument("--max-length", type=int, default=24)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("adversary", help="positional forbidden strings by search")
     p.add_argument("--dist", required=True, help="distribution JSON file")
@@ -466,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("avoid", help="build a string avoiding a family")
     p.add_argument("--family", required=True)
@@ -476,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["ascii", "packed"], default="packed")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("profile", help="compression proxy profile of a bit file")
     p.add_argument("--bits", required=True)
@@ -484,20 +479,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--csv", default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="re-derive every certificate in a report")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up at each call, so a cmd_* replaced on the module is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except INPUT_ERRORS + (OSError,) as exc:
         print(f"ecseq {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

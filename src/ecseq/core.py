@@ -75,7 +75,7 @@ class ExactProb(Fraction):
 
     def __new__(cls, numerator=0, denominator=None):
         self = super().__new__(cls, numerator, denominator)
-        if self < 0 or self > 1:
+        if not 0 <= self.numerator <= self.denominator:  # the denominator is positive
             raise ValueError(f"probability out of [0, 1]: {str(self)}")
         return self
 
@@ -285,17 +285,17 @@ class RandomSource:
 class FiniteDistribution:
     """Explicit (sub)probability distribution over fixed-length bit strings.
 
-    The deficit is the mass assigned to "no output"; masses plus deficit must
-    sum to exactly 1.
+    Masses are held as integer weights over one common denominator, so every
+    certificate sums integers and divides once.  The deficit is the mass
+    assigned to "no output"; masses plus deficit must sum to exactly 1.
     """
 
-    __slots__ = ("string_length", "_masses", "deficit")
+    __slots__ = ("string_length", "denominator", "_weights", "deficit_weight")
 
     def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
         if string_length < 0:
             raise ValueError("string length must be non-negative")
         clean = {}
-        total = Fraction(0)
         for key, mass in masses.items():
             if not isinstance(key, BitString):
                 key = BitString.from_text(key)
@@ -309,30 +309,51 @@ class FiniteDistribution:
             if key in clean:
                 raise ValueError(f"duplicate support string {key}")
             clean[key] = mass
-            total += mass
         deficit = ExactProb(deficit)
-        if total + deficit != 1:
-            raise ValueError(f"masses plus deficit must equal 1, got {frac_to_str(total + deficit)}")
+        denominator = math.lcm(deficit.denominator, *(m.denominator for m in clean.values()))
+        weights = {x: m.numerator * (denominator // m.denominator) for x, m in clean.items()}
+        deficit_weight = deficit.numerator * (denominator // deficit.denominator)
+        total = sum(weights.values()) + deficit_weight
+        if total != denominator:
+            raise ValueError(f"masses plus deficit must equal 1, got "
+                             f"{frac_to_str(Fraction(total, denominator))}")
+        self._set(string_length, denominator, weights, deficit_weight)
+
+    def _set(self, string_length: int, denominator: int, weights: dict,
+             deficit_weight: int) -> None:
         self.string_length = string_length
-        self._masses = clean
-        self.deficit = deficit
+        self.denominator = denominator
+        self._weights = weights
+        self.deficit_weight = deficit_weight
 
     @classmethod
     def uniform(cls, string_length: int) -> "FiniteDistribution":
+        """Weight 1 on each of the 2**L strings, over denominator 2**L."""
         if string_length > 24:
             raise ValueError("uniform support too large to enumerate")
-        share = ExactProb(1, 1 << string_length)
-        return cls(string_length,
-                   {BitString(v, string_length): share for v in range(1 << string_length)})
+        self = object.__new__(cls)
+        self._set(string_length, 1 << string_length,
+                  {BitString.from_numeral(v, string_length): 1
+                   for v in range(1 << string_length)}, 0)
+        return self
+
+    @property
+    def deficit(self) -> ExactProb:
+        return ExactProb(self.deficit_weight, self.denominator)
+
+    def weights(self):
+        """(string, integer weight) pairs; each mass is weight / denominator."""
+        return self._weights.items()
 
     def items(self):
-        return self._masses.items()
+        """(string, mass) pairs, each mass an ExactProb."""
+        return [(x, ExactProb(w, self.denominator)) for x, w in self._weights.items()]
 
     def to_json(self) -> dict:
         return {
             "length": self.string_length,
-            "masses": {x.to_text(): frac_to_str(m) for x, m in sorted(
-                self.items(), key=lambda kv: kv[0].to_numeral())},
+            "masses": {x.to_text(): frac_to_str(Fraction(w, self.denominator))
+                       for x, w in sorted(self.weights(), key=lambda kv: kv[0].to_text())},
             "deficit": frac_to_str(self.deficit),
         }
 
@@ -347,4 +368,4 @@ class FiniteDistribution:
 
     def __repr__(self) -> str:
         return (f"FiniteDistribution(length={self.string_length}, "
-                f"support={len(self._masses)}, deficit={frac_to_str(self.deficit)})")
+                f"support={len(self._weights)}, deficit={frac_to_str(self.deficit)})")

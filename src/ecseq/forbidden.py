@@ -507,11 +507,11 @@ def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> E
     avoiding (worst case)."""
     if dist.string_length != family.string_length:
         raise ValueError("distribution length does not match family top length")
-    total = Fraction(dist.deficit)
-    for x, mass in dist.items():
+    total = dist.deficit_weight
+    for x, weight in dist.weights():
         if family_avoids(x, family):
-            total += mass
-    return ExactProb(total)
+            total += weight
+    return ExactProb(total, dist.denominator)
 
 
 def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLevel]:
@@ -523,6 +523,48 @@ def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLeve
         if cardinality <= pow2_floor(alpha * n_total):
             return ImplicitLevel(n_total, ((ln, threshold),), cardinality)
     return None
+
+
+def _draw_size(alpha: Fraction, ln: int, n_total: int) -> Optional[int]:
+    """Strings drawn at level length ln below top length n_total, or None
+    when that level is not admissible."""
+    size = pow2_floor(alpha * ln) if 0 < ln < n_total else 0
+    return size if 1 <= size <= 1 << ln else None
+
+
+def _averaged_bound(dist: FiniteDistribution, ln: int, size: int,
+                    top: Optional[ImplicitLevel]) -> Fraction:
+    """Mean avoid probability under dist of the family made of a uniform draw
+    of `size` strings of length ln and the simple top, if any; deficit counts
+    as avoiding."""
+    # strings with the same number d of distinct windows miss alike, so their
+    # weights are summed first and each miss probability is used once
+    by_count = {}
+    for x, weight in dist.weights():
+        if top is not None and is_chain_simple(x.to_numeral(), dist.string_length, top.chain):
+            continue
+        d = distinct_substrings(x, ln)
+        by_count[d] = by_count.get(d, 0) + weight
+    average = Fraction(dist.deficit_weight)
+    for d, weight in by_count.items():
+        average += weight * miss_probability_random_set(d, ln, size)
+    return average / dist.denominator
+
+
+def _bound_fails_for_all(alpha: Fraction, ln: int, n_total: int, epsilon) -> bool:
+    """Whether derandomize_family's averaged bound at level length ln fails
+    against every distribution on strings of length n_total.
+
+    Without a simple top, every string misses the draw with probability at
+    least that of a string with the most distinct windows any string of
+    n_total bits can have, and the average cannot be below that."""
+    size = _draw_size(alpha, ln, n_total)
+    if size is None:
+        return True
+    if _simple_top(alpha, ln, n_total) is not None:
+        return False
+    most = min(n_total - ln + 1, 1 << ln)
+    return not miss_probability_random_set(most, ln, size) < epsilon
 
 
 def _drawn_family(alpha: Fraction, ln: int, strings, top, n_total: int) -> LevelFamily:
@@ -548,19 +590,11 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
     n_total = dist.string_length
     candidates = [level_length] if level_length is not None else list(range(1, n_total))
     for ln in candidates:
-        if not 0 < ln < n_total:
-            continue
-        size = pow2_floor(alpha * ln)
-        if size < 1 or size > (1 << ln):
+        size = _draw_size(alpha, ln, n_total)
+        if size is None:
             continue
         top = _simple_top(alpha, ln, n_total)
-        average = Fraction(dist.deficit)
-        for x, mass in dist.items():
-            if top is not None and is_chain_simple(x.to_numeral(), n_total, top.chain):
-                continue
-            d = distinct_substrings(x, ln)
-            average += Fraction(mass) * Fraction(miss_probability_random_set(d, ln, size))
-        if average < epsilon:
+        if _averaged_bound(dist, ln, size, top) < epsilon:
             break
     else:
         raise AveragedBoundError(
@@ -629,6 +663,8 @@ def interval_schedule(dist_for_length: Callable[[int], FiniteDistribution], alph
     for i in range(1, count + 1):
         ln, epsilon = _next_interval(entries, first_length)
         for top_length in range(ln + 1, max_length + 1):
+            if _bound_fails_for_all(alpha, ln, top_length, epsilon):
+                continue
             dist = dist_for_length(top_length)
             try:
                 family, certificate = derandomize_family(

@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ecseq.core import BitString, ExactProb, FiniteDistribution, frac_to_str
-from ecseq.forbidden import LevelFamily, SampledLevel, is_chain_simple
+from ecseq.forbidden import (LevelFamily, SampledLevel, distinct_substrings, family_avoids,
+                             is_chain_simple, miss_probability_random_set)
 from ecseq.spreader import Allocation
 
 
@@ -74,6 +75,47 @@ def average_avoid_probability(dist: FiniteDistribution, window_length: int,
             f"{frac_to_str(expected)}"
         )
     return ExactProb(average)
+
+
+def first_lex_search(dist: FiniteDistribution, window_length: int,
+                     epsilon) -> tuple:
+    """The first family, in lexicographic order over all (2**n)**N, whose
+    avoid probability is below epsilon, by trying every family in turn and
+    summing Fraction masses; returns (numerals, avoid probability) or None."""
+    n = window_length
+    N = dist.string_length - n + 1
+    epsilon = Fraction(epsilon)
+    support = [(list(x.numeral_windows(n)), Fraction(mass)) for x, mass in dist.items()]
+    for candidate in itertools.product(range(1 << n), repeat=N):
+        acc = Fraction(dist.deficit)
+        for windows, mass in support:
+            if all(w != t for w, t in zip(windows, candidate)):
+                acc += mass
+                if acc >= epsilon:
+                    break
+        if acc < epsilon:
+            return candidate, acc
+    return None
+
+
+def family_avoid_per_string(dist: FiniteDistribution, family: LevelFamily) -> Fraction:
+    """Deficit plus the Fraction mass of each string that avoids the family."""
+    total = Fraction(dist.deficit)
+    for x, mass in dist.items():
+        if family_avoids(x, family):
+            total += mass
+    return total
+
+
+def averaged_bound_per_string(dist: FiniteDistribution, ln: int, size: int, top) -> Fraction:
+    """Deficit plus, for each string the simple top (if any) does not forbid,
+    its Fraction mass times its own miss probability against a uniform draw
+    of `size` strings of length ln."""
+    total = Fraction(dist.deficit)
+    for x, mass in dist.items():
+        if top is None or not is_chain_simple(x.to_numeral(), len(x), top.chain):
+            total += mass * miss_probability_random_set(distinct_substrings(x, ln), ln, size)
+    return total
 
 
 def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]:

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,8 @@ from ecseq.adversary import (PositionalFamily, avoid_probability,
                              truncated_search)
 from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource
 
-from oracles import average_avoid_probability, point_mass, scaled_to_deficit
+from oracles import (average_avoid_probability, first_lex_search, point_mass,
+                     scaled_to_deficit)
 
 
 def bs(text):
@@ -72,22 +72,9 @@ def test_avoid_probability_length_guard():
 
 # ---------------------------------------------------------------- search
 
-def _oracle_first_family(dist, n, N, epsilon):
-    """Plain exhaustive reimplementation: no pruning, no shortcuts."""
-    for candidate in itertools.product(range(1 << n), repeat=N):
-        total = Fraction(dist.deficit)
-        for x, mass in dist.items():
-            windows = [x.window(k, n).to_numeral() for k in range(N)]
-            if all(w != t for w, t in zip(windows, candidate)):
-                total += mass
-        if total < epsilon:
-            return candidate, total
-    return None
-
-
 def test_search_first_lex_matches_exhaustive_oracle():
     dist = FiniteDistribution.uniform(4)
-    expected, cert = _oracle_first_family(dist, 2, 3, Fraction(1, 2))
+    expected, cert = first_lex_search(dist, 2, Fraction(1, 2))
     family = positional_family_search(dist, 2, ExactProb(1, 2))
     assert family.numerals() == expected
     assert [s.to_text() for s in family.strings] == ["00", "00", "10"]
@@ -107,7 +94,7 @@ def test_search_point_mass():
     x = bs("1111")  # no 00 anywhere: the search advances to the first hit
     dist = point_mass(x)
     family = positional_family_search(dist, 2, ExactProb(1, 2))
-    expected, cert = _oracle_first_family(dist, 2, 3, Fraction(1, 2))
+    expected, cert = first_lex_search(dist, 2, Fraction(1, 2))
     assert family.numerals() == expected
     assert family.certificate == cert == 0
     assert avoid_probability(dist, family) == 0
@@ -118,6 +105,38 @@ def test_search_epsilon_one():
     family = positional_family_search(dist, 2, ExactProb(1))
     assert [s.to_text() for s in family.strings] == ["00", "00", "00"]
     assert family.certificate < 1
+
+
+def random_search_instance(rs, trial):
+    """A distribution of a few weighted strings, with a deficit on odd trials,
+    and an epsilon between its averaged existence bound and 1, skewed toward
+    the bound so that the first qualifying family lies deeper."""
+    n = 1 + trial % 3
+    length = n + 1 + rs.below(6)
+    numerals = {rs.below(1 << length) for _ in range(1 + rs.below(40))}
+    weights = {BitString.from_numeral(v, length): 1 + rs.below(9) for v in numerals}
+    deficit = 1 + rs.below(4) if trial % 2 else 0
+    total = sum(weights.values()) + deficit
+    dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+                              Fraction(deficit, total))
+    share = Fraction(dist.deficit)
+    average = (1 - share) * (1 - Fraction(1, 1 << n)) ** (length - n + 1) + share
+    epsilon = average + (1 - average) * Fraction(1 + rs.below(300), 300) ** 3
+    return dist, n, epsilon
+
+
+def test_search_agrees_with_the_unpruned_first_lex_search():
+    rs = RandomSource(2024)
+    with_deficit = 0
+    for trial in range(320):
+        dist, n, epsilon = random_search_instance(rs, trial)
+        with_deficit += dist.deficit > 0
+        family = positional_family_search(dist, n, epsilon)
+        numerals, certificate = first_lex_search(dist, n, epsilon)
+        assert family.numerals() == numerals, (trial, dist, epsilon)
+        assert family.certificate == certificate, (trial, dist, epsilon)
+        assert avoid_probability(dist, family) == certificate
+    assert with_deficit == 160
 
 
 def test_search_existence_precondition():
@@ -145,7 +164,7 @@ def test_truncated_uniform_with_deficit_eighth():
     assert enumerated < Fraction(3, 8)
     # independent recomputation
     assert avoid_probability(dist, family) == family.certificate
-    oracle, cert = _oracle_first_family(dist, 2, 3, Fraction(1, 2))
+    oracle, cert = first_lex_search(dist, 2, Fraction(1, 2))
     assert family.numerals() == oracle and family.certificate == cert
 
 

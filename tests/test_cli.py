@@ -411,3 +411,20 @@ def test_reports_do_not_depend_on_the_string_hash_seed(tmp_path):
                          for name in ("family.report.json", "avoid.report.json",
                                       "adversary.report.json")})
     assert sections[0] == sections[1]
+
+
+def test_main_builds_its_parser_once_and_runs_the_current_command(tmp_path, monkeypatch):
+    assert run("verify", "--report", str(tmp_path / "missing.json")) == cli.EXIT_BAD_PARAMS
+    parser = cli._parser
+    called = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: called.append(args.report) or 7)
+    assert run("verify", "--report", "r.json") == 7
+    assert called == ["r.json"]
+    assert cli._parser is parser
+
+
+def test_schedule_that_no_length_admits_fails_without_enumerating(capsys):
+    # every top length up to the default 24 is ruled out before its 2**L strings are built
+    assert run("family", "--alpha", "11/20", "--schedule", "3") == cli.EXIT_BAD_PARAMS
+    assert capsys.readouterr().err.strip() == \
+        "ecseq family: error: interval 3: no top length up to 24 admits the bound"

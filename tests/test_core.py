@@ -321,3 +321,51 @@ def test_distribution_rescaling():
     assert d.deficit == Fraction(1, 8)
     assert dict(d.items())[bs("0000")] == Fraction(7, 8) / 16
     assert sum(Fraction(m) for _, m in d.items()) == Fraction(7, 8)
+
+
+def test_distribution_weights_share_one_denominator():
+    d = FiniteDistribution(2, {bs("00"): ExactProb(1, 3), bs("01"): ExactProb(1, 6),
+                               bs("10"): ExactProb(1, 2)})
+    assert d.denominator == 6
+    assert dict(d.weights()) == {bs("00"): 2, bs("01"): 1, bs("10"): 3}
+    assert d.deficit_weight == 0 and d.deficit == 0
+    assert dict(d.items()) == {bs("00"): Fraction(1, 3), bs("01"): Fraction(1, 6),
+                               bs("10"): Fraction(1, 2)}
+    assert d.to_json()["masses"] == {"00": "1/3", "01": "1/6", "10": "1/2"}
+
+
+def test_distribution_deficit_only():
+    d = FiniteDistribution(3, {}, deficit=ExactProb(1))
+    assert (d.denominator, d.deficit_weight, dict(d.weights())) == (1, 1, {})
+    assert d.to_json() == {"length": 3, "masses": {}, "deficit": "1/1"}
+
+
+def test_distribution_drops_zero_masses():
+    d = FiniteDistribution(2, {"00": "0/1", "11": "3/4"}, deficit="1/4")
+    assert dict(d.weights()) == {bs("11"): 3}
+    assert (d.denominator, d.deficit_weight) == (4, 1)
+    assert d.to_json()["masses"] == {"11": "3/4"}
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 5])
+def test_uniform_equals_the_validating_constructor(length):
+    fast = FiniteDistribution.uniform(length)
+    checked = FiniteDistribution(length, {BitString.from_numeral(v, length): Fraction(1, 1 << length)
+                                          for v in range(1 << length)})
+    assert dict(fast.weights()) == dict(checked.weights())
+    assert (fast.denominator, fast.deficit_weight) == (checked.denominator, checked.deficit_weight)
+    assert fast.to_json() == checked.to_json()
+
+
+@pytest.mark.parametrize("masses, deficit, message", [
+    ({"01": "1/4", "10": "1/4"}, "0/1", "masses plus deficit must equal 1, got 1/2"),
+    ({"01": "1/3", "10": "1/2"}, "1/3", "masses plus deficit must equal 1, got 7/6"),
+    ({"01": "1/2", bs("01"): "1/2"}, "0/1", "duplicate support string 01"),
+    ({"01": "3/2"}, "0/1", "probability out of [0, 1]: 3/2"),
+    ({"01": "-1/2", "10": "3/2"}, "0/1", "probability out of [0, 1]: -1/2"),
+    ({"01": "1/2"}, "-1/2", "probability out of [0, 1]: -1/2"),
+])
+def test_distribution_error_messages(masses, deficit, message):
+    with pytest.raises(ValueError) as caught:
+        FiniteDistribution(2, masses, deficit)
+    assert str(caught.value) == message

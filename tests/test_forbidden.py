@@ -13,9 +13,10 @@ from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LayeredParams,
                              family_avoids, hit_probability, interval_schedule,
                              is_chain_simple, miss_probability_random_set,
                              multi_level_family, sample_uniform_set, surjections,
-                             two_level_family)
+                             two_level_family, _averaged_bound)
 
-from oracles import membership, point_mass
+from oracles import (averaged_bound_per_string, family_avoid_per_string, membership,
+                     point_mass)
 
 
 def bs(text):
@@ -379,6 +380,33 @@ def test_derandomize_averaged_bound_error():
                            RandomSource(0), level_length=2)
 
 
+def test_integer_sums_agree_with_per_string_fraction_sums():
+    rs = RandomSource(77)
+    tops = 0
+    for trial in range(300):
+        length, ln = 6 + rs.below(5), 2 + rs.below(3)
+        numerals = {rs.below(1 << length) for _ in range(1 + rs.below(40))}
+        weights = {BitString.from_numeral(v, length): 1 + rs.below(12) for v in numerals}
+        deficit = rs.below(5) if trial % 2 else 0
+        total = sum(weights.values()) + deficit
+        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+                                  Fraction(deficit, total))
+        size = 1 + rs.below(1 << ln)
+        strings = sample_uniform_set(ln, size, rs.substream(trial))
+        top = None
+        if trial % 3 and length % ln == 0:
+            threshold = 1 << ((ln + 1) // 2)
+            top = ImplicitLevel(length, ((ln, threshold),), count_simple(length, ln, threshold))
+            tops += 1
+        family = LevelFamily(Fraction(1), [
+            SampledLevel(ln, strings, (), 1 << ln),
+            top or SampledLevel(length, frozenset(), (), 1 << length)], enforce_bounds=False)
+        assert family_avoid_probability(dist, family) == family_avoid_per_string(dist, family)
+        assert _averaged_bound(dist, ln, size, top) == \
+            averaged_bound_per_string(dist, ln, size, top)
+    assert tops > 30
+
+
 # ---------------------------------------------------------------- interval schedule
 
 def test_interval_schedule_three_intervals():
@@ -406,6 +434,25 @@ def test_interval_schedule_rejects_a_nonpositive_first_length_at_once(first_leng
     with pytest.raises(ValueError):
         interval_schedule(no_distribution, Fraction(9, 10), 1, RandomSource(0),
                           first_length=first_length)
+
+
+def test_interval_schedule_skips_lengths_no_distribution_admits():
+    # a string of 6 or 7 bits has at most 3 distinct windows of 5 bits, and a
+    # draw of 6 of the 32 such windows misses 3 of them with probability >= 1/2
+    assert pow2_floor(Fraction(11, 20) * 5) == 6
+    assert miss_probability_random_set(3, 5, 6) >= Fraction(1, 2) > \
+        miss_probability_random_set(4, 5, 6)
+    built = []
+
+    def dist_for_length(length):
+        if length < 8:
+            raise AssertionError(f"a distribution of length {length} was built")
+        built.append(length)
+        return FiniteDistribution.uniform(length)
+
+    entries = interval_schedule(dist_for_length, Fraction(11, 20), 1, RandomSource(0),
+                                first_length=5)
+    assert built == [8] and entries[0].upper == 8
 
 
 def test_interval_schedule_single_matches_derandomize():
