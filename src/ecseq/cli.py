@@ -14,7 +14,9 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
@@ -97,10 +99,13 @@ def _derandomized(family, certificate) -> tuple:
             family.to_json())
 
 
-def _run_family_derandomize(p: dict, seed) -> tuple:
+def _run_family_derandomize(p: dict, seed, dist: FiniteDistribution = None) -> tuple:
+    """dist is p["dist"] already parsed, when the caller has it at hand."""
+    if dist is None:
+        dist = FiniteDistribution.from_json(p["dist"])
     return _derandomized(*forbidden.derandomize_family(
-        FiniteDistribution.from_json(p["dist"]), Fraction(p["alpha"]), _epsilon(p),
-        RandomSource(seed), level_length=p["level_length"]))
+        dist, Fraction(p["alpha"]), _epsilon(p), RandomSource(seed),
+        level_length=p["level_length"]))
 
 
 def _check_family_derandomize(p: dict, seed, results: dict) -> tuple:
@@ -146,8 +151,10 @@ def _adversary(dist, family) -> tuple:
             family.to_json())
 
 
-def _run_adversary(p: dict, seed) -> tuple:
-    dist = FiniteDistribution.from_json(p["dist"])
+def _run_adversary(p: dict, seed, dist: FiniteDistribution = None) -> tuple:
+    """dist is p["dist"] already parsed, when the caller has it at hand."""
+    if dist is None:
+        dist = FiniteDistribution.from_json(p["dist"])
     return _adversary(dist, adversary.truncated_search(dist, p["n"], _epsilon(p)))
 
 
@@ -225,6 +232,9 @@ def _run(args, command: str, seed, parameters: dict, run: Callable = None) -> tu
 
 
 def cmd_spread(args) -> int:
+    for flag, value in (("--length", args.length), ("--m0", args.m0)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     certified = spreader.choose_start_level(spreader.weight_preset(args.weights))
     parameters = {"weights": args.weights,
                   "start_level": certified if args.m0 is None else args.m0,
@@ -252,20 +262,9 @@ def cmd_check_windows(args) -> int:
               f"{top}, below start level {alloc.start_level}; nothing to check")
         return EXIT_OK
     rs = RandomSource(args.seed)
-    consensus = {}  # source index -> bit, shared across windows
+    agreed = ""  # the source prefix that every window recovered so far agrees on
     mapping = alloc.source_map(0, usable)
-    text = bits.to_text()
-
-    # whole-file pass: every repetition of one source bit must agree with its first
-    violations = []
-    for offset, step, j in alloc._progressions(0, usable):
-        copies = text[offset:usable:step]
-        if ("1" if copies[0] == "0" else "0") in copies:
-            violations.extend({"position": offset + i * step, "source_bit": j,
-                               "disagrees_with_position": offset}
-                              for i, b in enumerate(copies) if b != copies[0])
-    violations.sort(key=lambda v: v["position"])
-
+    violations = spreader.disagreements(alloc, bits, usable)
     for m in range(alloc.start_level, top + 1):
         size = 1 << m
         top_count = alloc.source_count_through(m)
@@ -277,11 +276,9 @@ def cmd_check_windows(args) -> int:
             draws = rs.substream(m)
             starts = sorted(draws.below(max_start + 1) for _ in range(args.samples))
         for k in starts:
-            tally = {}
-            for j in mapping[k:k + size]:
-                tally[j] = tally.get(j, 0) + 1
+            tally = Counter(mapping[k:k + size])
             missing = [j for j in range(top_count) if j not in tally]
-            doubled = [j for j in range(base_count, top_count) if tally.get(j, 0) != 1]
+            doubled = [j for j in range(base_count, top_count) if tally[j] != 1]
             if missing or doubled:
                 violations.append({"k": k, "m": m, "missing": missing[:8],
                                    "not_exactly_once": doubled[:8]})
@@ -291,10 +288,13 @@ def cmd_check_windows(args) -> int:
             except spreader.InconsistentWindowError as exc:
                 violations.append({"k": k, "m": m, "inconsistent": str(exc)})
                 continue
-            for j, b in enumerate(prefix.to_text()):
-                if consensus.setdefault(j, b) != b:
-                    violations.append({"k": k, "m": m, "disagrees_at_source_bit": j})
-                    break
+            recovered = prefix.to_text()
+            common = min(len(agreed), len(recovered))
+            if recovered[:common] != agreed[:common]:
+                j = next(j for j in range(common) if recovered[j] != agreed[j])
+                violations.append({"k": k, "m": m, "disagrees_at_source_bit": j})
+            else:
+                agreed += recovered[common:]
     if violations:
         print(f"check-windows: {len(violations)} violated window(s)")
         for v in violations[:20]:
@@ -307,6 +307,7 @@ def cmd_check_windows(args) -> int:
 def cmd_family(args) -> int:
     alpha = frac_to_str(Fraction(args.alpha))
     epsilon = frac_to_str(ExactProb(Fraction(args.epsilon)))
+    run = None  # the kind's own run, unless a parsed input can be handed over
     if args.schedule is not None:
         kind = "family-schedule"
         parameters = {"alpha": alpha, "count": args.schedule, "first_length": args.n_min,
@@ -320,10 +321,11 @@ def cmd_family(args) -> int:
         dist = FiniteDistribution.from_json(_load_json(args.derandomize))
         parameters = {"alpha": alpha, "epsilon": epsilon, "level_length": args.level_length,
                       "dist": dist.to_json()}
+        run = partial(_run_family_derandomize, dist=dist)
     else:
         kind = "family"
         parameters = {"alpha": alpha, "epsilon": epsilon, "n_min": args.n_min}
-    results, certificates, written = _run(args, kind, args.seed, parameters)
+    results, certificates, written = _run(args, kind, args.seed, parameters, run)
     if args.out:
         _write_json(args.out, written)
     if args.schedule is not None:
@@ -344,7 +346,8 @@ def cmd_adversary(args) -> int:
     dist = FiniteDistribution.from_json(_load_json(args.dist))
     parameters = {"n": args.n, "epsilon": frac_to_str(ExactProb(Fraction(args.epsilon))),
                   "dist": dist.to_json()}
-    results, certificates, family = _run(args, "adversary", None, parameters)
+    results, certificates, family = _run(args, "adversary", None, parameters,
+                                         partial(_run_adversary, dist=dist))
     if args.out:
         _write_json(args.out, family)
     print(f"adversary: n={args.n} N={results['N']} "

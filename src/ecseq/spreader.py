@@ -150,18 +150,6 @@ class _Intervals:
         rest.extend(zip(self.los[j + 1:], self.his[j + 1:]))
         return _Intervals(taken), _Intervals(rest)
 
-    def enumerate_range(self, lo: int, hi: int):
-        """Yield (value, rank) for every element in [lo, hi)."""
-        j = max(bisect_right(self.los, lo) - 1, 0)
-        for i in range(j, len(self.los)):
-            if self.los[i] >= hi:
-                break
-            start = max(self.los[i], lo)
-            stop = min(self.his[i], hi)
-            base = self.cum[i] + (start - self.los[i])
-            for off, value in enumerate(range(start, stop)):
-                yield value, base + off
-
 
 @dataclass
 class _Level:
@@ -285,22 +273,18 @@ class Allocation:
             total += Fraction(lv.count, 1 << lv.level)
         return total
 
-    def _require_covered(self, end: int):
-        if self._least_uncovered is not None and self._least_uncovered < end:
-            raise CoverageError(
-                f"position {self._least_uncovered} is not covered by levels up to "
-                f"{self.max_level}; raise max_level"
-            )
+    def _runs(self, start: int, length: int, top_level: int = None):
+        """Yield (offset, step, index, width) for every run of built first terms
+        at levels up to top_level that meets [start, start + length): positions
+        start + offset + i + k*step carry source index index + i, for i < width
+        and k >= 0.  A run is a stretch of consecutive first terms inside one
+        assigned interval and one residue span.  Levels come in order and,
+        within a level, first terms ascend, so source indices ascend.
 
-    def _progressions(self, start: int, length: int, top_level: int = None):
-        """Yield (offset, step, source index) for every built progression at
-        levels up to top_level that meets [start, start + length), where offset
-        is its first position in the range minus start.  Levels come in order
-        and, within a level, first terms ascend, so source indices ascend.
-
-        A level's progressions meeting the range are those whose first terms
-        are residues of the range modulo the step: at most two spans, the
-        second one wrapping round to 0."""
+        A level's first terms meeting the range are the residues of the range
+        modulo the step: at most two spans, the second one wrapping round to 0.
+        Every offset + width is at most min(length, step), so a run's first
+        repetition lies whole inside the range and no two repetitions overlap."""
         for lv in self._levels:
             if top_level is not None and lv.level > top_level:
                 break
@@ -309,20 +293,38 @@ class Allocation:
             hi = lo + min(length, step)
             spans = [(0, hi - step, step - lo)] if hi > step else []
             spans.append((lo, min(hi, step), -lo))
+            los, his, cum = lv.assigned.los, lv.assigned.his, lv.assigned.cum
             for a, b, shift in spans:
-                for c, rank in lv.assigned.enumerate_range(a, b):
-                    yield c + shift, step, lv.source_base + rank
+                for i in range(max(bisect_right(los, a) - 1, 0), len(los)):
+                    if los[i] >= b:
+                        break
+                    first, stop = max(los[i], a), min(his[i], b)
+                    if first < stop:
+                        yield (first + shift, step,
+                               lv.source_base + cum[i] + first - los[i], stop - first)
 
-    def source_map(self, start: int, length: int) -> list:
-        """Source indices for every position in [start, start + length)."""
+    def _covered_runs(self, start: int, length: int):
+        """The runs of [start, start + length), once the levels that cover the
+        range are built; CoverageError when the level budget cannot cover it."""
         if start < 0 or length < 0:
             raise ValueError("bad range")
         end = start + length
         self.ensure_horizon(end)
-        self._require_covered(end)
+        if self._least_uncovered is not None and self._least_uncovered < end:
+            raise CoverageError(
+                f"position {self._least_uncovered} is not covered by levels up to "
+                f"{self.max_level}; raise max_level"
+            )
+        return self._runs(start, length)
+
+    def source_map(self, start: int, length: int) -> list:
+        """Source indices for every position in [start, start + length)."""
+        runs = self._covered_runs(start, length)
         out = [-1] * length
-        for offset, step, index in self._progressions(start, length):
-            out[offset::step] = [index] * ((length - offset - 1) // step + 1)
+        for offset, step, index, width in runs:
+            for a in range(offset, length, step):
+                b = min(a + width, length)
+                out[a:b] = range(index, index + b - a)
         if -1 in out:
             raise AssertionError("progression partition left a hole")
         return out
@@ -388,10 +390,40 @@ def plan_allocation(weights: WeightSeries, start_level: int = None,
 def spread_random(alloc: Allocation, rs: RandomSource, length: int):
     """Draw exactly the source bits [0, length) needs, then spread them:
     position i carries source bit source_map(i, 1)[0]."""
-    mapping = alloc.source_map(0, length)
-    source_bits = rs.bits(max(mapping) + 1 if mapping else 0)
-    text = source_bits.to_text()
-    return BitString.from_text("".join([text[j] for j in mapping])), source_bits
+    runs = list(alloc._covered_runs(0, length))
+    source_bits = rs.bits(max((index + width for _, _, index, width in runs), default=0))
+    source = source_bits.to_text().encode()
+    out = bytearray(length)  # a position no run fills stays 0, which from_text rejects
+    for offset, step, index, width in runs:
+        for a in range(offset, length, step):
+            b = min(a + width, length)
+            out[a:b] = source[index:index + b - a]
+    return BitString.from_text(out.decode()), source_bits
+
+
+def _differing_copies(text: str, runs):
+    """Yield (source index, position, first position) for every position of
+    text whose bit differs from the run's first copy of the same source index;
+    run by run, then repetition by repetition.  Repetitions end with the text,
+    so a run's last one may be clipped."""
+    for offset, step, index, width in runs:
+        first = text[offset:offset + width]
+        for a in range(offset + step, len(text), step):
+            chunk = text[a:a + width]
+            if not first.startswith(chunk):
+                yield from ((index + i, a + i, offset + i)
+                            for i, b in enumerate(chunk) if b != first[i])
+
+
+def disagreements(alloc: Allocation, bits: BitString, length: int) -> list:
+    """Every position in [0, length) whose bit differs from the first position
+    that carries the same source index, as {"position", "source_bit",
+    "disagrees_with_position"}, sorted by position."""
+    if length > len(bits):
+        raise ValueError(f"length {length} exceeds the {len(bits)} bits given")
+    found = _differing_copies(bits.to_text()[:length], alloc._covered_runs(0, length))
+    return sorted(({"position": p, "source_bit": j, "disagrees_with_position": q}
+                   for j, p, q in found), key=lambda v: v["position"])
 
 
 def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: int) -> BitString:
@@ -400,7 +432,9 @@ def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: in
     offset_mod is the window's start position modulo 2**level.  Every source
     bit placed at levels up to `level` occurs in the window; bits from levels
     below occur several times and all copies must agree, otherwise the window
-    was not produced by this allocation and InconsistentWindowError is raised.
+    was not produced by this allocation and InconsistentWindowError is raised,
+    naming the smallest source index that disagrees and its first copy that
+    differs from its first read.
     """
     if level < alloc.start_level:
         raise ValueError(f"level {level} below start level {alloc.start_level}")
@@ -413,15 +447,16 @@ def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: in
     alloc.ensure_level(level)
     text = win.to_text()
     out = []
-    # every step divides the window length, so window offsets are offsets from offset_mod
-    for offset, step, index in alloc._progressions(offset_mod, size, level):
-        copies = text[offset::step]
-        value = copies[0]
-        other = copies.find("1" if value == "0" else "0")
-        if other >= 0:
+    # every step divides the window length, so window offsets are offsets from
+    # offset_mod and every repetition lies whole inside the window
+    for run in alloc._runs(offset_mod, size, level):
+        differing = min(_differing_copies(text, [run]), default=None)
+        if differing is not None:
+            index, position, first = differing
             raise InconsistentWindowError(
                 f"source bit {index} reads differently at window "
-                f"offsets {offset} and {offset + other * step}"
+                f"offsets {first} and {position}"
             )
-        out.append(value)
+        offset, _, _, width = run
+        out.append(text[offset:offset + width])
     return BitString.from_text("".join(out))

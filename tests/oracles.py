@@ -39,9 +39,32 @@ def membership(family: LevelFamily, length: int, numeral: int) -> bool:
     return is_chain_simple(numeral, length, level.chain)
 
 
+def oracle_source_map(alloc: Allocation, start: int, length: int) -> list:
+    """The per-level residue loop: position p sits on the level whose assigned
+    first terms hold p mod 2**level, at the rank of that first term."""
+    alloc.ensure_horizon(start + length)
+    records = alloc.level_records()
+    out = []
+    for p in range(start, start + length):
+        for level, _, base, pairs in records:
+            r, rank = p % (1 << level), 0
+            for lo, hi in pairs:
+                if lo <= r < hi:
+                    break
+                rank += hi - lo
+            else:
+                continue
+            out.append(base + rank + r - lo)
+            break
+        else:
+            raise AssertionError(f"position {p} not covered")
+    return out
+
+
 def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:
-    """Output of the generator: position i carries source bit source_map(i, 1)[0]."""
-    mapping = alloc.source_map(0, length)
+    """Output of the generator: position i carries the source bit that the
+    residue loop maps it to."""
+    mapping = oracle_source_map(alloc, 0, length)
     needed = max(mapping) + 1 if mapping else 0
     if len(source_bits) < needed:
         raise ValueError(f"source too short: need {needed} bits, got {len(source_bits)}")

@@ -285,6 +285,30 @@ def test_every_report_kind_round_trips(reports, kind, monkeypatch):
     assert run("verify", "--report", str(reports[kind])) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("adversary", ["adversary", "--dist", "{dist}", "--n", "2", "--epsilon", "1/2"]),
+    ("family-derandomize", ["family", "--alpha", "9/10", "--epsilon", "1/4",
+                            "--derandomize", "{dist}", "--seed", "5"]),
+])
+def test_search_commands_parse_their_distribution_once(tmp_path, monkeypatch, kind, argv):
+    # the support listed in reverse of the order the report writes it
+    doc = FiniteDistribution.uniform(4 if kind == "adversary" else 8).to_json()
+    doc["masses"] = dict(reversed(list(doc["masses"].items())))
+    with open(tmp_path / "dist.json", "w") as fh:
+        json.dump(doc, fh)
+    parse, parses = FiniteDistribution.from_json, []
+    monkeypatch.setattr(FiniteDistribution, "from_json",
+                        classmethod(lambda cls, d: parses.append(d) or parse(d)))
+    report = tmp_path / "report.json"
+    assert run(*(a.format(dist=tmp_path / "dist.json") for a in argv),
+               "--report", str(report)) == cli.EXIT_OK
+    assert len(parses) == 1
+    # the report is what the kind's own run derives from the copy it records
+    written = read_json(report)
+    assert list(cli.KINDS[kind].run(written["parameters"], written["seed"])[:2]) \
+        == [written["results"], written["certificates"]]
+
+
 # parameters that a command derives from the others, so verify re-derives them
 DERIVED_PARAMETERS = {"spread": ("certified_start_level",),
                       "profile": ("bits_sha256", "bit_count")}
@@ -348,6 +372,8 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
     ({"start_level": 1, "max_level": 4, "cap": 8192, "least_uncovered": None,
       "levels": [{"level": 1, "count": "x", "source_base": 0, "assigned": []}]},
      ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"]),
+    (None, ["spread", "--length", "-1", "--out", "{dir}/x.bits"]),
+    (None, ["spread", "--length", "64", "--m0", "-1", "--out", "{dir}/x.bits"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -355,7 +381,12 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv)
     write_bit_file(tmp_path / "x.bits", BitString.from_text("01" * 16))
     names = {"doc": tmp_path / "doc.json", "dir": tmp_path, "bits": tmp_path / "x.bits"}
     assert run(*(a.format(**names) for a in argv)) == cli.EXIT_BAD_PARAMS
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    # a negative size names the flag that gave it
+    for flag, value in zip(argv, argv[1:]):
+        if value.startswith("-") and value[1:].isdigit():
+            assert flag in err, err
 
 
 def test_check_windows_names_the_highest_level_checked(tmp_path, spread_run, capsys):

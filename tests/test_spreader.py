@@ -1,15 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ecseq.core import BitString, CertificateError, RandomSource
 from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError,
-                            boost_tail, boosted_count, choose_start_level, geometric,
-                            inverse_triangular, plan_allocation, recover_prefix,
+                            boost_tail, boosted_count, choose_start_level, disagreements,
+                            geometric, inverse_triangular, plan_allocation, recover_prefix,
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import spread
+from oracles import oracle_source_map, spread
 
 
 def bs(text):
@@ -145,9 +146,14 @@ def test_spread_source_too_short():
 
 
 def test_spread_random_round_trip_against_spread():
-    alloc = plan_allocation(inverse_triangular())
-    omega, tau = spread_random(alloc, RandomSource(5), 4096)
-    assert spread(alloc, tau, 4096) == omega
+    for weights in (inverse_triangular(), zero_series(), geometric(Fraction(1, 3))):
+        # 8193 crosses the first cap of 2**13
+        for length in (0, 1, 255, 4097, 8193, 20011):
+            omega, tau = spread_random(plan_allocation(weights), RandomSource(5), length)
+            oracle = plan_allocation(weights)
+            assert spread(oracle, tau, length) == omega, (weights.name, length)
+            mapping = oracle_source_map(oracle, 0, length)
+            assert len(tau) == (max(mapping) + 1 if mapping else 0), (weights.name, length)
 
 
 # ---------------------------------------------------------------- recovery
@@ -251,28 +257,6 @@ def test_coverage_error_when_levels_exhausted():
 
 # ---------------------------------------------------------------- progression walk against oracles
 
-def oracle_source_map(alloc, start, length):
-    """The per-level residue loop: position p sits on the level whose assigned
-    first terms hold p mod 2**level, at the rank of that first term."""
-    alloc.ensure_horizon(start + length)
-    records = alloc.level_records()
-    out = []
-    for p in range(start, start + length):
-        for level, _, base, pairs in records:
-            r, rank = p % (1 << level), 0
-            for lo, hi in pairs:
-                if lo <= r < hi:
-                    break
-                rank += hi - lo
-            else:
-                continue
-            out.append(base + rank + r - lo)
-            break
-        else:
-            raise AssertionError(f"position {p} not covered")
-    return out
-
-
 def oracle_recover_prefix(alloc, win, offset_mod, level):
     """The copy loop: every source bit at levels up to `level` is read at its
     first window offset, and each later copy is compared with that one."""
@@ -313,28 +297,108 @@ def test_source_map_agrees_with_residue_loop_oracle(preset):
         assert shared.source_map(p, 1)[0] == oracle_source_map(oracle, p, 1)[0]
 
 
+def oracle_disagreements(alloc, bits, length):
+    """Each position in [0, length) compared with the first position that
+    carries the same source index."""
+    text, first, out = bits.to_text(), {}, []
+    for p, j in enumerate(oracle_source_map(alloc, 0, length)):
+        q = first.setdefault(j, p)
+        if text[p] != text[q]:
+            out.append({"position": p, "source_bit": j, "disagrees_with_position": q})
+    return out
+
+
+def multi_flips(rng, size, rounds):
+    """Random two- and three-bit flips of a window: in each round, one of
+    adjacent offsets, which a run carries as neighbouring source indices, and
+    one anywhere in the window."""
+    for count in (c for c in (2, 3) if c <= size):
+        for _ in range(rounds):
+            t = rng.randrange(size - count + 1)
+            yield list(range(t, t + count))
+            yield rng.sample(range(size), count)
+
+
+def recovery_outcomes(alloc, win, flips, offset_mod, level):
+    bits = win.to_bits()
+    for t in flips:
+        bits[t] ^= 1
+    outcomes = []
+    for recover in (recover_prefix, oracle_recover_prefix):
+        try:
+            outcomes.append(recover(alloc, BitString.from_bits(bits), offset_mod, level))
+        except InconsistentWindowError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
 @pytest.mark.parametrize("counts", [{1: 1, 2: 1, 3: 2}, {2: 3, 3: 1, 4: 2}])
 def test_recover_prefix_agrees_with_copy_loop_oracle(counts):
     alloc = toy(counts)
     top = max(counts)
     length = 4 << top
     omega = spread(alloc, RandomSource(9).bits(sum(counts.values())), length)
+    rng = random.Random(9)
     for m in range(alloc.start_level, top + 1):
         size = 1 << m
         for k in range(length - size + 1):
-            win = omega.window(k, size).to_bits()
-            # the clean window, then each single-bit tamper of it
-            for flip in [None] + list(range(size)):
-                bits = list(win)
-                if flip is not None:
-                    bits[flip] ^= 1
-                outcomes = []
-                for recover in (recover_prefix, oracle_recover_prefix):
-                    try:
-                        outcomes.append(recover(alloc, BitString.from_bits(bits), k % size, m))
-                    except InconsistentWindowError as exc:
-                        outcomes.append(str(exc))
-                assert outcomes[0] == outcomes[1], (m, k, flip)
+            win = omega.window(k, size)
+            # the clean window, each single-bit tamper of it, then multi-bit ones
+            singles = [[t] for t in range(size)]
+            for flips in [[]] + singles + list(multi_flips(rng, size, 3)):
+                got, expected = recovery_outcomes(alloc, win, flips, k % size, m)
+                assert got == expected, (m, k, flips)
+
+
+def test_recover_prefix_multi_flips_agree_with_oracle_on_wide_runs():
+    # level 8 assigns 68 consecutive first terms, so most windows hold runs
+    # many bits wide, and adjacent flips land inside one of them
+    alloc = plan_allocation(inverse_triangular())
+    length = 1 << 11
+    omega, _ = spread_random(alloc, RandomSource(13), length)
+    rng = random.Random(13)
+    errors = 0
+    for m in range(alloc.start_level, 11):
+        size = 1 << m
+        for k in rng.sample(range(length - size + 1), 6):
+            win = omega.window(k, size)
+            for flips in multi_flips(rng, size, 8):
+                got, expected = recovery_outcomes(alloc, win, flips, k % size, m)
+                assert got == expected, (m, k, flips)
+                errors += isinstance(got, str)
+    assert errors > 0
+
+
+@pytest.mark.parametrize("preset", ["inverse-triangular", "geometric:1/3"])
+def test_disagreements_agree_with_per_position_oracle(preset):
+    weights = weight_preset(preset)
+    total = 6001
+    omega, _ = spread_random(plan_allocation(weights), RandomSource(4), total)
+    mapping = oracle_source_map(plan_allocation(weights), 0, total)
+    rng = random.Random(4)
+    for length in (6000, 5000, 4100, 300):
+        # the last, clipped repetition of a run that goes on past the range
+        # end: positions from which source indices climb by one up to `length`
+        clipped = [p for p in range(max(length - 64, 0), length)
+                   if all(mapping[q + 1] == mapping[q] + 1 for q in range(p, length))]
+        assert clipped, length
+        alloc = plan_allocation(weights)
+        assert disagreements(alloc, omega, length) == []
+        for trial in range(24):
+            flips = set(rng.sample(range(total), 1 + trial % 3))
+            if trial % 2:
+                flips |= {rng.choice(clipped), length}
+            if trial % 3 == 0:
+                t = rng.randrange(length - 2)
+                flips |= {t, t + 1, t + 2}
+            bits = omega.to_bits()
+            for p in flips:
+                bits[p] ^= 1
+            tampered = BitString.from_bits(bits)
+            assert disagreements(alloc, tampered, length) \
+                == oracle_disagreements(alloc, tampered, length), (length, sorted(flips))
+    with pytest.raises(ValueError):
+        disagreements(plan_allocation(weights), omega, total + 1)
 
 
 # ---------------------------------------------------------------- export
