@@ -77,26 +77,27 @@ def _run_spread(p: dict, seed) -> tuple:
 def _run_family(p: dict, seed) -> tuple:
     family, cert = forbidden.two_level_family(Fraction(p["alpha"]), _epsilon(p), p["n_min"],
                                               RandomSource(seed))
+    doc = family.to_json()
     return ({"random_length": cert.random_length, "top_length": cert.top_length,
-             "threshold": cert.threshold, "sample_size": cert.sample_size,
-             "family": family.to_json()},
+             "threshold": cert.threshold, "sample_size": cert.sample_size, "family": doc},
             {"miss_bound": frac_to_str(cert.miss_bound),
              "top_cardinality": str(cert.top_cardinality),
              "top_size_bound": str(cert.top_size_bound)},
-            family.to_json())
+            doc)
 
 
 def _run_family_levels(p: dict, seed) -> tuple:
     family = forbidden.random_level_family(Fraction(p["alpha"]), p["lengths"],
                                            RandomSource(seed))
-    return ({"family": family.to_json()},
+    doc = family.to_json()
+    return ({"family": doc},
             {f"size_bound_{n}": str(family.size_bound(n)) for n in p["lengths"]},
-            family.to_json())
+            doc)
 
 
 def _derandomized(family, certificate) -> tuple:
-    return ({"family": family.to_json()}, {"avoid_probability": frac_to_str(certificate)},
-            family.to_json())
+    doc = family.to_json()
+    return {"family": doc}, {"avoid_probability": frac_to_str(certificate)}, doc
 
 
 def _run_family_derandomize(p: dict, seed, dist: FiniteDistribution = None) -> tuple:
@@ -145,10 +146,11 @@ def _check_family_schedule(p: dict, seed, results: dict) -> tuple:
 
 
 def _adversary(dist, family) -> tuple:
-    return ({"N": family.position_count, "family": family.to_json()},
+    doc = family.to_json()
+    return ({"N": family.position_count, "family": doc},
             {"avoid_probability": frac_to_str(family.certificate),
              "deficit": frac_to_str(dist.deficit)},
-            family.to_json())
+            doc)
 
 
 def _run_adversary(p: dict, seed, dist: FiniteDistribution = None) -> tuple:

@@ -1,15 +1,14 @@
 """Random forbidden-substring families with exact certificates.
 
 A family assigns to some lengths a set of forbidden strings: random levels
-are uniform fixed-size subsets of a pool, the deterministic top level is the
-predicate-backed set of "simple" strings (strings whose aligned blocks take
-few distinct values, possibly recursively) together with an exact cardinality
+are uniform fixed-size subsets of the cube of their length, the deterministic
+top level is the predicate-backed set of "simple" strings (strings whose
+aligned blocks take few distinct values) together with an exact cardinality
 certificate.  Hit probabilities over the random draws are exact hypergeometric
 rationals, which also drive derandomization by averaging and the interval
 schedule construction.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -17,7 +16,6 @@ from typing import Callable, Optional
 from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                    RandomSource, binom, frac_to_str, pow2_floor)
 
-ENUMERATION_CAP = 1 << 22
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 
 
@@ -56,44 +54,22 @@ def count_limited_block_strings(pool_size: int, block_count: int, threshold: int
     return sum(binom(pool_size, j) * surjections(block_count, j) for j in range(1, top + 1))
 
 
-def is_chain_simple(numeral: int, length: int, chain) -> bool:
-    """Recursive simplicity: aligned blocks at each chain stage stay within
-    the stage threshold and are themselves simple at the previous stage.
-
-    chain is a tuple of (block_length, threshold), innermost stage first;
-    an empty chain accepts everything.
-    """
-    if not chain:
-        return True
-    block_length, threshold = chain[-1]
+def is_simple(numeral: int, length: int, block_length: int, threshold: int) -> bool:
+    """Whether the aligned blocks of block_length bits of the string take at
+    most `threshold` distinct values."""
     if length % block_length:
         raise ValueError(f"block length {block_length} does not divide {length}")
-    count = length // block_length
     mask = (1 << block_length) - 1
-    blocks = set()
-    for i in range(count):
-        blocks.add((numeral >> ((count - 1 - i) * block_length)) & mask)
-    if len(blocks) > threshold:
-        return False
-    inner = chain[:-1]
-    if not inner:
-        return True
-    return all(is_chain_simple(b, block_length, inner) for b in blocks)
-
-
-def count_chain(chain, length: int) -> int:
-    """Exact cardinality of the recursively simple strings of a length."""
-    if not chain:
-        return 1 << length
-    block_length, threshold = chain[-1]
-    if length % block_length:
-        raise ValueError(f"block length {block_length} does not divide {length}")
-    pool = count_chain(chain[:-1], block_length)
-    return count_limited_block_strings(pool, length // block_length, threshold)
+    blocks = {(numeral >> shift) & mask for shift in range(0, length, block_length)}
+    return len(blocks) <= threshold
 
 
 def count_simple(total_length: int, block_length: int, threshold: int) -> int:
-    return count_chain(((block_length, threshold),), total_length)
+    """Exact number of simple strings of total_length bits."""
+    if total_length % block_length:
+        raise ValueError(f"block length {block_length} does not divide {total_length}")
+    return count_limited_block_strings(1 << block_length, total_length // block_length,
+                                       threshold)
 
 
 def miss_probability_random_set(distinct_count: int, length: int, set_size: int) -> ExactProb:
@@ -107,48 +83,38 @@ def miss_probability_random_set(distinct_count: int, length: int, set_size: int)
     return ExactProb(binom(cube - distinct_count, set_size), binom(cube, set_size))
 
 
-def _floyd_sample(universe: int, size: int, rs: RandomSource) -> set:
-    """Uniform size-`size` subset of range(universe)."""
+def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
+    """Uniformly random set of `size` distinct strings of a length, as
+    numerals, by Floyd's algorithm."""
+    universe = 1 << length
     if size > universe:
         raise PoolTooSmallError(f"cannot sample {size} of {universe}")
     chosen = set()
     for j in range(universe - size, universe):
         t = rs.below(j + 1)
         chosen.add(j if t in chosen else t)
-    return chosen
-
-
-def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
-    """Uniformly random set of `size` distinct strings of a length, as numerals."""
-    return frozenset(_floyd_sample(1 << length, size, rs))
-
-
-def enumerate_chain_pool(chain, length: int, cap: int = ENUMERATION_CAP) -> list:
-    """All recursively simple numerals of a length, ascending.  Enumeration
-    filters the full cube, so the length must stay at desk scale."""
-    if (1 << length) > cap:
-        raise ValueError(f"pool enumeration over 2**{length} strings exceeds the cap")
-    return [v for v in range(1 << length) if is_chain_simple(v, length, chain)]
+    return frozenset(chosen)
 
 
 @dataclass(frozen=True)
 class SampledLevel:
-    """A realized uniform draw from a pool (the full cube, or the recursively
-    simple strings described by pool_chain)."""
+    """A realized uniform draw from the cube of its length."""
 
     length: int
     strings: frozenset  # numerals
-    pool_chain: tuple
-    pool_size: int
 
 
 @dataclass(frozen=True)
 class ImplicitLevel:
-    """Predicate-backed deterministic level with an exact size certificate."""
+    """The simple strings of a length (see is_simple), with their exact count."""
 
     length: int
-    chain: tuple
+    block_length: int
+    threshold: int
     cardinality: int
+
+    def holds(self, numeral: int) -> bool:
+        return is_simple(numeral, self.length, self.block_length, self.threshold)
 
 
 class Scanner:
@@ -211,7 +177,7 @@ class Scanner:
 class LevelFamily:
     """Per-length forbidden sets with certified sizes at most floor(2**(alpha*i))."""
 
-    def __init__(self, alpha, levels, enforce_bounds: bool = True):
+    def __init__(self, alpha, levels):
         alpha = Fraction(alpha)
         if not 0 < alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
@@ -228,7 +194,7 @@ class LevelFamily:
                 size = len(level.strings)
             else:
                 size = level.cardinality
-            if enforce_bounds and size > self.size_bound(level.length):
+            if size > self.size_bound(level.length):
                 raise CertificateError(
                     f"level {level.length} holds {size} strings, bound is "
                     f"{self.size_bound(level.length)}"
@@ -277,38 +243,44 @@ class LevelFamily:
                     "length": length,
                     "kind": "sampled",
                     "strings_hex": [format(v, f"0{digits}x") for v in sorted(level.strings)],
-                    "pool_chain": [list(p) for p in level.pool_chain],
-                    "pool_size": str(level.pool_size),
+                    "pool_chain": [],
+                    "pool_size": str(1 << length),
                 })
             else:
                 entries.append({
                     "length": length,
                     "kind": "implicit",
-                    "chain": [list(p) for p in level.chain],
+                    "chain": [[level.block_length, level.threshold]],
                     "cardinality": str(level.cardinality),
                 })
         return {"alpha": frac_to_str(self.alpha), "levels": entries}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LevelFamily":
-        """Parse a family written by to_json; ValueError on any other shape."""
+        """Parse a family written by to_json; ValueError on any other shape.
+
+        A sampled level draws from the whole cube (an empty pool_chain and a
+        pool_size of 2**length) and an implicit level's chain is one
+        [block_length, threshold] pair: no other pool or chain is read."""
         try:
             levels = []
             for entry in doc["levels"]:
                 length = entry["length"]
                 if entry["kind"] == "sampled":
+                    if entry.get("pool_chain", []) != [] \
+                            or int(entry["pool_size"]) != 1 << length:
+                        raise ValueError(f"level {length} draws from a pool other than "
+                                         f"all strings of its length")
                     levels.append(SampledLevel(
-                        length,
-                        frozenset(int(h, 16) for h in entry["strings_hex"]),
-                        tuple(tuple(p) for p in entry.get("pool_chain", [])),
-                        int(entry["pool_size"]),
-                    ))
+                        length, frozenset(int(h, 16) for h in entry["strings_hex"])))
                 elif entry["kind"] == "implicit":
-                    levels.append(ImplicitLevel(
-                        length,
-                        tuple(tuple(p) for p in entry["chain"]),
-                        int(entry["cardinality"]),
-                    ))
+                    chain = entry["chain"]
+                    if len(chain) != 1 or len(chain[0]) != 2:
+                        raise ValueError(f"level {length} needs a chain of one "
+                                         f"[block_length, threshold] pair")
+                    (block_length, threshold), = chain
+                    levels.append(ImplicitLevel(length, block_length, threshold,
+                                                int(entry["cardinality"])))
                 else:
                     raise ValueError(f"unknown level kind {entry['kind']!r}")
             return cls(Fraction(doc["alpha"]), levels)
@@ -363,7 +335,7 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
     while (top := _simple_top(alpha, n, top_length)) is None:
         top_length += n
     strings = sample_uniform_set(n, size, rs)
-    family = LevelFamily(alpha, [SampledLevel(n, strings, (), 1 << n), top])
+    family = LevelFamily(alpha, [SampledLevel(n, strings), top])
     certificate = TwoLevelCertificate(n, top_length, threshold, size, miss_bound,
                                       Fraction(epsilon), top.cardinality,
                                       pow2_floor(alpha * top_length))
@@ -377,127 +349,14 @@ def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
     levels = []
     for n in lengths:
         strings = sample_uniform_set(n, pow2_floor(alpha * n), rs.substream(n))
-        levels.append(SampledLevel(n, strings, (), 1 << n))
+        levels.append(SampledLevel(n, strings))
     return LevelFamily(alpha, levels)
-
-
-@dataclass(frozen=True)
-class LayeredParams:
-    """Shape of a multi-level family: strictly increasing lengths forming a
-    divisibility chain, with a distinctness threshold per sampled level."""
-
-    alpha: Fraction
-    lengths: tuple
-    thresholds: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        lengths = tuple(self.lengths)
-        thresholds = tuple(self.thresholds)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "thresholds", thresholds)
-        stages = len(lengths) - 1
-        if stages < 1:
-            raise ValueError("need at least two lengths")
-        if len(thresholds) != stages:
-            raise ValueError("need one threshold per sampled level")
-        if self.alpha <= Fraction(1, stages + 1):
-            raise ValueError(f"{stages + 1} levels need alpha > 1/{stages + 1}")
-        for a, b in zip(lengths, lengths[1:]):
-            if a >= b or b % a:
-                raise ValueError("lengths must increase and form a divisibility chain")
-
-    @classmethod
-    def with_default_thresholds(cls, alpha, lengths) -> "LayeredParams":
-        """Thresholds 2**ceil(length * (t + 1 - j) / (t + 1)) for stage j,
-        matching 2**ceil(n/2) in the two-level case."""
-        lengths = tuple(lengths)
-        stages = len(lengths) - 1
-        thresholds = tuple(
-            1 << math.ceil(Fraction(lengths[j] * (stages + 1 - (j + 1)), stages + 1))
-            for j in range(stages)
-        )
-        return cls(Fraction(alpha), lengths, thresholds)
-
-
-@dataclass(frozen=True)
-class MultiLevelCertificate:
-    lengths: tuple
-    thresholds: tuple
-    sample_sizes: tuple
-    pool_sizes: tuple
-    top_cardinality: int
-    top_size_bound: int
-
-
-def multi_level_family(params: LayeredParams, rs: RandomSource,
-                       require_top_bound: bool = True):
-    """Layered family: stage j samples from the strings that are recursively
-    simple through the previous stages; the top level is the implicit set of
-    fully recursively simple strings with its exact count."""
-    alpha = params.alpha
-    lengths, thresholds = params.lengths, params.thresholds
-    levels = []
-    sizes, pools = [], []
-    for j, length in enumerate(lengths[:-1]):
-        chain = tuple((lengths[i], thresholds[i]) for i in range(j))
-        size = pow2_floor(alpha * length)
-        if j == 0:
-            pool_size = 1 << length
-            strings = sample_uniform_set(length, size, rs)
-        else:
-            pool = enumerate_chain_pool(chain, length)
-            pool_size = len(pool)
-            if size > pool_size:
-                raise PoolTooSmallError(
-                    f"stage {j} wants {size} strings but the simple pool holds {pool_size}"
-                )
-            picks = _floyd_sample(pool_size, size, rs)
-            strings = frozenset(pool[i] for i in picks)
-        levels.append(SampledLevel(length, strings, chain, pool_size))
-        sizes.append(size)
-        pools.append(pool_size)
-    top_chain = tuple(zip(lengths[:-1], thresholds))
-    cardinality = count_chain(top_chain, lengths[-1])
-    top_bound = pow2_floor(alpha * lengths[-1])
-    if require_top_bound and cardinality > top_bound:
-        raise CertificateError(
-            f"top level holds {cardinality} strings, bound is {top_bound}; enlarge the top length"
-        )
-    levels.append(ImplicitLevel(lengths[-1], top_chain, cardinality))
-    family = LevelFamily(alpha, levels, enforce_bounds=require_top_bound)
-    certificate = MultiLevelCertificate(lengths, thresholds, tuple(sizes), tuple(pools),
-                                        cardinality, top_bound)
-    return family, certificate
-
-
-def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
-    """Exact probability, over the family's random draws, that some level
-    intersects the substrings of x.  Deterministic top membership gives 1;
-    otherwise the sampled levels miss independently with hypergeometric
-    probabilities driven by x's distinct in-pool substring counts."""
-    if len(x) != family.string_length:
-        raise ValueError(f"string length {len(x)} does not match family top "
-                         f"{family.string_length}")
-    top = family.implicit_top()
-    if top is not None and is_chain_simple(x.to_numeral(), len(x), top.chain):
-        return ExactProb(1)
-    miss = Fraction(1)
-    for level in family.sampled_levels():
-        windows = set(x.numeral_windows(level.length))
-        if level.pool_chain:
-            windows = {w for w in windows
-                       if is_chain_simple(w, level.length, level.pool_chain)}
-        # the draw only ever contains pool members, so only in-pool windows count
-        miss *= Fraction(binom(level.pool_size - len(windows), len(level.strings)),
-                         binom(level.pool_size, len(level.strings)))
-    return ExactProb(1 - miss)
 
 
 def family_avoids(x: BitString, family: LevelFamily) -> bool:
     """True when no realized level of the family occurs as a substring of x."""
     top = family.implicit_top()
-    if top is not None and is_chain_simple(x.to_numeral(), len(x), top.chain):
+    if top is not None and top.holds(x.to_numeral()):
         return False
     return next(family.scanner().occurrences(x.to_text().encode()), None) is None
 
@@ -521,7 +380,7 @@ def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLeve
     if n_total % ln == 0:
         cardinality = count_simple(n_total, ln, threshold)
         if cardinality <= pow2_floor(alpha * n_total):
-            return ImplicitLevel(n_total, ((ln, threshold),), cardinality)
+            return ImplicitLevel(n_total, ln, threshold, cardinality)
     return None
 
 
@@ -541,7 +400,7 @@ def _averaged_bound(dist: FiniteDistribution, ln: int, size: int,
     # weights are summed first and each miss probability is used once
     by_count = {}
     for x, weight in dist.weights():
-        if top is not None and is_chain_simple(x.to_numeral(), dist.string_length, top.chain):
+        if top is not None and top.holds(x.to_numeral()):
             continue
         d = distinct_substrings(x, ln)
         by_count[d] = by_count.get(d, 0) + weight
@@ -570,8 +429,8 @@ def _bound_fails_for_all(alpha: Fraction, ln: int, n_total: int, epsilon) -> boo
 def _drawn_family(alpha: Fraction, ln: int, strings, top, n_total: int) -> LevelFamily:
     # an empty top keeps the family's string length pinned to the dist length
     return LevelFamily(alpha, [
-        SampledLevel(ln, frozenset(strings), (), 1 << ln),
-        top if top is not None else SampledLevel(n_total, frozenset(), (), 1 << n_total),
+        SampledLevel(ln, frozenset(strings)),
+        top if top is not None else SampledLevel(n_total, frozenset()),
     ])
 
 

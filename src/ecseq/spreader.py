@@ -215,19 +215,19 @@ class Allocation:
             self._pool_total = 2 * remaining
         return True
 
-    def _grow_cap(self, need: int, exact: int = None):
-        new_cap = exact if exact is not None else 1 << max(need.bit_length() + 1, self.start_level)
-        if new_cap < need:
-            raise ValueError("cap below requested horizon")
+    def _set_cap(self, cap: int):
+        """Move the cap and rebuild the levels built so far below it."""
         built = len(self._levels)
-        self._cap = new_cap
+        self._cap = cap
         self._reset()
         for _ in range(built):
             self._build_next()
 
     def ensure_cap(self, need: int):
+        """Grow the cap to the least power of two, and at least 2**start_level,
+        that holds need positions."""
         if need > self._cap:
-            self._grow_cap(need)
+            self._set_cap(1 << max((need - 1).bit_length(), self.start_level))
 
     def ensure_level(self, level: int):
         if level > self.max_level:
@@ -357,7 +357,7 @@ class Allocation:
                 raise ValueError("allocation export lists no levels")
             alloc = cls(doc["start_level"], doc["max_level"],
                         lambda m: counts.get(m, 0))
-            alloc._grow_cap(doc["cap"], exact=doc["cap"])
+            alloc._set_cap(doc["cap"])
             alloc.ensure_level(max(counts))
             if len(doc["levels"]) != alloc.levels_built():
                 raise CertificateError("allocation export inconsistent: level list length")

@@ -10,7 +10,7 @@ from typing import Optional
 
 from ecseq.core import BitString, ExactProb, FiniteDistribution, frac_to_str
 from ecseq.forbidden import (LevelFamily, SampledLevel, distinct_substrings, family_avoids,
-                             is_chain_simple, miss_probability_random_set)
+                             miss_probability_random_set)
 from ecseq.spreader import Allocation
 
 
@@ -36,7 +36,32 @@ def membership(family: LevelFamily, length: int, numeral: int) -> bool:
         return False
     if isinstance(level, SampledLevel):
         return numeral in level.strings
-    return is_chain_simple(numeral, length, level.chain)
+    return level.holds(numeral)
+
+
+def text_slice_simple(text: str, block_length: int, threshold: int) -> bool:
+    """Whether the aligned blocks of a '0'/'1' text, read as slices, take at
+    most `threshold` distinct values."""
+    return len({text[i:i + block_length]
+                for i in range(0, len(text), block_length)}) <= threshold
+
+
+def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
+    """Exact probability, over the family's random draws, that some level
+    meets the substrings of x: 1 when the simple top holds x, otherwise one
+    less the product of the sampled levels' hypergeometric miss probabilities,
+    which depend only on x's distinct window counts."""
+    if len(x) != family.string_length:
+        raise ValueError(f"string length {len(x)} does not match family top "
+                         f"{family.string_length}")
+    top = family.implicit_top()
+    if top is not None and top.holds(x.to_numeral()):
+        return ExactProb(1)
+    miss = Fraction(1)
+    for level in family.sampled_levels():
+        miss *= Fraction(miss_probability_random_set(distinct_substrings(x, level.length),
+                                                     level.length, len(level.strings)))
+    return ExactProb(1 - miss)
 
 
 def oracle_source_map(alloc: Allocation, start: int, length: int) -> list:
@@ -136,7 +161,7 @@ def averaged_bound_per_string(dist: FiniteDistribution, ln: int, size: int, top)
     of `size` strings of length ln."""
     total = Fraction(dist.deficit)
     for x, mass in dist.items():
-        if top is None or not is_chain_simple(x.to_numeral(), len(x), top.chain):
+        if top is None or not top.holds(x.to_numeral()):
             total += mass * miss_probability_random_set(distinct_substrings(x, ln), ln, size)
     return total
 

@@ -12,8 +12,7 @@ from ecseq.avoider import AvoidanceInstance, build_avoiding_string, scan_violati
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         binom, pow2_floor)
 from ecseq.forbidden import (LevelFamily, SampledLevel, count_simple,
-                             distinct_substrings, hit_probability,
-                             interval_schedule, is_chain_simple,
+                             distinct_substrings, interval_schedule, is_simple,
                              miss_probability_random_set, sample_uniform_set,
                              two_level_family)
 from ecseq.proxy import compress_bits, compress_size, decompress_bits
@@ -21,7 +20,8 @@ from ecseq.spreader import (boost_tail, choose_start_level, inverse_triangular,
                             plan_allocation, recover_prefix, spread_random,
                             zero_series)
 
-from oracles import average_avoid_probability, brute_force_avoider, scaled_to_deficit
+from oracles import (average_avoid_probability, brute_force_avoider, hit_probability,
+                     scaled_to_deficit)
 
 
 def _report(number, ok, detail):
@@ -109,7 +109,7 @@ def test_criterion_4_miss_probability_and_count_simple():
     sigma = (trials * 0.25) ** 0.5  # sqrt(n p (1-p)) at p = 1/2
     mc_ok = abs(misses - trials * 0.5) <= 3 * sigma
 
-    brute = sum(1 for v in range(64) if is_chain_simple(v, 6, ((2, 2),)))
+    brute = sum(1 for v in range(64) if is_simple(v, 6, 2, 2))
     cs_ok = count_simple(6, 2, 2) == brute == 40
 
     _report(4, ok and mc_ok and cs_ok,
@@ -150,7 +150,7 @@ def test_criterion_5_two_level_dichotomy():
     cache = {}
     for x in samples + structured:
         hit = hit_probability(x, family)
-        if is_chain_simple(x.to_numeral(), N, ((n, t),)):
+        if is_simple(x.to_numeral(), N, n, t):
             if hit != 1:
                 bad += 1
             continue
@@ -217,7 +217,7 @@ def _acceptance_avoider_family():
     for n in range(8, 13):
         size = pow2_floor(Fraction(3, 10) * n)
         strings = sample_uniform_set(n, size, master.substream(n))
-        levels.append(SampledLevel(n, strings, (), 1 << n))
+        levels.append(SampledLevel(n, strings))
     return LevelFamily(Fraction(3, 10), levels)
 
 

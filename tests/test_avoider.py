@@ -14,7 +14,7 @@ def bs(text):
 
 
 def explicit_family(alpha, sets):
-    levels = [SampledLevel(n, frozenset(bs(t).to_numeral() for t in texts), (), 1 << n)
+    levels = [SampledLevel(n, frozenset(bs(t).to_numeral() for t in texts))
               for n, texts in sets.items()]
     return LevelFamily(Fraction(alpha), levels)
 
@@ -116,10 +116,12 @@ def test_unsatisfiable_exhausts_budget():
 def test_density_guard_rejects_oversized_level():
     from ecseq.core import CertificateError
     from ecseq.forbidden import LevelFamily, SampledLevel
-    oversized = [SampledLevel(2, frozenset({0, 1, 2}), (), 4)]
+    oversized = SampledLevel(2, frozenset({0, 1, 2}))
     with pytest.raises(CertificateError):
-        LevelFamily(Fraction(1, 2), oversized)
-    family = LevelFamily(Fraction(1, 2), oversized, enforce_bounds=False)
+        LevelFamily(Fraction(1, 2), [oversized])
+    # a family cannot be built oversized, so the level is swapped in afterwards
+    family = LevelFamily(Fraction(1, 2), [SampledLevel(2, frozenset({0}))])
+    family.levels[2] = oversized
     with pytest.raises(ValueError):
         AvoidanceInstance(family, 10, 10, RandomSource(0))
 

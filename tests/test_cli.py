@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -374,6 +375,19 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
      ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"]),
     (None, ["spread", "--length", "-1", "--out", "{dir}/x.bits"]),
     (None, ["spread", "--length", "64", "--m0", "-1", "--out", "{dir}/x.bits"]),
+    # a family whose pool or chain is not the one stage every command writes
+    ({"alpha": "1/1", "levels": [{"length": 4, "kind": "implicit", "chain": [[2, 1], [4, 1]],
+                                  "cardinality": "4"}]},
+     ["avoid", "--family", "{doc}", "--length", "10"]),
+    ({"alpha": "1/1", "levels": [{"length": 4, "kind": "implicit", "chain": [],
+                                  "cardinality": "4"}]},
+     ["avoid", "--family", "{doc}", "--length", "10"]),
+    ({"alpha": "1/1", "levels": [{"length": 3, "kind": "sampled", "strings_hex": ["0"],
+                                  "pool_chain": [[2, 1]], "pool_size": "8"}]},
+     ["avoid", "--family", "{doc}", "--length", "10"]),
+    ({"alpha": "1/1", "levels": [{"length": 3, "kind": "sampled", "strings_hex": ["0"],
+                                  "pool_chain": [], "pool_size": "4"}]},
+     ["avoid", "--family", "{doc}", "--length", "10"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -387,6 +401,76 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv)
     for flag, value in zip(argv, argv[1:]):
         if value.startswith("-") and value[1:].isdigit():
             assert flag in err, err
+
+
+# (level kind, key, change) for each family shape no command writes
+FAMILY_TAMPERINGS = [("implicit", "chain", lambda chain: chain + chain),
+                     ("implicit", "chain", lambda chain: []),
+                     ("sampled", "pool_chain", lambda chain: [[2, 1]]),
+                     ("sampled", "pool_size", lambda size: str(2 * int(size)))]
+
+
+@pytest.mark.parametrize("level_kind, key, change", FAMILY_TAMPERINGS)
+def test_a_report_with_another_pool_or_chain_fails_verify(reports, tmp_path, level_kind, key,
+                                                          change):
+    tampered = 0
+    for kind, section in (("family", "results"), ("family-derandomize", "results"),
+                          ("avoid", "parameters")):
+        doc = read_json(reports[kind])
+        level = next((lv for lv in doc[section]["family"]["levels"]
+                      if lv["kind"] == level_kind), None)
+        if level is not None:
+            level[key] = change(level[key])
+            assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED, kind
+            tampered += 1
+    assert tampered >= 1
+
+
+# SHA-256 of the family file each form of `family` writes, and of its report's
+# results and certificates, as written before the layered family was dropped
+FAMILY_FORMS = {
+    "two-level": (["--alpha", "3/5", "--epsilon", "1/4", "--n-min", "8", "--seed", "3"],
+                  "fb54bdaaa828c367b3f2462c0809a6c50a535403403c9686e77cb37996d05bd9",
+                  "8e3a61dd0f0a316038f2f5a10bc4b231b3d295941a35532004fb78d0678425a1"),
+    "levels": (["--alpha", "3/10", "--levels", "8,9,10,11,12", "--seed", "42"],
+               "a81c5e1b9c639453aa5fdcb11a0161ebf63c22ca4ca76a7d28a80ab5b6074957",
+               "b9463baad9ae9565153106d095fc56d6b3c632134948fd3a1abdedc9377ba579"),
+    "schedule": (["--alpha", "9/10", "--schedule", "2", "--seed", "11"],
+                 "e83e2c50d239ddd4dd62bb9d269792e4b495f5564ea178f98cb12d3126bdbfcb",
+                 "5ee7cebda4337a16d85e3d64108cbb2e50c7078b0b2df0f957a0fbd7e823adb6"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(FAMILY_FORMS))
+def test_family_files_and_reports_keep_their_digests(tmp_path, form):
+    argv, family_sha256, sections_sha256 = FAMILY_FORMS[form]
+    out, report = tmp_path / "family.json", tmp_path / "family.report.json"
+    assert run("family", *argv, "--out", str(out), "--report", str(report)) == cli.EXIT_OK
+    doc = read_json(report)
+    sections = json.dumps({key: doc[key] for key in ("results", "certificates")},
+                          sort_keys=True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == family_sha256
+    assert hashlib.sha256(sections.encode()).hexdigest() == sections_sha256
+
+
+def test_check_windows_reads_an_allocation_with_a_larger_cap(tmp_path, capsys):
+    # allocations written with a cap four times the horizon still load and check alike
+    bits, alloc = tmp_path / "omega.bits", tmp_path / "alloc.json"
+    assert run("spread", "--length", "16384", "--seed", "3", "--out", str(bits),
+               "--alloc-out", str(alloc)) == cli.EXIT_OK
+    assert read_json(alloc)["cap"] == 1 << 14
+    wide = spreader.plan_allocation(spreader.inverse_triangular())
+    wide._set_cap(1 << 16)
+    wide.ensure_horizon(16384)
+    wide_alloc = tmp_path / "wide.json"
+    wide_alloc.write_text(json.dumps(wide.export()))
+    capsys.readouterr()
+    lines = []
+    for path in (alloc, wide_alloc):
+        assert run("check-windows", "--bits", str(bits), "--alloc", str(path),
+                   "--m-max", "12", "--samples", "8") == cli.EXIT_OK
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] == "check-windows: all windows pass up to level 12\n"
 
 
 def test_check_windows_names_the_highest_level_checked(tmp_path, spread_run, capsys):

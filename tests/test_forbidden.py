@@ -5,18 +5,15 @@ import pytest
 
 from ecseq.core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                         RandomSource, binom, pow2_floor)
-from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LayeredParams,
-                             LevelFamily, PoolTooSmallError, SampledLevel,
-                             count_chain, count_limited_block_strings, count_simple,
-                             derandomize_family, distinct_substrings,
-                             enumerate_chain_pool, family_avoid_probability,
-                             family_avoids, hit_probability, interval_schedule,
-                             is_chain_simple, miss_probability_random_set,
-                             multi_level_family, sample_uniform_set, surjections,
-                             two_level_family, _averaged_bound)
+from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
+                             PoolTooSmallError, SampledLevel, count_limited_block_strings,
+                             count_simple, derandomize_family, distinct_substrings,
+                             family_avoid_probability, family_avoids, interval_schedule,
+                             is_simple, miss_probability_random_set, sample_uniform_set,
+                             surjections, two_level_family, _averaged_bound)
 
-from oracles import (averaged_bound_per_string, family_avoid_per_string, membership,
-                     point_mass)
+from oracles import (averaged_bound_per_string, family_avoid_per_string, hit_probability,
+                     membership, point_mass, text_slice_simple)
 
 
 def bs(text):
@@ -118,11 +115,26 @@ def test_miss_probability_monotone_grid():
 # ---------------------------------------------------------------- simple strings
 
 def test_is_simple_examples():
-    assert is_chain_simple(bs("010101").to_numeral(), 6, ((2, 2),))
-    assert not is_chain_simple(bs("000110").to_numeral(), 6, ((2, 1),))
-    assert sum(1 for v in range(64) if is_chain_simple(v, 6, ((2, 2),))) == 40
+    assert is_simple(bs("010101").to_numeral(), 6, 2, 2)
+    assert not is_simple(bs("000110").to_numeral(), 6, 2, 1)
+    assert sum(1 for v in range(64) if is_simple(v, 6, 2, 2)) == 40
     with pytest.raises(ValueError):
-        is_chain_simple(bs("00011").to_numeral(), 5, ((2, 1),))
+        is_simple(bs("00011").to_numeral(), 5, 2, 1)
+    with pytest.raises(ValueError):
+        count_simple(5, 2, 1)
+
+
+def test_is_simple_and_count_simple_match_the_text_slice_oracle():
+    for length in range(1, 13):
+        texts = [format(v, f"0{length}b") for v in range(1 << length)]
+        for block_length in (b for b in range(1, length + 1) if length % b == 0):
+            for threshold in range(1, length // block_length + 1):
+                count = 0
+                for v, text in enumerate(texts):
+                    simple = text_slice_simple(text, block_length, threshold)
+                    assert is_simple(v, length, block_length, threshold) == simple
+                    count += simple
+                assert count_simple(length, block_length, threshold) == count
 
 
 def test_count_simple_examples():
@@ -189,7 +201,7 @@ def test_two_level_dichotomy_local():
     samples.append(bs("01" * (N // 2)))
     for x in samples:
         hit = hit_probability(x, family)
-        if is_chain_simple(x.to_numeral(), N, ((n, t),)):
+        if is_simple(x.to_numeral(), N, n, t):
             assert hit == 1
         else:
             d = distinct_substrings(x, n)
@@ -212,15 +224,15 @@ def test_two_level_alpha_guard():
 
 def small_family():
     # sampled pair from the 2-cube, top = length-4 strings with equal halves
-    level = SampledLevel(2, frozenset({0b00, 0b11}), (), 4)
-    top = ImplicitLevel(4, ((2, 1),), count_simple(4, 2, 1))
+    level = SampledLevel(2, frozenset({0b00, 0b11}))
+    top = ImplicitLevel(4, 2, 1, count_simple(4, 2, 1))
     return LevelFamily(Fraction(9, 10), [level, top])
 
 
 def test_hit_probability_formula_case():
     family = small_family()
     x = bs("0001")  # windows {00, 01}, not simple at threshold 1
-    assert not is_chain_simple(x.to_numeral(), 4, ((2, 1),))
+    assert not is_simple(x.to_numeral(), 4, 2, 1)
     assert hit_probability(x, family) == 1 - Fraction(1, 6)  # miss C(2,2)/C(4,2)
 
 
@@ -243,72 +255,24 @@ def test_hit_probability_length_guard():
         hit_probability(bs("000"), small_family())
 
 
-# ---------------------------------------------------------------- multi-level
-
-def test_multi_level_count_matches_brute_force():
-    chain = ((2, 1), (4, 2))
-    brute = [v for v in range(1 << 8) if is_chain_simple(v, 8, chain)]
-    assert count_chain(chain, 8) == len(brute) == 16
-    assert enumerate_chain_pool(chain, 8) == brute
-
-
-def test_multi_level_reduces_to_two_level_shape():
-    # a single stage draws exactly like the two-level construction
-    _, cert = toy_two_level(seed=3)
-    params = LayeredParams(ALPHA, (cert.random_length, cert.top_length),
-                           (cert.threshold,))
-    family, multi_cert = multi_level_family(params, RandomSource(3))
-    two_family, _ = toy_two_level(seed=3)
-    assert family.levels[cert.random_length].strings == \
-        two_family.levels[cert.random_length].strings
-    assert multi_cert.top_cardinality == cert.top_cardinality
-
-
-def test_multi_level_three_layers_well_typed():
-    params = LayeredParams(Fraction(2, 5), (2, 8, 88), (2, 3))
-    family, cert = multi_level_family(params, RandomSource(5))
-    mid = family.levels[8]
-    assert mid.pool_size == count_chain(((2, 2),), 8) == 88
-    assert len(mid.strings) == pow2_floor(Fraction(2, 5) * 8) == 9
-    for v in mid.strings:
-        assert is_chain_simple(v, 8, ((2, 2),))
-    assert cert.top_cardinality <= cert.top_size_bound
-    # top membership agrees with the recursive predicate
-    top = family.levels[88]
-    assert top.cardinality == count_chain(top.chain, 88)
-
-
-def test_multi_level_toy_top_bound_relaxation():
-    params = LayeredParams(Fraction(2, 5), (2, 4, 8), (1, 2))
-    with pytest.raises(CertificateError):
-        multi_level_family(params, RandomSource(1))
-    family, cert = multi_level_family(params, RandomSource(1), require_top_bound=False)
-    assert cert.top_cardinality == 16
-    assert family.levels[8].cardinality == 16
-
-
-def test_multi_level_pool_too_small():
-    params = LayeredParams(Fraction(2, 5), (2, 6, 12), (1, 2))
-    with pytest.raises(PoolTooSmallError):
-        multi_level_family(params, RandomSource(1))
-
-
-def test_layered_params_validation():
-    with pytest.raises(ValueError):
-        LayeredParams(Fraction(1, 3), (2, 4, 8), (1, 2))  # alpha too small
-    with pytest.raises(ValueError):
-        LayeredParams(Fraction(2, 5), (2, 5, 10), (1, 2))  # divisibility
-    params = LayeredParams.with_default_thresholds(Fraction(3, 5), (4, 8))
-    assert params.thresholds == (1 << 2,)  # 2**ceil(4/2)
-
-
 # ---------------------------------------------------------------- size bounds
 
 def test_level_family_size_bound_enforced():
     with pytest.raises(CertificateError):
-        LevelFamily(Fraction(1, 2), [SampledLevel(2, frozenset({0, 1, 2}), (), 4)])
-    family = LevelFamily(Fraction(1, 2), [SampledLevel(4, frozenset({0, 1, 2, 3}), (), 16)])
+        LevelFamily(Fraction(1, 2), [SampledLevel(2, frozenset({0, 1, 2}))])
+    family = LevelFamily(Fraction(1, 2), [SampledLevel(4, frozenset({0, 1, 2, 3}))])
     assert family.size_bound(4) == 4
+
+
+@pytest.mark.parametrize("index, key, value", [
+    (1, "chain", [[2, 2], [4, 2]]), (1, "chain", []), (1, "chain", [[2, 2, 2]]),
+    (0, "pool_chain", [[2, 1]]), (0, "pool_size", "8")])
+def test_level_family_json_reads_only_the_full_cube_and_one_stage(index, key, value):
+    doc = toy_two_level()[0].to_json()
+    assert LevelFamily.from_json(doc).to_json() == doc
+    doc["levels"][index][key] = value
+    with pytest.raises(ValueError, match="pool|chain"):
+        LevelFamily.from_json(doc)
 
 
 def test_level_family_json_round_trip():
@@ -396,11 +360,11 @@ def test_integer_sums_agree_with_per_string_fraction_sums():
         top = None
         if trial % 3 and length % ln == 0:
             threshold = 1 << ((ln + 1) // 2)
-            top = ImplicitLevel(length, ((ln, threshold),), count_simple(length, ln, threshold))
+            top = ImplicitLevel(length, ln, threshold, count_simple(length, ln, threshold))
             tops += 1
         family = LevelFamily(Fraction(1), [
-            SampledLevel(ln, strings, (), 1 << ln),
-            top or SampledLevel(length, frozenset(), (), 1 << length)], enforce_bounds=False)
+            SampledLevel(ln, strings),
+            top or SampledLevel(length, frozenset())])
         assert family_avoid_probability(dist, family) == family_avoid_per_string(dist, family)
         assert _averaged_bound(dist, ln, size, top) == \
             averaged_bound_per_string(dist, ln, size, top)
