@@ -426,6 +426,56 @@ def disagreements(alloc: Allocation, bits: BitString, length: int) -> list:
                    for j, p, q in found), key=lambda v: v["position"])
 
 
+def coverage_faults(alloc: Allocation, length: int, top_level: int) -> list:
+    """Check, without visiting the windows one by one, that every window
+    [k, k + 2**m) inside [0, length), for each level m up to top_level,
+    carries every source index placed at the levels up to m, and each one of
+    level m exactly once.  That holds when:
+
+    - each level's source indices start where the previous level's end;
+    - a level m <= top_level has exactly count(m) first terms, all in
+      [0, 2**m);
+    - the progressions of all built levels cover every position of
+      [0, length) exactly once.
+
+    Then such a window holds each progression of a level m' <= m exactly
+    2**(m - m') times, wherever it starts.  Returns a fault for each level
+    and fact that fails, so [] proves coverage."""
+    alloc.ensure_level(top_level)
+    faults, base = [], 0
+    for lv in alloc._levels:
+        if lv.source_base != base:
+            faults.append({"m": lv.level, "source_base": lv.source_base, "expected": base})
+        base = lv.source_base + lv.count
+        if lv.level > top_level:
+            continue
+        step = 1 << lv.level
+        outside = [[lo, hi] for lo, hi in lv.assigned.pairs() if lo < 0 or hi > step]
+        if outside:
+            faults.append({"m": lv.level, "first_terms_outside_step": outside[:8]})
+        if lv.assigned.total != lv.count:
+            faults.append({"m": lv.level, "count": lv.count,
+                           "first_terms": lv.assigned.total})
+    # one mark per covered position, with room for a clipped last repetition to
+    # spill past the end: every position is covered exactly once when all are
+    # marked and the covered widths sum to the length
+    runs = list(alloc._covered_runs(0, length))
+    marks = bytearray(length + max((width for *_, width in runs), default=0))
+    widths = 0
+    for offset, step, _, width in runs:
+        row = b"\1" * width
+        starts = range(offset, length, step)
+        for a in starts:
+            marks[a:a + width] = row
+        widths += len(starts) * width - max(starts[-1] + width - length, 0)
+    uncovered = marks.count(0, 0, length)
+    if uncovered or widths != length:
+        faults.append({"positions": length, "uncovered": uncovered,
+                       "first_uncovered": marks.find(0, 0, length) if uncovered else None,
+                       "covered_again": widths - (length - uncovered)})
+    return faults
+
+
 def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: int) -> BitString:
     """Reconstruct the source prefix carried by a window of length 2**level.
 

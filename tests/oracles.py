@@ -5,6 +5,7 @@ library computes another way, so a test can compare the two.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -64,26 +65,54 @@ def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
     return ExactProb(1 - miss)
 
 
+def _residue_source(records: list, p: int) -> Optional[int]:
+    """The per-level residue loop: position p sits on the first level whose
+    assigned first terms hold p mod 2**level, at the rank of that first term;
+    None when no level holds it."""
+    for level, _, base, pairs in records:
+        r, rank = p % (1 << level), 0
+        for lo, hi in pairs:
+            if lo <= r < hi:
+                return base + rank + r - lo
+            rank += hi - lo
+    return None
+
+
 def oracle_source_map(alloc: Allocation, start: int, length: int) -> list:
-    """The per-level residue loop: position p sits on the level whose assigned
-    first terms hold p mod 2**level, at the rank of that first term."""
+    """Source indices of [start, start + length) by the residue loop."""
     alloc.ensure_horizon(start + length)
     records = alloc.level_records()
     out = []
     for p in range(start, start + length):
-        for level, _, base, pairs in records:
-            r, rank = p % (1 << level), 0
-            for lo, hi in pairs:
-                if lo <= r < hi:
-                    break
-                rank += hi - lo
-            else:
-                continue
-            out.append(base + rank + r - lo)
-            break
-        else:
+        index = _residue_source(records, p)
+        if index is None:
             raise AssertionError(f"position {p} not covered")
+        out.append(index)
     return out
+
+
+def oracle_window_tally(alloc: Allocation, usable: int, top: int) -> list:
+    """Tally the source indices of every window [k, k + 2**m) inside
+    [0, usable), for each level m from the start level to top: every index
+    placed at levels up to m must occur, and each one of level m exactly
+    once.  Positions come from the residue loop, and one that no level holds
+    tallies as -1.  Returns a violation per failing window."""
+    records = alloc.level_records()
+    mapping = [_residue_source(records, p) for p in range(usable)]
+    mapping = [-1 if index is None else index for index in mapping]
+    violations = []
+    for m in range(alloc.start_level, top + 1):
+        size = 1 << m
+        top_count = alloc.source_count_through(m)
+        base_count = top_count - alloc.counts()[m]
+        for k in range(usable - size + 1):
+            tally = Counter(mapping[k:k + size])
+            missing = [j for j in range(top_count) if j not in tally]
+            doubled = [j for j in range(base_count, top_count) if tally[j] != 1]
+            if missing or doubled:
+                violations.append({"k": k, "m": m, "missing": missing[:8],
+                                   "not_exactly_once": doubled[:8]})
+    return violations
 
 
 def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:

@@ -347,6 +347,9 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
         assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED, kind
 
 
+UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
+
+
 @pytest.mark.parametrize("document, argv", [
     ({"alpha": "1/2"}, ["avoid", "--family", "{doc}", "--length", "10"]),
     ({"length": 2, "masses": ["00"]}, ["adversary", "--dist", "{doc}", "--n", "1",
@@ -388,6 +391,13 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
     ({"alpha": "1/1", "levels": [{"length": 3, "kind": "sampled", "strings_hex": ["0"],
                                   "pool_chain": [], "pool_size": "4"}]},
      ["avoid", "--family", "{doc}", "--length", "10"]),
+    # conflicting family modes, and a level length with nothing to derandomize
+    (None, ["family", "--alpha", "3/5", "--schedule", "1", "--levels", "8"]),
+    (None, ["family", "--alpha", "3/10", "--levels", "8", "--derandomize",
+            "{dir}/nofile.json"]),
+    (UNIFORM_2, ["family", "--alpha", "3/5", "--schedule", "1", "--derandomize", "{doc}"]),
+    (None, ["family", "--alpha", "3/5", "--level-length", "8"]),
+    (None, ["family", "--alpha", "3/10", "--levels", "8", "--level-length", "8"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -470,7 +480,18 @@ def test_check_windows_reads_an_allocation_with_a_larger_cap(tmp_path, capsys):
         assert run("check-windows", "--bits", str(bits), "--alloc", str(path),
                    "--m-max", "12", "--samples", "8") == cli.EXIT_OK
         lines.append(capsys.readouterr().out)
-    assert lines[0] == lines[1] == "check-windows: all windows pass up to level 12\n"
+    assert lines[0] == lines[1] == ("check-windows: coverage proved for every window of "
+                                    "[0, 16384) at levels 8..12; all windows pass up to level 12\n")
+
+
+def test_check_windows_proves_coverage_without_a_source_map(spread_run, monkeypatch):
+    def no_source_map(*args):
+        raise AssertionError("check-windows built a per-position source map")
+
+    monkeypatch.setattr(spreader.Allocation, "source_map", no_source_map)
+    bits, alloc, _ = spread_run
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
+               "--m-max", "13", "--samples", "20") == cli.EXIT_OK
 
 
 def test_check_windows_names_the_highest_level_checked(tmp_path, spread_run, capsys):

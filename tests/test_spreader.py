@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ecseq.core import BitString, CertificateError, RandomSource
-from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError,
-                            boost_tail, boosted_count, choose_start_level, disagreements,
-                            geometric, inverse_triangular, plan_allocation, recover_prefix,
+from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError, _Intervals,
+                            boost_tail, boosted_count, choose_start_level, coverage_faults,
+                            disagreements, geometric, inverse_triangular, plan_allocation, recover_prefix,
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import oracle_source_map, spread
+from oracles import oracle_source_map, oracle_window_tally, spread
 
 
 def bs(text):
@@ -399,6 +399,137 @@ def test_disagreements_agree_with_per_position_oracle(preset):
                 == oracle_disagreements(alloc, tampered, length), (length, sorted(flips))
     with pytest.raises(ValueError):
         disagreements(plan_allocation(weights), omega, total + 1)
+
+
+# ---------------------------------------------------------------- coverage proof against the window tally
+
+COVERAGE_PRESETS = ["inverse-triangular", "geometric:1/3", "zero"]
+
+
+def built(preset, horizon):
+    alloc = plan_allocation(weight_preset(preset))
+    alloc.ensure_horizon(horizon)
+    return alloc
+
+
+@pytest.mark.parametrize("preset", COVERAGE_PRESETS)
+@pytest.mark.parametrize("usable", [1000, 2048])
+def test_coverage_faults_and_window_tally_pass_clean_allocations(preset, usable):
+    alloc = built(preset, usable)
+    top = usable.bit_length() - 1
+    assert coverage_faults(alloc, usable, top) == []
+    assert oracle_window_tally(alloc, usable, top) == []
+
+
+def test_coverage_faults_pass_a_full_budget_allocation():
+    # 1/2 + 1/4 + 2/8 = 1: the levels cover every natural number
+    alloc = toy({1: 1, 2: 1, 3: 2})
+    assert coverage_faults(alloc, 4099, 3) == []
+    assert oracle_window_tally(alloc, 300, 3) == []
+
+
+def _record(alloc, level):
+    return alloc._levels[level - alloc.start_level]
+
+
+def _shift_an_interval(alloc, top):
+    lv = _record(alloc, alloc.start_level + 1)
+    (lo, hi), *rest = lv.assigned.pairs()
+    lv.assigned = _Intervals([(lo + 1, hi + 1)] + rest)
+
+
+def _push_a_first_term_past_the_step(alloc, top):
+    lv = _record(alloc, top)
+    *rest, (lo, hi) = lv.assigned.pairs()
+    lv.assigned = _Intervals(rest + [(lo, hi - 1), (1 << top, (1 << top) + 1)])
+
+
+def _miscount(alloc, top):
+    _record(alloc, top).count += 1
+
+
+def _leave_a_hole(alloc, top):
+    # the least first term of the last level built, dropped with its count:
+    # every level up to top keeps its first terms, counts and source indices
+    lv = alloc._levels[-1]
+    (lo, hi), *rest = lv.assigned.pairs()
+    lv.assigned = _Intervals([(lo + 1, hi)] + rest)
+    lv.count -= 1
+
+
+def _cover_a_position_twice(alloc, top):
+    # first term 0, which the start level already holds, added to the last
+    # level built with its count
+    lv = alloc._levels[-1]
+    lv.assigned = _Intervals([(0, 1)] + lv.assigned.pairs())
+    lv.count += 1
+
+
+# tamper -> whether the window tally notices it too.  The tally reads an
+# uncovered position as no index and a position covered twice as the lower
+# level's index, and a count one too high can borrow the next level's first
+# index, which does occur in the window
+TAMPERS = {_shift_an_interval: True, _push_a_first_term_past_the_step: True,
+           _miscount: False, _leave_a_hole: False, _cover_a_position_twice: False}
+
+
+@pytest.mark.parametrize("preset", COVERAGE_PRESETS)
+@pytest.mark.parametrize("tamper", list(TAMPERS), ids=lambda f: f.__name__.strip("_"))
+def test_coverage_faults_flag_every_tampered_allocation(preset, tamper):
+    usable = 1024
+    top = usable.bit_length() - 1
+    alloc = built(preset, usable)
+    assert alloc.levels_built() > top - alloc.start_level + 1  # the hole lies above top
+    tamper(alloc, top)
+    assert coverage_faults(alloc, usable, top)
+    assert bool(oracle_window_tally(alloc, usable, top)) == TAMPERS[tamper]
+
+
+def test_coverage_faults_flag_whatever_the_window_tally_flags():
+    rng = random.Random(11)
+    usable, top = 1024, 10
+    flagged = 0
+    for trial in range(12):
+        alloc = built(COVERAGE_PRESETS[trial % 3], usable)
+        lv = rng.choice(alloc._levels[:top - alloc.start_level + 2])
+        pairs = lv.assigned.pairs()
+        i, delta = rng.randrange(len(pairs)), rng.choice((-1, 1))
+        if trial % 4 == 0:
+            lv.count += delta
+        elif trial % 4 == 1:
+            lv.source_base += delta
+        else:
+            lo, hi = pairs[i]
+            pairs[i] = (lo + delta, hi + delta) if trial % 4 == 2 else (lo, hi + delta)
+            lv.assigned = _Intervals(pairs)
+        tally = oracle_window_tally(alloc, usable, top)
+        faults = coverage_faults(alloc, usable, top)
+        assert faults or not tally, (trial, tally[:1])
+        flagged += bool(tally)
+    assert flagged
+
+
+def test_coverage_faults_name_the_fact_that_fails():
+    usable, top = 1024, 10
+    alloc = built("inverse-triangular", usable)
+    _push_a_first_term_past_the_step(alloc, top)
+    assert {"m": top, "first_terms_outside_step": [[1024, 1025]]} in coverage_faults(
+        alloc, usable, top)
+    alloc = built("inverse-triangular", usable)
+    count = _record(alloc, top).count
+    _miscount(alloc, top)
+    faults = coverage_faults(alloc, usable, top)
+    assert {"m": top, "count": count + 1, "first_terms": count} in faults
+    assert any(f.get("source_base") is not None for f in faults)
+    alloc = built("inverse-triangular", usable)
+    hole = alloc._levels[-1].assigned.first()
+    _leave_a_hole(alloc, top)
+    assert coverage_faults(alloc, usable, top) == [
+        {"positions": usable, "uncovered": 1, "first_uncovered": hole, "covered_again": 0}]
+    alloc = built("inverse-triangular", usable)
+    _cover_a_position_twice(alloc, top)
+    assert coverage_faults(alloc, usable, top) == [
+        {"positions": usable, "uncovered": 0, "first_uncovered": None, "covered_again": 1}]
 
 
 # ---------------------------------------------------------------- export
