@@ -322,7 +322,9 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
     epsilon = ExactProb(epsilon)
     if epsilon == 0:
         raise ValueError("epsilon must be positive")
-    n = max(1, min_random_length)
+    if min_random_length < 1:
+        raise ValueError(f"the least random length must be positive, got {min_random_length}")
+    n = min_random_length
     while True:
         threshold = 1 << ((n + 1) // 2)
         size = pow2_floor(alpha * n)
@@ -447,6 +449,11 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
     alpha = Fraction(alpha)
     epsilon = ExactProb(epsilon)
     n_total = dist.string_length
+    if level_length is not None and _draw_size(alpha, level_length, n_total) is None:
+        admissible = [ln for ln in range(1, n_total) if _draw_size(alpha, ln, n_total)]
+        span = f"{admissible[0]}..{admissible[-1]}" if admissible else "none"
+        raise ValueError(f"level length {level_length} is not admissible for strings of "
+                         f"length {n_total} at alpha {frac_to_str(alpha)}; admissible: {span}")
     candidates = [level_length] if level_length is not None else list(range(1, n_total))
     for ln in candidates:
         size = _draw_size(alpha, ln, n_total)

@@ -353,12 +353,11 @@ class Allocation:
         assignments match the replay exactly; ValueError on any other shape."""
         try:
             counts = {entry["level"]: entry["count"] for entry in doc["levels"]}
-            if not counts:
-                raise ValueError("allocation export lists no levels")
             alloc = cls(doc["start_level"], doc["max_level"],
                         lambda m: counts.get(m, 0))
             alloc._set_cap(doc["cap"])
-            alloc.ensure_level(max(counts))
+            if counts:  # an export of an empty spread lists no levels
+                alloc.ensure_level(max(counts))
             if len(doc["levels"]) != alloc.levels_built():
                 raise CertificateError("allocation export inconsistent: level list length")
             for entry, (level, count, base, pairs) in zip(doc["levels"], alloc.level_records()):

@@ -9,7 +9,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from ecseq.core import BitString, ExactProb, FiniteDistribution, frac_to_str
+from ecseq import spreader
+from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource, frac_to_str
 from ecseq.forbidden import (LevelFamily, SampledLevel, distinct_substrings, family_avoids,
                              miss_probability_random_set)
 from ecseq.spreader import Allocation
@@ -112,6 +113,40 @@ def oracle_window_tally(alloc: Allocation, usable: int, top: int) -> list:
             if missing or doubled:
                 violations.append({"k": k, "m": m, "missing": missing[:8],
                                    "not_exactly_once": doubled[:8]})
+    return violations
+
+
+def oracle_sampled_recovery(alloc: Allocation, bits: BitString, usable: int, top: int,
+                            samples: int, seed) -> list:
+    """The sampled pass check-windows once ran after its proof: decode
+    `samples` windows per level from the start level to top (every window
+    when a level has no more) with recover_prefix, and require every
+    recovered prefix to agree with those before it.  Returns the violations
+    that pass added."""
+    violations = []
+    rs = RandomSource(seed)
+    agreed = ""  # the source prefix that every window recovered so far agrees on
+    for m in range(alloc.start_level, top + 1):
+        size = 1 << m
+        max_start = usable - size
+        if max_start + 1 <= samples:
+            starts = list(range(max_start + 1))
+        else:
+            draws = rs.substream(m)
+            starts = sorted(draws.below(max_start + 1) for _ in range(samples))
+        for k in starts:
+            try:
+                prefix = spreader.recover_prefix(alloc, bits.window(k, size), k % size, m)
+            except spreader.InconsistentWindowError as exc:
+                violations.append({"k": k, "m": m, "inconsistent": str(exc)})
+                continue
+            recovered = prefix.to_text()
+            common = min(len(agreed), len(recovered))
+            if recovered[:common] != agreed[:common]:
+                j = next(j for j in range(common) if recovered[j] != agreed[j])
+                violations.append({"k": k, "m": m, "disagrees_at_source_bit": j})
+            else:
+                agreed += recovered[common:]
     return violations
 
 

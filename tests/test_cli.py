@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 import ecseq
 from ecseq import adversary, cli, forbidden, spreader
 from ecseq.core import BitString, FiniteDistribution, read_bit_file, write_bit_file
+
+from oracles import oracle_sampled_recovery
 
 
 def run(*argv):
@@ -56,7 +59,7 @@ def test_spread_m0_override_below_certified(tmp_path):
                "--m0", "4", "--out", str(tmp_path / "x.bits")) == cli.EXIT_BAD_PARAMS
 
 
-def test_check_windows_clean_and_tampered(tmp_path, spread_run):
+def test_check_windows_clean_and_tampered(tmp_path, spread_run, capsys):
     bits, alloc, _ = spread_run
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "10", "--samples", "20") == cli.EXIT_OK
@@ -66,8 +69,13 @@ def test_check_windows_clean_and_tampered(tmp_path, spread_run):
     flipped[0] ^= 1
     bad = tmp_path / "bad.bits"
     write_bit_file(bad, BitString.from_bits(flipped))
+    capsys.readouterr()
     assert run("check-windows", "--bits", str(bad), "--alloc", str(alloc),
                "--m-max", "10", "--samples", "20") == cli.EXIT_VERIFY_FAILED
+    # the header counts faults and positions by name: 31 later copies of source bit 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "check-windows: 0 coverage fault(s), 31 position(s) disagree with the first copy "
+        "of their source bit")
 
 
 def test_check_windows_mmax_below_start(tmp_path, spread_run, capsys):
@@ -77,20 +85,55 @@ def test_check_windows_mmax_below_start(tmp_path, spread_run, capsys):
     assert "warning" in capsys.readouterr().out
 
 
-def test_check_windows_samples_distinct_starts(spread_run, monkeypatch):
-    # every level here has far more window starts than samples, so one
-    # substream per level must draw more than one distinct start
+def test_check_windows_decodes_no_window(tmp_path, spread_run, monkeypatch):
+    # the proof covers every window, so no window is decoded or drawn at random
+    def forbidden_call(*args):
+        raise AssertionError("check-windows decoded a window or drew a random start")
+
     bits, alloc, _ = spread_run
-    recover, seen = spreader.recover_prefix, {}
-
-    def recording(alloc_, win, offset_mod, level):
-        seen.setdefault(level, set()).add((offset_mod, win.to_text()))
-        return recover(alloc_, win, offset_mod, level)
-
-    monkeypatch.setattr(spreader, "recover_prefix", recording)
+    monkeypatch.setattr(spreader, "recover_prefix", forbidden_call)
+    monkeypatch.setattr(cli, "RandomSource", forbidden_call)
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
-               "--m-max", "10", "--samples", "5") == cli.EXIT_OK
-    assert seen and all(len(windows) > 1 for windows in seen.values())
+               "--m-max", "13", "--samples", "20", "--seed", "5") == cli.EXIT_OK
+    flipped = read_bit_file(bits).to_bits()
+    flipped[3] ^= 1
+    bad = tmp_path / "bad.bits"
+    write_bit_file(bad, BitString.from_bits(flipped))
+    assert run("check-windows", "--bits", str(bad), "--alloc", str(alloc),
+               "--m-max", "13") == cli.EXIT_VERIFY_FAILED
+
+
+@pytest.mark.parametrize("preset", ["inverse-triangular", "geometric:1/3", "zero"])
+@pytest.mark.parametrize("length", [700, 1 << 13])
+def test_clean_spread_files_pass_the_sampled_recovery_oracle(tmp_path, preset, length):
+    bits, alloc = tmp_path / "omega.bits", tmp_path / "alloc.json"
+    assert run("spread", "--weights", preset, "--length", str(length), "--seed", "4",
+               "--out", str(bits), "--alloc-out", str(alloc)) == cli.EXIT_OK
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
+               "--m-max", "13") == cli.EXIT_OK
+    allocation = spreader.Allocation.from_export(read_json(alloc))
+    top = length.bit_length() - 1
+    assert oracle_sampled_recovery(allocation, read_bit_file(bits), length, top, 20, 4) == []
+
+
+def test_sampled_recovery_flags_nothing_the_proof_misses(spread_run):
+    bits, alloc, _ = spread_run
+    allocation = spreader.Allocation.from_export(read_json(alloc))
+    clean = read_bit_file(bits).to_bits()
+    usable, top = len(clean), 12
+    faults = spreader.coverage_faults(allocation, usable, top)  # flips leave it unchanged
+    rng = random.Random(12)
+    sampled_flags = 0
+    for trial in range(36):
+        flipped = list(clean)
+        for p in rng.sample(range(usable), rng.randint(1, 3)):
+            flipped[p] ^= 1
+        tampered = BitString.from_bits(flipped)
+        proof = faults + spreader.disagreements(allocation, tampered, usable)
+        sampled = oracle_sampled_recovery(allocation, tampered, usable, top, 20, trial)
+        assert proof or not sampled, (trial, sampled)
+        sampled_flags += bool(sampled)
+    assert sampled_flags  # the oracle did flag some of the flips
 
 
 def test_spread_report_verifies(spread_run):
@@ -348,6 +391,7 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
 
 
 UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
+UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)}}
 
 
 @pytest.mark.parametrize("document, argv", [
@@ -398,6 +442,12 @@ UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11"
     (UNIFORM_2, ["family", "--alpha", "3/5", "--schedule", "1", "--derandomize", "{doc}"]),
     (None, ["family", "--alpha", "3/5", "--level-length", "8"]),
     (None, ["family", "--alpha", "3/10", "--levels", "8", "--level-length", "8"]),
+    # a least random length below 1, in both modes that read --n-min
+    (None, ["family", "--alpha", "3/5", "--n-min", "-5"]),
+    (None, ["family", "--alpha", "3/5", "--schedule", "1", "--n-min", "-3"]),
+    # a level length no draw below the distribution's length admits
+    (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--level-length", "0"]),
+    (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--level-length", "9"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -507,6 +557,18 @@ def test_check_windows_warns_when_no_window_of_the_start_level_fits(tmp_path, ca
                "--alloc-out", str(alloc)) == cli.EXIT_OK
     capsys.readouterr()
     # start level 8: a 100-bit file holds no window of length 256
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
+               "--m-max", "12") == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "warning" in out and "nothing to check" in out and "pass" not in out
+
+
+def test_check_windows_reads_the_allocation_of_an_empty_spread(tmp_path, capsys):
+    bits, alloc = tmp_path / "empty.bits", tmp_path / "alloc.json"
+    assert run("spread", "--length", "0", "--out", str(bits),
+               "--alloc-out", str(alloc)) == cli.EXIT_OK
+    assert read_json(alloc)["levels"] == []
+    capsys.readouterr()
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "12") == cli.EXIT_OK
     out = capsys.readouterr().out

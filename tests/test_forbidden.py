@@ -220,6 +220,12 @@ def test_two_level_alpha_guard():
         two_level_family(Fraction(1, 2), ExactProb(1, 2), 2, RandomSource(0))
 
 
+@pytest.mark.parametrize("least_length", [0, -5])
+def test_two_level_family_rejects_a_nonpositive_least_random_length(least_length):
+    with pytest.raises(ValueError, match="least random length"):
+        two_level_family(Fraction(3, 5), ExactProb(1, 2), least_length, RandomSource(0))
+
+
 # ---------------------------------------------------------------- hit probability
 
 def small_family():
@@ -342,6 +348,15 @@ def test_derandomize_averaged_bound_error():
     with pytest.raises(AveragedBoundError):
         derandomize_family(dist, Fraction(1, 5), ExactProb(1, 100),
                            RandomSource(0), level_length=2)
+
+
+@pytest.mark.parametrize("level_length", [0, 6, 9])
+def test_derandomize_names_an_inadmissible_level_length(level_length):
+    with pytest.raises(ValueError, match=f"level length {level_length} is not admissible "
+                                         f"for strings of length 6 at alpha 3/5; "
+                                         f"admissible: 1..5"):
+        derandomize_family(FiniteDistribution.uniform(6), Fraction(3, 5), ExactProb(1, 2),
+                           RandomSource(0), level_length=level_length)
 
 
 def test_integer_sums_agree_with_per_string_fraction_sums():
