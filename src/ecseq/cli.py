@@ -233,9 +233,6 @@ def _run(args, command: str, seed, parameters: dict, run: Callable = None) -> tu
 
 
 def cmd_spread(args) -> int:
-    for flag, value in (("--length", args.length), ("--m0", args.m0)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be non-negative, got {value}")
     certified = spreader.choose_start_level(spreader.weight_preset(args.weights))
     parameters = {"weights": args.weights,
                   "start_level": certified if args.m0 is None else args.m0,
@@ -269,7 +266,7 @@ def cmd_check_windows(args) -> int:
     disagreeing = spreader.disagreements(alloc, bits, usable)
     if faults or disagreeing:
         print(f"check-windows: {len(faults)} coverage fault(s), {len(disagreeing)} "
-              f"position(s) disagree with the first copy of their source bit")
+              f"position(s) disagree with other copies of their source bit")
         for v in (faults + disagreeing)[:20]:
             print(f"  {v}")
         return EXIT_VERIFY_FAILED
@@ -297,8 +294,10 @@ def cmd_family(args) -> int:
                       "max_length": args.max_length, "dist_family": "uniform"}
     elif args.levels is not None:
         kind = "family-levels"
-        parameters = {"alpha": alpha,
-                      "lengths": sorted({int(tok) for tok in args.levels.split(",")})}
+        lengths = sorted({int(tok) for tok in args.levels.split(",")})
+        if lengths[0] < 1:
+            raise ValueError(f"--levels lengths must be at least 1, got {lengths[0]}")
+        parameters = {"alpha": alpha, "lengths": lengths}
     elif args.derandomize is not None:
         kind = "family-derandomize"
         dist = FiniteDistribution.from_json(_load_json(args.derandomize))
@@ -486,6 +485,11 @@ def main(argv=None) -> int:
     # looked up at each call, so a cmd_* replaced on the module is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        # a negative size names its flag; a negative seed is valid and masked
+        for name, value in vars(args).items():
+            if type(value) is int and value < 0 and name != "seed":
+                raise ValueError(f"--{name.replace('_', '-')} must be non-negative, "
+                                 f"got {value}")
         return command(args)
     except INPUT_ERRORS + (OSError,) as exc:
         print(f"ecseq {args.command}: error: {exc}", file=sys.stderr)

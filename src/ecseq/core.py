@@ -36,6 +36,8 @@ def floor_root(value: int, degree: int) -> int:
         raise ValueError("degree must be positive")
     if degree == 1 or value in (0, 1):
         return value
+    if value.bit_length() <= degree:  # 1 <= value < 2**degree
+        return 1
     # Newton iteration starting above the root, then clamp exactly.
     root = 1 << -(-value.bit_length() // degree)
     while True:

@@ -11,6 +11,7 @@ schedule construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
@@ -34,26 +35,6 @@ def distinct_substrings(x: BitString, length: int) -> int:
     return len(set(x.numeral_windows(length)))
 
 
-def surjections(positions: int, classes: int) -> int:
-    """Functions from `positions` slots onto exactly `classes` values."""
-    if classes < 0 or positions < 0:
-        raise ValueError("arguments must be non-negative")
-    if classes == 0:
-        return 1 if positions == 0 else 0
-    total = 0
-    for drop in range(classes + 1):
-        term = binom(classes, drop) * (classes - drop) ** positions
-        total += -term if drop & 1 else term
-    return total
-
-
-def count_limited_block_strings(pool_size: int, block_count: int, threshold: int) -> int:
-    """Strings of `block_count` aligned blocks drawn from a pool, using at
-    most `threshold` distinct block values."""
-    top = min(threshold, block_count, pool_size)
-    return sum(binom(pool_size, j) * surjections(block_count, j) for j in range(1, top + 1))
-
-
 def is_simple(numeral: int, length: int, block_length: int, threshold: int) -> bool:
     """Whether the aligned blocks of block_length bits of the string take at
     most `threshold` distinct values."""
@@ -64,12 +45,29 @@ def is_simple(numeral: int, length: int, block_length: int, threshold: int) -> b
     return len(blocks) <= threshold
 
 
+def simple_counts(block_length: int, threshold: int):
+    """Yield the exact number of simple strings of 1, 2, 3, ... aligned blocks
+    of block_length bits.  row[k] counts the strings whose blocks take exactly
+    k values: one more block repeats one of the k, or is one of the pool - k + 1
+    values new to a string of k - 1 (Stanley, Enumerative Combinatorics I,
+    section 1.9).  No string takes more values than the pool holds."""
+    pool = 1 << block_length
+    row = [1] + [0] * min(threshold, pool)  # no blocks: the empty string
+    while True:
+        for k in range(len(row) - 1, 0, -1):
+            row[k] = k * row[k] + (pool - k + 1) * row[k - 1]
+        row[0] = 0
+        yield sum(row)
+
+
 def count_simple(total_length: int, block_length: int, threshold: int) -> int:
     """Exact number of simple strings of total_length bits."""
     if total_length % block_length:
         raise ValueError(f"block length {block_length} does not divide {total_length}")
-    return count_limited_block_strings(1 << block_length, total_length // block_length,
-                                       threshold)
+    if total_length < 1:
+        raise ValueError(f"total length {total_length} is not positive")
+    return next(islice(simple_counts(block_length, threshold),
+                       total_length // block_length - 1, None))
 
 
 def miss_probability_random_set(distinct_count: int, length: int, set_size: int) -> ExactProb:
@@ -307,8 +305,8 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
 
     The random length n is the smallest admissible length at least
     min_random_length; the top length is the smallest multiple of n whose
-    simple-string count fits under the size bound.  Both choices are certified
-    in exact arithmetic.
+    simple-string count, carried from one multiple to the next, fits under the
+    size bound.  Both choices are certified in exact arithmetic.
 
     The length choice uses the closed form (1 - 2**-ceil(n/2))**size, the
     with-replacement estimate; it upper-bounds the exact hypergeometric miss
@@ -333,14 +331,15 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
             if miss_bound < epsilon:
                 break
         n += 1
-    top_length = n
-    while (top := _simple_top(alpha, n, top_length)) is None:
-        top_length += n
+    for blocks, cardinality in enumerate(simple_counts(n, threshold), start=1):
+        top_size_bound = pow2_floor(alpha * n * blocks)
+        if cardinality <= top_size_bound:
+            break
+    top = ImplicitLevel(n * blocks, n, threshold, cardinality)
     strings = sample_uniform_set(n, size, rs)
     family = LevelFamily(alpha, [SampledLevel(n, strings), top])
-    certificate = TwoLevelCertificate(n, top_length, threshold, size, miss_bound,
-                                      Fraction(epsilon), top.cardinality,
-                                      pow2_floor(alpha * top_length))
+    certificate = TwoLevelCertificate(n, top.length, threshold, size, miss_bound,
+                                      Fraction(epsilon), cardinality, top_size_bound)
     return family, certificate
 
 

@@ -415,14 +415,31 @@ def _differing_copies(text: str, runs):
 
 
 def disagreements(alloc: Allocation, bits: BitString, length: int) -> list:
-    """Every position in [0, length) whose bit differs from the first position
-    that carries the same source index, as {"position", "source_bit",
-    "disagrees_with_position"}, sorted by position."""
+    """The minority copies in [0, length) of each source bit whose copies
+    differ, as {"position", "source_bit", "disagrees_with_position"}, sorted
+    by position.  These are the copies that differ from the bit's first copy,
+    each against that first copy; but when more than half of the copies
+    differ, they are the copies that agree with the first, the first one
+    included, each against the first copy that differs."""
     if length > len(bits):
         raise ValueError(f"length {length} exceeds the {len(bits)} bits given")
-    found = _differing_copies(bits.to_text()[:length], alloc._covered_runs(0, length))
-    return sorted(({"position": p, "source_bit": j, "disagrees_with_position": q}
-                   for j, p, q in found), key=lambda v: v["position"])
+    runs = list(alloc._covered_runs(0, length))
+    differing = {}
+    for j, p, q in _differing_copies(bits.to_text()[:length], runs):
+        differing.setdefault(j, (q, []))[1].append(p)
+    found = []
+    for offset, step, index, width in runs if differing else ():
+        for j in range(index, index + width):
+            if j not in differing:
+                continue
+            q, positions = differing[j]
+            copies = range(q, length, step)
+            if 2 * len(positions) > len(copies):
+                found += [(p, j, positions[0]) for p in sorted(set(copies) - set(positions))]
+            else:
+                found += [(p, j, q) for p in positions]
+    return [{"position": p, "source_bit": j, "disagrees_with_position": q}
+            for p, j, q in sorted(found)]
 
 
 def coverage_faults(alloc: Allocation, length: int, top_level: int) -> list:

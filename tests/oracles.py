@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ecseq import spreader
-from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource, frac_to_str
+from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, binom,
+                        frac_to_str, pow2_floor)
 from ecseq.forbidden import (LevelFamily, SampledLevel, distinct_substrings, family_avoids,
                              miss_probability_random_set)
 from ecseq.spreader import Allocation
@@ -46,6 +47,39 @@ def text_slice_simple(text: str, block_length: int, threshold: int) -> bool:
     most `threshold` distinct values."""
     return len({text[i:i + block_length]
                 for i in range(0, len(text), block_length)}) <= threshold
+
+
+def surjections(positions: int, classes: int) -> int:
+    """Functions from `positions` slots onto exactly `classes` values."""
+    if classes < 0 or positions < 0:
+        raise ValueError("arguments must be non-negative")
+    if classes == 0:
+        return 1 if positions == 0 else 0
+    total = 0
+    for drop in range(classes + 1):
+        term = binom(classes, drop) * (classes - drop) ** positions
+        total += -term if drop & 1 else term
+    return total
+
+
+def count_limited_block_strings(pool_size: int, block_count: int, threshold: int) -> int:
+    """Strings of `block_count` aligned blocks drawn from a pool, using at
+    most `threshold` distinct block values, by inclusion-exclusion."""
+    top = min(threshold, block_count, pool_size)
+    return sum(binom(pool_size, j) * surjections(block_count, j) for j in range(1, top + 1))
+
+
+def oracle_simple_top(alpha: Fraction, n: int) -> tuple:
+    """The top search two_level_family once ran: every multiple of n in turn,
+    its simple strings recounted by inclusion-exclusion, until the count fits
+    the size bound.  Returns (top_length, cardinality)."""
+    threshold = 1 << ((n + 1) // 2)
+    top_length = n
+    while True:
+        cardinality = count_limited_block_strings(1 << n, top_length // n, threshold)
+        if cardinality <= pow2_floor(alpha * top_length):
+            return top_length, cardinality
+        top_length += n
 
 
 def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:

@@ -72,10 +72,12 @@ def test_check_windows_clean_and_tampered(tmp_path, spread_run, capsys):
     capsys.readouterr()
     assert run("check-windows", "--bits", str(bad), "--alloc", str(alloc),
                "--m-max", "10", "--samples", "20") == cli.EXIT_VERIFY_FAILED
-    # the header counts faults and positions by name: 31 later copies of source bit 0
-    assert capsys.readouterr().out.splitlines()[0] == (
-        "check-windows: 0 coverage fault(s), 31 position(s) disagree with the first copy "
-        "of their source bit")
+    # the header counts faults and positions by name: 31 of the 32 copies of
+    # source bit 0 outvote the flipped first copy, which is the one named
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("check-windows: 0 coverage fault(s), 1 position(s) disagree with "
+                        "other copies of their source bit")
+    assert lines[1] == "  {'position': 0, 'source_bit': 0, 'disagrees_with_position': 256}"
 
 
 def test_check_windows_mmax_below_start(tmp_path, spread_run, capsys):
@@ -392,6 +394,10 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
 
 UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
 UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)}}
+SMALL_FAMILY = {"alpha": "1/2", "levels": [{"length": 4, "kind": "sampled", "strings_hex": ["0"],
+                                            "pool_chain": [], "pool_size": "16"}]}
+EMPTY_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncovered": 0,
+                    "source_total": 0, "levels": []}
 
 
 @pytest.mark.parametrize("document, argv", [
@@ -448,6 +454,19 @@ UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)
     # a level length no draw below the distribution's length admits
     (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--level-length", "0"]),
     (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--level-length", "9"]),
+    # every other size flag given a negative value, one flag each
+    (None, ["spread", "--length", "64", "--max-level", "-1", "--out", "{dir}/x.bits"]),
+    (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--level-length", "-1"]),
+    (None, ["family", "--alpha", "3/5", "--schedule", "-2"]),
+    (None, ["family", "--alpha", "3/5", "--schedule", "1", "--max-length", "-1"]),
+    (None, ["family", "--alpha", "3/5", "--levels", "-3"]),
+    (UNIFORM_2, ["adversary", "--dist", "{doc}", "--n", "-1", "--epsilon", "1/2"]),
+    (SMALL_FAMILY, ["avoid", "--family", "{doc}", "--length", "-5"]),
+    (SMALL_FAMILY, ["avoid", "--family", "{doc}", "--length", "10", "--budget", "-1"]),
+    (None, ["profile", "--bits", "{bits}", "--window", "-4"]),
+    (None, ["profile", "--bits", "{bits}", "--window", "4", "--stride", "-1"]),
+    (EMPTY_ALLOCATION, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}",
+                        "--m-max", "-1"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -461,6 +480,13 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv)
     for flag, value in zip(argv, argv[1:]):
         if value.startswith("-") and value[1:].isdigit():
             assert flag in err, err
+
+
+def test_a_tiny_alpha_draws_one_string_per_level(tmp_path):
+    # floor(2**(8 * 10**-12)) is 1, found without raising 2 to a huge power
+    out = tmp_path / "family.json"
+    assert run("family", "--alpha", "1e-12", "--levels", "8", "--out", str(out)) == cli.EXIT_OK
+    assert [len(level["strings_hex"]) for level in read_json(out)["levels"]] == [1]
 
 
 # (level kind, key, change) for each family shape no command writes

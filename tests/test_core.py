@@ -240,6 +240,16 @@ def test_floor_root_exact():
         assert r ** degree <= value < (r + 1) ** degree
 
 
+def test_floor_root_of_a_value_below_two_to_the_degree_is_one():
+    # the Newton step would raise its start value to the power degree - 1
+    assert floor_root(2, 10 ** 300) == 1
+    assert pow2_floor(Fraction(1, 10 ** 300)) == 1
+    for degree in range(2, 70):
+        for value in (2, (1 << degree) - 1, 1 << degree, (1 << degree) + 1):
+            r = floor_root(value, degree)
+            assert r ** degree <= value < (r + 1) ** degree
+
+
 def test_pow2_floor():
     assert pow2_floor(Fraction(10)) == 1024
     assert pow2_floor(Fraction(24, 5)) == 27       # floor(2**4.8)

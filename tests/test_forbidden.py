@@ -6,14 +6,15 @@ import pytest
 from ecseq.core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                         RandomSource, binom, pow2_floor)
 from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
-                             PoolTooSmallError, SampledLevel, count_limited_block_strings,
-                             count_simple, derandomize_family, distinct_substrings,
+                             PoolTooSmallError, SampledLevel, count_simple,
+                             derandomize_family, distinct_substrings,
                              family_avoid_probability, family_avoids, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
-                             surjections, two_level_family, _averaged_bound)
+                             simple_counts, two_level_family, _averaged_bound)
 
-from oracles import (averaged_bound_per_string, family_avoid_per_string, hit_probability,
-                     membership, point_mass, text_slice_simple)
+from oracles import (averaged_bound_per_string, count_limited_block_strings,
+                     family_avoid_per_string, hit_probability, membership,
+                     oracle_simple_top, point_mass, surjections, text_slice_simple)
 
 
 def bs(text):
@@ -169,6 +170,21 @@ def test_count_limited_pool_generalization():
     assert count_limited_block_strings(1 << 2, 3, 2) == count_simple(6, 2, 2)
 
 
+def test_simple_counts_agree_with_inclusion_exclusion():
+    for block_length in range(1, 7):
+        pool = 1 << block_length
+        for threshold in range(pool + 3):
+            counts = itertools.islice(simple_counts(block_length, threshold), 12)
+            assert list(counts) == [count_limited_block_strings(pool, blocks, threshold)
+                                    for blocks in range(1, 13)], (block_length, threshold)
+
+
+def test_count_simple_rejects_a_length_below_one():
+    for total_length in (0, -2):
+        with pytest.raises(ValueError, match="not positive"):
+            count_simple(total_length, 2, 1)
+
+
 # ---------------------------------------------------------------- two-level family
 
 ALPHA = Fraction(3, 5)
@@ -190,6 +206,16 @@ def test_two_level_parameters_reverify():
     assert cert.top_cardinality == count_simple(N, n, cert.threshold)
     assert cert.top_cardinality <= cert.top_size_bound == pow2_floor(ALPHA * N)
     assert len(family.levels[n].strings) == cert.sample_size == pow2_floor(ALPHA * n)
+
+
+def test_two_level_top_matches_the_per_multiple_recount():
+    # the carried count finds the top length and cardinality that recounting
+    # every multiple of n by inclusion-exclusion found
+    for alpha in (Fraction(3, 5), Fraction(7, 10)):
+        for n_min in range(2, 11):
+            _, cert = two_level_family(alpha, ExactProb(1, 4), n_min, RandomSource(0))
+            assert (cert.top_length, cert.top_cardinality) \
+                == oracle_simple_top(alpha, cert.random_length), (alpha, n_min)
 
 
 def test_two_level_dichotomy_local():

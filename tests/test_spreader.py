@@ -299,13 +299,21 @@ def test_source_map_agrees_with_residue_loop_oracle(preset):
 
 def oracle_disagreements(alloc, bits, length):
     """Each position in [0, length) compared with the first position that
-    carries the same source index."""
-    text, first, out = bits.to_text(), {}, []
+    carries the same source index; when more than half of a source index's
+    copies differ from its first, the copies that agree are listed instead,
+    against the first that differs."""
+    text, copies, out = bits.to_text(), {}, []
     for p, j in enumerate(oracle_source_map(alloc, 0, length)):
-        q = first.setdefault(j, p)
-        if text[p] != text[q]:
-            out.append({"position": p, "source_bit": j, "disagrees_with_position": q})
-    return out
+        copies.setdefault(j, []).append(p)
+    for j, ps in copies.items():
+        differ = [p for p in ps if text[p] != text[ps[0]]]
+        if 2 * len(differ) > len(ps):
+            out += [{"position": p, "source_bit": j, "disagrees_with_position": differ[0]}
+                    for p in ps if p not in differ]
+        else:
+            out += [{"position": p, "source_bit": j, "disagrees_with_position": ps[0]}
+                    for p in differ]
+    return sorted(out, key=lambda v: v["position"])
 
 
 def multi_flips(rng, size, rounds):
