@@ -11,8 +11,7 @@ from .spreader import (Allocation, CoverageError, InconsistentWindowError,
                        zero_series)
 from .forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
                         PoolTooSmallError, SampledLevel, count_simple,
-                        derandomize_family, distinct_substrings,
-                        family_avoid_probability, family_avoids, interval_schedule,
+                        derandomize_family, family_avoid_probability, interval_schedule,
                         miss_probability_random_set, random_level_family,
                         recertify_family, recertify_schedule, sample_uniform_set,
                         two_level_family)

@@ -87,8 +87,8 @@ def avoid_probability(dist: FiniteDistribution, family: PositionalFamily) -> Exa
         )
     targets = family.numerals()
     total = dist.deficit_weight
-    for x, weight in dist.weights():
-        if all(w != t for w, t in zip(x.numeral_windows(n), targets)):
+    for _, windows, weight in dist.windows(n):
+        if all(w != t for w, t in zip(windows, targets)):
             total += weight
     return ExactProb(total, dist.denominator)
 
@@ -127,10 +127,11 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
     # an integer avoid weight A certifies exactly when A < epsilon * denominator
     limit = -(-epsilon.numerator * dist.denominator // epsilon.denominator)
     base = dist.deficit_weight
-    weights = [w for _, w in dist.weights()]
+    rows = dist.windows(n)
+    weights = [w for _, _, w in rows]
     # columns[p][i]: the window of support string i at position p (all empty
     # when the support is)
-    columns = list(zip(*(x.numeral_windows(n) for x, _ in dist.weights()))) or [()] * N
+    columns = list(zip(*(windows for _, windows, _ in rows))) or [()] * N
 
     def options(p: int, alive: list, total: int):
         """The window values at position p, in order, that may lead to a

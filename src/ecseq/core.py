@@ -6,6 +6,7 @@ whose output is a pure function of (seed, stream, draw index).  No floating
 point is used anywhere in this module.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -61,6 +62,16 @@ def pow2_floor(exponent: Fraction) -> int:
     if den == 1:
         return 1 << num
     return floor_root(1 << num, den)
+
+
+def pow2_at_most(count: int, exponent: Fraction) -> bool:
+    """Whether a non-negative count is at most floor(2**exponent), decided as
+    count**q <= 2**p for the exponent p/q in lowest terms, with no root taken.
+    A count of b bits is at least 2**(b - 1), so one with (b - 1)*q > p fails
+    before any power is built."""
+    exponent = Fraction(exponent)
+    p, q = exponent.numerator, exponent.denominator
+    return (count.bit_length() - 1) * q <= p and count ** q <= 1 << p
 
 
 def frac_to_str(value) -> str:
@@ -292,7 +303,7 @@ class FiniteDistribution:
     assigned to "no output"; masses plus deficit must sum to exactly 1.
     """
 
-    __slots__ = ("string_length", "denominator", "_weights", "deficit_weight")
+    __slots__ = ("string_length", "denominator", "_weights", "deficit_weight", "_table")
 
     def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
         if string_length < 0:
@@ -327,6 +338,7 @@ class FiniteDistribution:
         self.denominator = denominator
         self._weights = weights
         self.deficit_weight = deficit_weight
+        self._table = (None, ())  # (window length, rows) of the last windows call
 
     @classmethod
     def uniform(cls, string_length: int) -> "FiniteDistribution":
@@ -334,9 +346,10 @@ class FiniteDistribution:
         if string_length > 24:
             raise ValueError("uniform support too large to enumerate")
         self = object.__new__(cls)
+        # product counts up in numeral order, and repeat=0 yields the empty string
         self._set(string_length, 1 << string_length,
-                  {BitString.from_numeral(v, string_length): 1
-                   for v in range(1 << string_length)}, 0)
+                  {BitString._of("".join(bits)): 1
+                   for bits in itertools.product("01", repeat=string_length)}, 0)
         return self
 
     @property
@@ -346,6 +359,28 @@ class FiniteDistribution:
     def weights(self):
         """(string, integer weight) pairs; each mass is weight / denominator."""
         return self._weights.items()
+
+    def windows(self, length: int) -> tuple:
+        """(numeral, window numerals, weight) for each support string, in
+        weights() order: the string's numeral, the numerals of its windows of
+        the given length in order of position, and its integer weight.
+
+        The rows of the last length asked for are kept, so the certificates
+        that read one window length over and over read each string once; a
+        new length replaces them."""
+        cached_length, rows = self._table
+        if length != cached_length:
+            if not 0 < length <= self.string_length:
+                raise ValueError(f"window length {length} out of range")
+            shifts = range(self.string_length - length, -1, -1)
+            mask = (1 << length) - 1
+            rows = []
+            for x, weight in self._weights.items():
+                numeral = int(x._text, 2)
+                rows.append((numeral, tuple([(numeral >> s) & mask for s in shifts]), weight))
+            rows = tuple(rows)
+            self._table = (length, rows)
+        return rows
 
     def items(self):
         """(string, mass) pairs, each mass an ExactProb."""

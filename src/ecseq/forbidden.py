@@ -11,11 +11,11 @@ schedule construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Optional
 
-from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, binom, frac_to_str, pow2_floor)
+from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource,
+                   binom, frac_to_str, pow2_at_most, pow2_floor)
 
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 
@@ -26,13 +26,6 @@ class AveragedBoundError(CertificateError):
 
 class PoolTooSmallError(ValueError):
     """A sampling pool holds fewer strings than the requested set size."""
-
-
-def distinct_substrings(x: BitString, length: int) -> int:
-    """Number of distinct windows of the given length, all offsets."""
-    if length > len(x):
-        raise ValueError(f"window length {length} exceeds string length {len(x)}")
-    return len(set(x.numeral_windows(length)))
 
 
 def is_simple(numeral: int, length: int, block_length: int, threshold: int) -> bool:
@@ -303,10 +296,11 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
     top level; every string of the top length hits it with probability above
     1 - epsilon over the random draw.
 
-    The random length n is the smallest admissible length at least
-    min_random_length; the top length is the smallest multiple of n whose
-    simple-string count, carried from one multiple to the next, fits under the
-    size bound.  Both choices are certified in exact arithmetic.
+    The random length n is the smallest length at least min_random_length
+    with ceil(n/2) < alpha*n, so that some top fits, and a miss bound below
+    epsilon; the top length is the smallest multiple of n whose simple-string
+    count, carried from one multiple to the next, fits under the size bound.
+    Both choices are certified in exact arithmetic.
 
     The length choice uses the closed form (1 - 2**-ceil(n/2))**size, the
     with-replacement estimate; it upper-bounds the exact hypergeometric miss
@@ -326,15 +320,17 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
     while True:
         threshold = 1 << ((n + 1) // 2)
         size = pow2_floor(alpha * n)
-        if 1 <= size:
+        # with ceil(n/2) >= alpha*n, the simple strings of any number of
+        # blocks outnumber 2**(alpha*n*blocks), so no top length would fit
+        if 1 <= size and (n + 1) // 2 < alpha * n:
             miss_bound = (1 - Fraction(1, threshold)) ** size
             if miss_bound < epsilon:
                 break
         n += 1
     for blocks, cardinality in enumerate(simple_counts(n, threshold), start=1):
-        top_size_bound = pow2_floor(alpha * n * blocks)
-        if cardinality <= top_size_bound:
+        if pow2_at_most(cardinality, alpha * n * blocks):
             break
+    top_size_bound = pow2_floor(alpha * n * blocks)
     top = ImplicitLevel(n * blocks, n, threshold, cardinality)
     strings = sample_uniform_set(n, size, rs)
     family = LevelFamily(alpha, [SampledLevel(n, strings), top])
@@ -354,22 +350,26 @@ def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
     return LevelFamily(alpha, levels)
 
 
-def family_avoids(x: BitString, family: LevelFamily) -> bool:
-    """True when no realized level of the family occurs as a substring of x."""
-    top = family.implicit_top()
-    if top is not None and top.holds(x.to_numeral()):
-        return False
-    return next(family.scanner().occurrences(x.to_text().encode()), None) is None
-
-
 def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> ExactProb:
     """Mass of the strings avoiding the realized family; deficit counts as
-    avoiding (worst case)."""
+    avoiding (worst case).
+
+    A string avoids when each non-empty sampled level is disjoint from its
+    windows of that level's length, read from dist.windows, and the simple
+    top, if any, does not hold it."""
     if dist.string_length != family.string_length:
         raise ValueError("distribution length does not match family top length")
+    levels = [level for level in family.sampled_levels() if level.strings]
+    rows = dist.windows(levels[0].length if levels else dist.string_length)
+    avoiding = [True] * len(rows)
+    for level in levels:
+        isdisjoint = level.strings.isdisjoint
+        rows = dist.windows(level.length)
+        avoiding = [a and isdisjoint(windows) for a, (_, windows, _) in zip(avoiding, rows)]
+    top = family.implicit_top()
     total = dist.deficit_weight
-    for x, weight in dist.weights():
-        if family_avoids(x, family):
+    for numeral, _, weight in compress(rows, avoiding):
+        if top is None or not top.holds(numeral):
             total += weight
     return ExactProb(total, dist.denominator)
 
@@ -400,10 +400,10 @@ def _averaged_bound(dist: FiniteDistribution, ln: int, size: int,
     # strings with the same number d of distinct windows miss alike, so their
     # weights are summed first and each miss probability is used once
     by_count = {}
-    for x, weight in dist.weights():
-        if top is not None and top.holds(x.to_numeral()):
+    for numeral, windows, weight in dist.windows(ln):
+        if top is not None and top.holds(numeral):
             continue
-        d = distinct_substrings(x, ln)
+        d = len(set(windows))
         by_count[d] = by_count.get(d, 0) + weight
     average = Fraction(dist.deficit_weight)
     for d, weight in by_count.items():

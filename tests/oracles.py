@@ -12,9 +12,25 @@ from typing import Optional
 from ecseq import spreader
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, binom,
                         frac_to_str, pow2_floor)
-from ecseq.forbidden import (LevelFamily, SampledLevel, distinct_substrings, family_avoids,
-                             miss_probability_random_set)
+from ecseq.forbidden import LevelFamily, SampledLevel, miss_probability_random_set
 from ecseq.spreader import Allocation
+
+
+def distinct_substrings(x: BitString, length: int) -> int:
+    """Number of distinct windows of the given length, all offsets."""
+    if length > len(x):
+        raise ValueError(f"window length {length} exceeds string length {len(x)}")
+    return len(set(x.numeral_windows(length)))
+
+
+def family_avoids(x: BitString, family: LevelFamily) -> bool:
+    """True when no realized level of the family occurs as a substring of x,
+    by the simple top's predicate and one pass of the family's Aho-Corasick
+    automaton over x."""
+    top = family.implicit_top()
+    if top is not None and top.holds(x.to_numeral()):
+        return False
+    return next(family.scanner().occurrences(x.to_text().encode()), None) is None
 
 
 def point_mass(x: BitString) -> FiniteDistribution:

@@ -65,6 +65,28 @@ def test_avoid_probability_full_deficit():
     assert avoid_probability(dist, fam("00", "00", "00")) == 1
 
 
+def test_avoid_probability_agrees_with_a_direct_loop():
+    rs = RandomSource(808)
+    for trial in range(150):
+        n = 1 + rs.below(4)
+        length = n + rs.below(8)
+        numerals = {rs.below(1 << length) for _ in range(1 + rs.below(30))}
+        weights = {BitString.from_numeral(v, length): 1 + rs.below(9) for v in numerals}
+        deficit = 1 + rs.below(4) if trial % 2 else 0
+        total = sum(weights.values()) + deficit
+        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+                                  Fraction(deficit, total))
+        family = PositionalFamily(n, tuple(BitString.from_numeral(rs.below(1 << n), n)
+                                           for _ in range(length - n + 1)))
+        expected = Fraction(dist.deficit) + sum(
+            (mass for x, mass in dist.items()
+             if all(x.to_text()[p:p + n] != s.to_text() for p, s in enumerate(family.strings))),
+            Fraction(0))
+        assert avoid_probability(dist, family) == expected
+        dist.windows(1 + rs.below(length))  # leave another length's table behind
+        assert avoid_probability(dist, family) == expected
+
+
 def test_avoid_probability_length_guard():
     with pytest.raises(ValueError):
         avoid_probability(FiniteDistribution.uniform(5), fam("00", "00", "00"))

@@ -164,6 +164,20 @@ def test_family_two_level_report(tmp_path):
     assert run("verify", "--report", str(report)) == cli.EXIT_OK
 
 
+def test_family_steps_past_a_random_length_no_top_can_fit(tmp_path):
+    # at n = 3, ceil(n/2) = 2 >= 9/5 = alpha*n, so no top over 3-bit blocks
+    # fits its size bound; a subprocess, so a search that never ends times out
+    report = tmp_path / "family.report.json"
+    src = str(Path(ecseq.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "ecseq.cli", "family", "--alpha", "3/5",
+                           "--n-min", "3", "--report", str(report)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert read_json(report)["results"]["random_length"] == 4
+    assert run("verify", "--report", str(report)) == cli.EXIT_OK
+
+
 def test_family_derandomize_and_schedule(tmp_path):
     dist = tmp_path / "dist.json"
     with open(dist, "w") as fh:

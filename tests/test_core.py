@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
-                        binom, floor_root, frac_to_str, pow2_floor,
+                        binom, floor_root, frac_to_str, pow2_at_most, pow2_floor,
                         read_bit_file, write_bit_file)
 
 from oracles import scaled_to_deficit
@@ -258,6 +258,13 @@ def test_pow2_floor():
     assert 27 ** 5 <= 2 ** 24 < 28 ** 5
 
 
+def test_pow2_at_most_agrees_with_pow2_floor():
+    for exponent in {Fraction(p, q) for p in range(0, 60) for q in range(1, 8)}:
+        bound = pow2_floor(exponent)
+        for count in {0, 1, bound - 1, bound, bound + 1, 2 * bound, bound * bound}:
+            assert pow2_at_most(count, exponent) == (count <= bound), (count, exponent)
+
+
 # ---------------------------------------------------------------- random source
 
 def test_random_source_reproducible_megabit():
@@ -365,6 +372,27 @@ def test_uniform_equals_the_validating_constructor(length):
     assert dict(fast.weights()) == dict(checked.weights())
     assert (fast.denominator, fast.deficit_weight) == (checked.denominator, checked.deficit_weight)
     assert fast.to_json() == checked.to_json()
+
+
+def test_window_table_matches_numeral_windows_at_alternating_lengths():
+    rs = RandomSource(31)
+    for trial in range(60):
+        length = 1 + rs.below(14)
+        numerals = {rs.below(1 << length) for _ in range(rs.below(30))}
+        weights = {BitString.from_numeral(v, length): 1 + rs.below(9) for v in numerals}
+        deficit = 1 + rs.below(4) if trial % 2 or not weights else 0
+        total = sum(weights.values()) + deficit
+        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+                                  Fraction(deficit, total))
+        # one object asked for lengths in turn, repeats included
+        for n in [1 + rs.below(length) for _ in range(6)]:
+            assert dist.windows(n) == tuple(
+                (x.to_numeral(), tuple(x.numeral_windows(n)), w) for x, w in dist.weights())
+        for bad in (0, length + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                dist.windows(bad)
+    assert FiniteDistribution.uniform(2).windows(1) == (
+        (0, (0, 0), 1), (1, (0, 1), 1), (2, (1, 0), 1), (3, (1, 1), 1))
 
 
 @pytest.mark.parametrize("masses, deficit, message", [

@@ -7,14 +7,14 @@ from ecseq.core import (BitString, CertificateError, ExactProb, FiniteDistributi
                         RandomSource, binom, pow2_floor)
 from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
                              PoolTooSmallError, SampledLevel, count_simple,
-                             derandomize_family, distinct_substrings,
-                             family_avoid_probability, family_avoids, interval_schedule,
+                             derandomize_family, family_avoid_probability, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              simple_counts, two_level_family, _averaged_bound)
 
 from oracles import (averaged_bound_per_string, count_limited_block_strings,
-                     family_avoid_per_string, hit_probability, membership,
-                     oracle_simple_top, point_mass, surjections, text_slice_simple)
+                     distinct_substrings, family_avoid_per_string, family_avoids,
+                     hit_probability, membership, oracle_simple_top, point_mass,
+                     surjections, text_slice_simple)
 
 
 def bs(text):
@@ -410,6 +410,48 @@ def test_integer_sums_agree_with_per_string_fraction_sums():
         assert _averaged_bound(dist, ln, size, top) == \
             averaged_bound_per_string(dist, ln, size, top)
     assert tops > 30
+
+
+def test_table_certificates_agree_with_the_scanner_on_multi_level_families():
+    # one to three sampled levels, any of them empty or at the full length,
+    # under an implicit top or none; the averaged bound in between leaves
+    # another length's window table behind
+    rs = RandomSource(91)
+    seen = dict.fromkeys(("empty", "full", "implicit", "several"), 0)
+    for trial in range(240):
+        length = 4 + rs.below(7)
+        numerals = {rs.below(1 << length) for _ in range(1 + rs.below(40))}
+        weights = {BitString.from_numeral(v, length): 1 + rs.below(12) for v in numerals}
+        deficit = rs.below(5) if trial % 2 else 0
+        total = sum(weights.values()) + deficit
+        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+                                  Fraction(deficit, total))
+        top = None
+        blocks = [b for b in range(1, length) if length % b == 0]
+        if trial % 3 == 0:
+            b = blocks[rs.below(len(blocks))]
+            threshold = 1 + rs.below(1 << ((b + 1) // 2))
+            top = ImplicitLevel(length, b, threshold, count_simple(length, b, threshold))
+        lengths = {1 + rs.below(length - 1) for _ in range(1 + rs.below(3))}
+        if top is None:
+            lengths.add(length)
+        levels = []
+        for i, ln in enumerate(sorted(lengths)[-3:]):
+            size = rs.below(min(1 << ln, 12) + 1)
+            levels.append(SampledLevel(ln, sample_uniform_set(ln, size, rs.substream(4 * trial + i))))
+        family = LevelFamily(Fraction(1), levels + ([top] if top else []))
+        seen["empty"] += any(not lv.strings for lv in levels)
+        seen["full"] += any(lv.length == length and lv.strings for lv in levels)
+        seen["implicit"] += top is not None
+        seen["several"] += sum(1 for lv in levels if lv.strings) > 1
+        expected = family_avoid_per_string(dist, family)
+        assert family_avoid_probability(dist, family) == expected, trial
+        ln = 1 + rs.below(length - 1)
+        size = rs.below((1 << ln) + 1)
+        assert _averaged_bound(dist, ln, size, top) == \
+            averaged_bound_per_string(dist, ln, size, top)
+        assert family_avoid_probability(dist, family) == expected, trial
+    assert min(seen.values()) > 20, seen
 
 
 # ---------------------------------------------------------------- interval schedule
