@@ -295,6 +295,27 @@ class RandomSource:
         return f"RandomSource(seed={self.seed:#x}, stream={self.stream:#x})"
 
 
+def _probability_terms(value) -> tuple:
+    """(numerator, denominator) in lowest terms of a probability.  A string
+    "a/b" of ASCII digits with 0 < b and a <= b is read with int and one gcd;
+    any other value is read by ExactProb, with its forms and its errors."""
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if slash and num.isdigit() and den.isdigit():
+            num, den = int(num), int(den)
+            if 0 < den and num <= den:
+                g = math.gcd(num, den)
+                return num // g, den // g
+    value = ExactProb(value)
+    return value.numerator, value.denominator
+
+
+def _ratio_text(weight: int, denominator: int) -> str:
+    """weight / denominator as "num/den" in lowest terms."""
+    g = math.gcd(weight, denominator)
+    return f"{weight // g}/{denominator // g}"
+
+
 class FiniteDistribution:
     """Explicit (sub)probability distribution over fixed-length bit strings.
 
@@ -308,24 +329,27 @@ class FiniteDistribution:
     def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
         if string_length < 0:
             raise ValueError("string length must be non-negative")
-        clean = {}
+        clean = {}  # support text -> (numerator, denominator) in lowest terms
         for key, mass in masses.items():
-            if not isinstance(key, BitString):
-                key = BitString.from_text(key)
+            if isinstance(key, BitString):
+                key = key._text
+            elif type(key) is not str or key.strip("01"):  # only 0/1 text skips folding
+                key = BitString.from_text(key)._text
             if len(key) != string_length:
                 raise ValueError(
                     f"support string of length {len(key)} in a length-{string_length} distribution"
                 )
-            mass = ExactProb(mass)
-            if mass == 0:
+            num, den = _probability_terms(mass)
+            if not num:
                 continue
             if key in clean:
                 raise ValueError(f"duplicate support string {key}")
-            clean[key] = mass
-        deficit = ExactProb(deficit)
-        denominator = math.lcm(deficit.denominator, *(m.denominator for m in clean.values()))
-        weights = {x: m.numerator * (denominator // m.denominator) for x, m in clean.items()}
-        deficit_weight = deficit.numerator * (denominator // deficit.denominator)
+            clean[key] = num, den
+        deficit_num, deficit_den = _probability_terms(deficit)
+        denominator = math.lcm(deficit_den, *(den for _, den in clean.values()))
+        weights = {BitString._of(text): num * (denominator // den)
+                   for text, (num, den) in clean.items()}
+        deficit_weight = deficit_num * (denominator // deficit_den)
         total = sum(weights.values()) + deficit_weight
         if total != denominator:
             raise ValueError(f"masses plus deficit must equal 1, got "
@@ -372,13 +396,12 @@ class FiniteDistribution:
         if length != cached_length:
             if not 0 < length <= self.string_length:
                 raise ValueError(f"window length {length} out of range")
-            shifts = range(self.string_length - length, -1, -1)
             mask = (1 << length) - 1
-            rows = []
-            for x, weight in self._weights.items():
-                numeral = int(x._text, 2)
-                rows.append((numeral, tuple([(numeral >> s) & mask for s in shifts]), weight))
-            rows = tuple(rows)
+            numerals = [int(x._text, 2) for x in self._weights]
+            # one column of window numerals per position, turned into rows by zip
+            columns = [[(v >> s) & mask for v in numerals]
+                       for s in range(self.string_length - length, -1, -1)]
+            rows = tuple(zip(numerals, zip(*columns), self._weights.values()))
             self._table = (length, rows)
         return rows
 
@@ -387,18 +410,27 @@ class FiniteDistribution:
         return [(x, ExactProb(w, self.denominator)) for x, w in self._weights.items()]
 
     def to_json(self) -> dict:
+        denominator = self.denominator
         return {
             "length": self.string_length,
-            "masses": {x.to_text(): frac_to_str(Fraction(w, self.denominator))
-                       for x, w in sorted(self.weights(), key=lambda kv: kv[0].to_text())},
-            "deficit": frac_to_str(self.deficit),
+            "masses": {text: _ratio_text(w, denominator)
+                       for text, w in sorted((x._text, w) for x, w in self._weights.items())},
+            "deficit": _ratio_text(self.deficit_weight, denominator),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteDistribution":
-        """Parse a distribution written by to_json; ValueError on any other shape."""
+        """Parse a distribution written by to_json: an integer length and
+        "num/den" string masses and deficit; ValueError on any other shape."""
         try:
-            return cls(doc["length"], doc["masses"], doc.get("deficit", "0/1"))
+            length, masses, deficit = doc["length"], doc["masses"], doc.get("deficit", "0/1")
+            if type(length) is not int:
+                raise ValueError(f"distribution length must be an integer, got {length!r}")
+            for mass in itertools.chain(masses.values(), (deficit,)):
+                if type(mass) is not str:
+                    raise ValueError(f'distribution masses and deficit must be "num/den" '
+                                     f"strings, got {mass!r}")
+            return cls(length, masses, deficit)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"malformed distribution JSON ({type(exc).__name__}: {exc})") from exc

@@ -5,6 +5,7 @@ library computes another way, so a test can compare the two.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
@@ -46,6 +47,55 @@ def scaled_to_deficit(dist: FiniteDistribution, new_deficit) -> FiniteDistributi
     factor = (1 - Fraction(new_deficit)) / old_mass
     masses = {x: ExactProb(Fraction(m) * factor) for x, m in dist.items()}
     return FiniteDistribution(dist.string_length, masses, new_deficit)
+
+
+def oracle_distribution_weights(length: int, masses, deficit) -> tuple:
+    """(denominator, weights, deficit weight) of a distribution, read as the
+    constructor once did: every mass and the deficit through ExactProb, every
+    key that is not a BitString through BitString.from_text."""
+    if length < 0:
+        raise ValueError("string length must be non-negative")
+    clean = {}
+    for key, mass in masses.items():
+        if not isinstance(key, BitString):
+            key = BitString.from_text(key)
+        if len(key) != length:
+            raise ValueError(
+                f"support string of length {len(key)} in a length-{length} distribution")
+        mass = ExactProb(mass)
+        if mass == 0:
+            continue
+        if key in clean:
+            raise ValueError(f"duplicate support string {key}")
+        clean[key] = mass
+    deficit = ExactProb(deficit)
+    denominator = math.lcm(deficit.denominator, *(m.denominator for m in clean.values()))
+    weights = {x: m.numerator * (denominator // m.denominator) for x, m in clean.items()}
+    deficit_weight = deficit.numerator * (denominator // deficit.denominator)
+    total = sum(weights.values()) + deficit_weight
+    if total != denominator:
+        raise ValueError(f"masses plus deficit must equal 1, got "
+                         f"{frac_to_str(Fraction(total, denominator))}")
+    return denominator, weights, deficit_weight
+
+
+def oracle_distribution_json(dist: FiniteDistribution) -> dict:
+    """The distribution's JSON with every mass written through a Fraction."""
+    return {"length": dist.string_length,
+            "masses": {x.to_text(): frac_to_str(Fraction(w, dist.denominator))
+                       for x, w in sorted(dist.weights(), key=lambda kv: kv[0].to_text())},
+            "deficit": frac_to_str(dist.deficit)}
+
+
+def oracle_window_rows(dist: FiniteDistribution, length: int) -> tuple:
+    """The window table built one support string at a time."""
+    shifts = range(dist.string_length - length, -1, -1)
+    mask = (1 << length) - 1
+    rows = []
+    for x, weight in dist.weights():
+        numeral = int(x.to_text(), 2)
+        rows.append((numeral, tuple([(numeral >> s) & mask for s in shifts]), weight))
+    return tuple(rows)
 
 
 def membership(family: LevelFamily, length: int, numeral: int) -> bool:

@@ -481,6 +481,12 @@ EMPTY_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncov
     (None, ["profile", "--bits", "{bits}", "--window", "4", "--stride", "-1"]),
     (EMPTY_ALLOCATION, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}",
                         "--m-max", "-1"]),
+    # a distribution length that is not an integer, or a mass that is not a string
+    *((doc, argv) for doc in ({**UNIFORM_2, "length": 2.0},
+                              {"length": True, "masses": {"0": "1/2", "1": "1/2"}},
+                              {"length": 2, "masses": {"00": 0.5, "11": 0.5}})
+      for argv in (["adversary", "--dist", "{doc}", "--n", "1", "--epsilon", "1/2"],
+                   ["family", "--alpha", "3/5", "--derandomize", "{doc}"])),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:

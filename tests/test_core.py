@@ -7,7 +7,8 @@ from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         binom, floor_root, frac_to_str, pow2_at_most, pow2_floor,
                         read_bit_file, write_bit_file)
 
-from oracles import scaled_to_deficit
+from oracles import (oracle_distribution_json, oracle_distribution_weights,
+                     oracle_window_rows, scaled_to_deficit)
 
 
 def bs(text):
@@ -388,11 +389,119 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         for n in [1 + rs.below(length) for _ in range(6)]:
             assert dist.windows(n) == tuple(
                 (x.to_numeral(), tuple(x.numeral_windows(n)), w) for x, w in dist.weights())
+            assert dist.windows(n) == oracle_window_rows(dist, n)
         for bad in (0, length + 1):
             with pytest.raises(ValueError, match="out of range"):
                 dist.windows(bad)
     assert FiniteDistribution.uniform(2).windows(1) == (
         (0, (0, 0), 1), (1, (0, 1), 1), (2, (1, 0), 1), (3, (1, 1), 1))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _mass_text(rs, mass: Fraction):
+    """One of the forms a mass may be given in, chosen by rs.  All but the
+    last few name the mass; those are malformed or out of range."""
+    a, b = mass.numerator, mass.denominator
+    k = 2 + rs.below(4)
+    decimal = f"{a}/{b}"
+    places = next((p for p in range(1, 8) if 10 ** p % b == 0), None)
+    if places is not None:  # the mass has an exact decimal form
+        digits = a * (10 ** places // b)
+        decimal = f"{digits // 10 ** places}.{digits % 10 ** places:0{places}d}"
+    forms = [f"{k * a}/{k * b}", f" {a}/{b} ", f"+{a}/{b}", f"{a}_0/{b * 10}",
+             f"{a}/{b}".translate(ARABIC_INDIC), Fraction(a, b), ExactProb(a, b), decimal,
+             "1/0", "3/2", "\u00b2/4", "1/", "-1/4", "0.25"]
+    choice = rs.below(3 * len(forms))
+    return forms[choice] if choice < len(forms) else f"{a}/{b}"
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_distribution_constructor_agrees_with_the_exact_prob_oracle():
+    def read_fast():
+        d = FiniteDistribution(length, masses, deficit_mass)
+        return d.denominator, list(d.weights()), d.deficit_weight
+
+    def read_slow():
+        denominator, weights, deficit_weight = oracle_distribution_weights(
+            length, masses, deficit_mass)
+        return denominator, list(weights.items()), deficit_weight
+
+    rs = RandomSource(47)
+    kinds = set()
+    for trial in range(300):
+        length = 1 + rs.below(6)
+        numerals = sorted({rs.below(1 << length) for _ in range(1 + rs.below(6))})
+        weights = [1 + rs.below(9) for _ in numerals]
+        deficit = rs.below(4) if trial % 2 else 0
+        total = sum(weights) + deficit
+        if trial % 3 == 0:  # a denominator whose masses have exact decimal forms
+            total = next(t for t in (10, 20, 25, 40, 50, 80, 100) if t >= total)
+            weights[0] += total - sum(weights) - deficit
+        masses = {}
+        for v, w in zip(numerals, weights):
+            text = format(v, f"0{length}b")
+            key = (text, BitString.from_text(text), " ".join(text), f" {text}\n")[rs.below(4)]
+            masses[key] = _mass_text(rs, Fraction(w, total))
+        if rs.below(5) == 0:  # a zero mass, dropped before the duplicate check
+            masses[format(rs.below(1 << length), f"0{length}b") + " "] = "0/7"
+        if rs.below(6) == 0:  # the first string again after whitespace folding
+            text = format(numerals[0], f"0{length}b")
+            masses[text if text not in masses else " ".join(text)] = "1/4"
+        if rs.below(12) == 0:  # a string of another length
+            masses["0" * (length + 1)] = "1/2"
+        deficit_mass = _mass_text(rs, Fraction(deficit, total))
+        fast = _outcome(read_fast)
+        assert fast == _outcome(read_slow), (length, masses, deficit_mass)
+        kinds.add(fast[0] if len(fast) == 2 else "deficit" if fast[2] else "no deficit")
+    assert kinds == {"deficit", "no deficit", ValueError, ZeroDivisionError}
+
+
+def test_to_json_agrees_with_the_fraction_writer_and_round_trips():
+    rs = RandomSource(53)
+    for _ in range(200):
+        length = 1 + rs.below(10)
+        weights = {rs.below(1 << length): 1 + rs.below(30) for _ in range(rs.below(40))}
+        deficit = 1 + rs.below(20)
+        total = sum(weights.values()) + deficit
+        dist = FiniteDistribution(
+            length, {BitString.from_numeral(v, length): Fraction(w, total)
+                     for v, w in weights.items()}, Fraction(deficit, total))
+        doc = dist.to_json()
+        expected = oracle_distribution_json(dist)
+        assert doc == expected
+        assert list(doc["masses"]) == list(expected["masses"])  # sorted the same way
+        back = FiniteDistribution.from_json(doc)
+        assert dict(back.weights()) == dict(dist.weights())
+        assert (back.denominator, back.deficit_weight) == (dist.denominator, dist.deficit_weight)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"length": 2.0, "masses": {"00": "1/1"}}, "distribution length must be an integer, got 2.0"),
+    ({"length": True, "masses": {"0": "1/1"}}, "distribution length must be an integer, got True"),
+    ({"length": "2", "masses": {"00": "1/1"}},
+     "distribution length must be an integer, got '2'"),
+    ({"length": 2, "masses": {"00": 0.5, "11": 0.5}},
+     'distribution masses and deficit must be "num/den" strings, got 0.5'),
+    ({"length": 1, "masses": {"0": 1}},
+     'distribution masses and deficit must be "num/den" strings, got 1'),
+    ({"length": 2, "masses": {"00": "1/2", "11": "1/2"}, "deficit": 0},
+     'distribution masses and deficit must be "num/den" strings, got 0'),
+    ({"length": 2, "masses": {"00": "1/2"}, "deficit": None},
+     'distribution masses and deficit must be "num/den" strings, got None'),
+])
+def test_distribution_from_json_needs_an_integer_length_and_string_masses(doc, message):
+    with pytest.raises(ValueError) as caught:
+        FiniteDistribution.from_json(doc)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("masses, deficit, message", [
