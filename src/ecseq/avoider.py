@@ -5,6 +5,7 @@ redraw the leftmost (shortest first) violating occurrence, in the style of
 Moser-Tardos constraint resampling.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,72 @@ def scan_violations(x: BitString, family: LevelFamily) -> list:
     return sorted(family.scanner().occurrences(x.to_text().encode()))
 
 
+# Alternations nested this deep are written as one flat alternation of their
+# subtree's suffixes: re.compile recurses once per nested group.
+MAX_NESTING = 64
+
+
+def first_violation_pattern(family: LevelFamily) -> re.Pattern:
+    """A pattern whose leftmost match in the bytes of a bit string's text is
+    the leftmost forbidden occurrence, shortest on ties.
+
+    It is the trie of the sampled levels' strings with each branch cut at the
+    first node where a string ends, so at any start at most one string can
+    match: the shortest one there.  re tries the starts from left to right.
+    A family with no strings gets (?!), which matches nothing."""
+    children, ends = [[0, 0]], [False]
+    for level in family.sampled_levels():  # shortest first, so no cut is undone
+        for v in level.strings:
+            s = 0
+            for i in reversed(range(level.length)):
+                if ends[s]:
+                    break  # a shorter string ends here
+                b = (v >> i) & 1
+                if not children[s][b]:
+                    children[s][b] = len(children)
+                    children.append([0, 0])
+                    ends.append(False)
+                s = children[s][b]
+            else:
+                ends[s] = True
+    if children[0] == [0, 0]:
+        return re.compile(rb"(?!)")
+    out, stack = [], [(0, 0)]  # (node, nesting) or a literal piece
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        s, nesting = item
+        zero, one = children[s]
+        if zero and one:
+            if nesting == MAX_NESTING:
+                out.append("(?:" + "|".join(_suffixes(children, s)) + ")")
+            else:
+                out.append("(?:0")
+                stack += [")", (one, nesting + 1), "|1", (zero, nesting + 1)]
+        elif zero or one:
+            out.append("0" if zero else "1")
+            stack.append((zero or one, nesting))
+    return re.compile("".join(out).encode())
+
+
+def _suffixes(children: list, root: int) -> list:
+    """The strings from root to each leaf below it, shortest first.  None is
+    a prefix of another, so at most one of them matches at any start."""
+    found, path, stack = [], [], [(root, 0, "")]
+    while stack:
+        s, depth, bit = stack.pop()
+        del path[depth:]
+        path.append(bit)
+        if children[s] == [0, 0]:
+            found.append("".join(path))
+        for b, child in enumerate(children[s]):
+            if child:
+                stack.append((child, depth + 1, "01"[b]))
+    return sorted(found, key=lambda path: (len(path), path))
+
+
 def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     """Resample until no forbidden string occurs or the budget runs out.
 
@@ -57,20 +124,21 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     (leftmost violation, shortest on ties), and every redraw come from the
     instance's source in a fixed sequence.
     """
-    scanner = inst.family.scanner()
+    pattern = first_violation_pattern(inst.family)
+    longest = max((lv.length for lv in inst.family.sampled_levels() if lv.strings), default=0)
     rs = inst.source
     text = bytearray(rs.bits(inst.length).to_text(), "ascii")
     resamples = 0
     scan_from = 0
     while True:
-        hit = scanner.first(text, scan_from)
+        hit = pattern.search(text, scan_from)
         if hit is None:
             return AvoidanceResult(True, BitString.from_text(text.decode()), resamples, 0)
         if resamples >= inst.max_resamples:
-            residual = sum(1 for _ in scanner.occurrences(text))
+            residual = sum(1 for _ in inst.family.scanner().occurrences(text))
             return AvoidanceResult(False, None, resamples, residual)
-        k, n = hit
-        text[k:k + n] = rs.bits(n).to_text().encode()
+        k, end = hit.span()
+        text[k:end] = rs.bits(end - k).to_text().encode()
         resamples += 1
         # fresh violations can only overlap the redrawn block
-        scan_from = max(0, k - scanner.longest + 1)
+        scan_from = max(0, k - longest + 1)

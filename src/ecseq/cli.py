@@ -44,8 +44,7 @@ def _sha256_bits(bits: BitString) -> str:
 
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path) -> dict:

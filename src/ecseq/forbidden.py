@@ -138,7 +138,6 @@ class Scanner:
                 else:
                     goto[s][b] = goto[fail[s]][b]
         self.goto, self.ends = goto, [tuple(sorted(lengths)) for lengths in ends]
-        self.longest = max((n for n, numerals in patterns.items() if numerals), default=0)
 
     def occurrences(self, bits, start: int = 0):
         """Yield (position, length) of every forbidden string that starts at
@@ -151,18 +150,6 @@ class Scanner:
             s = goto[s][bits[i] & 1]
             for n in ends[s]:
                 yield i - n + 1, n
-
-    def first(self, bits, start: int = 0):
-        """The leftmost occurrence at or after `start`, shortest on ties, or
-        None.  A longer string ending up to longest - 1 bits after the first
-        match can start before it, so the scan looks that far ahead."""
-        best = None
-        for k, n in self.occurrences(bits, start):
-            if best is not None and k + n >= best[0] + self.longest:
-                break  # it ends too late to start before best
-            if best is None or k < best[0]:
-                best = (k, n)
-        return best
 
 
 class LevelFamily:

@@ -9,7 +9,7 @@ certificates.
 
 from dataclasses import dataclass
 
-from .core import BitString
+from .core import _BIT_VALUES, BitString
 
 LENGTH_HEADER_BITS = 32
 
@@ -18,19 +18,6 @@ def _emit(out: list, value: int, width: int):
     """Append the low `width` bits of value as text, least significant first."""
     if width:
         out.append(format(value, f"0{width}b")[::-1])
-
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def read(self, width: int) -> int:
-        if self.pos + width > len(self.text):
-            raise ValueError("compressed stream truncated")
-        chunk = self.text[self.pos:self.pos + width]
-        self.pos += width
-        return int(chunk[::-1], 2) if width else 0
 
 
 def compress_bits(x: BitString) -> BitString:
@@ -59,30 +46,38 @@ def compress_bits(x: BitString) -> BitString:
     return BitString.from_text("".join(out))
 
 
-def decompress_bits(stream: BitString) -> BitString:
-    reader = _Reader(stream.to_text())
-    total = reader.read(LENGTH_HEADER_BITS)
-    phrases = [""]
-    out = []
-    produced = 0
-    while produced < total:
-        index = reader.read((len(phrases) - 1).bit_length())
-        if index >= len(phrases):
-            raise ValueError(f"compressed stream names phrase {index} of {len(phrases)}")
-        phrase = phrases[index]
-        if total - produced <= len(phrase):
-            out.append(phrase[:total - produced])
-            break
-        phrase += "01"[reader.read(1)]
-        out.append(phrase)
-        produced += len(phrase)
-        phrases.append(phrase)
-    return BitString.from_text("".join(out))
+def index_bits(phrases: int) -> int:
+    """Total width of the indices compress_bits writes for its first `phrases`
+    phrases: the sum of k.bit_length() over k < phrases, which is
+    phrases * w - 2**w + 1 for w = phrases.bit_length(), since for each
+    j <= w the k at or above 2**(j - 1) add one bit each."""
+    width = phrases.bit_length()
+    return phrases * width - (1 << width) + 1
+
+
+def _size(data: bytes) -> int:
+    """len(compress_bits(x)) for the bit values of x, one per byte, by
+    counting the phrases of the parse instead of writing them."""
+    if len(data) >= (1 << LENGTH_HEADER_BITS):
+        raise ValueError("string too long for the length header")
+    seen = set()
+    add = seen.add
+    node = 1  # the bits of the current phrase under a leading 1
+    for bit in data:
+        node += node + bit
+        if node in seen:
+            continue
+        add(node)
+        node = 1
+    phrases = len(seen)
+    size = LENGTH_HEADER_BITS + phrases + index_bits(phrases)
+    # input ended mid-walk: compress_bits writes one more index
+    return size + phrases.bit_length() if node != 1 else size
 
 
 def compress_size(x: BitString) -> int:
     """Proxy size in bits (header included); deterministic in x."""
-    return len(compress_bits(x))
+    return _size(x.to_text().encode().translate(_BIT_VALUES))
 
 
 @dataclass(frozen=True)
@@ -123,9 +118,7 @@ def window_profile(x: BitString, window_length: int, stride: int = 1) -> Complex
         raise ValueError("window longer than the string")
     if stride < 1:
         raise ValueError("stride must be positive")
-    offsets = []
-    sizes = []
-    for offset in range(0, len(x) - window_length + 1, stride):
-        offsets.append(offset)
-        sizes.append(compress_size(x.window(offset, window_length)))
+    data = x.to_text().encode().translate(_BIT_VALUES)
+    offsets = range(0, len(x) - window_length + 1, stride)
+    sizes = [_size(data[offset:offset + window_length]) for offset in offsets]
     return ComplexityProfile(window_length, stride, tuple(offsets), tuple(sizes))

@@ -13,7 +13,8 @@ from typing import Optional
 from ecseq import spreader
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, binom,
                         frac_to_str, pow2_floor)
-from ecseq.forbidden import LevelFamily, SampledLevel, miss_probability_random_set
+from ecseq.forbidden import LevelFamily, SampledLevel, Scanner, miss_probability_random_set
+from ecseq.proxy import LENGTH_HEADER_BITS
 from ecseq.spreader import Allocation
 
 
@@ -32,6 +33,57 @@ def family_avoids(x: BitString, family: LevelFamily) -> bool:
     if top is not None and top.holds(x.to_numeral()):
         return False
     return next(family.scanner().occurrences(x.to_text().encode()), None) is None
+
+
+def scanner_first(scanner: Scanner, bits, start: int = 0):
+    """The leftmost occurrence at or after `start`, shortest on ties, or None,
+    from the automaton's occurrences.  A longer string ending up to
+    longest - 1 bits after the first match can start before it, so the scan
+    looks that far ahead."""
+    longest = max((lengths[-1] for lengths in scanner.ends if lengths), default=0)
+    best = None
+    for k, n in scanner.occurrences(bits, start):
+        if best is not None and k + n >= best[0] + longest:
+            break  # it ends too late to start before best
+        if best is None or k < best[0]:
+            best = (k, n)
+    return best
+
+
+class _Reader:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def read(self, width: int) -> int:
+        if self.pos + width > len(self.text):
+            raise ValueError("compressed stream truncated")
+        chunk = self.text[self.pos:self.pos + width]
+        self.pos += width
+        return int(chunk[::-1], 2) if width else 0
+
+
+def decompress_bits(stream: BitString) -> BitString:
+    """Decode a stream written by proxy.compress_bits; ValueError on a stream
+    that names a phrase not yet defined or ends early."""
+    reader = _Reader(stream.to_text())
+    total = reader.read(LENGTH_HEADER_BITS)
+    phrases = [""]
+    out = []
+    produced = 0
+    while produced < total:
+        index = reader.read((len(phrases) - 1).bit_length())
+        if index >= len(phrases):
+            raise ValueError(f"compressed stream names phrase {index} of {len(phrases)}")
+        phrase = phrases[index]
+        if total - produced <= len(phrase):
+            out.append(phrase[:total - produced])
+            break
+        phrase += "01"[reader.read(1)]
+        out.append(phrase)
+        produced += len(phrase)
+        phrases.append(phrase)
+    return BitString.from_text("".join(out))
 
 
 def point_mass(x: BitString) -> FiniteDistribution:

@@ -14,13 +14,13 @@ from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
 from ecseq.forbidden import (LevelFamily, SampledLevel, count_simple, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              two_level_family)
-from ecseq.proxy import compress_bits, compress_size, decompress_bits
+from ecseq.proxy import compress_bits, compress_size
 from ecseq.spreader import (boost_tail, choose_start_level, inverse_triangular,
                             plan_allocation, recover_prefix, spread_random,
                             zero_series)
 
-from oracles import (average_avoid_probability, brute_force_avoider, distinct_substrings,
-                     hit_probability, scaled_to_deficit)
+from oracles import (average_avoid_probability, brute_force_avoider, decompress_bits,
+                     distinct_substrings, hit_probability, scaled_to_deficit)
 
 
 def _report(number, ok, detail):

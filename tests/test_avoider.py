@@ -1,12 +1,19 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ecseq.avoider import AvoidanceInstance, build_avoiding_string, scan_violations
+import ecseq
+from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
+                           first_violation_pattern, scan_violations)
 from ecseq.core import BitString, RandomSource
 from ecseq.forbidden import LevelFamily, SampledLevel, two_level_family
 
-from oracles import brute_force_avoider, membership
+from oracles import brute_force_avoider, membership, scanner_first
 
 
 def bs(text):
@@ -68,15 +75,104 @@ def test_first_agrees_with_naive_oracle():
         family = explicit_family(1, sets)
         start = rs.below(len(x) + 1)
         expected = min((hit for hit in naive_scan(x, family) if hit[0] >= start), default=None)
-        assert family.scanner().first(x.to_bits(), start) == expected
+        assert scanner_first(family.scanner(), x.to_bits(), start) == expected
 
 
 def test_first_looks_ahead_past_the_first_match():
     # "10001" starts at 2, but the first match to end is "00" at 3
     family = explicit_family(1, {2: ["00"], 5: ["10001"]})
     bits = bs("0110001").to_bits()
-    assert family.scanner().first(bits) == (2, 5)
-    assert family.scanner().first(bits, 3) == (3, 2)
+    assert scanner_first(family.scanner(), bits) == (2, 5)
+    assert scanner_first(family.scanner(), bits, 3) == (3, 2)
+
+
+# ---------------------------------------------------------------- compiled search
+
+def compiled_first(pattern, text, start=0):
+    hit = pattern.search(text, start)
+    return None if hit is None else (hit.start(), hit.end() - hit.start())
+
+
+def assert_search_agrees(family, x, starts=None, pattern=None):
+    pattern = pattern or first_violation_pattern(family)
+    text, scanner = x.to_text().encode(), family.scanner()
+    for start in range(len(text) + 1) if starts is None else starts:
+        assert compiled_first(pattern, text, start) == scanner_first(scanner, text, start), \
+            (family.to_json(), x.to_text(), start)
+
+
+def test_compiled_search_agrees_on_shared_prefixes():
+    # each level extends a few stems, so strings overlap and share prefixes
+    rs = RandomSource(37)
+    for trial in range(150):
+        stems = [BitString.from_numeral(rs.below(8), 3).to_text() for _ in range(3)]
+        sets = {}
+        for n in range(2, 10):
+            if rs.below(2):
+                stem = stems[rs.below(3)][:min(3, n - 1)]
+                sets[n] = {stem + BitString.from_numeral(rs.below(1 << (n - len(stem))),
+                                                         n - len(stem)).to_text()
+                           for _ in range(1 + rs.below(3))}
+        assert_search_agrees(explicit_family(1, sets), rs.bits(1 + rs.below(60)))
+
+
+def test_compiled_search_agrees_at_every_level_length():
+    rs = RandomSource(43)
+    for n in range(1, 25):
+        for trial in range(4):
+            sets = {n: [BitString.from_numeral(rs.below(1 << n), n).to_text()
+                        for _ in range(1 + rs.below(3))]}
+            x = rs.bits(n + rs.below(80))
+            assert_search_agrees(explicit_family(1, sets), x)
+            # plant the first string so every length matches somewhere
+            planted = x + bs(sets[n][0]) + rs.bits(3)
+            assert_search_agrees(explicit_family(1, sets), planted, range(0, len(planted), 7))
+
+
+def test_compiled_search_takes_the_shorter_of_nested_strings():
+    family = explicit_family(1, {2: ["01"], 5: ["01101"], 3: ["110"], 6: ["110011"]})
+    for text in ("01101", "110011", "0110011", "1110110", "111", "00110"):
+        assert_search_agrees(family, bs(text))
+    pattern = first_violation_pattern(family)
+    assert compiled_first(pattern, b"001101") == (1, 2)
+    assert compiled_first(pattern, b"111011") == (1, 3)
+
+
+def test_compiled_search_matches_nothing_without_strings():
+    x = RandomSource(6).bits(40)
+    for family in (EMPTY, explicit_family(1, {3: [], 5: []})):
+        assert compiled_first(first_violation_pattern(family), x.to_text().encode()) is None
+        assert_search_agrees(family, x)
+    assert_search_agrees(explicit_family(1, {3: [], 4: ["0110"]}), x)
+
+
+def deep_family():
+    """Levels 2..1001, level n holding 0^(n-1) 1: its trie branches at every
+    node of the all-zero path."""
+    return explicit_family(1, {n: ["0" * (n - 1) + "1"] for n in range(2, 1002)})
+
+
+def test_compiled_search_on_the_deep_family_does_not_raise():
+    family = deep_family()
+    pattern = first_violation_pattern(family)
+    x = RandomSource(8).bits(1200)
+    assert_search_agrees(family, x, range(0, 1201, 50), pattern)
+    # only strings past the flattened nesting depth match in a long zero run
+    runs = bs("1" * 50 + "0" * 1100 + "1" + "0" * 49)
+    assert_search_agrees(family, runs, [0, 40, 100, 149, 150, 151, 600, 1150, 1151], pattern)
+    assert compiled_first(pattern, runs.to_text().encode()) == (150, 1001)
+
+
+def test_avoid_on_the_deep_family_exits_without_a_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(deep_family().to_json()))
+    env = dict(os.environ, PYTHONPATH=str(Path(ecseq.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ecseq.cli", "avoid", "--family", str(path),
+         "--length", "1200", "--seed", "2", "--budget", "300",
+         "--out", str(tmp_path / "deep.bits")], env=env, capture_output=True, text=True)
+    assert done.returncode in (0, 3), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_scan_rejects_implicit_levels():

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import json
 import os
 import random
@@ -343,6 +344,18 @@ def test_every_report_kind_round_trips(reports, kind, monkeypatch):
                         (forbidden, "interval_schedule")):
         monkeypatch.setattr(owner, name, None)
     assert run("verify", "--report", str(reports[kind])) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KINDS))
+def test_reports_are_written_as_json_dump_writes_them(reports, kind, tmp_path):
+    written = reports[kind].read_bytes()
+    doc = json.loads(written)
+    reference = io.StringIO()
+    json.dump(doc, reference, indent=2, sort_keys=True)
+    reference.write("\n")
+    assert written == reference.getvalue().encode()
+    cli._write_json(tmp_path / "again.json", doc)
+    assert (tmp_path / "again.json").read_bytes() == written
 
 
 @pytest.mark.parametrize("kind, argv", [

@@ -1,8 +1,11 @@
 import pytest
 
 from ecseq.core import BitString, RandomSource
-from ecseq.proxy import (LENGTH_HEADER_BITS, compress_bits, compress_size,
-                         decompress_bits, window_profile)
+from ecseq import proxy
+from ecseq.proxy import (LENGTH_HEADER_BITS, compress_bits, compress_size, index_bits,
+                         window_profile)
+
+from oracles import decompress_bits
 
 
 def bs(text):
@@ -44,6 +47,38 @@ def test_foreign_streams_decode_or_raise_value_error():
 def test_compress_size_deterministic():
     x = RandomSource(8).bits(500)
     assert compress_size(x) == compress_size(x) == len(compress_bits(x))
+
+
+def test_compress_size_counts_what_compress_bits_writes():
+    rs = RandomSource(19)
+    for length in range(300):
+        for x in (rs.bits(length), BitString(0, length), bs(("01" * length)[:length])):
+            assert compress_size(x) == len(compress_bits(x)), x.to_text()
+    for trial in range(3000):
+        x = rs.bits(256)
+        assert compress_size(x) == len(compress_bits(x)), x.to_text()
+
+
+def test_index_bits_closed_form_matches_the_direct_sum():
+    direct = 0
+    for phrases in range(5001):
+        assert index_bits(phrases) == direct, phrases
+        direct += phrases.bit_length()
+
+
+def test_profile_sizes_match_compress_bits_on_each_window():
+    x = RandomSource(21).bits(1500) + BitString(0, 300) + bs("01" * 150)
+    profile = window_profile(x, 256, stride=37)
+    assert profile.sizes == tuple(len(compress_bits(x.window(o, 256))) for o in profile.offsets)
+
+
+def test_length_header_bounds_every_size(monkeypatch):
+    monkeypatch.setattr(proxy, "LENGTH_HEADER_BITS", 4)
+    x = RandomSource(2).bits(16)
+    for size in (compress_bits, compress_size, lambda x: window_profile(x, 16)):
+        with pytest.raises(ValueError, match="length header"):
+            size(x)
+    assert compress_size(x.window(0, 15)) == len(compress_bits(x.window(0, 15)))
 
 
 def test_zero_run_compresses_below_random():
