@@ -49,10 +49,15 @@ class PositionalFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PositionalFamily":
-        cert = doc.get("certificate")
-        return cls(doc["window_length"],
-                   tuple(BitString.from_text(s) for s in doc["strings"]),
-                   ExactProb(Fraction(cert)) if cert is not None else None)
+        """Parse a family written by to_json; ValueError on any other shape."""
+        try:
+            cert = doc.get("certificate")
+            return cls(doc["window_length"],
+                       tuple(BitString.from_text(s) for s in doc["strings"]),
+                       ExactProb(Fraction(cert)) if cert is not None else None)
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"malformed positional family JSON ({type(exc).__name__}: {exc})") from exc
 
 
 def required_positions(window_length: int, epsilon) -> int:

@@ -163,18 +163,6 @@ class BitString:
         """Most-significant-bit-first integer reading (position 0 on top)."""
         return int(self._text, 2) if self._text else 0
 
-    def numeral_windows(self, length: int):
-        """Yield the numeral of every window of the given length, in order."""
-        if length <= 0 or length > len(self._text):
-            raise ValueError(f"window length {length} out of range")
-        data = self._text.encode()
-        value = int(data[:length], 2)
-        yield value
-        mask = (1 << length) - 1
-        for c in data[length:]:
-            value = ((value << 1) & mask) | (c & 1)
-            yield value
-
     def to_packed_bytes(self) -> bytes:
         value = int(self._text[::-1], 2) if self._text else 0
         return value.to_bytes((len(self._text) + 7) // 8, "little")
@@ -183,11 +171,6 @@ class BitString:
     def from_packed_bytes(cls, payload: bytes, bit_count: int) -> "BitString":
         value = int.from_bytes(payload, "little") & ((1 << bit_count) - 1)
         return cls(value, bit_count)
-
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString._of(self._text + other._text)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BitString) and self._text == other._text
@@ -319,17 +302,20 @@ def _ratio_text(weight: int, denominator: int) -> str:
 class FiniteDistribution:
     """Explicit (sub)probability distribution over fixed-length bit strings.
 
-    Masses are held as integer weights over one common denominator, so every
-    certificate sums integers and divides once.  The deficit is the mass
-    assigned to "no output"; masses plus deficit must sum to exactly 1.
+    The support is two read-only columns in support order: `numerals`, each
+    string read most significant bit first, and integer `weights` over one
+    common `denominator`, so every certificate sums integers and divides
+    once.  The deficit is the mass assigned to "no output"; masses plus
+    deficit must sum to exactly 1.
     """
 
-    __slots__ = ("string_length", "denominator", "_weights", "deficit_weight", "_table")
+    __slots__ = ("string_length", "denominator", "numerals", "weights", "deficit_weight",
+                 "_table")
 
     def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
         if string_length < 0:
             raise ValueError("string length must be non-negative")
-        clean = {}  # support text -> (numerator, denominator) in lowest terms
+        clean = {}  # support numeral -> (numerator, denominator) in lowest terms
         for key, mass in masses.items():
             if isinstance(key, BitString):
                 key = key._text
@@ -342,25 +328,26 @@ class FiniteDistribution:
             num, den = _probability_terms(mass)
             if not num:
                 continue
-            if key in clean:
+            numeral = int(key, 2) if key else 0
+            if numeral in clean:
                 raise ValueError(f"duplicate support string {key}")
-            clean[key] = num, den
+            clean[numeral] = num, den
         deficit_num, deficit_den = _probability_terms(deficit)
         denominator = math.lcm(deficit_den, *(den for _, den in clean.values()))
-        weights = {BitString._of(text): num * (denominator // den)
-                   for text, (num, den) in clean.items()}
+        weights = tuple([num * (denominator // den) for num, den in clean.values()])
         deficit_weight = deficit_num * (denominator // deficit_den)
-        total = sum(weights.values()) + deficit_weight
+        total = sum(weights) + deficit_weight
         if total != denominator:
             raise ValueError(f"masses plus deficit must equal 1, got "
                              f"{frac_to_str(Fraction(total, denominator))}")
-        self._set(string_length, denominator, weights, deficit_weight)
+        self._set(string_length, denominator, tuple(clean), weights, deficit_weight)
 
-    def _set(self, string_length: int, denominator: int, weights: dict,
+    def _set(self, string_length: int, denominator: int, numerals, weights: tuple,
              deficit_weight: int) -> None:
         self.string_length = string_length
         self.denominator = denominator
-        self._weights = weights
+        self.numerals = numerals
+        self.weights = weights
         self.deficit_weight = deficit_weight
         self._table = (None, ())  # (window length, rows) of the last windows call
 
@@ -370,23 +357,17 @@ class FiniteDistribution:
         if string_length > 24:
             raise ValueError("uniform support too large to enumerate")
         self = object.__new__(cls)
-        # product counts up in numeral order, and repeat=0 yields the empty string
-        self._set(string_length, 1 << string_length,
-                  {BitString._of("".join(bits)): 1
-                   for bits in itertools.product("01", repeat=string_length)}, 0)
+        size = 1 << string_length
+        self._set(string_length, size, range(size), (1,) * size, 0)
         return self
 
     @property
     def deficit(self) -> ExactProb:
         return ExactProb(self.deficit_weight, self.denominator)
 
-    def weights(self):
-        """(string, integer weight) pairs; each mass is weight / denominator."""
-        return self._weights.items()
-
     def windows(self, length: int) -> tuple:
         """(numeral, window numerals, weight) for each support string, in
-        weights() order: the string's numeral, the numerals of its windows of
+        support order: the string's numeral, the numerals of its windows of
         the given length in order of position, and its integer weight.
 
         The rows of the last length asked for are kept, so the certificates
@@ -397,31 +378,31 @@ class FiniteDistribution:
             if not 0 < length <= self.string_length:
                 raise ValueError(f"window length {length} out of range")
             mask = (1 << length) - 1
-            numerals = [int(x._text, 2) for x in self._weights]
+            numerals = self.numerals
             # one column of window numerals per position, turned into rows by zip
             columns = [[(v >> s) & mask for v in numerals]
                        for s in range(self.string_length - length, -1, -1)]
-            rows = tuple(zip(numerals, zip(*columns), self._weights.values()))
+            rows = tuple(zip(numerals, zip(*columns), self.weights))
             self._table = (length, rows)
         return rows
 
-    def items(self):
-        """(string, mass) pairs, each mass an ExactProb."""
-        return [(x, ExactProb(w, self.denominator)) for x, w in self._weights.items()]
-
     def to_json(self) -> dict:
         denominator = self.denominator
+        texts = {w: _ratio_text(w, denominator) for w in set(self.weights)}  # weights repeat
+        weight_of = dict(zip(self.numerals, self.weights))
+        lead = 1 << self.string_length  # a leading 1 keeps the zeros that bin would drop
         return {
             "length": self.string_length,
-            "masses": {text: _ratio_text(w, denominator)
-                       for text, w in sorted((x._text, w) for x, w in self._weights.items())},
+            "masses": {bin(lead | v)[3:]: texts[weight_of[v]] for v in sorted(weight_of)},
             "deficit": _ratio_text(self.deficit_weight, denominator),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteDistribution":
-        """Parse a distribution written by to_json: an integer length and
-        "num/den" string masses and deficit; ValueError on any other shape."""
+        """Parse a distribution written by to_json: an integer length, and
+        masses and a deficit given as strings.  A string mass is read as
+        "num/den" or in any other form ExactProb reads (a decimal, a sign,
+        surrounding whitespace); ValueError on any other shape."""
         try:
             length, masses, deficit = doc["length"], doc["masses"], doc.get("deficit", "0/1")
             if type(length) is not int:
@@ -437,4 +418,4 @@ class FiniteDistribution:
 
     def __repr__(self) -> str:
         return (f"FiniteDistribution(length={self.string_length}, "
-                f"support={len(self._weights)}, deficit={frac_to_str(self.deficit)})")
+                f"support={len(self.numerals)}, deficit={frac_to_str(self.deficit)})")

@@ -73,7 +73,7 @@ def weight_preset(text: str) -> WeightSeries:
         return inverse_triangular()
     if text == "zero":
         return zero_series()
-    if text.startswith("geometric:"):
+    if isinstance(text, str) and text.startswith("geometric:"):
         return geometric(Fraction(text.split(":", 1)[1]))
     raise ValueError(f"unknown weight preset: {text!r}")
 
@@ -254,9 +254,6 @@ class Allocation:
         """Read-only view: (level, count, source_base, assigned first-term pairs)."""
         return [(lv.level, lv.count, lv.source_base, lv.assigned.pairs())
                 for lv in self._levels]
-
-    def counts(self) -> dict:
-        return {lv.level: lv.count for lv in self._levels}
 
     def source_count_through(self, level: int) -> int:
         """Number of source bits placed at levels up to and including `level`."""

@@ -18,11 +18,47 @@ from ecseq.proxy import LENGTH_HEADER_BITS
 from ecseq.spreader import Allocation
 
 
+def numeral_windows(x: BitString, length: int):
+    """Yield the numeral of every window of the given length, in order."""
+    text = x.to_text()
+    if length <= 0 or length > len(text):
+        raise ValueError(f"window length {length} out of range")
+    data = text.encode()
+    value = int(data[:length], 2)
+    yield value
+    mask = (1 << length) - 1
+    for c in data[length:]:
+        value = ((value << 1) & mask) | (c & 1)
+        yield value
+
+
+def concat(*parts: BitString) -> BitString:
+    """The bit strings one after another."""
+    return BitString.from_text("".join(x.to_text() for x in parts))
+
+
+def level_counts(alloc: Allocation) -> dict:
+    """Source bits placed at each level built so far."""
+    return {level: count for level, count, _, _ in alloc.level_records()}
+
+
+def support_weights(dist: FiniteDistribution) -> list:
+    """(string, integer weight) pairs in support order; each mass is weight /
+    denominator."""
+    length = dist.string_length
+    return [(BitString.from_numeral(v, length), w) for v, w in zip(dist.numerals, dist.weights)]
+
+
+def support_masses(dist: FiniteDistribution) -> list:
+    """(string, mass) pairs in support order, each mass an ExactProb."""
+    return [(x, ExactProb(w, dist.denominator)) for x, w in support_weights(dist)]
+
+
 def distinct_substrings(x: BitString, length: int) -> int:
     """Number of distinct windows of the given length, all offsets."""
     if length > len(x):
         raise ValueError(f"window length {length} exceeds string length {len(x)}")
-    return len(set(x.numeral_windows(length)))
+    return len(set(numeral_windows(x, length)))
 
 
 def family_avoids(x: BitString, family: LevelFamily) -> bool:
@@ -97,7 +133,7 @@ def scaled_to_deficit(dist: FiniteDistribution, new_deficit) -> FiniteDistributi
     if old_mass == 0:
         raise ValueError("cannot rescale an all-deficit distribution")
     factor = (1 - Fraction(new_deficit)) / old_mass
-    masses = {x: ExactProb(Fraction(m) * factor) for x, m in dist.items()}
+    masses = {x: ExactProb(Fraction(m) * factor) for x, m in support_masses(dist)}
     return FiniteDistribution(dist.string_length, masses, new_deficit)
 
 
@@ -135,7 +171,7 @@ def oracle_distribution_json(dist: FiniteDistribution) -> dict:
     """The distribution's JSON with every mass written through a Fraction."""
     return {"length": dist.string_length,
             "masses": {x.to_text(): frac_to_str(Fraction(w, dist.denominator))
-                       for x, w in sorted(dist.weights(), key=lambda kv: kv[0].to_text())},
+                       for x, w in sorted(support_weights(dist), key=lambda kv: kv[0].to_text())},
             "deficit": frac_to_str(dist.deficit)}
 
 
@@ -144,7 +180,7 @@ def oracle_window_rows(dist: FiniteDistribution, length: int) -> tuple:
     shifts = range(dist.string_length - length, -1, -1)
     mask = (1 << length) - 1
     rows = []
-    for x, weight in dist.weights():
+    for x, weight in support_weights(dist):
         numeral = int(x.to_text(), 2)
         rows.append((numeral, tuple([(numeral >> s) & mask for s in shifts]), weight))
     return tuple(rows)
@@ -257,7 +293,7 @@ def oracle_window_tally(alloc: Allocation, usable: int, top: int) -> list:
     for m in range(alloc.start_level, top + 1):
         size = 1 << m
         top_count = alloc.source_count_through(m)
-        base_count = top_count - alloc.counts()[m]
+        base_count = top_count - level_counts(alloc)[m]
         for k in range(usable - size + 1):
             tally = Counter(mapping[k:k + size])
             missing = [j for j in range(top_count) if j not in tally]
@@ -325,7 +361,8 @@ def average_avoid_probability(dist: FiniteDistribution, window_length: int,
     family_count = (1 << n) ** N
     if family_count > (1 << 20):
         raise ValueError("family space too large to enumerate; use the closed form")
-    support = [(list(x.numeral_windows(n)), Fraction(mass)) for x, mass in dist.items()]
+    support = [(list(numeral_windows(x, n)), Fraction(mass))
+               for x, mass in support_masses(dist)]
     total = Fraction(0)
     for candidate in itertools.product(range(1 << n), repeat=N):
         for windows, mass in support:
@@ -349,7 +386,8 @@ def first_lex_search(dist: FiniteDistribution, window_length: int,
     n = window_length
     N = dist.string_length - n + 1
     epsilon = Fraction(epsilon)
-    support = [(list(x.numeral_windows(n)), Fraction(mass)) for x, mass in dist.items()]
+    support = [(list(numeral_windows(x, n)), Fraction(mass))
+               for x, mass in support_masses(dist)]
     for candidate in itertools.product(range(1 << n), repeat=N):
         acc = Fraction(dist.deficit)
         for windows, mass in support:
@@ -365,7 +403,7 @@ def first_lex_search(dist: FiniteDistribution, window_length: int,
 def family_avoid_per_string(dist: FiniteDistribution, family: LevelFamily) -> Fraction:
     """Deficit plus the Fraction mass of each string that avoids the family."""
     total = Fraction(dist.deficit)
-    for x, mass in dist.items():
+    for x, mass in support_masses(dist):
         if family_avoids(x, family):
             total += mass
     return total
@@ -376,7 +414,7 @@ def averaged_bound_per_string(dist: FiniteDistribution, ln: int, size: int, top)
     its Fraction mass times its own miss probability against a uniform draw
     of `size` strings of length ln."""
     total = Fraction(dist.deficit)
-    for x, mass in dist.items():
+    for x, mass in support_masses(dist):
         if top is None or not top.holds(x.to_numeral()):
             total += mass * miss_probability_random_set(distinct_substrings(x, ln), ln, size)
     return total

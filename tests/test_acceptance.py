@@ -20,7 +20,8 @@ from ecseq.spreader import (boost_tail, choose_start_level, inverse_triangular,
                             zero_series)
 
 from oracles import (average_avoid_probability, brute_force_avoider, decompress_bits,
-                     distinct_substrings, hit_probability, scaled_to_deficit)
+                     distinct_substrings, hit_probability, level_counts, numeral_windows,
+                     scaled_to_deficit, support_masses)
 
 
 def _report(number, ok, detail):
@@ -30,7 +31,7 @@ def _report(number, ok, detail):
 
 def _window_tally_ok(alloc, mapping, k, m):
     top = alloc.source_count_through(m)
-    base = top - alloc.counts()[m]
+    base = top - level_counts(alloc)[m]
     counts = {}
     for j in mapping[k:k + (1 << m)]:
         counts[j] = counts.get(j, 0) + 1
@@ -199,7 +200,7 @@ def test_criterion_7_truncation_accounting():
     family = truncated_search(dist, 2, ExactProb(1, 2))
     # independent recomputation over the enumerated support
     recomputed = Fraction(dist.deficit)
-    for x, mass in dist.items():
+    for x, mass in support_masses(dist):
         windows = [x.window(k, 2).to_numeral() for k in range(3)]
         if all(w != t for w, t in zip(windows, family.numerals())):
             recomputed += mass
@@ -266,7 +267,7 @@ def test_criterion_9_interval_schedule():
             x = BitString.from_numeral(v, entry.upper)
             hit = False
             for ln, strings in realized.items():
-                if set(x.numeral_windows(ln)) & strings:
+                if set(numeral_windows(x, ln)) & strings:
                     hit = True
                     break
             if not hit:

@@ -8,7 +8,7 @@ from ecseq.adversary import (PositionalFamily, avoid_probability,
 from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource
 
 from oracles import (average_avoid_probability, first_lex_search, point_mass,
-                     scaled_to_deficit)
+                     scaled_to_deficit, support_masses)
 
 
 def bs(text):
@@ -79,7 +79,7 @@ def test_avoid_probability_agrees_with_a_direct_loop():
         family = PositionalFamily(n, tuple(BitString.from_numeral(rs.below(1 << n), n)
                                            for _ in range(length - n + 1)))
         expected = Fraction(dist.deficit) + sum(
-            (mass for x, mass in dist.items()
+            (mass for x, mass in support_masses(dist)
              if all(x.to_text()[p:p + n] != s.to_text() for p, s in enumerate(family.strings))),
             Fraction(0))
         assert avoid_probability(dist, family) == expected

@@ -13,7 +13,7 @@ from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
 from ecseq.core import BitString, RandomSource
 from ecseq.forbidden import LevelFamily, SampledLevel, two_level_family
 
-from oracles import brute_force_avoider, membership, scanner_first
+from oracles import brute_force_avoider, concat, membership, scanner_first
 
 
 def bs(text):
@@ -125,7 +125,7 @@ def test_compiled_search_agrees_at_every_level_length():
             x = rs.bits(n + rs.below(80))
             assert_search_agrees(explicit_family(1, sets), x)
             # plant the first string so every length matches somewhere
-            planted = x + bs(sets[n][0]) + rs.bits(3)
+            planted = concat(x, bs(sets[n][0]), rs.bits(3))
             assert_search_agrees(explicit_family(1, sets), planted, range(0, len(planted), 7))
 
 

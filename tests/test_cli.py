@@ -12,7 +12,8 @@ import pytest
 
 import ecseq
 from ecseq import adversary, cli, forbidden, spreader
-from ecseq.core import BitString, FiniteDistribution, read_bit_file, write_bit_file
+from ecseq.core import (BitString, FiniteDistribution, RandomSource, read_bit_file,
+                        write_bit_file)
 
 from oracles import oracle_sampled_recovery
 
@@ -412,11 +413,19 @@ def test_verify_rejects_documents_that_are_not_reports(tmp_path, doc):
     assert verify_doc(tmp_path, doc) == cli.EXIT_BAD_PARAMS
 
 
-def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path):
-    for kind, parameter, value in (("spread", "max_level", 3), ("family", "alpha", "1/0")):
+def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path, capsys):
+    for kind, section, key, value in (("spread", "parameters", "max_level", 3),
+                                      ("spread", "parameters", "weights", 5),
+                                      ("family", "parameters", "alpha", "1/0"),
+                                      ("adversary", "results", "family", []),
+                                      ("adversary", "results", "family", "x")):
         doc = read_json(reports[kind])
-        doc["parameters"][parameter] = value
-        assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED, kind
+        doc[section][key] = value
+        capsys.readouterr()
+        assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED, (kind, key, value)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "verify: FAIL the report does not reproduce: "), lines
 
 
 UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
@@ -570,6 +579,47 @@ def test_family_files_and_reports_keep_their_digests(tmp_path, form):
                           sort_keys=True)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == family_sha256
     assert hashlib.sha256(sections.encode()).hexdigest() == sections_sha256
+
+
+def non_uniform_distribution(length: int, seed: int) -> dict:
+    """About three quarters of the strings of a length, each with a weight
+    from 1 to 9, and a deficit of weight 1; masses are written unreduced."""
+    rs = RandomSource(seed)
+    weights = {v: 1 + rs.below(9) for v in range(1 << length) if rs.below(4)}
+    total = sum(weights.values()) + 1
+    return {"length": length,
+            "masses": {format(v, f"0{length}b"): f"{w}/{total}" for v, w in weights.items()},
+            "deficit": f"1/{total}"}
+
+
+# the reports that inline a distribution: argv, distribution length, and the
+# SHA-256 of their results, certificates and parameters.dist
+DISTRIBUTION_FORMS = {
+    "family-derandomize": (["family", "--alpha", "9/10", "--epsilon", "1/4",
+                            "--derandomize", "{dist}", "--seed", "5"], 8,
+                           "8aff1fa026a6d8506b0e44225134d111dfb5a049890306519b9b493e9d9ff5c3"),
+    "adversary": (["adversary", "--dist", "{dist}", "--n", "2", "--epsilon", "1/2"], 5,
+                  "3e1cbea8471ffc9486a858a1bb2faa66c9a2b84c7c16c61067a8d548fdf259e0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DISTRIBUTION_FORMS))
+def test_reports_that_inline_a_distribution_keep_their_digests(tmp_path, kind):
+    argv, length, sections_sha256 = DISTRIBUTION_FORMS[kind]
+    dist, report = tmp_path / "dist.json", tmp_path / "report.json"
+    dist.write_text(json.dumps(non_uniform_distribution(length, 7)))
+    assert run(*(a.format(dist=dist) for a in argv), "--report", str(report)) == cli.EXIT_OK
+    doc = read_json(report)
+    sections = json.dumps({"results": doc["results"], "certificates": doc["certificates"],
+                           "dist": doc["parameters"]["dist"]}, sort_keys=True)
+    assert hashlib.sha256(sections.encode()).hexdigest() == sections_sha256
+    assert run("verify", "--report", str(report)) == cli.EXIT_OK
+
+
+def test_a_length_zero_distribution_round_trips():
+    doc = {"length": 0, "masses": {"": "1/1"}, "deficit": "0/1"}
+    assert FiniteDistribution.from_json(doc).to_json() == doc
+    assert FiniteDistribution.uniform(0).to_json() == doc
 
 
 def test_check_windows_reads_an_allocation_with_a_larger_cap(tmp_path, capsys):

@@ -7,8 +7,9 @@ from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         binom, floor_root, frac_to_str, pow2_at_most, pow2_floor,
                         read_bit_file, write_bit_file)
 
-from oracles import (oracle_distribution_json, oracle_distribution_weights,
-                     oracle_window_rows, scaled_to_deficit)
+from oracles import (concat, numeral_windows, oracle_distribution_json,
+                     oracle_distribution_weights, oracle_window_rows, scaled_to_deficit,
+                     support_masses, support_weights)
 
 
 def bs(text):
@@ -86,7 +87,7 @@ def test_bitstring_representations():
     assert BitString.from_numeral(0b0110, 4) == x
     assert x.to_text() == "0110"
     assert BitString.from_packed_bytes(x.to_packed_bytes(), 4) == x
-    assert bs("01") + bs("10") == bs("0110")
+    assert concat(bs("01"), bs("10")) == bs("0110")
     with pytest.raises(IndexError):
         x[4]
     with pytest.raises(ValueError):
@@ -98,7 +99,7 @@ def test_numeral_windows_against_naive():
     for _ in range(30):
         x = rs.bits(3 + rs.below(60))
         n = 1 + rs.below(len(x))
-        got = list(x.numeral_windows(n))
+        got = list(numeral_windows(x, n))
         naive = [x.window(k, n).to_numeral() for k in range(len(x) - n + 1)]
         assert got == naive
 
@@ -175,15 +176,15 @@ def test_bitstring_agrees_with_packed_reference():
             _agrees(x.window(start, size), ref.window(start, size))
         for n in (1, 2, 12, length, 1 + rs.below(length or 1)):
             if 1 <= n <= length:
-                assert list(x.numeral_windows(n)) == list(ref.numeral_windows(n))
+                assert list(numeral_windows(x, n)) == list(ref.numeral_windows(n))
         tail_length = rs.below(70)
         tail_value = rs.below(1 << tail_length) if tail_length else 0
-        _agrees(x + BitString(tail_value, tail_length),
+        _agrees(concat(x, BitString(tail_value, tail_length)),
                 ref + PackedReference(tail_value, tail_length))
         # equal bits are equal and hash alike; a different length or bit is not equal
         twin = BitString.from_bits(ref.bits_reference())
         assert twin == x and hash(twin) == hash(x)
-        assert x + BitString(0, 1) != x
+        assert concat(x, BitString(0, 1)) != x
         if length:
             flipped = BitString(value ^ (1 << rs.below(length)), length)
             assert flipped != x
@@ -304,8 +305,8 @@ def test_below_is_exact_and_deterministic():
 
 def test_distribution_invariants():
     d = FiniteDistribution.uniform(3)
-    assert len(dict(d.items())) == 8
-    assert sum(Fraction(m) for _, m in d.items()) + d.deficit == 1
+    assert len(dict(support_masses(d))) == 8
+    assert sum(Fraction(m) for _, m in support_masses(d)) + d.deficit == 1
     with pytest.raises(ValueError):
         FiniteDistribution(2, {bs("01"): ExactProb(1, 2)})
     with pytest.raises(ValueError):
@@ -317,7 +318,7 @@ def test_distribution_json_round_trip():
                            deficit=ExactProb(1, 8))
     back = FiniteDistribution.from_json(d.to_json())
     assert back.string_length == 2
-    assert dict(back.items())[bs("01")] == Fraction(1, 4)
+    assert dict(support_masses(back))[bs("01")] == Fraction(1, 4)
     assert back.deficit == Fraction(1, 8)
 
 
@@ -337,30 +338,30 @@ def test_distribution_from_json_rejects_malformed_input(doc):
 def test_distribution_rescaling():
     d = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(1, 8))
     assert d.deficit == Fraction(1, 8)
-    assert dict(d.items())[bs("0000")] == Fraction(7, 8) / 16
-    assert sum(Fraction(m) for _, m in d.items()) == Fraction(7, 8)
+    assert dict(support_masses(d))[bs("0000")] == Fraction(7, 8) / 16
+    assert sum(Fraction(m) for _, m in support_masses(d)) == Fraction(7, 8)
 
 
 def test_distribution_weights_share_one_denominator():
     d = FiniteDistribution(2, {bs("00"): ExactProb(1, 3), bs("01"): ExactProb(1, 6),
                                bs("10"): ExactProb(1, 2)})
     assert d.denominator == 6
-    assert dict(d.weights()) == {bs("00"): 2, bs("01"): 1, bs("10"): 3}
+    assert dict(support_weights(d)) == {bs("00"): 2, bs("01"): 1, bs("10"): 3}
     assert d.deficit_weight == 0 and d.deficit == 0
-    assert dict(d.items()) == {bs("00"): Fraction(1, 3), bs("01"): Fraction(1, 6),
+    assert dict(support_masses(d)) == {bs("00"): Fraction(1, 3), bs("01"): Fraction(1, 6),
                                bs("10"): Fraction(1, 2)}
     assert d.to_json()["masses"] == {"00": "1/3", "01": "1/6", "10": "1/2"}
 
 
 def test_distribution_deficit_only():
     d = FiniteDistribution(3, {}, deficit=ExactProb(1))
-    assert (d.denominator, d.deficit_weight, dict(d.weights())) == (1, 1, {})
+    assert (d.denominator, d.deficit_weight, dict(support_weights(d))) == (1, 1, {})
     assert d.to_json() == {"length": 3, "masses": {}, "deficit": "1/1"}
 
 
 def test_distribution_drops_zero_masses():
     d = FiniteDistribution(2, {"00": "0/1", "11": "3/4"}, deficit="1/4")
-    assert dict(d.weights()) == {bs("11"): 3}
+    assert dict(support_weights(d)) == {bs("11"): 3}
     assert (d.denominator, d.deficit_weight) == (4, 1)
     assert d.to_json()["masses"] == {"11": "3/4"}
 
@@ -370,7 +371,7 @@ def test_uniform_equals_the_validating_constructor(length):
     fast = FiniteDistribution.uniform(length)
     checked = FiniteDistribution(length, {BitString.from_numeral(v, length): Fraction(1, 1 << length)
                                           for v in range(1 << length)})
-    assert dict(fast.weights()) == dict(checked.weights())
+    assert dict(support_weights(fast)) == dict(support_weights(checked))
     assert (fast.denominator, fast.deficit_weight) == (checked.denominator, checked.deficit_weight)
     assert fast.to_json() == checked.to_json()
 
@@ -388,13 +389,34 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         # one object asked for lengths in turn, repeats included
         for n in [1 + rs.below(length) for _ in range(6)]:
             assert dist.windows(n) == tuple(
-                (x.to_numeral(), tuple(x.numeral_windows(n)), w) for x, w in dist.weights())
+                (x.to_numeral(), tuple(numeral_windows(x, n)), w) for x, w in support_weights(dist))
             assert dist.windows(n) == oracle_window_rows(dist, n)
         for bad in (0, length + 1):
             with pytest.raises(ValueError, match="out of range"):
                 dist.windows(bad)
     assert FiniteDistribution.uniform(2).windows(1) == (
         (0, (0, 0), 1), (1, (0, 1), 1), (2, (1, 0), 1), (3, (1, 1), 1))
+
+
+def test_a_distribution_builds_no_bit_string(monkeypatch):
+    keys = [format(v * 0x9E3779B1 % (1 << 32), "032b") for v in range(1024)]  # all distinct
+    doc = {"length": 32, "masses": {key: "1/2048" for key in keys}, "deficit": "1/2"}
+    built = []
+    of, init = BitString._of.__func__, BitString.__init__
+    monkeypatch.setattr(BitString, "_of",
+                        classmethod(lambda cls, text: built.append(text) or of(cls, text)))
+    monkeypatch.setattr(BitString, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    uniform = FiniteDistribution.uniform(12)
+    parsed = FiniteDistribution.from_json(doc)
+    for dist, n in ((uniform, 5), (parsed, 9)):
+        dist.windows(n)
+        written = dist.to_json()
+    assert built == []
+    assert written == {"length": 32, "masses": {key: "1/2048" for key in sorted(keys)},
+                       "deficit": "1/2"}
+    BitString.from_text("01")  # the counters do count
+    assert built == ["01"]
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -428,7 +450,7 @@ def _outcome(read):
 def test_distribution_constructor_agrees_with_the_exact_prob_oracle():
     def read_fast():
         d = FiniteDistribution(length, masses, deficit_mass)
-        return d.denominator, list(d.weights()), d.deficit_weight
+        return d.denominator, list(support_weights(d)), d.deficit_weight
 
     def read_slow():
         denominator, weights, deficit_weight = oracle_distribution_weights(
@@ -480,7 +502,7 @@ def test_to_json_agrees_with_the_fraction_writer_and_round_trips():
         assert doc == expected
         assert list(doc["masses"]) == list(expected["masses"])  # sorted the same way
         back = FiniteDistribution.from_json(doc)
-        assert dict(back.weights()) == dict(dist.weights())
+        assert dict(support_weights(back)) == dict(support_weights(dist))
         assert (back.denominator, back.deficit_weight) == (dist.denominator, dist.deficit_weight)
 
 

@@ -13,8 +13,8 @@ from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
 
 from oracles import (averaged_bound_per_string, count_limited_block_strings,
                      distinct_substrings, family_avoid_per_string, family_avoids,
-                     hit_probability, membership, oracle_simple_top, point_mass,
-                     surjections, text_slice_simple)
+                     hit_probability, membership, numeral_windows, oracle_simple_top,
+                     point_mass, support_weights, surjections, text_slice_simple)
 
 
 def bs(text):
@@ -273,7 +273,7 @@ def test_hit_probability_monte_carlo_three_sigma():
     exact = 5 / 6
     trials = 10 ** 5
     hits = 0
-    windows = set(x.numeral_windows(2))
+    windows = set(numeral_windows(x, 2))
     for seed in range(trials):
         draw = sample_uniform_set(2, 2, RandomSource(seed))
         if windows & draw:
@@ -329,7 +329,7 @@ def test_derandomize_uniform_toy_matches_full_summation():
     avoiders = 0
     for v in range(1 << 10):
         x = BitString.from_numeral(v, 10)
-        if not set(x.numeral_windows(5)) & level.strings:
+        if not set(numeral_windows(x, 5)) & level.strings:
             avoiders += 1
     assert certificate == Fraction(avoiders, 1 << 10)
     assert certificate < Fraction(1, 4)
@@ -351,7 +351,7 @@ def test_family_avoids_agrees_with_naive_window_loop():
             family, _ = derandomize_family(cube, Fraction(3, 4), Fraction(1, 2),
                                            RandomSource(seed), level_length=level_length)
             assert (family.implicit_top() is not None) == has_top
-            for x, _ in cube.items():
+            for x, _ in support_weights(cube):
                 naive = not any(membership(family, n, x.window(k, n).to_numeral())
                                 for n in family.level_lengths()
                                 for k in range(len(x) - n + 1))
@@ -365,7 +365,7 @@ def test_derandomize_point_mass_all_distinct_windows():
     family, certificate = derandomize_family(dist, Fraction(9, 10), ExactProb(1, 2),
                                              RandomSource(4), level_length=3)
     assert certificate == 0
-    assert set(x.numeral_windows(3)) & family.levels[3].strings
+    assert set(numeral_windows(x, 3)) & family.levels[3].strings
 
 
 def test_derandomize_averaged_bound_error():

@@ -5,7 +5,7 @@ from ecseq import proxy
 from ecseq.proxy import (LENGTH_HEADER_BITS, compress_bits, compress_size, index_bits,
                          window_profile)
 
-from oracles import decompress_bits
+from oracles import concat, decompress_bits
 
 
 def bs(text):
@@ -67,7 +67,7 @@ def test_index_bits_closed_form_matches_the_direct_sum():
 
 
 def test_profile_sizes_match_compress_bits_on_each_window():
-    x = RandomSource(21).bits(1500) + BitString(0, 300) + bs("01" * 150)
+    x = concat(RandomSource(21).bits(1500), BitString(0, 300), bs("01" * 150))
     profile = window_profile(x, 256, stride=37)
     assert profile.sizes == tuple(len(compress_bits(x.window(o, 256))) for o in profile.offsets)
 
@@ -93,7 +93,7 @@ def test_subadditivity_on_random_pairs():
     for trial in range(50):
         x = rs.bits(100 + rs.below(400))
         y = rs.bits(100 + rs.below(400))
-        assert compress_size(x + y) <= (compress_size(x) + compress_size(y)
+        assert compress_size(concat(x, y)) <= (compress_size(x) + compress_size(y)
                                         + LENGTH_HEADER_BITS)
 
 
@@ -120,7 +120,7 @@ def test_profile_finds_embedded_zero_run():
     hits = 0
     for seed in range(20):
         rs = RandomSource(seed)
-        x = rs.bits(1024) + BitString(0, 512) + rs.bits(1024)
+        x = concat(rs.bits(1024), BitString(0, 512), rs.bits(1024))
         profile = window_profile(x, 256, stride=32)
         best = profile.offsets[profile.sizes.index(profile.min_size)]
         if 1024 <= best and best + 256 <= 1024 + 512:

@@ -10,7 +10,7 @@ from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError, 
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import oracle_source_map, oracle_window_tally, spread
+from oracles import level_counts, oracle_source_map, oracle_window_tally, spread
 
 
 def bs(text):
@@ -221,7 +221,7 @@ def test_window_coverage_exhaustive_small_levels():
     for m in (1, 2, 3):
         size = 1 << m
         top = alloc.source_count_through(m)
-        base = top - alloc.counts()[m]
+        base = top - level_counts(alloc)[m]
         for k in range(1 << 12):
             seen = {}
             for j in alloc.source_map(k, size):
