@@ -6,7 +6,9 @@ Moser-Tardos constraint resampling.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .core import BitString, RandomSource
@@ -62,59 +64,38 @@ def first_violation_pattern(family: LevelFamily) -> re.Pattern:
 
     It is the trie of the sampled levels' strings with each branch cut at the
     first node where a string ends, so at any start at most one string can
-    match: the shortest one there.  re tries the starts from left to right.
-    A family with no strings gets (?!), which matches nothing."""
-    children, ends = [[0, 0]], [False]
-    for level in family.sampled_levels():  # shortest first, so no cut is undone
-        for v in level.strings:
-            s = 0
-            for i in reversed(range(level.length)):
-                if ends[s]:
-                    break  # a shorter string ends here
-                b = (v >> i) & 1
-                if not children[s][b]:
-                    children[s][b] = len(children)
-                    children.append([0, 0])
-                    ends.append(False)
-                s = children[s][b]
-            else:
-                ends[s] = True
-    if children[0] == [0, 0]:
+    match: the shortest one there.  It is read off the sorted texts, where a
+    string sorts right before its extensions.  re tries the starts from left
+    to right.  A family with no strings gets (?!), which matches nothing."""
+    kept = []
+    for text in sorted(format(v, f"0{level.length}b")
+                       for level in family.sampled_levels() for v in level.strings):
+        if not kept or not text.startswith(kept[-1]):
+            kept.append(text)
+    if not kept:
         return re.compile(rb"(?!)")
-    out, stack = [], [(0, 0)]  # (node, nesting) or a literal piece
+    out, stack = [], [(0, len(kept), 0, 0)]  # (lo, hi, depth, nesting) or a literal piece
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        s, nesting = item
-        zero, one = children[s]
-        if zero and one:
-            if nesting == MAX_NESTING:
-                out.append("(?:" + "|".join(_suffixes(children, s)) + ")")
-            else:
-                out.append("(?:0")
-                stack += [")", (one, nesting + 1), "|1", (zero, nesting + 1)]
-        elif zero or one:
-            out.append("0" if zero else "1")
-            stack.append((zero or one, nesting))
+        lo, hi, depth, nesting = item  # kept[lo:hi] share their first depth bits
+        if hi - lo == 1:
+            out.append(kept[lo][depth:])
+        elif kept[lo][depth] == kept[hi - 1][depth]:
+            out.append(kept[lo][depth])
+            stack.append((lo, hi, depth + 1, nesting))
+        elif nesting == MAX_NESTING:
+            # no suffix is a prefix of another, so at most one matches at any start
+            suffixes = sorted((text[depth:] for text in kept[lo:hi]), key=lambda s: (len(s), s))
+            out.append("(?:" + "|".join(suffixes) + ")")
+        else:
+            mid = bisect_left(kept, "1", lo, hi, key=itemgetter(depth))
+            out.append("(?:0")
+            stack += [")", (mid, hi, depth + 1, nesting + 1), "|1",
+                      (lo, mid, depth + 1, nesting + 1)]
     return re.compile("".join(out).encode())
-
-
-def _suffixes(children: list, root: int) -> list:
-    """The strings from root to each leaf below it, shortest first.  None is
-    a prefix of another, so at most one of them matches at any start."""
-    found, path, stack = [], [], [(root, 0, "")]
-    while stack:
-        s, depth, bit = stack.pop()
-        del path[depth:]
-        path.append(bit)
-        if children[s] == [0, 0]:
-            found.append("".join(path))
-        for b, child in enumerate(children[s]):
-            if child:
-                stack.append((child, depth + 1, "01"[b]))
-    return sorted(found, key=lambda path: (len(path), path))
 
 
 def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:

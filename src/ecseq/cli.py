@@ -52,8 +52,12 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
+def _alpha(parameters: dict) -> Fraction:
+    return Fraction(forbidden.json_exact(parameters["alpha"], str))
+
+
 def _epsilon(parameters: dict) -> ExactProb:
-    return ExactProb(Fraction(parameters["epsilon"]))
+    return ExactProb(Fraction(forbidden.json_exact(parameters["epsilon"], str)))
 
 
 def _run_spread(p: dict, seed) -> tuple:
@@ -73,7 +77,7 @@ def _run_spread(p: dict, seed) -> tuple:
 
 
 def _run_family(p: dict, seed) -> tuple:
-    family, cert = forbidden.two_level_family(Fraction(p["alpha"]), _epsilon(p), p["n_min"],
+    family, cert = forbidden.two_level_family(_alpha(p), _epsilon(p), p["n_min"],
                                               RandomSource(seed))
     doc = family.to_json()
     return ({"random_length": cert.random_length, "top_length": cert.top_length,
@@ -85,11 +89,10 @@ def _run_family(p: dict, seed) -> tuple:
 
 
 def _run_family_levels(p: dict, seed) -> tuple:
-    family = forbidden.random_level_family(Fraction(p["alpha"]), p["lengths"],
-                                           RandomSource(seed))
+    lengths = [forbidden.json_exact(n, int) for n in p["lengths"]]
+    family = forbidden.random_level_family(_alpha(p), lengths, RandomSource(seed))
     doc = family.to_json()
-    return ({"family": doc},
-            {f"size_bound_{n}": str(family.size_bound(n)) for n in p["lengths"]},
+    return ({"family": doc}, {f"size_bound_{n}": str(family.size_bound(n)) for n in lengths},
             doc)
 
 
@@ -103,13 +106,13 @@ def _run_family_derandomize(p: dict, seed, dist: FiniteDistribution = None) -> t
     if dist is None:
         dist = FiniteDistribution.from_json(p["dist"])
     return _derandomized(*forbidden.derandomize_family(
-        dist, Fraction(p["alpha"]), _epsilon(p), RandomSource(seed),
+        dist, _alpha(p), _epsilon(p), RandomSource(seed),
         level_length=p["level_length"]))
 
 
 def _check_family_derandomize(p: dict, seed, results: dict) -> tuple:
     return _derandomized(*forbidden.recertify_family(
-        FiniteDistribution.from_json(p["dist"]), Fraction(p["alpha"]), _epsilon(p),
+        FiniteDistribution.from_json(p["dist"]), _alpha(p), _epsilon(p),
         forbidden.LevelFamily.from_json(results["family"]),
         level_length=p["level_length"]))[:2]
 
@@ -131,7 +134,7 @@ def _scheduled(entries: list) -> tuple:
 
 def _run_family_schedule(p: dict, seed) -> tuple:
     return _scheduled(forbidden.interval_schedule(
-        _schedule_dists(p), Fraction(p["alpha"]), p["count"], RandomSource(seed),
+        _schedule_dists(p), _alpha(p), p["count"], RandomSource(seed),
         first_length=p["first_length"], max_length=p["max_length"]))
 
 
@@ -139,8 +142,8 @@ def _check_family_schedule(p: dict, seed, results: dict) -> tuple:
     witnesses = [forbidden.LevelFamily.from_json(entry["family"])
                  for entry in results["intervals"]]
     return _scheduled(forbidden.recertify_schedule(
-        _schedule_dists(p), Fraction(p["alpha"]), p["count"], witnesses,
-        first_length=p["first_length"]))[:2]
+        _schedule_dists(p), _alpha(p), p["count"], witnesses,
+        first_length=p["first_length"], max_length=p["max_length"]))[:2]
 
 
 def _adversary(dist, family) -> tuple:

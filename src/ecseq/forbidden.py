@@ -152,6 +152,14 @@ class Scanner:
                 yield i - n + 1, n
 
 
+def json_exact(value, kind: type):
+    """value, if JSON gave it as exactly a kind, so that a bool is no int.  A
+    rational is read from a string such as "3/10": a JSON number is a float."""
+    if type(value) is not kind:
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 class LevelFamily:
     """Per-length forbidden sets with certified sizes at most floor(2**(alpha*i))."""
 
@@ -243,14 +251,14 @@ class LevelFamily:
         try:
             levels = []
             for entry in doc["levels"]:
-                length = entry["length"]
+                length = json_exact(entry["length"], int)
                 if entry["kind"] == "sampled":
                     if entry.get("pool_chain", []) != [] \
                             or int(entry["pool_size"]) != 1 << length:
                         raise ValueError(f"level {length} draws from a pool other than "
                                          f"all strings of its length")
-                    levels.append(SampledLevel(
-                        length, frozenset(int(h, 16) for h in entry["strings_hex"])))
+                    levels.append(SampledLevel(length, frozenset(
+                        int(h, 16) for h in json_exact(entry["strings_hex"], list))))
                 elif entry["kind"] == "implicit":
                     chain = entry["chain"]
                     if len(chain) != 1 or len(chain[0]) != 2:
@@ -261,7 +269,7 @@ class LevelFamily:
                                                 int(entry["cardinality"])))
                 else:
                     raise ValueError(f"unknown level kind {entry['kind']!r}")
-            return cls(Fraction(doc["alpha"]), levels)
+            return cls(Fraction(json_exact(doc["alpha"], str)), levels)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
 
@@ -533,17 +541,21 @@ def interval_schedule(dist_for_length: Callable[[int], FiniteDistribution], alph
 
 
 def recertify_schedule(dist_for_length: Callable[[int], FiniteDistribution], alpha,
-                       count: int, witnesses: list, first_length: int = 2) -> list:
+                       count: int, witnesses: list, first_length: int = 2,
+                       max_length: int = 64) -> list:
     """Check a schedule that interval_schedule reported, without repeating its
     search: each witness family is re-certified by recertify_family at the
     level length and epsilon of its interval, against the distribution of its
-    own top length."""
+    own top length, which must lie in the range that the search tries."""
     if len(witnesses) != count:
         raise CertificateError(f"a schedule of {count} intervals lists {len(witnesses)}")
     entries = []
-    for witness in witnesses:
+    for i, witness in enumerate(witnesses, start=1):
         ln, epsilon = _next_interval(entries, first_length)
         upper = witness.string_length
+        if not ln < upper <= max_length:
+            raise CertificateError(f"interval {i}: top length {upper} is not above level "
+                                   f"length {ln} and at most max_length {max_length}")
         family, certificate = recertify_family(dist_for_length(upper), alpha, epsilon,
                                                witness, level_length=ln)
         entries.append(ScheduleEntry(ln - 1, upper, epsilon, family, certificate))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import ecseq
 from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
                            first_violation_pattern, scan_violations)
 from ecseq.core import BitString, RandomSource
-from ecseq.forbidden import LevelFamily, SampledLevel, two_level_family
+from ecseq.forbidden import (LevelFamily, SampledLevel, random_level_family,
+                             two_level_family)
 
 from oracles import brute_force_avoider, concat, membership, scanner_first
 
@@ -173,6 +175,41 @@ def test_avoid_on_the_deep_family_exits_without_a_traceback(tmp_path):
          "--out", str(tmp_path / "deep.bits")], env=env, capture_output=True, text=True)
     assert done.returncode in (0, 3), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("sets, pattern", [
+    # 01 and 011 extend 0, so the cut across levels leaves 0 alone
+    ({1: ["0"], 2: ["01"], 3: ["011"]}, b"0"),
+    ({1: ["0"], 2: ["01", "10"], 3: ["011", "110", "111"]}, b"(?:0|1(?:0|1(?:0|1)))"),
+    ({3: ["000", "011", "101", "110"]}, b"(?:0(?:00|11)|1(?:01|10))"),
+    ({2: ["00", "10", "11"]}, b"(?:00|1(?:0|1))"),
+    ({5: ["01101"]}, b"01101"),
+    ({}, b"(?!)"),
+])
+def test_pattern_text_of_hand_families(sets, pattern):
+    assert first_violation_pattern(explicit_family(1, sets)).pattern == pattern
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_pattern_text_of_the_deep_family():
+    # past MAX_NESTING alternations the rest is one flat alternation per node
+    pattern = first_violation_pattern(deep_family()).pattern
+    assert len(pattern) == 439904
+    assert sha256(pattern) == "598e9e59cf9d3c1c690ea0c9342602cd95caeb845c2a158d659b4f3e65a7379f"
+
+
+@pytest.mark.parametrize("seed, digest", enumerate([
+    "e6e9ec08b40003d10ebdd0b1577eeace9910920d2f6fed868786e04ba54790b9",
+    "aa6e9fe76d01183b4868f2284f489b7c794b635334e82a8179e31be53f334807",
+    "b1028d5a41505717f09159886ed06a54d0df85455b29cccab10ec151fda66dc8",
+    "e617ea989631d2dc02d50b49de209a9fcd4b774ac588b716592bb6360e5f1da3",
+]))
+def test_pattern_text_of_random_levels(seed, digest):
+    family = random_level_family(Fraction(3, 10), range(8, 13), RandomSource(seed))
+    assert sha256(first_violation_pattern(family).pattern) == digest
 
 
 def test_scan_rejects_implicit_levels():

@@ -418,7 +418,14 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path, capsys):
                                       ("spread", "parameters", "weights", 5),
                                       ("family", "parameters", "alpha", "1/0"),
                                       ("adversary", "results", "family", []),
-                                      ("adversary", "results", "family", "x")):
+                                      ("adversary", "results", "family", "x"),
+                                      # a rational or a length read as a JSON number
+                                      ("family-levels", "parameters", "alpha", 0.3),
+                                      ("family-levels", "parameters", "lengths", [8.0, 9]),
+                                      ("family-levels", "parameters", "lengths", [True, 9]),
+                                      ("family", "parameters", "epsilon", 0.5),
+                                      # interval 2's top length is 6
+                                      ("family-schedule", "parameters", "max_length", 5)):
         doc = read_json(reports[kind])
         doc[section][key] = value
         capsys.readouterr()
@@ -509,6 +516,12 @@ EMPTY_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncov
                               {"length": 2, "masses": {"00": 0.5, "11": 0.5}})
       for argv in (["adversary", "--dist", "{doc}", "--n", "1", "--epsilon", "1/2"],
                    ["family", "--alpha", "3/5", "--derandomize", "{doc}"])),
+    # a family whose alpha, level length or strings_hex is not of its JSON type
+    *(({**SMALL_FAMILY, "alpha": alpha}, ["avoid", "--family", "{doc}", "--length", "10"])
+      for alpha in (0.3, 1)),
+    *(({"alpha": "1/1", "levels": [{**SMALL_FAMILY["levels"][0], **level}]},
+       ["avoid", "--family", "{doc}", "--length", "10"])
+      for level in ({"length": True, "pool_size": "2"}, {"strings_hex": "0102"})),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
