@@ -10,8 +10,8 @@ from .spreader import (Allocation, CoverageError, InconsistentWindowError,
                        spread_random, start_level_certificate, weight_preset,
                        zero_series)
 from .forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
-                        PoolTooSmallError, SampledLevel, count_simple,
-                        derandomize_family, family_avoid_probability, interval_schedule,
+                        PoolTooSmallError, count_simple, derandomize_family,
+                        family_avoid_probability, interval_schedule,
                         miss_probability_random_set, random_level_family,
                         recertify_family, recertify_schedule, sample_uniform_set,
                         two_level_family)

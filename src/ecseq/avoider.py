@@ -25,17 +25,14 @@ class AvoidanceInstance:
     def __post_init__(self):
         if self.length <= 0 or self.max_resamples <= 0:
             raise ValueError("length and resample budget must be positive")
-        if not self.family.explicit_only():
+        if self.family.top is not None:
             raise ValueError("avoidance needs explicit level sets")
-        for n in self.family.level_lengths():
+        for n, strings in self.family.levels.items():
             if n > self.length:
                 raise ValueError(f"forbidden length {n} exceeds target length {self.length}")
-            size = self.family.size_of(n)
-            bound = self.family.size_bound(n)
-            if size > bound:
-                raise ValueError(
-                    f"density guard: level {n} holds {size} strings, bound {bound}"
-                )
+            if len(strings) > self.family.size_bound(n):
+                raise ValueError(f"density guard: level {n} holds {len(strings)} strings, "
+                                 f"bound {self.family.size_bound(n)}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class AvoidanceResult:
 
 def scan_violations(x: BitString, family: LevelFamily) -> list:
     """All (position, length) pairs whose window is forbidden, sorted."""
-    if not family.explicit_only():
+    if family.top is not None:
         raise ValueError("scanning needs explicit level sets")
     return sorted(family.scanner().occurrences(x.to_text().encode()))
 
@@ -62,14 +59,14 @@ def first_violation_pattern(family: LevelFamily) -> re.Pattern:
     """A pattern whose leftmost match in the bytes of a bit string's text is
     the leftmost forbidden occurrence, shortest on ties.
 
-    It is the trie of the sampled levels' strings with each branch cut at the
+    It is the trie of the levels' strings with each branch cut at the
     first node where a string ends, so at any start at most one string can
     match: the shortest one there.  It is read off the sorted texts, where a
     string sorts right before its extensions.  re tries the starts from left
     to right.  A family with no strings gets (?!), which matches nothing."""
     kept = []
-    for text in sorted(format(v, f"0{level.length}b")
-                       for level in family.sampled_levels() for v in level.strings):
+    for text in sorted(format(v, f"0{n}b") for n, strings in family.levels.items()
+                       for v in strings):
         if not kept or not text.startswith(kept[-1]):
             kept.append(text)
     if not kept:
@@ -106,7 +103,7 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     instance's source in a fixed sequence.
     """
     pattern = first_violation_pattern(inst.family)
-    longest = max((lv.length for lv in inst.family.sampled_levels() if lv.strings), default=0)
+    longest = max((n for n, strings in inst.family.levels.items() if strings), default=0)
     rs = inst.source
     text = bytearray(rs.bits(inst.length).to_text(), "ascii")
     resamples = 0

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
 from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, frac_to_str, read_bit_file, write_bit_file)
+                   RandomSource, frac_to_str, json_exact, read_bit_file, write_bit_file)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,11 +53,11 @@ def _load_json(path) -> dict:
 
 
 def _alpha(parameters: dict) -> Fraction:
-    return Fraction(forbidden.json_exact(parameters["alpha"], str))
+    return forbidden.read_alpha(parameters["alpha"])
 
 
 def _epsilon(parameters: dict) -> ExactProb:
-    return ExactProb(Fraction(forbidden.json_exact(parameters["epsilon"], str)))
+    return ExactProb(Fraction(json_exact(parameters["epsilon"], str)))
 
 
 def _run_spread(p: dict, seed) -> tuple:
@@ -89,7 +89,7 @@ def _run_family(p: dict, seed) -> tuple:
 
 
 def _run_family_levels(p: dict, seed) -> tuple:
-    lengths = [forbidden.json_exact(n, int) for n in p["lengths"]]
+    lengths = [json_exact(n, int) for n in p["lengths"]]
     family = forbidden.random_level_family(_alpha(p), lengths, RandomSource(seed))
     doc = family.to_json()
     return ({"family": doc}, {f"size_bound_{n}": str(family.size_bound(n)) for n in lengths},

@@ -67,11 +67,19 @@ def pow2_floor(exponent: Fraction) -> int:
 def pow2_at_most(count: int, exponent: Fraction) -> bool:
     """Whether a non-negative count is at most floor(2**exponent), decided as
     count**q <= 2**p for the exponent p/q in lowest terms, with no root taken.
-    A count of b bits is at least 2**(b - 1), so one with (b - 1)*q > p fails
-    before any power is built."""
+    A count of b bits lies in [2**(b - 1), 2**b), so one with b*q <= p holds
+    and one with (b - 1)*q > p fails before any power is built."""
     exponent = Fraction(exponent)
-    p, q = exponent.numerator, exponent.denominator
-    return (count.bit_length() - 1) * q <= p and count ** q <= 1 << p
+    p, q, b = exponent.numerator, exponent.denominator, count.bit_length()
+    return b * q <= p or (b - 1) * q <= p and count ** q <= 1 << p
+
+
+def json_exact(value, kind: type):
+    """value, if JSON gave it as exactly a kind, so that a bool is no int.  A
+    rational is read from a string such as "3/10": a JSON number is a float."""
+    if type(value) is not kind:
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def frac_to_str(value) -> str:

@@ -15,7 +15,7 @@ from itertools import compress, islice
 from typing import Callable, Optional
 
 from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource,
-                   binom, frac_to_str, pow2_at_most, pow2_floor)
+                   binom, frac_to_str, json_exact, pow2_at_most, pow2_floor)
 
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 
@@ -88,14 +88,6 @@ def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
 
 
 @dataclass(frozen=True)
-class SampledLevel:
-    """A realized uniform draw from the cube of its length."""
-
-    length: int
-    strings: frozenset  # numerals
-
-
-@dataclass(frozen=True)
 class ImplicitLevel:
     """The simple strings of a length (see is_simple), with their exact count."""
 
@@ -152,93 +144,69 @@ class Scanner:
                 yield i - n + 1, n
 
 
-def json_exact(value, kind: type):
-    """value, if JSON gave it as exactly a kind, so that a bool is no int.  A
-    rational is read from a string such as "3/10": a JSON number is a float."""
-    if type(value) is not kind:
-        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value
+def read_alpha(value) -> Fraction:
+    """alpha from its JSON string, such as "3/10".  floor(2**(alpha*n)) is the
+    q-th root of 2**p for alpha*n = p/q, and p is at most alpha's numerator
+    times n, so a numerator above 2**10 in lowest terms is refused before any
+    power of 2 is built."""
+    alpha = Fraction(json_exact(value, str))
+    if alpha.numerator > 1 << 10:
+        raise ValueError(f"alpha {frac_to_str(alpha)} has a numerator above {1 << 10}")
+    return alpha
 
 
 class LevelFamily:
-    """Per-length forbidden sets with certified sizes at most floor(2**(alpha*i))."""
+    """Per-length forbidden sets with certified sizes at most floor(2**(alpha*i)).
 
-    def __init__(self, alpha, levels):
+    levels maps each length, in increasing order, to the numerals of its
+    forbidden strings.  top, if any, is the simple strings of one length
+    longer than every level."""
+
+    def __init__(self, alpha, levels: dict, top: Optional[ImplicitLevel] = None):
         alpha = Fraction(alpha)
         if not 0 < alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        self.alpha = alpha
-        self.levels = {}
-        for level in levels:
-            if level.length < 1:
-                raise ValueError(f"level length {level.length} is not positive")
-            if level.length in self.levels:
-                raise ValueError(f"duplicate level length {level.length}")
-            if isinstance(level, SampledLevel):
-                if any(v < 0 or v >> level.length for v in level.strings):
-                    raise ValueError(f"level {level.length} holds an out-of-range string")
-                size = len(level.strings)
-            else:
-                size = level.cardinality
-            if size > self.size_bound(level.length):
-                raise CertificateError(
-                    f"level {level.length} holds {size} strings, bound is "
-                    f"{self.size_bound(level.length)}"
-                )
-            self.levels[level.length] = level
+        self.alpha, self.top = alpha, top
+        self.levels = {n: frozenset(levels[n]) for n in sorted(levels)}
+        sizes = {n: len(strings) for n, strings in self.levels.items()}
+        if top is not None:
+            if sizes and top.length <= max(sizes):
+                raise ValueError(f"the implicit level of length {top.length} is not longer "
+                                 f"than level {max(sizes)}")
+            sizes[top.length] = top.cardinality
+        for n, size in sizes.items():
+            if n < 1:
+                raise ValueError(f"level length {n} is not positive")
+            if any(v < 0 or v >> n for v in self.levels.get(n, ())):
+                raise ValueError(f"level {n} holds an out-of-range string")
+            if not pow2_at_most(size, alpha * n):
+                raise CertificateError(f"level {n} holds {size} strings, bound is "
+                                       f"{self.size_bound(n)}")
         self._scanner = None
 
     def size_bound(self, length: int) -> int:
         return pow2_floor(self.alpha * length)
 
-    def level_lengths(self) -> list:
-        return sorted(self.levels)
-
     @property
     def string_length(self) -> int:
-        return max(self.levels)
-
-    def sampled_levels(self) -> list:
-        return [lv for _, lv in sorted(self.levels.items())
-                if isinstance(lv, SampledLevel)]
-
-    def implicit_top(self) -> Optional[ImplicitLevel]:
-        top = self.levels.get(self.string_length)
-        return top if isinstance(top, ImplicitLevel) else None
-
-    def explicit_only(self) -> bool:
-        return all(isinstance(lv, SampledLevel) for lv in self.levels.values())
+        return self.top.length if self.top is not None else max(self.levels)
 
     def scanner(self) -> Scanner:
-        """The automaton of the sampled levels, built on first use."""
+        """The automaton of the levels, built on first use."""
         if self._scanner is None:
-            self._scanner = Scanner({lv.length: lv.strings for lv in self.sampled_levels()})
+            self._scanner = Scanner(self.levels)
         return self._scanner
 
-    def size_of(self, length: int) -> int:
-        level = self.levels[length]
-        return len(level.strings) if isinstance(level, SampledLevel) else level.cardinality
-
     def to_json(self) -> dict:
-        entries = []
-        for length in self.level_lengths():
-            level = self.levels[length]
-            if isinstance(level, SampledLevel):
-                digits = max((length + 3) // 4, 1)
-                entries.append({
-                    "length": length,
-                    "kind": "sampled",
-                    "strings_hex": [format(v, f"0{digits}x") for v in sorted(level.strings)],
-                    "pool_chain": [],
-                    "pool_size": str(1 << length),
-                })
-            else:
-                entries.append({
-                    "length": length,
-                    "kind": "implicit",
-                    "chain": [[level.block_length, level.threshold]],
-                    "cardinality": str(level.cardinality),
-                })
+        entries = [{"length": n, "kind": "sampled",
+                    "strings_hex": [format(v, f"0{(n + 3) // 4}x") for v in sorted(strings)],
+                    "pool_chain": [], "pool_size": str(1 << n)}
+                   for n, strings in self.levels.items()]
+        if self.top is not None:
+            top = self.top
+            entries.append({"length": top.length, "kind": "implicit",
+                            "chain": [[top.block_length, top.threshold]],
+                            "cardinality": str(top.cardinality)})
         return {"alpha": frac_to_str(self.alpha), "levels": entries}
 
     @classmethod
@@ -246,30 +214,36 @@ class LevelFamily:
         """Parse a family written by to_json; ValueError on any other shape.
 
         A sampled level draws from the whole cube (an empty pool_chain and a
-        pool_size of 2**length) and an implicit level's chain is one
-        [block_length, threshold] pair: no other pool or chain is read."""
+        pool_size of 2**length).  At most one level is implicit, the top,
+        longer than every sampled level, and its chain is one [block_length,
+        threshold] pair.  No other pool or chain is read."""
         try:
-            levels = []
+            levels, tops = {}, []
             for entry in doc["levels"]:
                 length = json_exact(entry["length"], int)
                 if entry["kind"] == "sampled":
-                    if entry.get("pool_chain", []) != [] \
-                            or int(entry["pool_size"]) != 1 << length:
+                    pool_size = int(entry["pool_size"])
+                    # bit lengths first, so that a huge length builds no power
+                    if entry.get("pool_chain", []) != [] or pool_size.bit_length() != length + 1 \
+                            or pool_size != 1 << length:
                         raise ValueError(f"level {length} draws from a pool other than "
                                          f"all strings of its length")
-                    levels.append(SampledLevel(length, frozenset(
-                        int(h, 16) for h in json_exact(entry["strings_hex"], list))))
+                    if length in levels:
+                        raise ValueError(f"duplicate level length {length}")
+                    levels[length] = [int(h, 16) for h in json_exact(entry["strings_hex"], list)]
                 elif entry["kind"] == "implicit":
                     chain = entry["chain"]
                     if len(chain) != 1 or len(chain[0]) != 2:
                         raise ValueError(f"level {length} needs a chain of one "
                                          f"[block_length, threshold] pair")
                     (block_length, threshold), = chain
-                    levels.append(ImplicitLevel(length, block_length, threshold,
-                                                int(entry["cardinality"])))
+                    tops.append(ImplicitLevel(length, block_length, threshold,
+                                              int(entry["cardinality"])))
                 else:
                     raise ValueError(f"unknown level kind {entry['kind']!r}")
-            return cls(Fraction(json_exact(doc["alpha"], str)), levels)
+            if len(tops) > 1:
+                raise ValueError(f"a family has at most one implicit level, got {len(tops)}")
+            return cls(read_alpha(doc["alpha"]), levels, *tops)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
 
@@ -327,8 +301,7 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
             break
     top_size_bound = pow2_floor(alpha * n * blocks)
     top = ImplicitLevel(n * blocks, n, threshold, cardinality)
-    strings = sample_uniform_set(n, size, rs)
-    family = LevelFamily(alpha, [SampledLevel(n, strings), top])
+    family = LevelFamily(alpha, {n: sample_uniform_set(n, size, rs)}, top)
     certificate = TwoLevelCertificate(n, top.length, threshold, size, miss_bound,
                                       Fraction(epsilon), cardinality, top_size_bound)
     return family, certificate
@@ -338,10 +311,11 @@ def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
     """Explicit levels, the avoider's input shape: at each length n, a uniform
     draw of floor(2**(alpha*n)) strings from substream n of rs."""
     alpha = Fraction(alpha)
-    levels = []
+    levels = {}
     for n in lengths:
-        strings = sample_uniform_set(n, pow2_floor(alpha * n), rs.substream(n))
-        levels.append(SampledLevel(n, strings))
+        if n in levels:
+            raise ValueError(f"duplicate level length {n}")
+        levels[n] = sample_uniform_set(n, pow2_floor(alpha * n), rs.substream(n))
     return LevelFamily(alpha, levels)
 
 
@@ -349,21 +323,20 @@ def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> E
     """Mass of the strings avoiding the realized family; deficit counts as
     avoiding (worst case).
 
-    A string avoids when each non-empty sampled level is disjoint from its
-    windows of that level's length, read from dist.windows, and the simple
-    top, if any, does not hold it."""
+    A string avoids when each non-empty level is disjoint from its windows
+    of that level's length, read from dist.windows, and the simple top, if
+    any, does not hold it."""
     if dist.string_length != family.string_length:
         raise ValueError("distribution length does not match family top length")
-    levels = [level for level in family.sampled_levels() if level.strings]
-    rows = dist.windows(levels[0].length if levels else dist.string_length)
-    avoiding = [True] * len(rows)
-    for level in levels:
-        isdisjoint = level.strings.isdisjoint
-        rows = dist.windows(level.length)
-        avoiding = [a and isdisjoint(windows) for a, (_, windows, _) in zip(avoiding, rows)]
-    top = family.implicit_top()
+    avoiding = [True] * len(dist.weights)
+    for n, strings in family.levels.items():
+        if strings:
+            isdisjoint = strings.isdisjoint
+            avoiding = [a and isdisjoint(windows)
+                        for a, (_, windows, _) in zip(avoiding, dist.windows(n))]
+    top = family.top
     total = dist.deficit_weight
-    for numeral, _, weight in compress(rows, avoiding):
+    for numeral, weight in compress(zip(dist.numerals, dist.weights), avoiding):
         if top is None or not top.holds(numeral):
             total += weight
     return ExactProb(total, dist.denominator)
@@ -422,12 +395,12 @@ def _bound_fails_for_all(alpha: Fraction, ln: int, n_total: int, epsilon) -> boo
     return not miss_probability_random_set(most, ln, size) < epsilon
 
 
-def _drawn_family(alpha: Fraction, ln: int, strings, top, n_total: int) -> LevelFamily:
-    # an empty top keeps the family's string length pinned to the dist length
-    return LevelFamily(alpha, [
-        SampledLevel(ln, frozenset(strings)),
-        top if top is not None else SampledLevel(n_total, frozenset()),
-    ])
+def _drawn_family(dist: FiniteDistribution, alpha: Fraction, ln: int, strings, top) -> tuple:
+    # the family of a draw and the top, if any, with its avoid probability;
+    # with no top, an empty level pins the family's string length to dist's
+    levels = {ln: strings} if top is not None else {ln: strings, dist.string_length: ()}
+    family = LevelFamily(alpha, levels, top)
+    return family, family_avoid_probability(dist, family)
 
 
 def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSource,
@@ -462,8 +435,7 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
         )
     for attempt in range(MAX_DRAWS):
         strings = sample_uniform_set(ln, size, rs.substream(attempt))
-        family = _drawn_family(alpha, ln, strings, top, n_total)
-        certificate = family_avoid_probability(dist, family)
+        family, certificate = _drawn_family(dist, alpha, ln, strings, top)
         if certificate < epsilon:
             return family, certificate
     raise CertificateError(f"no draw beat the bound within {MAX_DRAWS} attempts")
@@ -479,14 +451,12 @@ def recertify_family(dist: FiniteDistribution, alpha, epsilon, witness: LevelFam
     Returns (family, certificate)."""
     alpha = Fraction(alpha)
     n_total = dist.string_length
-    ln = min(witness.levels) if level_length is None else level_length
-    drawn = witness.levels.get(ln)
-    if not (0 < ln < n_total and isinstance(drawn, SampledLevel)
-            and len(drawn.strings) == pow2_floor(alpha * ln)):
+    ln = min(witness.levels, default=0) if level_length is None else level_length
+    drawn = witness.levels.get(ln, frozenset())
+    if not (0 < ln < n_total and len(drawn) == pow2_floor(alpha * ln)):
         raise CertificateError(f"the witness holds no full draw of length {ln} "
                                f"below length {n_total}")
-    family = _drawn_family(alpha, ln, drawn.strings, _simple_top(alpha, ln, n_total), n_total)
-    certificate = family_avoid_probability(dist, family)
+    family, certificate = _drawn_family(dist, alpha, ln, drawn, _simple_top(alpha, ln, n_total))
     if not certificate < epsilon:
         raise CertificateError(f"avoid probability {frac_to_str(certificate)} is not below "
                                f"{frac_to_str(epsilon)}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import BitString, CertificateError, RandomSource, frac_to_str
+from .core import BitString, CertificateError, RandomSource, frac_to_str, json_exact
 
 
 class CoverageError(RuntimeError):
@@ -338,7 +338,7 @@ class Allocation:
                     "level": lv.level,
                     "count": lv.count,
                     "source_base": lv.source_base,
-                    "assigned": lv.assigned.pairs(),
+                    "assigned": [list(pair) for pair in lv.assigned.pairs()],
                 }
                 for lv in self._levels
             ],
@@ -347,22 +347,26 @@ class Allocation:
     @classmethod
     def from_export(cls, doc: dict) -> "Allocation":
         """Rebuild by replaying the recorded counts, then verify the recorded
-        assignments match the replay exactly; ValueError on any other shape."""
+        levels match the replay exactly; ValueError on any other shape, and
+        on any integer that JSON does not give as an integer."""
+        def ints(*values) -> tuple:
+            return tuple(json_exact(v, int) for v in values)
+
         try:
-            counts = {entry["level"]: entry["count"] for entry in doc["levels"]}
-            alloc = cls(doc["start_level"], doc["max_level"],
-                        lambda m: counts.get(m, 0))
-            alloc._set_cap(doc["cap"])
+            records = [(*ints(entry["level"], entry["count"], entry["source_base"]),
+                        [ints(*json_exact(pair, list))
+                         for pair in json_exact(entry["assigned"], list)])
+                       for entry in doc["levels"]]
+            counts = {level: count for level, count, _, _ in records}
+            alloc = cls(*ints(doc["start_level"], doc["max_level"]), lambda m: counts.get(m, 0))
+            alloc._set_cap(*ints(doc["cap"]))
             if counts:  # an export of an empty spread lists no levels
                 alloc.ensure_level(max(counts))
-            if len(doc["levels"]) != alloc.levels_built():
-                raise CertificateError("allocation export inconsistent: level list length")
-            for entry, (level, count, base, pairs) in zip(doc["levels"], alloc.level_records()):
-                recorded = [tuple(p) for p in entry["assigned"]]
-                if (entry["level"], entry["count"], entry["source_base"]) \
-                        != (level, count, base) or recorded != pairs:
-                    raise CertificateError(f"allocation export inconsistent at level {level}")
-            if alloc._least_uncovered != doc.get("least_uncovered"):
+            if records != alloc.level_records():
+                raise CertificateError("allocation export inconsistent: its levels are not "
+                                       "the replay's")
+            least = doc.get("least_uncovered")  # null once every position is covered
+            if alloc._least_uncovered != (least if least is None else json_exact(least, int)):
                 raise CertificateError("allocation export inconsistent: coverage frontier")
             return alloc
         except (KeyError, TypeError, AttributeError) as exc:

@@ -13,7 +13,7 @@ from typing import Optional
 from ecseq import spreader
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, binom,
                         frac_to_str, pow2_floor)
-from ecseq.forbidden import LevelFamily, SampledLevel, Scanner, miss_probability_random_set
+from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set
 from ecseq.proxy import LENGTH_HEADER_BITS
 from ecseq.spreader import Allocation
 
@@ -65,7 +65,7 @@ def family_avoids(x: BitString, family: LevelFamily) -> bool:
     """True when no realized level of the family occurs as a substring of x,
     by the simple top's predicate and one pass of the family's Aho-Corasick
     automaton over x."""
-    top = family.implicit_top()
+    top = family.top
     if top is not None and top.holds(x.to_numeral()):
         return False
     return next(family.scanner().occurrences(x.to_text().encode()), None) is None
@@ -188,12 +188,10 @@ def oracle_window_rows(dist: FiniteDistribution, length: int) -> tuple:
 
 def membership(family: LevelFamily, length: int, numeral: int) -> bool:
     """Whether the family forbids the string of this length and numeral."""
-    level = family.levels.get(length)
-    if level is None:
-        return False
-    if isinstance(level, SampledLevel):
-        return numeral in level.strings
-    return level.holds(numeral)
+    top = family.top
+    if top is not None and top.length == length:
+        return top.holds(numeral)
+    return numeral in family.levels.get(length, ())
 
 
 def text_slice_simple(text: str, block_length: int, threshold: int) -> bool:
@@ -244,13 +242,13 @@ def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
     if len(x) != family.string_length:
         raise ValueError(f"string length {len(x)} does not match family top "
                          f"{family.string_length}")
-    top = family.implicit_top()
+    top = family.top
     if top is not None and top.holds(x.to_numeral()):
         return ExactProb(1)
     miss = Fraction(1)
-    for level in family.sampled_levels():
-        miss *= Fraction(miss_probability_random_set(distinct_substrings(x, level.length),
-                                                     level.length, len(level.strings)))
+    for n, strings in family.levels.items():
+        miss *= Fraction(miss_probability_random_set(distinct_substrings(x, n), n,
+                                                     len(strings)))
     return ExactProb(1 - miss)
 
 
@@ -426,7 +424,7 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]
     exactly numeric (most-significant-bit-first) order."""
     if length > 24:
         raise ValueError("brute force capped at length 24")
-    if not family.explicit_only():
+    if family.top is not None:
         raise ValueError("brute force needs explicit level sets")
     scanner = family.scanner()
 

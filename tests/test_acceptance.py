@@ -11,7 +11,7 @@ from ecseq.adversary import (avoid_probability, positional_family_search,
 from ecseq.avoider import AvoidanceInstance, build_avoiding_string, scan_violations
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         binom, pow2_floor)
-from ecseq.forbidden import (LevelFamily, SampledLevel, count_simple, interval_schedule,
+from ecseq.forbidden import (LevelFamily, count_simple, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              two_level_family)
 from ecseq.proxy import compress_bits, compress_size
@@ -125,7 +125,7 @@ def test_criterion_5_two_level_dichotomy():
     n, N, t, s = cert.random_length, cert.top_length, cert.threshold, cert.sample_size
 
     # size certificates, by independent big-integer comparison
-    sizes_ok = (len(family.levels[n].strings) <= pow2_floor(alpha * n)
+    sizes_ok = (len(family.levels[n]) <= pow2_floor(alpha * n)
                 and count_simple(N, n, t) == cert.top_cardinality <= pow2_floor(alpha * N))
 
     rs = RandomSource(555)
@@ -213,11 +213,10 @@ def test_criterion_7_truncation_accounting():
 
 def _acceptance_avoider_family():
     master = RandomSource(4242)
-    levels = []
+    levels = {}
     for n in range(8, 13):
         size = pow2_floor(Fraction(3, 10) * n)
-        strings = sample_uniform_set(n, size, master.substream(n))
-        levels.append(SampledLevel(n, strings))
+        levels[n] = sample_uniform_set(n, size, master.substream(n))
     return LevelFamily(Fraction(3, 10), levels)
 
 
@@ -237,7 +236,7 @@ def test_criterion_8_avoider():
     brute_ok = True
     for small in (8, 12, 16):
         sub = LevelFamily(Fraction(3, 10),
-                          [family.levels[n] for n in family.level_lengths() if n <= small])
+                          {n: strings for n, strings in family.levels.items() if n <= small})
         witness = brute_force_avoider(sub, small)
         result = build_avoiding_string(
             AvoidanceInstance(sub, small, 10 ** 6, RandomSource(1)))
@@ -260,8 +259,7 @@ def test_criterion_9_interval_schedule():
         ok = ok and (previous_upper == 0 or entry.lower > previous_upper)
         previous_upper = entry.upper
         # exhaustive summation oracle over the full cube
-        realized = {lv.length: lv.strings for lv in entry.family.sampled_levels()
-                    if lv.strings}
+        realized = {n: strings for n, strings in entry.family.levels.items() if strings}
         avoiders = 0
         for v in range(1 << entry.upper):
             x = BitString.from_numeral(v, entry.upper)

@@ -12,8 +12,7 @@ import ecseq
 from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
                            first_violation_pattern, scan_violations)
 from ecseq.core import BitString, RandomSource
-from ecseq.forbidden import (LevelFamily, SampledLevel, random_level_family,
-                             two_level_family)
+from ecseq.forbidden import LevelFamily, random_level_family, two_level_family
 
 from oracles import brute_force_avoider, concat, membership, scanner_first
 
@@ -23,8 +22,7 @@ def bs(text):
 
 
 def explicit_family(alpha, sets):
-    levels = [SampledLevel(n, frozenset(bs(t).to_numeral() for t in texts))
-              for n, texts in sets.items()]
+    levels = {n: [bs(t).to_numeral() for t in texts] for n, texts in sets.items()}
     return LevelFamily(Fraction(alpha), levels)
 
 
@@ -32,13 +30,13 @@ def naive_scan(x, family):
     # independent double-loop scanner
     out = []
     for k in range(len(x)):
-        for n in family.level_lengths():
+        for n in family.levels:
             if k + n <= len(x) and membership(family, n, x.window(k, n).to_numeral()):
                 out.append((k, n))
     return sorted(out)
 
 
-EMPTY = LevelFamily(Fraction(1, 2), [])
+EMPTY = LevelFamily(Fraction(1, 2), {})
 TRIPLES = explicit_family(1, {3: ["000", "111"]})
 UNSAT = explicit_family(1, {1: ["0", "1"]})
 
@@ -248,12 +246,11 @@ def test_unsatisfiable_exhausts_budget():
 
 def test_density_guard_rejects_oversized_level():
     from ecseq.core import CertificateError
-    from ecseq.forbidden import LevelFamily, SampledLevel
-    oversized = SampledLevel(2, frozenset({0, 1, 2}))
+    oversized = frozenset({0, 1, 2})
     with pytest.raises(CertificateError):
-        LevelFamily(Fraction(1, 2), [oversized])
+        LevelFamily(Fraction(1, 2), {2: oversized})
     # a family cannot be built oversized, so the level is swapped in afterwards
-    family = LevelFamily(Fraction(1, 2), [SampledLevel(2, frozenset({0}))])
+    family = LevelFamily(Fraction(1, 2), {2: {0}})
     family.levels[2] = oversized
     with pytest.raises(ValueError):
         AvoidanceInstance(family, 10, 10, RandomSource(0))

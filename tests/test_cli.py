@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,18 @@ from oracles import oracle_sampled_recovery
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def run_capped(*argv, memory=1 << 30, timeout=60):
+    """Run `python -m ecseq.cli` in a subprocess whose address space is capped
+    at `memory` bytes, so that a run which builds a huge integer fails at once
+    with a MemoryError instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    src = str(Path(ecseq.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "ecseq.cli", *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def read_json(path):
@@ -170,11 +183,7 @@ def test_family_steps_past_a_random_length_no_top_can_fit(tmp_path):
     # at n = 3, ceil(n/2) = 2 >= 9/5 = alpha*n, so no top over 3-bit blocks
     # fits its size bound; a subprocess, so a search that never ends times out
     report = tmp_path / "family.report.json"
-    src = str(Path(ecseq.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-m", "ecseq.cli", "family", "--alpha", "3/5",
-                           "--n-min", "3", "--report", str(report)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=60)
+    done = run_capped("family", "--alpha", "3/5", "--n-min", "3", "--report", report)
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert read_json(report)["results"]["random_length"] == 4
     assert run("verify", "--report", str(report)) == cli.EXIT_OK
@@ -425,7 +434,12 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path, capsys):
                                       ("family-levels", "parameters", "lengths", [True, 9]),
                                       ("family", "parameters", "epsilon", 0.5),
                                       # interval 2's top length is 6
-                                      ("family-schedule", "parameters", "max_length", 5)):
+                                      ("family-schedule", "parameters", "max_length", 5),
+                                      # a witness family of a shape no command writes
+                                      ("family-derandomize", "results", "family",
+                                       TWO_TOPS_FAMILY),
+                                      ("family-derandomize", "results", "family",
+                                       LOW_TOP_FAMILY)):
         doc = read_json(reports[kind])
         doc[section][key] = value
         capsys.readouterr()
@@ -439,8 +453,19 @@ UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11"
 UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)}}
 SMALL_FAMILY = {"alpha": "1/2", "levels": [{"length": 4, "kind": "sampled", "strings_hex": ["0"],
                                             "pool_chain": [], "pool_size": "16"}]}
+# SMALL_FAMILY with two implicit levels, or with one no longer than its sampled level
+IMPLICIT_LEVEL = {"kind": "implicit", "chain": [[1, 1]], "cardinality": "2"}
+TWO_TOPS_FAMILY = {**SMALL_FAMILY, "levels": SMALL_FAMILY["levels"] + [
+    {**IMPLICIT_LEVEL, "length": 8}, {**IMPLICIT_LEVEL, "length": 12}]}
+LOW_TOP_FAMILY = {**SMALL_FAMILY,
+                  "levels": SMALL_FAMILY["levels"] + [{**IMPLICIT_LEVEL, "length": 4}]}
 EMPTY_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncovered": 0,
                     "source_total": 0, "levels": []}
+# the allocation of the first 32 positions of an inverse-triangular spread
+ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncovered": 68,
+                        "source_total": 68, "levels": [{"level": 8, "count": 68,
+                                                        "source_base": 0,
+                                                        "assigned": [[0, 68]]}]}
 
 
 @pytest.mark.parametrize("document, argv", [
@@ -522,6 +547,16 @@ EMPTY_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncov
     *(({"alpha": "1/1", "levels": [{**SMALL_FAMILY["levels"][0], **level}]},
        ["avoid", "--family", "{doc}", "--length", "10"])
       for level in ({"length": True, "pool_size": "2"}, {"strings_hex": "0102"})),
+    *((family, ["avoid", "--family", "{doc}", "--length", "10"])
+      for family in (TWO_TOPS_FAMILY, LOW_TOP_FAMILY)),
+    # an allocation whose integers are not all JSON integers
+    *((allocation, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"])
+      for allocation in (*({**ONE_LEVEL_ALLOCATION, key: float(ONE_LEVEL_ALLOCATION[key])}
+                           for key in ("start_level", "max_level", "cap", "least_uncovered")),
+                         *({**ONE_LEVEL_ALLOCATION,
+                            "levels": [{**ONE_LEVEL_ALLOCATION["levels"][0], **level}]}
+                           for level in ({"level": 8.0}, {"count": 68.0}, {"source_base": 0.0},
+                                         {"assigned": [[0, 68.0]]})))),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -565,6 +600,32 @@ def test_a_report_with_another_pool_or_chain_fails_verify(reports, tmp_path, lev
             assert verify_doc(tmp_path, doc) == cli.EXIT_VERIFY_FAILED, kind
             tampered += 1
     assert tampered >= 1
+
+
+FAMILY_REPORT_OF_HUGE_ALPHA = {
+    "command": "family-levels", "seed": 42, "results": {}, "certificates": {}, "wall_time_s": 0,
+    "parameters": {"alpha": "3000000000000001/10000000000000000", "lengths": [8]}}
+
+
+@pytest.mark.parametrize("document, argv, code", [
+    # a level of length 10**12: its pool_size is compared by bit length first
+    ({**SMALL_FAMILY, "levels": [{**SMALL_FAMILY["levels"][0], "length": 10 ** 12}]},
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS),
+    # alpha 0.3000000000000001, read exactly, has a numerator of about 3 * 10**15
+    (None, ["family", "--alpha", "0.3000000000000001", "--levels", "8"], cli.EXIT_BAD_PARAMS),
+    ({**SMALL_FAMILY, "alpha": "3000000000000001/10000000000000000"},
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS),
+    (FAMILY_REPORT_OF_HUGE_ALPHA, ["verify", "--report", "{doc}"], cli.EXIT_VERIFY_FAILED),
+    # an implicit level of length 10**12, whose two strings fit 2**(10**12 / 2) unbuilt
+    ({**SMALL_FAMILY, "levels": [{**IMPLICIT_LEVEL, "length": 10 ** 12}]},
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS),
+])
+def test_inputs_that_would_build_a_huge_power_fail_in_one_line(tmp_path, document, argv, code):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    done = run_capped(*(a.format(doc=path) for a in argv))
+    assert done.returncode == code, done.stderr
+    assert len((done.stdout + done.stderr).strip().splitlines()) == 1, done
 
 
 # SHA-256 of the family file each form of `family` writes, and of its report's

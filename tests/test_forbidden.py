@@ -6,7 +6,7 @@ import pytest
 from ecseq.core import (BitString, CertificateError, ExactProb, FiniteDistribution,
                         RandomSource, binom, pow2_floor)
 from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
-                             PoolTooSmallError, SampledLevel, count_simple,
+                             PoolTooSmallError, count_simple,
                              derandomize_family, family_avoid_probability, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              simple_counts, two_level_family, _averaged_bound)
@@ -205,7 +205,7 @@ def test_two_level_parameters_reverify():
                      if count_simple(n * p, n, cert.threshold) <= pow2_floor(ALPHA * n * p))
     assert cert.top_cardinality == count_simple(N, n, cert.threshold)
     assert cert.top_cardinality <= cert.top_size_bound == pow2_floor(ALPHA * N)
-    assert len(family.levels[n].strings) == cert.sample_size == pow2_floor(ALPHA * n)
+    assert len(family.levels[n]) == cert.sample_size == pow2_floor(ALPHA * n)
 
 
 def test_two_level_top_matches_the_per_multiple_recount():
@@ -256,9 +256,8 @@ def test_two_level_family_rejects_a_nonpositive_least_random_length(least_length
 
 def small_family():
     # sampled pair from the 2-cube, top = length-4 strings with equal halves
-    level = SampledLevel(2, frozenset({0b00, 0b11}))
     top = ImplicitLevel(4, 2, 1, count_simple(4, 2, 1))
-    return LevelFamily(Fraction(9, 10), [level, top])
+    return LevelFamily(Fraction(9, 10), {2: {0b00, 0b11}}, top)
 
 
 def test_hit_probability_formula_case():
@@ -291,19 +290,26 @@ def test_hit_probability_length_guard():
 
 def test_level_family_size_bound_enforced():
     with pytest.raises(CertificateError):
-        LevelFamily(Fraction(1, 2), [SampledLevel(2, frozenset({0, 1, 2}))])
-    family = LevelFamily(Fraction(1, 2), [SampledLevel(4, frozenset({0, 1, 2, 3}))])
+        LevelFamily(Fraction(1, 2), {2: {0, 1, 2}})
+    family = LevelFamily(Fraction(1, 2), {4: {0, 1, 2, 3}})
     assert family.size_bound(4) == 4
 
 
 @pytest.mark.parametrize("index, key, value", [
     (1, "chain", [[2, 2], [4, 2]]), (1, "chain", []), (1, "chain", [[2, 2, 2]]),
-    (0, "pool_chain", [[2, 1]]), (0, "pool_size", "8")])
+    (0, "pool_chain", [[2, 1]]), (0, "pool_size", "8"),
+    # a second implicit level (key None adds the value as a level), and an
+    # implicit level no longer than the sampled level of length 2
+    (2, None, {"length": 52, "kind": "implicit", "chain": [[2, 2]], "cardinality": "4"}),
+    (1, "length", 2)])
 def test_level_family_json_reads_only_the_full_cube_and_one_stage(index, key, value):
     doc = toy_two_level()[0].to_json()
     assert LevelFamily.from_json(doc).to_json() == doc
-    doc["levels"][index][key] = value
-    with pytest.raises(ValueError, match="pool|chain"):
+    if key is None:
+        doc["levels"].insert(index, value)
+    else:
+        doc["levels"][index][key] = value
+    with pytest.raises(ValueError, match="implicit" if key in (None, "length") else "pool|chain"):
         LevelFamily.from_json(doc)
 
 
@@ -311,11 +317,8 @@ def test_level_family_json_round_trip():
     family, _ = toy_two_level()
     back = LevelFamily.from_json(family.to_json())
     assert back.alpha == family.alpha
-    assert back.levels.keys() == family.levels.keys()
-    n = min(family.levels)
-    assert back.levels[n].strings == family.levels[n].strings
-    top = family.string_length
-    assert back.levels[top].cardinality == family.levels[top].cardinality
+    assert back.levels == family.levels
+    assert back.top == family.top
 
 
 # ---------------------------------------------------------------- derandomization
@@ -329,7 +332,7 @@ def test_derandomize_uniform_toy_matches_full_summation():
     avoiders = 0
     for v in range(1 << 10):
         x = BitString.from_numeral(v, 10)
-        if not set(numeral_windows(x, 5)) & level.strings:
+        if not set(numeral_windows(x, 5)) & level:
             avoiders += 1
     assert certificate == Fraction(avoiders, 1 << 10)
     assert certificate < Fraction(1, 4)
@@ -350,10 +353,11 @@ def test_family_avoids_agrees_with_naive_window_loop():
         for seed in range(2):
             family, _ = derandomize_family(cube, Fraction(3, 4), Fraction(1, 2),
                                            RandomSource(seed), level_length=level_length)
-            assert (family.implicit_top() is not None) == has_top
+            assert (family.top is not None) == has_top
+            lengths = [*family.levels, *([family.top.length] if has_top else [])]
             for x, _ in support_weights(cube):
                 naive = not any(membership(family, n, x.window(k, n).to_numeral())
-                                for n in family.level_lengths()
+                                for n in lengths
                                 for k in range(len(x) - n + 1))
                 assert family_avoids(x, family) == naive
 
@@ -365,7 +369,7 @@ def test_derandomize_point_mass_all_distinct_windows():
     family, certificate = derandomize_family(dist, Fraction(9, 10), ExactProb(1, 2),
                                              RandomSource(4), level_length=3)
     assert certificate == 0
-    assert set(numeral_windows(x, 3)) & family.levels[3].strings
+    assert set(numeral_windows(x, 3)) & family.levels[3]
 
 
 def test_derandomize_averaged_bound_error():
@@ -403,9 +407,8 @@ def test_integer_sums_agree_with_per_string_fraction_sums():
             threshold = 1 << ((ln + 1) // 2)
             top = ImplicitLevel(length, ln, threshold, count_simple(length, ln, threshold))
             tops += 1
-        family = LevelFamily(Fraction(1), [
-            SampledLevel(ln, strings),
-            top or SampledLevel(length, frozenset())])
+        family = LevelFamily(Fraction(1), {ln: strings} if top else {ln: strings, length: ()},
+                             top)
         assert family_avoid_probability(dist, family) == family_avoid_per_string(dist, family)
         assert _averaged_bound(dist, ln, size, top) == \
             averaged_bound_per_string(dist, ln, size, top)
@@ -435,15 +438,15 @@ def test_table_certificates_agree_with_the_scanner_on_multi_level_families():
         lengths = {1 + rs.below(length - 1) for _ in range(1 + rs.below(3))}
         if top is None:
             lengths.add(length)
-        levels = []
+        levels = {}
         for i, ln in enumerate(sorted(lengths)[-3:]):
             size = rs.below(min(1 << ln, 12) + 1)
-            levels.append(SampledLevel(ln, sample_uniform_set(ln, size, rs.substream(4 * trial + i))))
-        family = LevelFamily(Fraction(1), levels + ([top] if top else []))
-        seen["empty"] += any(not lv.strings for lv in levels)
-        seen["full"] += any(lv.length == length and lv.strings for lv in levels)
+            levels[ln] = sample_uniform_set(ln, size, rs.substream(4 * trial + i))
+        family = LevelFamily(Fraction(1), levels, top)
+        seen["empty"] += any(not strings for strings in levels.values())
+        seen["full"] += bool(levels.get(length))
         seen["implicit"] += top is not None
-        seen["several"] += sum(1 for lv in levels if lv.strings) > 1
+        seen["several"] += sum(1 for strings in levels.values() if strings) > 1
         expected = family_avoid_per_string(dist, family)
         assert family_avoid_probability(dist, family) == expected, trial
         ln = 1 + rs.below(length - 1)
@@ -470,8 +473,11 @@ def test_interval_schedule_three_intervals():
         if previous_upper:
             assert entry.lower > previous_upper
         previous_upper = entry.upper
-        for length in entry.family.level_lengths():
-            assert entry.family.size_of(length) <= entry.family.size_bound(length)
+        sizes = {n: len(strings) for n, strings in entry.family.levels.items()}
+        if entry.family.top is not None:
+            sizes[entry.family.top.length] = entry.family.top.cardinality
+        for length, size in sizes.items():
+            assert size <= entry.family.size_bound(length)
 
 
 @pytest.mark.parametrize("first_length", [0, -3])
