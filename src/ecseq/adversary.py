@@ -15,46 +15,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import BitString, ExactProb, FiniteDistribution, frac_to_str
+from .core import ExactProb, FiniteDistribution, frac_to_str, json_exact
 
 
 @dataclass(frozen=True)
 class PositionalFamily:
-    """One forbidden window per start position, plus the avoid certificate."""
+    """One forbidden window numeral per start position, plus the avoid certificate."""
 
     window_length: int
-    strings: tuple
+    targets: tuple
     certificate: Optional[ExactProb] = None
 
     def __post_init__(self):
-        for s in self.strings:
-            if len(s) != self.window_length:
-                raise ValueError("every forbidden string must have the window length")
-
-    @property
-    def position_count(self) -> int:
-        return len(self.strings)
+        if any(not 0 <= v < 1 << self.window_length for v in self.targets):
+            raise ValueError("every forbidden window must fit the window length")
 
     def numerals(self) -> tuple:
-        return tuple(s.to_numeral() for s in self.strings)
+        return self.targets
 
     def to_json(self) -> dict:
-        doc = {
-            "window_length": self.window_length,
-            "strings": [s.to_text() for s in self.strings],
-        }
+        n = self.window_length
+        doc = {"window_length": n, "strings": [format(v, f"0{n}b") for v in self.targets]}
         if self.certificate is not None:
             doc["certificate"] = frac_to_str(self.certificate)
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "PositionalFamily":
-        """Parse a family written by to_json; ValueError on any other shape."""
+        """Parse a family written by to_json: an integer window_length, a list
+        of strings of that many 0s and 1s, and a certificate that is a string
+        or absent; ValueError on any other shape."""
         try:
+            n, texts = json_exact(doc["window_length"], int), doc["strings"]
+            targets = tuple(int(text, 2) for text in texts)
+            if [format(v, f"0{n}b") for v in targets] != texts:
+                raise ValueError(f"forbidden windows must be strings of {n} 0s and 1s")
             cert = doc.get("certificate")
-            return cls(doc["window_length"],
-                       tuple(BitString.from_text(s) for s in doc["strings"]),
-                       ExactProb(Fraction(cert)) if cert is not None else None)
+            return cls(n, targets, None if cert is None else ExactProb(json_exact(cert, str)))
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"malformed positional family JSON ({type(exc).__name__}: {exc})") from exc
@@ -84,13 +81,13 @@ def required_positions(window_length: int, epsilon) -> int:
 def avoid_probability(dist: FiniteDistribution, family: PositionalFamily) -> ExactProb:
     """Mass of strings matching no forbidden window at its position; deficit
     counts as avoiding."""
-    n, N = family.window_length, family.position_count
+    n, N = family.window_length, len(family.targets)
     if dist.string_length != N + n - 1:
         raise ValueError(
             f"distribution length {dist.string_length} does not match {N} positions "
             f"of window length {n}"
         )
-    targets = family.numerals()
+    targets = family.targets
     total = dist.deficit_weight
     for _, windows, weight in dist.windows(n):
         if all(w != t for w, t in zip(windows, targets)):
@@ -187,8 +184,7 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
         rest = columns[len(prefix):]
         total = sum(weights[i] for i in alive if all(column[i] for column in rest))
         prefix += [0] * len(rest)
-    strings = tuple(BitString.from_numeral(v, n) for v in prefix)
-    return PositionalFamily(n, strings, ExactProb(base + total, dist.denominator))
+    return PositionalFamily(n, tuple(prefix), ExactProb(base + total, dist.denominator))
 
 
 def truncated_search(dist: FiniteDistribution, window_length: int,

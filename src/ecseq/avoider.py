@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import BitString, RandomSource
-from .forbidden import LevelFamily
+from .forbidden import LevelFamily, Scanner
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,9 @@ class AvoidanceInstance:
             raise ValueError("length and resample budget must be positive")
         if self.family.top is not None:
             raise ValueError("avoidance needs explicit level sets")
-        for n, strings in self.family.levels.items():
+        for n in self.family.levels:
             if n > self.length:
                 raise ValueError(f"forbidden length {n} exceeds target length {self.length}")
-            if len(strings) > self.family.size_bound(n):
-                raise ValueError(f"density guard: level {n} holds {len(strings)} strings, "
-                                 f"bound {self.family.size_bound(n)}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ def scan_violations(x: BitString, family: LevelFamily) -> list:
     """All (position, length) pairs whose window is forbidden, sorted."""
     if family.top is not None:
         raise ValueError("scanning needs explicit level sets")
-    return sorted(family.scanner().occurrences(x.to_text().encode()))
+    return sorted(Scanner(family.levels).occurrences(x.to_text().encode()))
 
 
 # Alternations nested this deep are written as one flat alternation of their
@@ -113,7 +110,7 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
         if hit is None:
             return AvoidanceResult(True, BitString.from_text(text.decode()), resamples, 0)
         if resamples >= inst.max_resamples:
-            residual = sum(1 for _ in inst.family.scanner().occurrences(text))
+            residual = sum(1 for _ in Scanner(inst.family.levels).occurrences(text))
             return AvoidanceResult(False, None, resamples, residual)
         k, end = hit.span()
         text[k:end] = rs.bits(end - k).to_text().encode()

@@ -148,7 +148,7 @@ def _check_family_schedule(p: dict, seed, results: dict) -> tuple:
 
 def _adversary(dist, family) -> tuple:
     doc = family.to_json()
-    return ({"N": family.position_count, "family": doc},
+    return ({"N": len(family.targets), "family": doc},
             {"avoid_probability": frac_to_str(family.certificate),
              "deficit": frac_to_str(dist.deficit)},
             doc)
@@ -163,12 +163,12 @@ def _run_adversary(p: dict, seed, dist: FiniteDistribution = None) -> tuple:
 
 def _check_adversary(p: dict, seed, results: dict) -> tuple:
     dist = FiniteDistribution.from_json(p["dist"])
-    strings = adversary.PositionalFamily.from_json(results["family"]).strings
-    certificate = adversary.avoid_probability(dist, adversary.PositionalFamily(p["n"], strings))
+    targets = adversary.PositionalFamily.from_json(results["family"]).targets
+    certificate = adversary.avoid_probability(dist, adversary.PositionalFamily(p["n"], targets))
     if not certificate < _epsilon(p):
         raise CertificateError(f"avoid probability {frac_to_str(certificate)} is not below "
                                f"{p['epsilon']}")
-    return _adversary(dist, adversary.PositionalFamily(p["n"], strings, certificate))[:2]
+    return _adversary(dist, adversary.PositionalFamily(p["n"], targets, certificate))[:2]
 
 
 def _run_avoid(p: dict, seed) -> tuple:
@@ -493,8 +493,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{name.replace('_', '-')} must be non-negative, "
                                  f"got {value}")
         return command(args)
-    except INPUT_ERRORS + (OSError,) as exc:
-        print(f"ecseq {args.command}: error: {exc}", file=sys.stderr)
+    except INPUT_ERRORS + (OSError, MemoryError) as exc:
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"ecseq {args.command}: error: {message}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 
 

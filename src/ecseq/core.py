@@ -15,18 +15,12 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0x5851F42D4C957F2D
 
 BIT_FILE_MAGIC = b"ECS1"
+SIZE_LIMIT_BITS = 24  # at most 2**24 uniform or sampled strings, or bits of a power
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")  # text bytes -> bit values
 
 
 class CertificateError(RuntimeError):
     """An exact-arithmetic certificate failed to hold."""
-
-
-def binom(a: int, b: int) -> int:
-    """C(a, b) as an exact integer; 0 when b > a."""
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    return math.comb(a, b)
 
 
 def floor_root(value: int, degree: int) -> int:
@@ -67,11 +61,18 @@ def pow2_floor(exponent: Fraction) -> int:
 def pow2_at_most(count: int, exponent: Fraction) -> bool:
     """Whether a non-negative count is at most floor(2**exponent), decided as
     count**q <= 2**p for the exponent p/q in lowest terms, with no root taken.
-    A count of b bits lies in [2**(b - 1), 2**b), so one with b*q <= p holds
-    and one with (b - 1)*q > p fails before any power is built."""
+    A count of b bits lies in [2**(b - 1), 2**b), so one with b*q <= p holds,
+    one with (b - 1)*q > p fails, and a power of two, 2**(b - 1), holds exactly
+    when (b - 1)*q <= p: none of these builds a power.  Any other count whose
+    power may pass 2**SIZE_LIMIT_BITS bits is refused with ValueError."""
     exponent = Fraction(exponent)
     p, q, b = exponent.numerator, exponent.denominator, count.bit_length()
-    return b * q <= p or (b - 1) * q <= p and count ** q <= 1 << p
+    if b * q <= p or (b - 1) * q > p or not count & (count - 1):
+        return (b - 1) * q <= p
+    if b * q > 1 << SIZE_LIMIT_BITS:
+        raise ValueError(f"a count of {b} bits against 2**({frac_to_str(exponent)}) needs a "
+                         f"power above 2**{SIZE_LIMIT_BITS} bits")
+    return count ** q <= 1 << p
 
 
 def json_exact(value, kind: type):
@@ -138,38 +139,14 @@ class BitString:
     def from_bits(cls, bits) -> "BitString":
         return cls._of("".join("1" if b else "0" for b in bits))
 
-    @classmethod
-    def from_numeral(cls, numeral: int, length: int) -> "BitString":
-        """Build from the most-significant-bit-first integer reading."""
-        if numeral < 0 or numeral >> length:
-            raise ValueError("numeral does not fit declared length")
-        return cls._of(format(numeral, f"0{length}b") if length else "")
-
     def __len__(self) -> int:
         return len(self._text)
-
-    def __getitem__(self, index: int) -> int:
-        if not 0 <= index < len(self._text):
-            raise IndexError(f"bit index {index} out of range [0, {len(self._text)})")
-        return ord(self._text[index]) & 1
 
     def to_bits(self) -> list:
         return list(self._text.encode().translate(_BIT_VALUES))
 
-    def window(self, start: int, length: int) -> "BitString":
-        """The substring covering positions [start, start + length)."""
-        if start < 0 or length < 0 or start + length > len(self._text):
-            raise ValueError(
-                f"window [{start}, {start + length}) overruns length {len(self._text)}"
-            )
-        return BitString._of(self._text[start:start + length])
-
     def to_text(self) -> str:
         return self._text
-
-    def to_numeral(self) -> int:
-        """Most-significant-bit-first integer reading (position 0 on top)."""
-        return int(self._text, 2) if self._text else 0
 
     def to_packed_bytes(self) -> bytes:
         value = int(self._text[::-1], 2) if self._text else 0
@@ -362,7 +339,7 @@ class FiniteDistribution:
     @classmethod
     def uniform(cls, string_length: int) -> "FiniteDistribution":
         """Weight 1 on each of the 2**L strings, over denominator 2**L."""
-        if string_length > 24:
+        if string_length > SIZE_LIMIT_BITS:
             raise ValueError("uniform support too large to enumerate")
         self = object.__new__(cls)
         size = 1 << string_length

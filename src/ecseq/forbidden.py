@@ -9,23 +9,20 @@ rationals, which also drive derandomization by averaging and the interval
 schedule construction.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from typing import Callable, Optional
 
-from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource,
-                   binom, frac_to_str, json_exact, pow2_at_most, pow2_floor)
+from .core import (SIZE_LIMIT_BITS, CertificateError, ExactProb, FiniteDistribution,
+                   RandomSource, frac_to_str, json_exact, pow2_at_most, pow2_floor)
 
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 
 
 class AveragedBoundError(CertificateError):
     """The averaged existence bound fails for the requested parameters."""
-
-
-class PoolTooSmallError(ValueError):
-    """A sampling pool holds fewer strings than the requested set size."""
 
 
 def is_simple(numeral: int, length: int, block_length: int, threshold: int) -> bool:
@@ -71,7 +68,14 @@ def miss_probability_random_set(distinct_count: int, length: int, set_size: int)
         raise ValueError("distinct count out of range")
     if not 0 <= set_size <= cube:
         raise ValueError("set size out of range")
-    return ExactProb(binom(cube - distinct_count, set_size), binom(cube, set_size))
+    return ExactProb(math.comb(cube - distinct_count, set_size), math.comb(cube, set_size))
+
+
+def _sampled_size(alpha: Fraction, length: int) -> int:
+    """The floor(2**(alpha*length)) strings a sampled level draws, at most 2**SIZE_LIMIT_BITS."""
+    if alpha * length > SIZE_LIMIT_BITS:
+        raise ValueError(f"level {length} would draw more than 2**{SIZE_LIMIT_BITS} strings")
+    return pow2_floor(alpha * length)
 
 
 def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
@@ -79,7 +83,7 @@ def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
     numerals, by Floyd's algorithm."""
     universe = 1 << length
     if size > universe:
-        raise PoolTooSmallError(f"cannot sample {size} of {universe}")
+        raise ValueError(f"cannot sample {size} of {universe}")
     chosen = set()
     for j in range(universe - size, universe):
         t = rs.below(j + 1)
@@ -180,9 +184,7 @@ class LevelFamily:
             if any(v < 0 or v >> n for v in self.levels.get(n, ())):
                 raise ValueError(f"level {n} holds an out-of-range string")
             if not pow2_at_most(size, alpha * n):
-                raise CertificateError(f"level {n} holds {size} strings, bound is "
-                                       f"{self.size_bound(n)}")
-        self._scanner = None
+                raise CertificateError(f"level {n} holds {size} strings, above 2**({alpha * n})")
 
     def size_bound(self, length: int) -> int:
         return pow2_floor(self.alpha * length)
@@ -190,12 +192,6 @@ class LevelFamily:
     @property
     def string_length(self) -> int:
         return self.top.length if self.top is not None else max(self.levels)
-
-    def scanner(self) -> Scanner:
-        """The automaton of the levels, built on first use."""
-        if self._scanner is None:
-            self._scanner = Scanner(self.levels)
-        return self._scanner
 
     def to_json(self) -> dict:
         entries = [{"length": n, "kind": "sampled",
@@ -287,8 +283,8 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
         raise ValueError(f"the least random length must be positive, got {min_random_length}")
     n = min_random_length
     while True:
+        size = _sampled_size(alpha, n)
         threshold = 1 << ((n + 1) // 2)
-        size = pow2_floor(alpha * n)
         # with ceil(n/2) >= alpha*n, the simple strings of any number of
         # blocks outnumber 2**(alpha*n*blocks), so no top length would fit
         if 1 <= size and (n + 1) // 2 < alpha * n:
@@ -315,7 +311,7 @@ def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
     for n in lengths:
         if n in levels:
             raise ValueError(f"duplicate level length {n}")
-        levels[n] = sample_uniform_set(n, pow2_floor(alpha * n), rs.substream(n))
+        levels[n] = sample_uniform_set(n, _sampled_size(alpha, n), rs.substream(n))
     return LevelFamily(alpha, levels)
 
 
@@ -355,8 +351,8 @@ def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLeve
 
 def _draw_size(alpha: Fraction, ln: int, n_total: int) -> Optional[int]:
     """Strings drawn at level length ln below top length n_total, or None
-    when that level is not admissible."""
-    size = pow2_floor(alpha * ln) if 0 < ln < n_total else 0
+    when that level is not admissible, as no draw of over 2**SIZE_LIMIT_BITS is."""
+    size = pow2_floor(alpha * ln) if 0 < ln < n_total and alpha * ln <= SIZE_LIMIT_BITS else 0
     return size if 1 <= size <= 1 << ln else None
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ecseq import spreader
-from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, binom,
+from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
                         frac_to_str, pow2_floor)
 from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set
 from ecseq.proxy import LENGTH_HEADER_BITS
@@ -45,8 +45,8 @@ def level_counts(alloc: Allocation) -> dict:
 def support_weights(dist: FiniteDistribution) -> list:
     """(string, integer weight) pairs in support order; each mass is weight /
     denominator."""
-    length = dist.string_length
-    return [(BitString.from_numeral(v, length), w) for v, w in zip(dist.numerals, dist.weights)]
+    lead = 1 << dist.string_length  # a leading 1 keeps the zeros that bin would drop
+    return [(BitString.from_text(bin(lead | v)[3:]), w) for v, w in zip(dist.numerals, dist.weights)]
 
 
 def support_masses(dist: FiniteDistribution) -> list:
@@ -66,9 +66,9 @@ def family_avoids(x: BitString, family: LevelFamily) -> bool:
     by the simple top's predicate and one pass of the family's Aho-Corasick
     automaton over x."""
     top = family.top
-    if top is not None and top.holds(x.to_numeral()):
+    if top is not None and top.holds(int(x.to_text(), 2)):
         return False
-    return next(family.scanner().occurrences(x.to_text().encode()), None) is None
+    return next(Scanner(family.levels).occurrences(x.to_text().encode()), None) is None
 
 
 def scanner_first(scanner: Scanner, bits, start: int = 0):
@@ -209,7 +209,7 @@ def surjections(positions: int, classes: int) -> int:
         return 1 if positions == 0 else 0
     total = 0
     for drop in range(classes + 1):
-        term = binom(classes, drop) * (classes - drop) ** positions
+        term = math.comb(classes, drop) * (classes - drop) ** positions
         total += -term if drop & 1 else term
     return total
 
@@ -218,7 +218,7 @@ def count_limited_block_strings(pool_size: int, block_count: int, threshold: int
     """Strings of `block_count` aligned blocks drawn from a pool, using at
     most `threshold` distinct block values, by inclusion-exclusion."""
     top = min(threshold, block_count, pool_size)
-    return sum(binom(pool_size, j) * surjections(block_count, j) for j in range(1, top + 1))
+    return sum(math.comb(pool_size, j) * surjections(block_count, j) for j in range(1, top + 1))
 
 
 def oracle_simple_top(alpha: Fraction, n: int) -> tuple:
@@ -243,7 +243,7 @@ def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
         raise ValueError(f"string length {len(x)} does not match family top "
                          f"{family.string_length}")
     top = family.top
-    if top is not None and top.holds(x.to_numeral()):
+    if top is not None and top.holds(int(x.to_text(), 2)):
         return ExactProb(1)
     miss = Fraction(1)
     for n, strings in family.levels.items():
@@ -321,8 +321,9 @@ def oracle_sampled_recovery(alloc: Allocation, bits: BitString, usable: int, top
             draws = rs.substream(m)
             starts = sorted(draws.below(max_start + 1) for _ in range(samples))
         for k in starts:
+            win = BitString.from_text(bits.to_text()[k:k + size])
             try:
-                prefix = spreader.recover_prefix(alloc, bits.window(k, size), k % size, m)
+                prefix = spreader.recover_prefix(alloc, win, k % size, m)
             except spreader.InconsistentWindowError as exc:
                 violations.append({"k": k, "m": m, "inconsistent": str(exc)})
                 continue
@@ -413,7 +414,7 @@ def averaged_bound_per_string(dist: FiniteDistribution, ln: int, size: int, top)
     of `size` strings of length ln."""
     total = Fraction(dist.deficit)
     for x, mass in support_masses(dist):
-        if top is None or not top.holds(x.to_numeral()):
+        if top is None or not top.holds(int(x.to_text(), 2)):
             total += mass * miss_probability_random_set(distinct_substrings(x, ln), ln, size)
     return total
 
@@ -426,7 +427,7 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]
         raise ValueError("brute force capped at length 24")
     if family.top is not None:
         raise ValueError("brute force needs explicit level sets")
-    scanner = family.scanner()
+    scanner = Scanner(family.levels)
 
     def smallest(state: int, depth: int) -> Optional[str]:
         if depth == 0:

@@ -3,14 +3,14 @@
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 """
 
+import math
 import time
 from fractions import Fraction
 
 from ecseq.adversary import (avoid_probability, positional_family_search,
                              required_positions, truncated_search)
 from ecseq.avoider import AvoidanceInstance, build_avoiding_string, scan_violations
-from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
-                        binom, pow2_floor)
+from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource, pow2_floor
 from ecseq.forbidden import (LevelFamily, count_simple, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              two_level_family)
@@ -69,14 +69,15 @@ def test_criterion_2_recovery_round_trip():
     length = 1 << 16
     alloc = plan_allocation(inverse_triangular())
     omega, tau = spread_random(alloc, RandomSource(7), length)
+    text, source = omega.to_text(), tau.to_text()
     rs = RandomSource(2025)
     failures = 0
     for _ in range(1000):
         m = alloc.start_level + rs.below(13 - alloc.start_level)
         size = 1 << m
         k = rs.below(length - size + 1)
-        prefix = recover_prefix(alloc, omega.window(k, size), k % size, m)
-        if prefix != tau.window(0, alloc.source_count_through(m)):
+        prefix = recover_prefix(alloc, BitString.from_text(text[k:k + size]), k % size, m)
+        if prefix.to_text() != source[:alloc.source_count_through(m)]:
             failures += 1
     _report(2, failures == 0, f"1000 windows reconstructed bit-exact, {failures} failures")
 
@@ -130,7 +131,7 @@ def test_criterion_5_two_level_dichotomy():
 
     rs = RandomSource(555)
     samples = [rs.bits(N) for _ in range(10 ** 4)]
-    block = rs.bits(n)
+    block = rs.bits(n).to_bits()
     structured = []
     for i in range(100):
         if i % 4 == 0:
@@ -150,14 +151,14 @@ def test_criterion_5_two_level_dichotomy():
     cache = {}
     for x in samples + structured:
         hit = hit_probability(x, family)
-        if is_simple(x.to_numeral(), N, n, t):
+        if is_simple(int(x.to_text(), 2), N, n, t):
             if hit != 1:
                 bad += 1
             continue
         d = distinct_substrings(x, n)
         expected = cache.get(d)
         if expected is None:
-            expected = 1 - Fraction(binom((1 << n) - d, s), binom(1 << n, s))
+            expected = 1 - Fraction(math.comb((1 << n) - d, s), math.comb(1 << n, s))
             cache[d] = expected
         if hit != expected or not hit > 1 - threshold_gap:
             bad += 1
@@ -178,8 +179,8 @@ def test_criterion_6_adversary_toy():
     for candidate in itertools.product(range(4), repeat=3):
         total = Fraction(0)
         for v in range(16):
-            x = BitString.from_numeral(v, 4)
-            windows = [x.window(k, 2).to_numeral() for k in range(3)]
+            text = format(v, "04b")
+            windows = [int(text[k:k + 2], 2) for k in range(3)]
             if all(w != c for w, c in zip(windows, candidate)):
                 total += Fraction(1, 16)
         if total < Fraction(1, 2):
@@ -191,7 +192,7 @@ def test_criterion_6_adversary_toy():
     avg = average_avoid_probability(dist, 2, 3)
     avg_ok = avg == Fraction(27, 64)
     _report(6, req_ok and oracle_ok and avg_ok,
-            f"required N=3, first-lex family {[s.to_text() for s in family.strings]} "
+            f"required N=3, first-lex family {family.to_json()['strings']} "
             f"at {family.certificate}, average 27/64 exact")
 
 
@@ -201,7 +202,7 @@ def test_criterion_7_truncation_accounting():
     # independent recomputation over the enumerated support
     recomputed = Fraction(dist.deficit)
     for x, mass in support_masses(dist):
-        windows = [x.window(k, 2).to_numeral() for k in range(3)]
+        windows = [int(x.to_text()[k:k + 2], 2) for k in range(3)]
         if all(w != t for w, t in zip(windows, family.numerals())):
             recomputed += mass
     ok = (family.certificate == recomputed < Fraction(1, 2)
@@ -262,7 +263,7 @@ def test_criterion_9_interval_schedule():
         realized = {n: strings for n, strings in entry.family.levels.items() if strings}
         avoiders = 0
         for v in range(1 << entry.upper):
-            x = BitString.from_numeral(v, entry.upper)
+            x = BitString.from_text(format(v, f"0{entry.upper}b"))
             hit = False
             for ln, strings in realized.items():
                 if set(numeral_windows(x, ln)) & strings:

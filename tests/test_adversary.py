@@ -16,8 +16,7 @@ def bs(text):
 
 
 def fam(*texts):
-    strings = tuple(bs(t) for t in texts)
-    return PositionalFamily(len(strings[0]), strings)
+    return PositionalFamily(len(texts[0]), tuple(int(t, 2) for t in texts))
 
 
 # ---------------------------------------------------------------- required positions
@@ -55,7 +54,7 @@ def test_avoid_probability_uniform_fibonacci():
     dist = FiniteDistribution.uniform(4)
     # oracle: strings of length 4 with no "00" window
     free = [v for v in range(16)
-            if "00" not in BitString.from_numeral(v, 4).to_text()]
+            if "00" not in format(v, "04b")]
     assert len(free) == 8
     assert avoid_probability(dist, fam("00", "00", "00")) == Fraction(8, 16)
 
@@ -71,16 +70,15 @@ def test_avoid_probability_agrees_with_a_direct_loop():
         n = 1 + rs.below(4)
         length = n + rs.below(8)
         numerals = {rs.below(1 << length) for _ in range(1 + rs.below(30))}
-        weights = {BitString.from_numeral(v, length): 1 + rs.below(9) for v in numerals}
+        weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
         deficit = 1 + rs.below(4) if trial % 2 else 0
         total = sum(weights.values()) + deficit
         dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
                                   Fraction(deficit, total))
-        family = PositionalFamily(n, tuple(BitString.from_numeral(rs.below(1 << n), n)
-                                           for _ in range(length - n + 1)))
+        family = PositionalFamily(n, tuple(rs.below(1 << n) for _ in range(length - n + 1)))
         expected = Fraction(dist.deficit) + sum(
             (mass for x, mass in support_masses(dist)
-             if all(x.to_text()[p:p + n] != s.to_text() for p, s in enumerate(family.strings))),
+             if all(int(x.to_text()[p:p + n], 2) != t for p, t in enumerate(family.targets))),
             Fraction(0))
         assert avoid_probability(dist, family) == expected
         dist.windows(1 + rs.below(length))  # leave another length's table behind
@@ -99,7 +97,7 @@ def test_search_first_lex_matches_exhaustive_oracle():
     expected, cert = first_lex_search(dist, 2, Fraction(1, 2))
     family = positional_family_search(dist, 2, ExactProb(1, 2))
     assert family.numerals() == expected
-    assert [s.to_text() for s in family.strings] == ["00", "00", "10"]
+    assert family.to_json()["strings"] == ["00", "00", "10"]
     assert family.certificate == cert == Fraction(7, 16)
     # the two lexicographic predecessors both miss the target
     for texts in (("00", "00", "00"), ("00", "00", "01")):
@@ -111,7 +109,7 @@ def test_search_point_mass():
     y = bs("1001")  # contains 00: the all-zero family hits immediately
     dist = point_mass(y)
     family = positional_family_search(dist, 2, ExactProb(1, 2))
-    assert [s.to_text() for s in family.strings] == ["00", "00", "00"]
+    assert family.to_json()["strings"] == ["00", "00", "00"]
     assert family.certificate == 0
     x = bs("1111")  # no 00 anywhere: the search advances to the first hit
     dist = point_mass(x)
@@ -125,7 +123,7 @@ def test_search_point_mass():
 def test_search_epsilon_one():
     dist = FiniteDistribution.uniform(4)
     family = positional_family_search(dist, 2, ExactProb(1))
-    assert [s.to_text() for s in family.strings] == ["00", "00", "00"]
+    assert family.to_json()["strings"] == ["00", "00", "00"]
     assert family.certificate < 1
 
 
@@ -136,7 +134,7 @@ def random_search_instance(rs, trial):
     n = 1 + trial % 3
     length = n + 1 + rs.below(6)
     numerals = {rs.below(1 << length) for _ in range(1 + rs.below(40))}
-    weights = {BitString.from_numeral(v, length): 1 + rs.below(9) for v in numerals}
+    weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
     deficit = 1 + rs.below(4) if trial % 2 else 0
     total = sum(weights.values()) + deficit
     dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
@@ -252,8 +250,14 @@ def test_average_avoid_requires_total_mass():
 # ---------------------------------------------------------------- serialization
 
 def test_positional_family_json_round_trip():
-    family = PositionalFamily(2, (bs("00"), bs("10")), ExactProb(7, 16))
-    back = PositionalFamily.from_json(family.to_json())
-    assert back == family
+    family = PositionalFamily(2, (0b00, 0b10), ExactProb(7, 16))
+    doc = family.to_json()
+    assert doc == {"window_length": 2, "strings": ["00", "10"], "certificate": "7/16"}
+    assert PositionalFamily.from_json(doc) == family
     with pytest.raises(ValueError):
-        PositionalFamily(2, (bs("00"), bs("101")))
+        PositionalFamily(2, (0b00, 0b101))
+    # from_json reads only what to_json writes
+    for change in ({"strings": [" 00", "10"]}, {"strings": ["0", "10"]},
+                   {"window_length": 2.0}, {"certificate": 0.5}):
+        with pytest.raises(ValueError):
+            PositionalFamily.from_json({**doc, **change})

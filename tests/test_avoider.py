@@ -12,7 +12,7 @@ import ecseq
 from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
                            first_violation_pattern, scan_violations)
 from ecseq.core import BitString, RandomSource
-from ecseq.forbidden import LevelFamily, random_level_family, two_level_family
+from ecseq.forbidden import LevelFamily, Scanner, random_level_family, two_level_family
 
 from oracles import brute_force_avoider, concat, membership, scanner_first
 
@@ -22,7 +22,7 @@ def bs(text):
 
 
 def explicit_family(alpha, sets):
-    levels = {n: [bs(t).to_numeral() for t in texts] for n, texts in sets.items()}
+    levels = {n: [int(t, 2) for t in texts] for n, texts in sets.items()}
     return LevelFamily(Fraction(alpha), levels)
 
 
@@ -31,7 +31,7 @@ def naive_scan(x, family):
     out = []
     for k in range(len(x)):
         for n in family.levels:
-            if k + n <= len(x) and membership(family, n, x.window(k, n).to_numeral()):
+            if k + n <= len(x) and membership(family, n, int(x.to_text()[k:k + n], 2)):
                 out.append((k, n))
     return sorted(out)
 
@@ -58,7 +58,7 @@ def test_scan_agrees_with_naive_oracle():
         sets = {}
         for n in (2, 3, 5):
             members = {rs.below(1 << n) for _ in range(1 + rs.below(3))}
-            sets[n] = [BitString.from_numeral(v, n).to_text() for v in members]
+            sets[n] = [format(v, f"0{n}b") for v in members]
         family = explicit_family(1, sets)
         assert scan_violations(x, family) == naive_scan(x, family)
 
@@ -71,19 +71,19 @@ def test_first_agrees_with_naive_oracle():
         for n in range(2, 8):
             if rs.below(2):
                 members = {rs.below(1 << n) for _ in range(1 + rs.below(4))}
-                sets[n] = [BitString.from_numeral(v, n).to_text() for v in members]
+                sets[n] = [format(v, f"0{n}b") for v in members]
         family = explicit_family(1, sets)
         start = rs.below(len(x) + 1)
         expected = min((hit for hit in naive_scan(x, family) if hit[0] >= start), default=None)
-        assert scanner_first(family.scanner(), x.to_bits(), start) == expected
+        assert scanner_first(Scanner(family.levels), x.to_bits(), start) == expected
 
 
 def test_first_looks_ahead_past_the_first_match():
     # "10001" starts at 2, but the first match to end is "00" at 3
     family = explicit_family(1, {2: ["00"], 5: ["10001"]})
     bits = bs("0110001").to_bits()
-    assert scanner_first(family.scanner(), bits) == (2, 5)
-    assert scanner_first(family.scanner(), bits, 3) == (3, 2)
+    assert scanner_first(Scanner(family.levels), bits) == (2, 5)
+    assert scanner_first(Scanner(family.levels), bits, 3) == (3, 2)
 
 
 # ---------------------------------------------------------------- compiled search
@@ -95,7 +95,7 @@ def compiled_first(pattern, text, start=0):
 
 def assert_search_agrees(family, x, starts=None, pattern=None):
     pattern = pattern or first_violation_pattern(family)
-    text, scanner = x.to_text().encode(), family.scanner()
+    text, scanner = x.to_text().encode(), Scanner(family.levels)
     for start in range(len(text) + 1) if starts is None else starts:
         assert compiled_first(pattern, text, start) == scanner_first(scanner, text, start), \
             (family.to_json(), x.to_text(), start)
@@ -105,13 +105,13 @@ def test_compiled_search_agrees_on_shared_prefixes():
     # each level extends a few stems, so strings overlap and share prefixes
     rs = RandomSource(37)
     for trial in range(150):
-        stems = [BitString.from_numeral(rs.below(8), 3).to_text() for _ in range(3)]
+        stems = [format(rs.below(8), "03b") for _ in range(3)]
         sets = {}
         for n in range(2, 10):
             if rs.below(2):
                 stem = stems[rs.below(3)][:min(3, n - 1)]
-                sets[n] = {stem + BitString.from_numeral(rs.below(1 << (n - len(stem))),
-                                                         n - len(stem)).to_text()
+                rest = n - len(stem)
+                sets[n] = {stem + format(rs.below(1 << rest), f"0{rest}b")
                            for _ in range(1 + rs.below(3))}
         assert_search_agrees(explicit_family(1, sets), rs.bits(1 + rs.below(60)))
 
@@ -120,8 +120,7 @@ def test_compiled_search_agrees_at_every_level_length():
     rs = RandomSource(43)
     for n in range(1, 25):
         for trial in range(4):
-            sets = {n: [BitString.from_numeral(rs.below(1 << n), n).to_text()
-                        for _ in range(1 + rs.below(3))]}
+            sets = {n: [format(rs.below(1 << n), f"0{n}b") for _ in range(1 + rs.below(3))]}
             x = rs.bits(n + rs.below(80))
             assert_search_agrees(explicit_family(1, sets), x)
             # plant the first string so every length matches somewhere
@@ -245,15 +244,10 @@ def test_unsatisfiable_exhausts_budget():
 
 
 def test_density_guard_rejects_oversized_level():
+    # the family is the guard: no instance can be given an oversized level
     from ecseq.core import CertificateError
-    oversized = frozenset({0, 1, 2})
-    with pytest.raises(CertificateError):
-        LevelFamily(Fraction(1, 2), {2: oversized})
-    # a family cannot be built oversized, so the level is swapped in afterwards
-    family = LevelFamily(Fraction(1, 2), {2: {0}})
-    family.levels[2] = oversized
-    with pytest.raises(ValueError):
-        AvoidanceInstance(family, 10, 10, RandomSource(0))
+    with pytest.raises(CertificateError, match=r"level 2 holds 3 strings, above 2\*\*\(1\)"):
+        LevelFamily(Fraction(1, 2), {2: frozenset({0, 1, 2})})
 
 
 def test_instance_rejects_levels_beyond_length():
@@ -285,12 +279,12 @@ def test_brute_force_agrees_with_plain_enumeration():
         sets = {2: [], 3: []}
         for n in (2, 3):
             members = {rs.below(1 << n) for _ in range(rs.below(4))}
-            sets[n] = [BitString.from_numeral(v, n).to_text() for v in members]
+            sets[n] = [format(v, f"0{n}b") for v in members]
         family = explicit_family(1, sets)
         length = 4 + rs.below(6)
         expected = None
         for v in range(1 << length):
-            x = BitString.from_numeral(v, length)
+            x = bs(format(v, f"0{length}b"))
             if not naive_scan(x, family):
                 expected = x
                 break

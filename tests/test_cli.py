@@ -607,25 +607,64 @@ FAMILY_REPORT_OF_HUGE_ALPHA = {
     "parameters": {"alpha": "3000000000000001/10000000000000000", "lengths": [8]}}
 
 
-@pytest.mark.parametrize("document, argv, code", [
+# a family whose one implicit level fits 2**(alpha*length) by a hair: with alpha's
+# denominator q = 10**12, deciding the count 8 exactly would take 8**q
+TINY_ALPHA_FAMILY = {"alpha": "1/1000000000000",
+                     "levels": [{**IMPLICIT_LEVEL, "length": 3 * 10 ** 12 + 1, "cardinality": "8"}]}
+HUGE_ALPHA_ERROR = "alpha 3000000000000001/10000000000000000 has a numerator above 1024"
+
+# (document, command line, exit code, the one line the run prints)
+HUGE_POWER_CASES = [
     # a level of length 10**12: its pool_size is compared by bit length first
     ({**SMALL_FAMILY, "levels": [{**SMALL_FAMILY["levels"][0], "length": 10 ** 12}]},
-     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS),
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
+     "ecseq avoid: error: level 1000000000000 draws from a pool other than all strings of "
+     "its length"),
     # alpha 0.3000000000000001, read exactly, has a numerator of about 3 * 10**15
-    (None, ["family", "--alpha", "0.3000000000000001", "--levels", "8"], cli.EXIT_BAD_PARAMS),
+    (None, ["family", "--alpha", "0.3000000000000001", "--levels", "8"], cli.EXIT_BAD_PARAMS,
+     f"ecseq family: error: {HUGE_ALPHA_ERROR}"),
     ({**SMALL_FAMILY, "alpha": "3000000000000001/10000000000000000"},
-     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS),
-    (FAMILY_REPORT_OF_HUGE_ALPHA, ["verify", "--report", "{doc}"], cli.EXIT_VERIFY_FAILED),
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
+     f"ecseq avoid: error: {HUGE_ALPHA_ERROR}"),
+    (FAMILY_REPORT_OF_HUGE_ALPHA, ["verify", "--report", "{doc}"], cli.EXIT_VERIFY_FAILED,
+     f"verify: FAIL the report does not reproduce: ValueError: {HUGE_ALPHA_ERROR}"),
     # an implicit level of length 10**12, whose two strings fit 2**(10**12 / 2) unbuilt
     ({**SMALL_FAMILY, "levels": [{**IMPLICIT_LEVEL, "length": 10 ** 12}]},
-     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS),
-])
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
+     "ecseq avoid: error: avoidance needs explicit level sets"),
+    # sampled levels of 2**(5 * 10**11) and 2**30 strings, and a random length of 10**12
+    (None, ["family", "--alpha", "1/2", "--levels", "1000000000000"], cli.EXIT_BAD_PARAMS,
+     "ecseq family: error: level 1000000000000 would draw more than 2**24 strings"),
+    (None, ["family", "--alpha", "3/5", "--n-min", "1000000000000"], cli.EXIT_BAD_PARAMS,
+     "ecseq family: error: level 1000000000000 would draw more than 2**24 strings"),
+    (None, ["family", "--alpha", "1/2", "--levels", "60"], cli.EXIT_BAD_PARAMS,
+     "ecseq family: error: level 60 would draw more than 2**24 strings"),
+    # a power of two is decided by its bit length; a count of 9 would need 9**(10**12)
+    (TINY_ALPHA_FAMILY, ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
+     "ecseq avoid: error: avoidance needs explicit level sets"),
+    ({**TINY_ALPHA_FAMILY, "levels": [{**TINY_ALPHA_FAMILY["levels"][0], "cardinality": "9"}]},
+     ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
+     "ecseq avoid: error: a count of 4 bits against 2**(3000000000001/1000000000000) needs a "
+     "power above 2**24 bits"),
+]
+
+
+@pytest.mark.parametrize("document, argv, code", [case[:3] for case in HUGE_POWER_CASES])
 def test_inputs_that_would_build_a_huge_power_fail_in_one_line(tmp_path, document, argv, code):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
     done = run_capped(*(a.format(doc=path) for a in argv))
     assert done.returncode == code, done.stderr
-    assert len((done.stdout + done.stderr).strip().splitlines()) == 1, done
+    # the case's line is looked up, not passed in, so that each case keeps its test id
+    line, = [m for d, a, c, m in HUGE_POWER_CASES if (d, a, c) == (document, argv, code)]
+    assert (done.stdout + done.stderr).strip().splitlines() == [line]
+
+
+def test_exhausted_memory_exits_2_in_one_line(tmp_path):
+    done = run_capped("spread", "--length", 10 ** 12, "--out", tmp_path / "x.bits")
+    assert done.returncode == cli.EXIT_BAD_PARAMS, done.stderr
+    assert (done.stdout + done.stderr).strip().splitlines() == [
+        "ecseq spread: error: out of memory"]
 
 
 # SHA-256 of the family file each form of `family` writes, and of its report's
@@ -776,8 +815,7 @@ for argv in (
 
 def test_reports_do_not_depend_on_the_string_hash_seed(tmp_path):
     # a bit string hashes as its text, and str hashes are salted per process
-    dist = FiniteDistribution(5, {BitString.from_numeral(v, 5): "1/8"
-                                  for v in (1, 4, 9, 12, 19, 22, 27, 30)})
+    dist = FiniteDistribution(5, {format(v, "05b"): "1/8" for v in (1, 4, 9, 12, 19, 22, 27, 30)})
     src = str(Path(ecseq.__file__).resolve().parents[1])
     sections = []
     for hash_seed in ("0", "1"):

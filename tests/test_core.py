@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
-                        binom, floor_root, frac_to_str, pow2_at_most, pow2_floor,
+                        floor_root, frac_to_str, pow2_at_most, pow2_floor,
                         read_bit_file, write_bit_file)
 
 from oracles import (concat, numeral_windows, oracle_distribution_json,
@@ -16,80 +16,12 @@ def bs(text):
     return BitString.from_text(text)
 
 
-# ---------------------------------------------------------------- binom
-
-def _pascal_rows(limit):
-    rows = [[1]]
-    for a in range(1, limit + 1):
-        prev = rows[-1]
-        row = [1]
-        for b in range(1, a):
-            row.append(prev[b - 1] + prev[b])
-        row.append(1)
-        rows.append(row)
-    return rows
-
-
-def test_binom_trivial():
-    assert binom(5, 0) == 1
-    assert binom(4, 2) == 6
-    assert binom(3, 7) == 0
-
-
-def test_binom_against_pascal_oracle():
-    rows = _pascal_rows(64)
-    assert rows[16][4] == 1820
-    assert binom(16, 4) == 1820
-    for a in range(65):
-        for b in range(a + 1):
-            assert binom(a, b) == rows[a][b]
-
-
-def test_binom_pascal_identity_exhaustive():
-    for a in range(1, 65):
-        for b in range(1, 65):
-            assert binom(a, b) == binom(a - 1, b - 1) + binom(a - 1, b)
-
-
-def test_binom_rejects_negative():
-    with pytest.raises(ValueError):
-        binom(-1, 0)
-
-
-# ---------------------------------------------------------------- windows
-
-def test_window_examples():
-    assert bs("0110").window(0, 4) == bs("0110")
-    assert bs("0110").window(1, 2) == bs("11")
-    with pytest.raises(ValueError):
-        bs("0110").window(3, 2)
-
-
-def test_window_identity_and_composition():
-    rs = RandomSource(100)
-    for _ in range(50):
-        x = rs.bits(1 + rs.below(40))
-        assert x.window(0, len(x)) == x
-        k = rs.below(len(x) + 1)
-        n = rs.below(len(x) - k + 1)
-        inner = x.window(k, n)
-        if n:
-            j = rs.below(n)
-            m = rs.below(n - j + 1)
-            assert inner.window(j, m) == x.window(k + j, m)
-
-
 def test_bitstring_representations():
     x = bs("0110")
     assert len(x) == 4
-    assert [x[i] for i in range(4)] == [0, 1, 1, 0]
-    assert x.to_numeral() == 0b0110
-    assert BitString.from_numeral(0b0110, 4) == x
     assert x.to_text() == "0110"
     assert BitString.from_packed_bytes(x.to_packed_bytes(), 4) == x
     assert concat(bs("01"), bs("10")) == bs("0110")
-    with pytest.raises(IndexError):
-        x[4]
     with pytest.raises(ValueError):
         BitString(4, 2)
 
@@ -100,7 +32,7 @@ def test_numeral_windows_against_naive():
         x = rs.bits(3 + rs.below(60))
         n = 1 + rs.below(len(x))
         got = list(numeral_windows(x, n))
-        naive = [x.window(k, n).to_numeral() for k in range(len(x) - n + 1)]
+        naive = [int(x.to_text()[k:k + n], 2) for k in range(len(x) - n + 1)]
         assert got == naive
 
 
@@ -131,12 +63,6 @@ class PackedReference:
     def window(self, start, length):
         return PackedReference((self.value >> start) & ((1 << length) - 1), length)
 
-    def to_numeral(self):
-        value = 0
-        for b in self.bits_reference():
-            value = (value << 1) | b
-        return value
-
     def to_packed_bytes(self):
         return self.value.to_bytes((self.length + 7) // 8, "little")
 
@@ -152,8 +78,6 @@ class PackedReference:
 def _agrees(x, ref):
     assert len(x) == ref.length
     assert x.to_bits() == list(ref.bits_reference())
-    assert [x[i] for i in range(len(x))] == x.to_bits()
-    assert x.to_numeral() == ref.to_numeral()
     assert x.to_packed_bytes() == ref.to_packed_bytes()
 
 
@@ -173,7 +97,7 @@ def test_bitstring_agrees_with_packed_reference():
         for _ in range(5):
             start = rs.below(length + 1)
             size = rs.below(length - start + 1)
-            _agrees(x.window(start, size), ref.window(start, size))
+            _agrees(bs(x.to_text()[start:start + size]), ref.window(start, size))
         for n in (1, 2, 12, length, 1 + rs.below(length or 1)):
             if 1 <= n <= length:
                 assert list(numeral_windows(x, n)) == list(ref.numeral_windows(n))
@@ -263,8 +187,17 @@ def test_pow2_floor():
 def test_pow2_at_most_agrees_with_pow2_floor():
     for exponent in {Fraction(p, q) for p in range(0, 60) for q in range(1, 8)}:
         bound = pow2_floor(exponent)
-        for count in {0, 1, bound - 1, bound, bound + 1, 2 * bound, bound * bound}:
+        counts = {0, 1, bound - 1, bound, bound + 1, 2 * bound, bound * bound}
+        for count in counts | {1 << k for k in range(64)}:
             assert pow2_at_most(count, exponent) == (count <= bound), (count, exponent)
+
+
+def test_pow2_at_most_decides_a_power_of_two_unbuilt_and_refuses_a_huge_power():
+    exponent = Fraction(3 * 10 ** 12 + 1, 10 ** 12)  # floor(2**exponent) is 8
+    assert pow2_at_most(7, exponent) and pow2_at_most(8, exponent)
+    assert not pow2_at_most(16, exponent)
+    with pytest.raises(ValueError, match=r"power above 2\*\*24 bits"):
+        pow2_at_most(9, exponent)  # 9**(10**12) against 2**(3 * 10**12 + 1)
 
 
 # ---------------------------------------------------------------- random source
@@ -369,8 +302,8 @@ def test_distribution_drops_zero_masses():
 @pytest.mark.parametrize("length", [0, 1, 2, 5])
 def test_uniform_equals_the_validating_constructor(length):
     fast = FiniteDistribution.uniform(length)
-    checked = FiniteDistribution(length, {BitString.from_numeral(v, length): Fraction(1, 1 << length)
-                                          for v in range(1 << length)})
+    checked = FiniteDistribution(length, {format(v, f"0{length}b") if length else "":
+                                          Fraction(1, 1 << length) for v in range(1 << length)})
     assert dict(support_weights(fast)) == dict(support_weights(checked))
     assert (fast.denominator, fast.deficit_weight) == (checked.denominator, checked.deficit_weight)
     assert fast.to_json() == checked.to_json()
@@ -381,7 +314,7 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
     for trial in range(60):
         length = 1 + rs.below(14)
         numerals = {rs.below(1 << length) for _ in range(rs.below(30))}
-        weights = {BitString.from_numeral(v, length): 1 + rs.below(9) for v in numerals}
+        weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
         deficit = 1 + rs.below(4) if trial % 2 or not weights else 0
         total = sum(weights.values()) + deficit
         dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
@@ -389,7 +322,8 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         # one object asked for lengths in turn, repeats included
         for n in [1 + rs.below(length) for _ in range(6)]:
             assert dist.windows(n) == tuple(
-                (x.to_numeral(), tuple(numeral_windows(x, n)), w) for x, w in support_weights(dist))
+                (int(x.to_text(), 2), tuple(numeral_windows(x, n)), w)
+                for x, w in support_weights(dist))
             assert dist.windows(n) == oracle_window_rows(dist, n)
         for bad in (0, length + 1):
             with pytest.raises(ValueError, match="out of range"):
@@ -495,8 +429,8 @@ def test_to_json_agrees_with_the_fraction_writer_and_round_trips():
         deficit = 1 + rs.below(20)
         total = sum(weights.values()) + deficit
         dist = FiniteDistribution(
-            length, {BitString.from_numeral(v, length): Fraction(w, total)
-                     for v, w in weights.items()}, Fraction(deficit, total))
+            length, {format(v, f"0{length}b"): Fraction(w, total) for v, w in weights.items()},
+            Fraction(deficit, total))
         doc = dist.to_json()
         expected = oracle_distribution_json(dist)
         assert doc == expected

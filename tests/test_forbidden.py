@@ -1,13 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from ecseq.core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                        RandomSource, binom, pow2_floor)
+                        RandomSource, pow2_floor)
 from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
-                             PoolTooSmallError, count_simple,
-                             derandomize_family, family_avoid_probability, interval_schedule,
+                             count_simple, derandomize_family, family_avoid_probability, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              simple_counts, two_level_family, _averaged_bound)
 
@@ -33,7 +33,7 @@ def test_distinct_substrings_examples():
 def test_distinct_substrings_de_bruijn():
     # order-3 binary de Bruijn cycle, extended so every cyclic window appears
     seq = bs("0001011100")
-    naive = {seq.window(k, 3).to_text() for k in range(len(seq) - 2)}
+    naive = {seq.to_text()[k:k + 3] for k in range(len(seq) - 2)}
     assert len(naive) == 8
     assert distinct_substrings(seq, 3) == 8
 
@@ -48,7 +48,7 @@ def test_sample_full_cube_any_seed():
 
 def test_sample_empty_and_too_big():
     assert sample_uniform_set(4, 0, RandomSource(0)) == frozenset()
-    with pytest.raises(PoolTooSmallError):
+    with pytest.raises(ValueError, match="cannot sample 5 of 4"):
         sample_uniform_set(2, 5, RandomSource(0))
 
 
@@ -116,11 +116,11 @@ def test_miss_probability_monotone_grid():
 # ---------------------------------------------------------------- simple strings
 
 def test_is_simple_examples():
-    assert is_simple(bs("010101").to_numeral(), 6, 2, 2)
-    assert not is_simple(bs("000110").to_numeral(), 6, 2, 1)
+    assert is_simple(0b010101, 6, 2, 2)
+    assert not is_simple(0b000110, 6, 2, 1)
     assert sum(1 for v in range(64) if is_simple(v, 6, 2, 2)) == 40
     with pytest.raises(ValueError):
-        is_simple(bs("00011").to_numeral(), 5, 2, 1)
+        is_simple(0b00011, 5, 2, 1)
     with pytest.raises(ValueError):
         count_simple(5, 2, 1)
 
@@ -163,7 +163,7 @@ def test_surjections_identity():
     # image-size split of all functions
     for p in range(1, 8):
         for k in range(1, 8):
-            assert sum(binom(k, j) * surjections(p, j) for j in range(1, k + 1)) == k ** p
+            assert sum(math.comb(k, j) * surjections(p, j) for j in range(1, k + 1)) == k ** p
 
 
 def test_count_limited_pool_generalization():
@@ -227,7 +227,7 @@ def test_two_level_dichotomy_local():
     samples.append(bs("01" * (N // 2)))
     for x in samples:
         hit = hit_probability(x, family)
-        if is_simple(x.to_numeral(), N, n, t):
+        if is_simple(int(x.to_text(), 2), N, n, t):
             assert hit == 1
         else:
             d = distinct_substrings(x, n)
@@ -263,7 +263,7 @@ def small_family():
 def test_hit_probability_formula_case():
     family = small_family()
     x = bs("0001")  # windows {00, 01}, not simple at threshold 1
-    assert not is_simple(x.to_numeral(), 4, 2, 1)
+    assert not is_simple(0b0001, 4, 2, 1)
     assert hit_probability(x, family) == 1 - Fraction(1, 6)  # miss C(2,2)/C(4,2)
 
 
@@ -331,7 +331,7 @@ def test_derandomize_uniform_toy_matches_full_summation():
     level = family.levels[5]
     avoiders = 0
     for v in range(1 << 10):
-        x = BitString.from_numeral(v, 10)
+        x = bs(format(v, "010b"))
         if not set(numeral_windows(x, 5)) & level:
             avoiders += 1
     assert certificate == Fraction(avoiders, 1 << 10)
@@ -356,7 +356,7 @@ def test_family_avoids_agrees_with_naive_window_loop():
             assert (family.top is not None) == has_top
             lengths = [*family.levels, *([family.top.length] if has_top else [])]
             for x, _ in support_weights(cube):
-                naive = not any(membership(family, n, x.window(k, n).to_numeral())
+                naive = not any(membership(family, n, int(x.to_text()[k:k + n], 2))
                                 for n in lengths
                                 for k in range(len(x) - n + 1))
                 assert family_avoids(x, family) == naive
@@ -389,13 +389,20 @@ def test_derandomize_names_an_inadmissible_level_length(level_length):
                            RandomSource(0), level_length=level_length)
 
 
+def test_derandomize_admits_no_draw_of_more_than_2_to_the_24_strings():
+    # at alpha 3/5, level 41 would draw 2**24.6 strings; 40 draws 2**24
+    with pytest.raises(ValueError, match="admissible: 1..40$"):
+        derandomize_family(point_mass(BitString(0, 50)), Fraction(3, 5), ExactProb(1, 2),
+                           RandomSource(0), level_length=45)
+
+
 def test_integer_sums_agree_with_per_string_fraction_sums():
     rs = RandomSource(77)
     tops = 0
     for trial in range(300):
         length, ln = 6 + rs.below(5), 2 + rs.below(3)
         numerals = {rs.below(1 << length) for _ in range(1 + rs.below(40))}
-        weights = {BitString.from_numeral(v, length): 1 + rs.below(12) for v in numerals}
+        weights = {format(v, f"0{length}b"): 1 + rs.below(12) for v in numerals}
         deficit = rs.below(5) if trial % 2 else 0
         total = sum(weights.values()) + deficit
         dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
@@ -424,7 +431,7 @@ def test_table_certificates_agree_with_the_scanner_on_multi_level_families():
     for trial in range(240):
         length = 4 + rs.below(7)
         numerals = {rs.below(1 << length) for _ in range(1 + rs.below(40))}
-        weights = {BitString.from_numeral(v, length): 1 + rs.below(12) for v in numerals}
+        weights = {format(v, f"0{length}b"): 1 + rs.below(12) for v in numerals}
         deficit = rs.below(5) if trial % 2 else 0
         total = sum(weights.values()) + deficit
         dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},

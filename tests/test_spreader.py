@@ -161,7 +161,7 @@ def test_spread_random_round_trip_against_spread():
 def test_recover_hand_value():
     alloc = toy_alloc()
     omega = spread(alloc, bs("101"), 8)
-    assert recover_prefix(alloc, omega.window(1, 4), 1, 2) == bs("101")
+    assert recover_prefix(alloc, bs(omega.to_text()[1:5]), 1, 2) == bs("101")
 
 
 def test_recover_round_trip_random_windows():
@@ -173,15 +173,15 @@ def test_recover_round_trip_random_windows():
         m = alloc.start_level + rs.below(13 - alloc.start_level)
         size = 1 << m
         k = rs.below(length - size + 1)
-        prefix = recover_prefix(alloc, omega.window(k, size), k % size, m)
+        prefix = recover_prefix(alloc, bs(omega.to_text()[k:k + size]), k % size, m)
         need = alloc.source_count_through(m)
-        assert prefix == tau.window(0, need)
+        assert prefix == bs(tau.to_text()[:need])
 
 
 def test_recover_detects_tamper():
     alloc = toy_alloc()
     omega = spread(alloc, bs("101"), 8)
-    win = omega.window(0, 4).to_bits()
+    win = bs(omega.to_text()[:4]).to_bits()
     win[0] ^= 1  # position 0 carries source bit 0, which repeats at offset 2
     with pytest.raises(InconsistentWindowError):
         recover_prefix(alloc, BitString.from_bits(win), 0, 2)
@@ -191,9 +191,9 @@ def test_recover_validates_arguments():
     alloc = toy_alloc()
     omega = spread(alloc, bs("101"), 8)
     with pytest.raises(ValueError):
-        recover_prefix(alloc, omega.window(0, 4), 0, 3)  # wrong window length
+        recover_prefix(alloc, bs(omega.to_text()[:4]), 0, 3)  # wrong window length
     with pytest.raises(ValueError):
-        recover_prefix(alloc, omega.window(0, 4), 9, 2)
+        recover_prefix(alloc, bs(omega.to_text()[:4]), 9, 2)
 
 
 # ---------------------------------------------------------------- structural invariants
@@ -350,7 +350,7 @@ def test_recover_prefix_agrees_with_copy_loop_oracle(counts):
     for m in range(alloc.start_level, top + 1):
         size = 1 << m
         for k in range(length - size + 1):
-            win = omega.window(k, size)
+            win = bs(omega.to_text()[k:k + size])
             # the clean window, each single-bit tamper of it, then multi-bit ones
             singles = [[t] for t in range(size)]
             for flips in [[]] + singles + list(multi_flips(rng, size, 3)):
@@ -369,7 +369,7 @@ def test_recover_prefix_multi_flips_agree_with_oracle_on_wide_runs():
     for m in range(alloc.start_level, 11):
         size = 1 << m
         for k in rng.sample(range(length - size + 1), 6):
-            win = omega.window(k, size)
+            win = bs(omega.to_text()[k:k + size])
             for flips in multi_flips(rng, size, 8):
                 got, expected = recovery_outcomes(alloc, win, flips, k % size, m)
                 assert got == expected, (m, k, flips)
