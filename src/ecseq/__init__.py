@@ -1,8 +1,8 @@
 """ecseq: spread bit sequences, forbidden-substring families, and avoidance
 constructions, with exact-probability certificates throughout."""
 
-from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, floor_root, pow2_floor, read_bit_file, write_bit_file)
+from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource,
+                   floor_root, pow2_floor, read_bit_file, write_bit_file)
 from .spreader import (Allocation, CoverageError, InconsistentWindowError,
                        WeightSeries, boosted_count, choose_start_level, geometric,
                        inverse_triangular, plan_allocation, recover_prefix,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .core import BitString, RandomSource
+from .core import RandomSource
 from .forbidden import LevelFamily, Scanner
 
 
@@ -35,16 +35,16 @@ class AvoidanceInstance:
 @dataclass(frozen=True)
 class AvoidanceResult:
     succeeded: bool
-    string: Optional[BitString]
+    string: Optional[str]
     resamples: int
     residual_violations: int
 
 
-def scan_violations(x: BitString, family: LevelFamily) -> list:
+def scan_violations(x: str, family: LevelFamily) -> list:
     """All (position, length) pairs whose window is forbidden, sorted."""
     if family.top is not None:
         raise ValueError("scanning needs explicit level sets")
-    return sorted(Scanner(family.levels).occurrences(x.to_text().encode()))
+    return sorted(Scanner(family.levels).occurrences(x.encode()))
 
 
 # Alternations nested this deep are written as one flat alternation of their
@@ -102,18 +102,18 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     pattern = first_violation_pattern(inst.family)
     longest = max((n for n, strings in inst.family.levels.items() if strings), default=0)
     rs = inst.source
-    text = bytearray(rs.bits(inst.length).to_text(), "ascii")
+    text = bytearray(rs.bits(inst.length), "ascii")
     resamples = 0
     scan_from = 0
     while True:
         hit = pattern.search(text, scan_from)
         if hit is None:
-            return AvoidanceResult(True, BitString.from_text(text.decode()), resamples, 0)
+            return AvoidanceResult(True, text.decode(), resamples, 0)
         if resamples >= inst.max_resamples:
             residual = sum(1 for _ in Scanner(inst.family.levels).occurrences(text))
             return AvoidanceResult(False, None, resamples, residual)
         k, end = hit.span()
-        text[k:end] = rs.bits(end - k).to_text().encode()
+        text[k:end] = rs.bits(end - k).encode()
         resamples += 1
         # fresh violations can only overlap the redrawn block
         scan_from = max(0, k - longest + 1)

@@ -19,8 +19,8 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
-from .core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, frac_to_str, json_exact, read_bit_file, write_bit_file)
+from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource, fold_bits,
+                   frac_to_str, json_exact, pack_bits, read_bit_file, write_bit_file)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -31,14 +31,15 @@ EXIT_BUDGET = 3
 # and a report whose replay raises one of these does not reproduce.
 INPUT_ERRORS = (ValueError, ZeroDivisionError, CertificateError, spreader.CoverageError)
 
-# A report is a JSON object with these keys; verify ignores the wall time.
+# A report is a JSON object with exactly these keys; verify checks only the
+# wall time's type.
 REPORT_KEYS = ("command", "seed", "parameters", "results", "certificates", "wall_time_s")
 
 
-def _sha256_bits(bits: BitString) -> str:
+def _sha256_bits(bits: str) -> str:
     h = hashlib.sha256()
     h.update(len(bits).to_bytes(8, "little"))
-    h.update(bits.to_packed_bytes())
+    h.update(pack_bits(bits))
     return h.hexdigest()
 
 
@@ -182,7 +183,7 @@ def _run_avoid(p: dict, seed) -> tuple:
             result.string)
 
 
-def _profile(bits: BitString, window: int, stride: int) -> tuple:
+def _profile(bits: str, window: int, stride: int) -> tuple:
     profile = proxy.window_profile(bits, window, stride)
     return profile.to_json(), {}, profile
 
@@ -190,7 +191,7 @@ def _profile(bits: BitString, window: int, stride: int) -> tuple:
 def _run_profile(p: dict, seed) -> tuple:
     if p["bits_text"] is None:
         raise ValueError("the report does not inline its bits")
-    bits = BitString.from_text(p["bits_text"])
+    bits = fold_bits(json_exact(p["bits_text"], str))
     if (_sha256_bits(bits), len(bits)) != (p["bits_sha256"], p["bit_count"]):
         raise ValueError("the inlined bits do not match bits_sha256 and bit_count")
     return _profile(bits, p["window"], p["stride"])
@@ -199,6 +200,7 @@ def _run_profile(p: dict, seed) -> tuple:
 class Kind(NamedTuple):
     run: Callable    # (parameters, seed) -> (results, certificates, what the command writes)
     check: Callable  # (parameters, seed, results) -> (results, certificates), re-derived
+    seeded: bool = True  # the report's seed is an int, or else null
 
 
 def _replay(run: Callable) -> Callable:
@@ -215,9 +217,9 @@ KINDS = {
     "family-levels": Kind(_run_family_levels, _replay(_run_family_levels)),
     "family-derandomize": Kind(_run_family_derandomize, _check_family_derandomize),
     "family-schedule": Kind(_run_family_schedule, _check_family_schedule),
-    "adversary": Kind(_run_adversary, _check_adversary),
+    "adversary": Kind(_run_adversary, _check_adversary, seeded=False),
     "avoid": Kind(_run_avoid, _replay(_run_avoid)),
-    "profile": Kind(_run_profile, _replay(_run_profile)),
+    "profile": Kind(_run_profile, _replay(_run_profile), seeded=False),
 }
 
 
@@ -357,7 +359,7 @@ def cmd_profile(args) -> int:
     bits = read_bit_file(args.bits)
     parameters = {"bits_sha256": _sha256_bits(bits), "window": args.window,
                   "stride": args.stride, "bit_count": len(bits),
-                  "bits_text": bits.to_text() if len(bits) <= 1 << 16 else None}
+                  "bits_text": bits if len(bits) <= 1 << 16 else None}
     # the bits are at hand here, and a report inlines them only up to 2**16
     _, _, profile = _run(args, "profile", None, parameters,
                          lambda p, seed: _profile(bits, p["window"], p["stride"]))
@@ -375,6 +377,20 @@ def _canonical(fields: dict, key: str):
     return json.dumps(fields[key], sort_keys=True) if key in fields else None
 
 
+def _envelope_faults(doc: dict, kind: Kind) -> list:
+    """What is wrong with a report's top level besides its three sections."""
+    faults = [f"top-level key {key!r} is not a report key" for key in doc
+              if key not in REPORT_KEYS]
+    seed, wall = doc["seed"], doc["wall_time_s"]
+    if kind.seeded and type(seed) is not int:
+        faults.append(f"seed must be an integer for {doc['command']}, got {seed!r}")
+    elif not kind.seeded and seed is not None:
+        faults.append(f"seed must be null for {doc['command']}, got {seed!r}")
+    if type(wall) not in (int, float) or not 0 <= wall < float("inf"):
+        faults.append(f"wall_time_s must be a non-negative number, got {wall!r}")
+    return faults
+
+
 def cmd_verify(args) -> int:
     doc = _load_json(args.report)
     sections = ("parameters", "results", "certificates")
@@ -385,6 +401,11 @@ def cmd_verify(args) -> int:
     kind = KINDS.get(doc["command"]) if isinstance(doc["command"], str) else None
     if kind is None:
         raise ValueError(f"no verifier for command {doc['command']!r}")
+    faults = _envelope_faults(doc, kind)
+    for fault in faults:
+        print(f"verify: FAIL {fault}")
+    if faults:
+        return EXIT_VERIFY_FAILED
     try:
         derived = dict(zip(sections[1:],
                            kind.check(doc["parameters"], doc["seed"], doc["results"])))

@@ -102,102 +102,71 @@ class ExactProb(Fraction):
         return self
 
 
-class BitString:
-    """Immutable finite bit string, held as its '0'/'1' text.
+def fold_bits(text: str) -> str:
+    """The text with all whitespace removed; ValueError unless only '0' and
+    '1' are left.  Bit i of a bit string is character i of its text."""
+    compact = "".join(text.split())
+    if compact.strip("01"):
+        raise ValueError("bit text may contain only '0' and '1'")
+    return compact
 
-    Bit i is character i of the text.  Every other form is derived from it;
-    the packed integer, which holds bit i at integer bit position i (least
-    significant bit first, the byte order of the binary file format), is
-    built only by the packed constructor and the packed-byte conversions.
-    """
 
-    __slots__ = ("_text",)
+def pack_bits(bits: str) -> bytes:
+    """The packed payload of a bit text: bit i at bit i % 8 of byte i // 8."""
+    return int(bits[::-1] or "0", 2).to_bytes((len(bits) + 7) // 8, "little")
 
-    def __init__(self, value: int, length: int):
-        """Unpack a payload that holds bit i at integer bit position i."""
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if value < 0 or value >> length:
-            raise ValueError("payload does not fit declared length")
-        self._text = format(value, f"0{length}b")[::-1] if length else ""
 
-    @classmethod
-    def _of(cls, text: str) -> "BitString":
-        """Wrap text already known to hold only '0' and '1'."""
-        self = object.__new__(cls)
-        self._text = text
-        return self
+def unpack_bits(value: int, bit_count: int) -> str:
+    """The text of a packed value below 2**bit_count, which holds bit i at
+    integer bit position i."""
+    return bin(value | 1 << bit_count)[:2:-1]  # the leading 1 keeps the high zeros
 
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        compact = "".join(text.split())
-        if compact and set(compact) - {"0", "1"}:
-            raise ValueError("bit text may contain only '0' and '1'")
-        return cls._of(compact)
+
+class BitString(str):
+    """A '0'/'1' text.  Bits are a plain str everywhere and no ecseq code
+    calls these two methods: they are kept only because the benchmark's
+    tracer (perfbench/tracing.py) patches them by name."""
 
     @classmethod
     def from_bits(cls, bits) -> "BitString":
-        return cls._of("".join("1" if b else "0" for b in bits))
-
-    def __len__(self) -> int:
-        return len(self._text)
+        return cls("".join("1" if b else "0" for b in bits))
 
     def to_bits(self) -> list:
-        return list(self._text.encode().translate(_BIT_VALUES))
-
-    def to_text(self) -> str:
-        return self._text
-
-    def to_packed_bytes(self) -> bytes:
-        value = int(self._text[::-1], 2) if self._text else 0
-        return value.to_bytes((len(self._text) + 7) // 8, "little")
-
-    @classmethod
-    def from_packed_bytes(cls, payload: bytes, bit_count: int) -> "BitString":
-        value = int.from_bytes(payload, "little") & ((1 << bit_count) - 1)
-        return cls(value, bit_count)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitString) and self._text == other._text
-
-    def __hash__(self) -> int:
-        return hash(self._text)
-
-    def __repr__(self) -> str:
-        text = self._text
-        if len(text) > 40:
-            text = text[:37] + "..."
-        return f"BitString({text!r}, length={len(self._text)})"
-
-    def __str__(self) -> str:
-        return self._text
+        return list(self.encode().translate(_BIT_VALUES))
 
 
-def write_bit_file(path, bits: BitString, fmt: str = "packed") -> None:
+def write_bit_file(path, bits: str, fmt: str = "packed") -> None:
     if fmt == "ascii":
-        text = bits.to_text()
-        lines = [text[i:i + 64] for i in range(0, len(text), 64)] or [""]
+        lines = [bits[i:i + 64] for i in range(0, len(bits), 64)] or [""]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "packed":
         with open(path, "wb") as fh:
             fh.write(BIT_FILE_MAGIC)
             fh.write(len(bits).to_bytes(8, "little"))
-            fh.write(bits.to_packed_bytes())
+            fh.write(pack_bits(bits))
     else:
         raise ValueError(f"unknown bit file format: {fmt}")
 
 
-def read_bit_file(path) -> BitString:
+def read_bit_file(path) -> str:
+    """The bits of a file that write_bit_file wrote: ascii text, whose
+    whitespace is ignored, or a packed file of exactly the header and
+    ceil(count / 8) payload bytes with no bit set at or above count."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] == BIT_FILE_MAGIC:
-        bit_count = int.from_bytes(blob[4:12], "little")
-        payload = blob[12:]
-        if len(payload) < (bit_count + 7) // 8:
-            raise ValueError("packed bit file truncated")
-        return BitString.from_packed_bytes(payload, bit_count)
-    return BitString.from_text(blob.decode("ascii"))
+    if blob[:4] != BIT_FILE_MAGIC:
+        return fold_bits(blob.decode("ascii"))
+    bit_count, payload = int.from_bytes(blob[4:12], "little"), blob[12:]
+    extra = len(payload) - (bit_count + 7) // 8
+    if len(blob) < 12 or extra < 0:
+        raise ValueError("packed bit file truncated")
+    if extra:
+        raise ValueError(f"packed bit file has {extra} bytes after its {bit_count} bits")
+    value = int.from_bytes(payload, "little")
+    if value >> bit_count:
+        raise ValueError(f"packed bit file sets bits beyond its {bit_count} bits")
+    return unpack_bits(value, bit_count)
 
 
 def _mix64(z: int) -> int:
@@ -239,10 +208,10 @@ class RandomSource:
             got += 64
         return value & ((1 << bit_count) - 1)
 
-    def bits(self, count: int) -> BitString:
+    def bits(self, count: int) -> str:
         if count < 0:
             raise ValueError("bit count must be non-negative")
-        return BitString(self._take(count), count)
+        return unpack_bits(self._take(count), count)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exact by rejection."""
@@ -302,10 +271,8 @@ class FiniteDistribution:
             raise ValueError("string length must be non-negative")
         clean = {}  # support numeral -> (numerator, denominator) in lowest terms
         for key, mass in masses.items():
-            if isinstance(key, BitString):
-                key = key._text
-            elif type(key) is not str or key.strip("01"):  # only 0/1 text skips folding
-                key = BitString.from_text(key)._text
+            if key.strip("01"):  # only 0/1 text skips folding
+                key = fold_bits(key)
             if len(key) != string_length:
                 raise ValueError(
                     f"support string of length {len(key)} in a length-{string_length} distribution"

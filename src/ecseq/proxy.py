@@ -9,7 +9,7 @@ certificates.
 
 from dataclasses import dataclass
 
-from .core import _BIT_VALUES, BitString
+from .core import _BIT_VALUES
 
 LENGTH_HEADER_BITS = 32
 
@@ -20,7 +20,7 @@ def _emit(out: list, value: int, width: int):
         out.append(format(value, f"0{width}b")[::-1])
 
 
-def compress_bits(x: BitString) -> BitString:
+def compress_bits(x: str) -> str:
     """Encode x as a self-delimiting dictionary parse."""
     if len(x) >= (1 << LENGTH_HEADER_BITS):
         raise ValueError("string too long for the length header")
@@ -29,7 +29,7 @@ def compress_bits(x: BitString) -> BitString:
     trie = {}
     next_id = 1  # node 0 is the empty root
     node = 0
-    for bit in x.to_text():
+    for bit in x:
         key = (node, bit)
         if key in trie:
             node = trie[key]
@@ -43,7 +43,7 @@ def compress_bits(x: BitString) -> BitString:
     if node != 0:
         # input ended mid-walk: emit the node, decoder truncates by the header
         _emit(out, node, (next_id - 1).bit_length())
-    return BitString.from_text("".join(out))
+    return "".join(out)
 
 
 def index_bits(phrases: int) -> int:
@@ -75,9 +75,9 @@ def _size(data: bytes) -> int:
     return size + phrases.bit_length() if node != 1 else size
 
 
-def compress_size(x: BitString) -> int:
+def compress_size(x: str) -> int:
     """Proxy size in bits (header included); deterministic in x."""
-    return _size(x.to_text().encode().translate(_BIT_VALUES))
+    return _size(x.encode().translate(_BIT_VALUES))
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class ComplexityProfile:
         }
 
 
-def window_profile(x: BitString, window_length: int, stride: int = 1) -> ComplexityProfile:
+def window_profile(x: str, window_length: int, stride: int = 1) -> ComplexityProfile:
     """Proxy size of every window at the given stride."""
     if window_length < 1:
         raise ValueError("window length must be positive")
@@ -118,7 +118,7 @@ def window_profile(x: BitString, window_length: int, stride: int = 1) -> Complex
         raise ValueError("window longer than the string")
     if stride < 1:
         raise ValueError("stride must be positive")
-    data = x.to_text().encode().translate(_BIT_VALUES)
+    data = x.encode().translate(_BIT_VALUES)
     offsets = range(0, len(x) - window_length + 1, stride)
     sizes = [_size(data[offset:offset + window_length]) for offset in offsets]
     return ComplexityProfile(window_length, stride, tuple(offsets), tuple(sizes))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import BitString, CertificateError, RandomSource, frac_to_str, json_exact
+from .core import CertificateError, RandomSource, frac_to_str, json_exact
 
 
 class CoverageError(RuntimeError):
@@ -392,13 +392,15 @@ def spread_random(alloc: Allocation, rs: RandomSource, length: int):
     position i carries source bit source_map(i, 1)[0]."""
     runs = list(alloc._covered_runs(0, length))
     source_bits = rs.bits(max((index + width for _, _, index, width in runs), default=0))
-    source = source_bits.to_text().encode()
-    out = bytearray(length)  # a position no run fills stays 0, which from_text rejects
+    source = source_bits.encode()
+    out = bytearray(length)  # a position no run fills stays 0
     for offset, step, index, width in runs:
         for a in range(offset, length, step):
             b = min(a + width, length)
             out[a:b] = source[index:index + b - a]
-    return BitString.from_text(out.decode()), source_bits
+    if 0 in out:
+        raise AssertionError("progression partition left a hole")
+    return out.decode(), source_bits
 
 
 def _differing_copies(text: str, runs):
@@ -415,7 +417,7 @@ def _differing_copies(text: str, runs):
                             for i, b in enumerate(chunk) if b != first[i])
 
 
-def disagreements(alloc: Allocation, bits: BitString, length: int) -> list:
+def disagreements(alloc: Allocation, bits: str, length: int) -> list:
     """The minority copies in [0, length) of each source bit whose copies
     differ, as {"position", "source_bit", "disagrees_with_position"}, sorted
     by position.  These are the copies that differ from the bit's first copy,
@@ -426,7 +428,7 @@ def disagreements(alloc: Allocation, bits: BitString, length: int) -> list:
         raise ValueError(f"length {length} exceeds the {len(bits)} bits given")
     runs = list(alloc._covered_runs(0, length))
     differing = {}
-    for j, p, q in _differing_copies(bits.to_text()[:length], runs):
+    for j, p, q in _differing_copies(bits[:length], runs):
         differing.setdefault(j, (q, []))[1].append(p)
     found = []
     for offset, step, index, width in runs if differing else ():
@@ -493,7 +495,7 @@ def coverage_faults(alloc: Allocation, length: int, top_level: int) -> list:
     return faults
 
 
-def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: int) -> BitString:
+def recover_prefix(alloc: Allocation, win: str, offset_mod: int, level: int) -> str:
     """Reconstruct the source prefix carried by a window of length 2**level.
 
     offset_mod is the window's start position modulo 2**level.  Every source
@@ -512,12 +514,11 @@ def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: in
         raise ValueError("offset_mod out of range")
     alloc.ensure_cap(size)
     alloc.ensure_level(level)
-    text = win.to_text()
     out = []
     # every step divides the window length, so window offsets are offsets from
     # offset_mod and every repetition lies whole inside the window
     for run in alloc._runs(offset_mod, size, level):
-        differing = min(_differing_copies(text, [run]), default=None)
+        differing = min(_differing_copies(win, [run]), default=None)
         if differing is not None:
             index, position, first = differing
             raise InconsistentWindowError(
@@ -525,5 +526,5 @@ def recover_prefix(alloc: Allocation, win: BitString, offset_mod: int, level: in
                 f"offsets {first} and {position}"
             )
         offset, _, _, width = run
-        out.append(text[offset:offset + width])
-    return BitString.from_text("".join(out))
+        out.append(win[offset:offset + width])
+    return "".join(out)

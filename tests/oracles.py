@@ -11,30 +11,122 @@ from fractions import Fraction
 from typing import Optional
 
 from ecseq import spreader
-from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
+from ecseq.core import (BIT_FILE_MAGIC, ExactProb, FiniteDistribution, RandomSource,
                         frac_to_str, pow2_floor)
 from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set
 from ecseq.proxy import LENGTH_HEADER_BITS
 from ecseq.spreader import Allocation
 
 
-def numeral_windows(x: BitString, length: int):
+class OracleBitString:
+    """The bit string value type the library used to have, kept as the oracle
+    of its bit layer (core.fold_bits, pack_bits, unpack_bits, the bit files
+    and RandomSource.bits).  It holds the '0'/'1' text; the packed integer,
+    which holds bit i at integer bit position i (least significant bit first,
+    the byte order of the packed file format), is built only by the packed
+    constructor and the packed-byte conversions."""
+
+    __slots__ = ("_text",)
+
+    def __init__(self, value: int, length: int):
+        """Unpack a payload that holds bit i at integer bit position i."""
+        if length < 0:
+            raise ValueError("length must be non-negative")
+        if value < 0 or value >> length:
+            raise ValueError("payload does not fit declared length")
+        self._text = format(value, f"0{length}b")[::-1] if length else ""
+
+    @classmethod
+    def from_text(cls, text: str) -> "OracleBitString":
+        compact = "".join(text.split())
+        if compact and set(compact) - {"0", "1"}:
+            raise ValueError("bit text may contain only '0' and '1'")
+        self = object.__new__(cls)
+        self._text = compact
+        return self
+
+    def __len__(self) -> int:
+        return len(self._text)
+
+    def to_text(self) -> str:
+        return self._text
+
+    def to_packed_bytes(self) -> bytes:
+        value = int(self._text[::-1], 2) if self._text else 0
+        return value.to_bytes((len(self._text) + 7) // 8, "little")
+
+    @classmethod
+    def from_packed_bytes(cls, payload: bytes, bit_count: int) -> "OracleBitString":
+        value = int.from_bytes(payload, "little") & ((1 << bit_count) - 1)
+        return cls(value, bit_count)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OracleBitString) and self._text == other._text
+
+
+def oracle_bit_file_bytes(x: OracleBitString, fmt: str) -> bytes:
+    """The bytes write_bit_file used to write for a bit string."""
+    if fmt == "ascii":
+        text = x.to_text()
+        lines = [text[i:i + 64] for i in range(0, len(text), 64)] or [""]
+        return ("\n".join(lines) + "\n").encode()
+    return BIT_FILE_MAGIC + len(x).to_bytes(8, "little") + x.to_packed_bytes()
+
+
+class PackedReference:
+    """The int-packed bit string the library once held: bit i at integer bit
+    position i, read by a shift loop.  The oracle of the text form."""
+
+    def __init__(self, value, length):
+        self.value, self.length = value, length
+
+    def bits_reference(self):
+        value = self.value
+        for _ in range(self.length):
+            yield value & 1
+            value >>= 1
+
+    def numeral_windows(self, length):
+        bits = list(self.bits_reference())
+        value = 0
+        for i in range(length):
+            value = (value << 1) | bits[i]
+        yield value
+        low_mask = (1 << (length - 1)) - 1
+        for i in range(length, self.length):
+            value = ((value & low_mask) << 1) | bits[i]
+            yield value
+
+    def window(self, start, length):
+        return PackedReference((self.value >> start) & ((1 << length) - 1), length)
+
+    def to_packed_bytes(self):
+        return self.value.to_bytes((self.length + 7) // 8, "little")
+
+    def __add__(self, other):
+        return PackedReference(self.value | (other.value << self.length),
+                               self.length + other.length)
+
+
+def flip(x: str, positions) -> str:
+    """x with the bit at each position flipped; a position given twice flips back."""
+    bits = bytearray(x, "ascii")
+    for p in positions:
+        bits[p] ^= 1  # '0' and '1' differ in the low bit
+    return bits.decode()
+
+
+def numeral_windows(x: str, length: int):
     """Yield the numeral of every window of the given length, in order."""
-    text = x.to_text()
-    if length <= 0 or length > len(text):
+    if length <= 0 or length > len(x):
         raise ValueError(f"window length {length} out of range")
-    data = text.encode()
+    data = x.encode()
     value = int(data[:length], 2)
     yield value
     mask = (1 << length) - 1
     for c in data[length:]:
         value = ((value << 1) & mask) | (c & 1)
         yield value
-
-
-def concat(*parts: BitString) -> BitString:
-    """The bit strings one after another."""
-    return BitString.from_text("".join(x.to_text() for x in parts))
 
 
 def level_counts(alloc: Allocation) -> dict:
@@ -46,7 +138,7 @@ def support_weights(dist: FiniteDistribution) -> list:
     """(string, integer weight) pairs in support order; each mass is weight /
     denominator."""
     lead = 1 << dist.string_length  # a leading 1 keeps the zeros that bin would drop
-    return [(BitString.from_text(bin(lead | v)[3:]), w) for v, w in zip(dist.numerals, dist.weights)]
+    return [(bin(lead | v)[3:], w) for v, w in zip(dist.numerals, dist.weights)]
 
 
 def support_masses(dist: FiniteDistribution) -> list:
@@ -54,21 +146,21 @@ def support_masses(dist: FiniteDistribution) -> list:
     return [(x, ExactProb(w, dist.denominator)) for x, w in support_weights(dist)]
 
 
-def distinct_substrings(x: BitString, length: int) -> int:
+def distinct_substrings(x: str, length: int) -> int:
     """Number of distinct windows of the given length, all offsets."""
     if length > len(x):
         raise ValueError(f"window length {length} exceeds string length {len(x)}")
     return len(set(numeral_windows(x, length)))
 
 
-def family_avoids(x: BitString, family: LevelFamily) -> bool:
+def family_avoids(x: str, family: LevelFamily) -> bool:
     """True when no realized level of the family occurs as a substring of x,
     by the simple top's predicate and one pass of the family's Aho-Corasick
     automaton over x."""
     top = family.top
-    if top is not None and top.holds(int(x.to_text(), 2)):
+    if top is not None and top.holds(int(x, 2)):
         return False
-    return next(Scanner(family.levels).occurrences(x.to_text().encode()), None) is None
+    return next(Scanner(family.levels).occurrences(x.encode()), None) is None
 
 
 def scanner_first(scanner: Scanner, bits, start: int = 0):
@@ -99,10 +191,10 @@ class _Reader:
         return int(chunk[::-1], 2) if width else 0
 
 
-def decompress_bits(stream: BitString) -> BitString:
+def decompress_bits(stream: str) -> str:
     """Decode a stream written by proxy.compress_bits; ValueError on a stream
     that names a phrase not yet defined or ends early."""
-    reader = _Reader(stream.to_text())
+    reader = _Reader(stream)
     total = reader.read(LENGTH_HEADER_BITS)
     phrases = [""]
     out = []
@@ -119,10 +211,10 @@ def decompress_bits(stream: BitString) -> BitString:
         out.append(phrase)
         produced += len(phrase)
         phrases.append(phrase)
-    return BitString.from_text("".join(out))
+    return "".join(out)
 
 
-def point_mass(x: BitString) -> FiniteDistribution:
+def point_mass(x: str) -> FiniteDistribution:
     return FiniteDistribution(len(x), {x: ExactProb(1)})
 
 
@@ -140,13 +232,12 @@ def scaled_to_deficit(dist: FiniteDistribution, new_deficit) -> FiniteDistributi
 def oracle_distribution_weights(length: int, masses, deficit) -> tuple:
     """(denominator, weights, deficit weight) of a distribution, read as the
     constructor once did: every mass and the deficit through ExactProb, every
-    key that is not a BitString through BitString.from_text."""
+    key through OracleBitString.from_text."""
     if length < 0:
         raise ValueError("string length must be non-negative")
     clean = {}
     for key, mass in masses.items():
-        if not isinstance(key, BitString):
-            key = BitString.from_text(key)
+        key = OracleBitString.from_text(key).to_text()
         if len(key) != length:
             raise ValueError(
                 f"support string of length {len(key)} in a length-{length} distribution")
@@ -170,8 +261,8 @@ def oracle_distribution_weights(length: int, masses, deficit) -> tuple:
 def oracle_distribution_json(dist: FiniteDistribution) -> dict:
     """The distribution's JSON with every mass written through a Fraction."""
     return {"length": dist.string_length,
-            "masses": {x.to_text(): frac_to_str(Fraction(w, dist.denominator))
-                       for x, w in sorted(support_weights(dist), key=lambda kv: kv[0].to_text())},
+            "masses": {x: frac_to_str(Fraction(w, dist.denominator))
+                       for x, w in sorted(support_weights(dist))},
             "deficit": frac_to_str(dist.deficit)}
 
 
@@ -181,7 +272,7 @@ def oracle_window_rows(dist: FiniteDistribution, length: int) -> tuple:
     mask = (1 << length) - 1
     rows = []
     for x, weight in support_weights(dist):
-        numeral = int(x.to_text(), 2)
+        numeral = int(x, 2)
         rows.append((numeral, tuple([(numeral >> s) & mask for s in shifts]), weight))
     return tuple(rows)
 
@@ -234,7 +325,7 @@ def oracle_simple_top(alpha: Fraction, n: int) -> tuple:
         top_length += n
 
 
-def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
+def hit_probability(x: str, family: LevelFamily) -> ExactProb:
     """Exact probability, over the family's random draws, that some level
     meets the substrings of x: 1 when the simple top holds x, otherwise one
     less the product of the sampled levels' hypergeometric miss probabilities,
@@ -243,7 +334,7 @@ def hit_probability(x: BitString, family: LevelFamily) -> ExactProb:
         raise ValueError(f"string length {len(x)} does not match family top "
                          f"{family.string_length}")
     top = family.top
-    if top is not None and top.holds(int(x.to_text(), 2)):
+    if top is not None and top.holds(int(x, 2)):
         return ExactProb(1)
     miss = Fraction(1)
     for n, strings in family.levels.items():
@@ -302,7 +393,7 @@ def oracle_window_tally(alloc: Allocation, usable: int, top: int) -> list:
     return violations
 
 
-def oracle_sampled_recovery(alloc: Allocation, bits: BitString, usable: int, top: int,
+def oracle_sampled_recovery(alloc: Allocation, bits: str, usable: int, top: int,
                             samples: int, seed) -> list:
     """The sampled pass check-windows once ran after its proof: decode
     `samples` windows per level from the start level to top (every window
@@ -321,13 +412,11 @@ def oracle_sampled_recovery(alloc: Allocation, bits: BitString, usable: int, top
             draws = rs.substream(m)
             starts = sorted(draws.below(max_start + 1) for _ in range(samples))
         for k in starts:
-            win = BitString.from_text(bits.to_text()[k:k + size])
             try:
-                prefix = spreader.recover_prefix(alloc, win, k % size, m)
+                recovered = spreader.recover_prefix(alloc, bits[k:k + size], k % size, m)
             except spreader.InconsistentWindowError as exc:
                 violations.append({"k": k, "m": m, "inconsistent": str(exc)})
                 continue
-            recovered = prefix.to_text()
             common = min(len(agreed), len(recovered))
             if recovered[:common] != agreed[:common]:
                 j = next(j for j in range(common) if recovered[j] != agreed[j])
@@ -337,15 +426,14 @@ def oracle_sampled_recovery(alloc: Allocation, bits: BitString, usable: int, top
     return violations
 
 
-def spread(alloc: Allocation, source_bits: BitString, length: int) -> BitString:
+def spread(alloc: Allocation, source_bits: str, length: int) -> str:
     """Output of the generator: position i carries the source bit that the
     residue loop maps it to."""
     mapping = oracle_source_map(alloc, 0, length)
     needed = max(mapping) + 1 if mapping else 0
     if len(source_bits) < needed:
         raise ValueError(f"source too short: need {needed} bits, got {len(source_bits)}")
-    text = source_bits.to_text()
-    return BitString.from_text("".join([text[j] for j in mapping]))
+    return "".join([source_bits[j] for j in mapping])
 
 
 def average_avoid_probability(dist: FiniteDistribution, window_length: int,
@@ -414,12 +502,12 @@ def averaged_bound_per_string(dist: FiniteDistribution, ln: int, size: int, top)
     of `size` strings of length ln."""
     total = Fraction(dist.deficit)
     for x, mass in support_masses(dist):
-        if top is None or not top.holds(int(x.to_text(), 2)):
+        if top is None or not top.holds(int(x, 2)):
             total += mass * miss_probability_random_set(distinct_substrings(x, ln), ln, size)
     return total
 
 
-def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]:
+def brute_force_avoider(family: LevelFamily, length: int) -> Optional[str]:
     """Numerically smallest avoiding string of the given length, or None when
     none exists.  Depth-first with prefix pruning, which visits candidates in
     exactly numeric (most-significant-bit-first) order."""
@@ -440,5 +528,4 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[BitString]
                 return "01"[b] + rest
         return None
 
-    found = smallest(0, length)
-    return None if found is None else BitString.from_text(found)
+    return smallest(0, length)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from ecseq.adversary import (avoid_probability, positional_family_search,
                              required_positions, truncated_search)
 from ecseq.avoider import AvoidanceInstance, build_avoiding_string, scan_violations
-from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource, pow2_floor
+from ecseq.core import ExactProb, FiniteDistribution, RandomSource, pow2_floor
 from ecseq.forbidden import (LevelFamily, count_simple, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
                              two_level_family)
@@ -20,7 +20,7 @@ from ecseq.spreader import (boost_tail, choose_start_level, inverse_triangular,
                             zero_series)
 
 from oracles import (average_avoid_probability, brute_force_avoider, decompress_bits,
-                     distinct_substrings, hit_probability, level_counts, numeral_windows,
+                     distinct_substrings, flip, hit_probability, level_counts, numeral_windows,
                      scaled_to_deficit, support_masses)
 
 
@@ -69,15 +69,14 @@ def test_criterion_2_recovery_round_trip():
     length = 1 << 16
     alloc = plan_allocation(inverse_triangular())
     omega, tau = spread_random(alloc, RandomSource(7), length)
-    text, source = omega.to_text(), tau.to_text()
     rs = RandomSource(2025)
     failures = 0
     for _ in range(1000):
         m = alloc.start_level + rs.below(13 - alloc.start_level)
         size = 1 << m
         k = rs.below(length - size + 1)
-        prefix = recover_prefix(alloc, BitString.from_text(text[k:k + size]), k % size, m)
-        if prefix.to_text() != source[:alloc.source_count_through(m)]:
+        prefix = recover_prefix(alloc, omega[k:k + size], k % size, m)
+        if prefix != tau[:alloc.source_count_through(m)]:
             failures += 1
     _report(2, failures == 0, f"1000 windows reconstructed bit-exact, {failures} failures")
 
@@ -131,27 +130,25 @@ def test_criterion_5_two_level_dichotomy():
 
     rs = RandomSource(555)
     samples = [rs.bits(N) for _ in range(10 ** 4)]
-    block = rs.bits(n).to_bits()
+    block = rs.bits(n)
+    repeated = "".join(block[j % n] for j in range(N))  # one block repeated
     structured = []
     for i in range(100):
         if i % 4 == 0:
-            structured.append(BitString.from_text(("01" * N)[:N]))
+            structured.append(("01" * N)[:N])
         elif i % 4 == 1:
-            structured.append(BitString(0 if i % 8 == 1 else (1 << N) - 1, N))
+            structured.append(("0" if i % 8 == 1 else "1") * N)
         elif i % 4 == 2:
-            structured.append(BitString.from_bits(
-                [block[j % n] for j in range(N)]))  # one block repeated
+            structured.append(repeated)
         else:
-            noisy = [block[j % n] for j in range(N)]
-            noisy[(37 * i) % N] ^= 1
-            structured.append(BitString.from_bits(noisy))
+            structured.append(flip(repeated, [(37 * i) % N]))
 
     threshold_gap = Fraction(epsilon)
     bad = 0
     cache = {}
     for x in samples + structured:
         hit = hit_probability(x, family)
-        if is_simple(int(x.to_text(), 2), N, n, t):
+        if is_simple(int(x, 2), N, n, t):
             if hit != 1:
                 bad += 1
             continue
@@ -202,7 +199,7 @@ def test_criterion_7_truncation_accounting():
     # independent recomputation over the enumerated support
     recomputed = Fraction(dist.deficit)
     for x, mass in support_masses(dist):
-        windows = [int(x.to_text()[k:k + 2], 2) for k in range(3)]
+        windows = [int(x[k:k + 2], 2) for k in range(3)]
         if all(w != t for w, t in zip(windows, family.numerals())):
             recomputed += mass
     ok = (family.certificate == recomputed < Fraction(1, 2)
@@ -263,7 +260,7 @@ def test_criterion_9_interval_schedule():
         realized = {n: strings for n, strings in entry.family.levels.items() if strings}
         avoiders = 0
         for v in range(1 << entry.upper):
-            x = BitString.from_text(format(v, f"0{entry.upper}b"))
+            x = format(v, f"0{entry.upper}b")
             hit = False
             for ln, strings in realized.items():
                 if set(numeral_windows(x, ln)) & strings:
@@ -285,7 +282,7 @@ def test_criterion_10_proxy():
         x = rs.bits(rs.below(160))
         if decompress_bits(compress_bits(x)) != x:
             bad += 1
-    zeros = compress_size(BitString(0, 4096))
+    zeros = compress_size("0" * 4096)
     wins = sum(1 for seed in range(100)
                if zeros < compress_size(RandomSource(seed).bits(4096)))
     _report(10, bad == 0 and wins >= 95,

@@ -5,14 +5,10 @@ import pytest
 from ecseq.adversary import (PositionalFamily, avoid_probability,
                              positional_family_search, required_positions,
                              truncated_search)
-from ecseq.core import BitString, ExactProb, FiniteDistribution, RandomSource
+from ecseq.core import ExactProb, FiniteDistribution, RandomSource
 
 from oracles import (average_avoid_probability, first_lex_search, point_mass,
                      scaled_to_deficit, support_masses)
-
-
-def bs(text):
-    return BitString.from_text(text)
 
 
 def fam(*texts):
@@ -45,7 +41,7 @@ def test_required_positions_monotone():
 # ---------------------------------------------------------------- avoid probability
 
 def test_avoid_probability_point_mass_hit_at_zero():
-    x = bs("0011")
+    x = "0011"
     dist = point_mass(x)
     assert avoid_probability(dist, fam("00", "00", "00")) == 0
 
@@ -78,7 +74,7 @@ def test_avoid_probability_agrees_with_a_direct_loop():
         family = PositionalFamily(n, tuple(rs.below(1 << n) for _ in range(length - n + 1)))
         expected = Fraction(dist.deficit) + sum(
             (mass for x, mass in support_masses(dist)
-             if all(int(x.to_text()[p:p + n], 2) != t for p, t in enumerate(family.targets))),
+             if all(int(x[p:p + n], 2) != t for p, t in enumerate(family.targets))),
             Fraction(0))
         assert avoid_probability(dist, family) == expected
         dist.windows(1 + rs.below(length))  # leave another length's table behind
@@ -106,12 +102,12 @@ def test_search_first_lex_matches_exhaustive_oracle():
 
 def test_search_point_mass():
     # a point mass avoids or hits outright, so any returned family scores 0
-    y = bs("1001")  # contains 00: the all-zero family hits immediately
+    y = "1001"  # contains 00: the all-zero family hits immediately
     dist = point_mass(y)
     family = positional_family_search(dist, 2, ExactProb(1, 2))
     assert family.to_json()["strings"] == ["00", "00", "00"]
     assert family.certificate == 0
-    x = bs("1111")  # no 00 anywhere: the search advances to the first hit
+    x = "1111"  # no 00 anywhere: the search advances to the first hit
     dist = point_mass(x)
     family = positional_family_search(dist, 2, ExactProb(1, 2))
     expected, cert = first_lex_search(dist, 2, Fraction(1, 2))
@@ -213,7 +209,7 @@ def test_average_avoid_identity_uniform():
 
 def test_average_avoid_identity_point_mass():
     for text in ("0000", "0110", "1011"):
-        dist = point_mass(bs(text))
+        dist = point_mass(text)
         assert average_avoid_probability(dist, 2, 3) == Fraction(3, 4) ** 3
 
 
@@ -230,7 +226,7 @@ def test_average_avoid_identity_small_grid():
 
 
 def test_average_avoid_linearity_mixture():
-    a, b = bs("0000"), bs("0110")
+    a, b = "0000", "0110"
     mix = FiniteDistribution(4, {a: ExactProb(1, 3), b: ExactProb(2, 3)})
     assert average_avoid_probability(mix, 2, 3) == \
         Fraction(1, 3) * Fraction(3, 4) ** 3 + Fraction(2, 3) * Fraction(3, 4) ** 3
@@ -238,7 +234,7 @@ def test_average_avoid_linearity_mixture():
 
 def test_average_avoid_rejects_large_enumeration():
     with pytest.raises(ValueError):
-        average_avoid_probability(point_mass(bs("0" * 24)), 4, 21)
+        average_avoid_probability(point_mass("0" * 24), 4, 21)
 
 
 def test_average_avoid_requires_total_mass():

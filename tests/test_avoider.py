@@ -11,14 +11,10 @@ import pytest
 import ecseq
 from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
                            first_violation_pattern, scan_violations)
-from ecseq.core import BitString, RandomSource
+from ecseq.core import RandomSource
 from ecseq.forbidden import LevelFamily, Scanner, random_level_family, two_level_family
 
-from oracles import brute_force_avoider, concat, membership, scanner_first
-
-
-def bs(text):
-    return BitString.from_text(text)
+from oracles import brute_force_avoider, membership, scanner_first
 
 
 def explicit_family(alpha, sets):
@@ -31,7 +27,7 @@ def naive_scan(x, family):
     out = []
     for k in range(len(x)):
         for n in family.levels:
-            if k + n <= len(x) and membership(family, n, int(x.to_text()[k:k + n], 2)):
+            if k + n <= len(x) and membership(family, n, int(x[k:k + n], 2)):
                 out.append((k, n))
     return sorted(out)
 
@@ -48,7 +44,7 @@ def test_scan_empty_family():
 
 
 def test_scan_hand_example():
-    assert scan_violations(bs("0001110"), TRIPLES) == [(0, 3), (3, 3)]
+    assert scan_violations("0001110", TRIPLES) == [(0, 3), (3, 3)]
 
 
 def test_scan_agrees_with_naive_oracle():
@@ -75,13 +71,13 @@ def test_first_agrees_with_naive_oracle():
         family = explicit_family(1, sets)
         start = rs.below(len(x) + 1)
         expected = min((hit for hit in naive_scan(x, family) if hit[0] >= start), default=None)
-        assert scanner_first(Scanner(family.levels), x.to_bits(), start) == expected
+        assert scanner_first(Scanner(family.levels), list(map(int, x)), start) == expected
 
 
 def test_first_looks_ahead_past_the_first_match():
     # "10001" starts at 2, but the first match to end is "00" at 3
     family = explicit_family(1, {2: ["00"], 5: ["10001"]})
-    bits = bs("0110001").to_bits()
+    bits = list(map(int, "0110001"))
     assert scanner_first(Scanner(family.levels), bits) == (2, 5)
     assert scanner_first(Scanner(family.levels), bits, 3) == (3, 2)
 
@@ -95,10 +91,10 @@ def compiled_first(pattern, text, start=0):
 
 def assert_search_agrees(family, x, starts=None, pattern=None):
     pattern = pattern or first_violation_pattern(family)
-    text, scanner = x.to_text().encode(), Scanner(family.levels)
+    text, scanner = x.encode(), Scanner(family.levels)
     for start in range(len(text) + 1) if starts is None else starts:
         assert compiled_first(pattern, text, start) == scanner_first(scanner, text, start), \
-            (family.to_json(), x.to_text(), start)
+            (family.to_json(), x, start)
 
 
 def test_compiled_search_agrees_on_shared_prefixes():
@@ -124,14 +120,14 @@ def test_compiled_search_agrees_at_every_level_length():
             x = rs.bits(n + rs.below(80))
             assert_search_agrees(explicit_family(1, sets), x)
             # plant the first string so every length matches somewhere
-            planted = concat(x, bs(sets[n][0]), rs.bits(3))
+            planted = x + sets[n][0] + rs.bits(3)
             assert_search_agrees(explicit_family(1, sets), planted, range(0, len(planted), 7))
 
 
 def test_compiled_search_takes_the_shorter_of_nested_strings():
     family = explicit_family(1, {2: ["01"], 5: ["01101"], 3: ["110"], 6: ["110011"]})
     for text in ("01101", "110011", "0110011", "1110110", "111", "00110"):
-        assert_search_agrees(family, bs(text))
+        assert_search_agrees(family, text)
     pattern = first_violation_pattern(family)
     assert compiled_first(pattern, b"001101") == (1, 2)
     assert compiled_first(pattern, b"111011") == (1, 3)
@@ -140,7 +136,7 @@ def test_compiled_search_takes_the_shorter_of_nested_strings():
 def test_compiled_search_matches_nothing_without_strings():
     x = RandomSource(6).bits(40)
     for family in (EMPTY, explicit_family(1, {3: [], 5: []})):
-        assert compiled_first(first_violation_pattern(family), x.to_text().encode()) is None
+        assert compiled_first(first_violation_pattern(family), x.encode()) is None
         assert_search_agrees(family, x)
     assert_search_agrees(explicit_family(1, {3: [], 4: ["0110"]}), x)
 
@@ -157,9 +153,9 @@ def test_compiled_search_on_the_deep_family_does_not_raise():
     x = RandomSource(8).bits(1200)
     assert_search_agrees(family, x, range(0, 1201, 50), pattern)
     # only strings past the flattened nesting depth match in a long zero run
-    runs = bs("1" * 50 + "0" * 1100 + "1" + "0" * 49)
+    runs = "1" * 50 + "0" * 1100 + "1" + "0" * 49
     assert_search_agrees(family, runs, [0, 40, 100, 149, 150, 151, 600, 1150, 1151], pattern)
-    assert compiled_first(pattern, runs.to_text().encode()) == (150, 1001)
+    assert compiled_first(pattern, runs.encode()) == (150, 1001)
 
 
 def test_avoid_on_the_deep_family_exits_without_a_traceback(tmp_path):
@@ -226,7 +222,7 @@ def test_empty_family_accepts_first_draw():
 
 def test_triples_toy_succeeds():
     # a witness exists ("0101010101"), so the builder should find one too
-    assert scan_violations(bs("0101010101"), TRIPLES) == []
+    assert scan_violations("0101010101", TRIPLES) == []
     inst = AvoidanceInstance(TRIPLES, 10, 10 ** 4, RandomSource(2))
     result = build_avoiding_string(inst)
     assert result.succeeded
@@ -265,9 +261,9 @@ def test_build_is_deterministic():
 # ---------------------------------------------------------------- brute force
 
 def test_brute_force_examples():
-    assert brute_force_avoider(EMPTY, 3) == bs("000")
+    assert brute_force_avoider(EMPTY, 3) == "000"
     got = brute_force_avoider(explicit_family(1, {2: ["00"]}), 4)
-    assert got == bs("0101")
+    assert got == "0101"
     assert brute_force_avoider(UNSAT, 5) is None
     with pytest.raises(ValueError):
         brute_force_avoider(EMPTY, 30)
@@ -284,7 +280,7 @@ def test_brute_force_agrees_with_plain_enumeration():
         length = 4 + rs.below(6)
         expected = None
         for v in range(1 << length):
-            x = bs(format(v, f"0{length}b"))
+            x = format(v, f"0{length}b")
             if not naive_scan(x, family):
                 expected = x
                 break

@@ -13,10 +13,9 @@ import pytest
 
 import ecseq
 from ecseq import adversary, cli, forbidden, spreader
-from ecseq.core import (BitString, FiniteDistribution, RandomSource, read_bit_file,
-                        write_bit_file)
+from ecseq.core import FiniteDistribution, RandomSource, read_bit_file, write_bit_file
 
-from oracles import oracle_sampled_recovery
+from oracles import flip, oracle_sampled_recovery
 
 
 def run(*argv):
@@ -79,11 +78,8 @@ def test_check_windows_clean_and_tampered(tmp_path, spread_run, capsys):
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "10", "--samples", "20") == cli.EXIT_OK
     # flip one early bit: it repeats inside larger windows, so recovery must trip
-    x = read_bit_file(bits)
-    flipped = x.to_bits()
-    flipped[0] ^= 1
     bad = tmp_path / "bad.bits"
-    write_bit_file(bad, BitString.from_bits(flipped))
+    write_bit_file(bad, flip(read_bit_file(bits), [0]))
     capsys.readouterr()
     assert run("check-windows", "--bits", str(bad), "--alloc", str(alloc),
                "--m-max", "10", "--samples", "20") == cli.EXIT_VERIFY_FAILED
@@ -112,10 +108,8 @@ def test_check_windows_decodes_no_window(tmp_path, spread_run, monkeypatch):
     monkeypatch.setattr(cli, "RandomSource", forbidden_call)
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "13", "--samples", "20", "--seed", "5") == cli.EXIT_OK
-    flipped = read_bit_file(bits).to_bits()
-    flipped[3] ^= 1
     bad = tmp_path / "bad.bits"
-    write_bit_file(bad, BitString.from_bits(flipped))
+    write_bit_file(bad, flip(read_bit_file(bits), [3]))
     assert run("check-windows", "--bits", str(bad), "--alloc", str(alloc),
                "--m-max", "13") == cli.EXIT_VERIFY_FAILED
 
@@ -136,16 +130,13 @@ def test_clean_spread_files_pass_the_sampled_recovery_oracle(tmp_path, preset, l
 def test_sampled_recovery_flags_nothing_the_proof_misses(spread_run):
     bits, alloc, _ = spread_run
     allocation = spreader.Allocation.from_export(read_json(alloc))
-    clean = read_bit_file(bits).to_bits()
+    clean = read_bit_file(bits)
     usable, top = len(clean), 12
     faults = spreader.coverage_faults(allocation, usable, top)  # flips leave it unchanged
     rng = random.Random(12)
     sampled_flags = 0
     for trial in range(36):
-        flipped = list(clean)
-        for p in rng.sample(range(usable), rng.randint(1, 3)):
-            flipped[p] ^= 1
-        tampered = BitString.from_bits(flipped)
+        tampered = flip(clean, rng.sample(range(usable), rng.randint(1, 3)))
         proof = faults + spreader.disagreements(allocation, tampered, usable)
         sampled = oracle_sampled_recovery(allocation, tampered, usable, top, 20, trial)
         assert proof or not sampled, (trial, sampled)
@@ -247,7 +238,7 @@ def test_avoid_success_and_verify(tmp_path):
     report = tmp_path / "avoid.report.json"
     assert run("avoid", "--family", str(family), "--length", "200", "--seed", "4",
                "--out", str(out), "--report", str(report)) == cli.EXIT_OK
-    text = read_bit_file(out).to_text()
+    text = read_bit_file(out)
     assert "000" not in text and "111" not in text
     assert run("verify", "--report", str(report)) == cli.EXIT_OK
 
@@ -265,7 +256,7 @@ def test_avoid_unsatisfiable_budget_exit(tmp_path):
 
 def test_profile_and_verify(tmp_path):
     bits = tmp_path / "x.bits"
-    write_bit_file(bits, BitString.from_text("01" * 200))
+    write_bit_file(bits, "01" * 200)
     report = tmp_path / "profile.report.json"
     csv = tmp_path / "profile.csv"
     assert run("profile", "--bits", str(bits), "--window", "64", "--stride", "16",
@@ -296,7 +287,7 @@ def reports(tmp_path_factory):
         json.dump(FiniteDistribution.uniform(4).to_json(), fh)
     with open(d / "u8.json", "w") as fh:
         json.dump(FiniteDistribution.uniform(8).to_json(), fh)
-    write_bit_file(d / "x.bits", BitString.from_text("0110" * 100))
+    write_bit_file(d / "x.bits", "0110" * 100)
     commands = {
         "spread": ["spread", "--length", "4096", "--seed", "1", "--out", d / "s.bits"],
         "family": ["family", "--alpha", "3/5", "--epsilon", "1/2", "--n-min", "2",
@@ -449,6 +440,64 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path, capsys):
             "verify: FAIL the report does not reproduce: "), lines
 
 
+def verify_lines(tmp_path, capsys, doc) -> tuple:
+    capsys.readouterr()
+    code = verify_doc(tmp_path, doc)
+    return code, capsys.readouterr().out.splitlines()
+
+
+# (report kind, top-level key, the value it is set to, the one line verify prints)
+ENVELOPE_FAULTS = [
+    ("avoid", "extra", "unchecked claim", "verify: FAIL top-level key 'extra' is not a report key"),
+    ("profile", "extra", None, "verify: FAIL top-level key 'extra' is not a report key"),
+    ("avoid", "seed", True, "verify: FAIL seed must be an integer for avoid, got True"),
+    ("spread", "seed", 1.0, "verify: FAIL seed must be an integer for spread, got 1.0"),
+    ("family", "seed", None, "verify: FAIL seed must be an integer for family, got None"),
+    ("family-levels", "seed", "42", "verify: FAIL seed must be an integer for family-levels, "
+     "got '42'"),
+    ("adversary", "seed", 0, "verify: FAIL seed must be null for adversary, got 0"),
+    ("profile", "seed", False, "verify: FAIL seed must be null for profile, got False"),
+    ("avoid", "wall_time_s", "soon", "verify: FAIL wall_time_s must be a non-negative number, "
+     "got 'soon'"),
+    ("avoid", "wall_time_s", True, "verify: FAIL wall_time_s must be a non-negative number, "
+     "got True"),
+    ("adversary", "wall_time_s", -0.5, "verify: FAIL wall_time_s must be a non-negative number, "
+     "got -0.5"),
+    ("family-schedule", "wall_time_s", None, "verify: FAIL wall_time_s must be a non-negative "
+     "number, got None"),
+    ("family-derandomize", "wall_time_s", float("nan"), "verify: FAIL wall_time_s must be a "
+     "non-negative number, got nan"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, line", ENVELOPE_FAULTS)
+def test_verify_fails_a_report_whose_envelope_is_not_what_commands_write(
+        reports, tmp_path, capsys, kind, key, value, line):
+    doc = read_json(reports[kind])
+    doc[key] = value
+    assert verify_lines(tmp_path, capsys, doc) == (cli.EXIT_VERIFY_FAILED, [line])
+
+
+def test_verify_names_every_envelope_fault_and_takes_any_integer_seed(reports, tmp_path, capsys):
+    doc = {**read_json(reports["avoid"]), "seed": None, "wall_time_s": "soon", "z": 1, "a": 2}
+    code, lines = verify_lines(tmp_path, capsys, doc)
+    assert code == cli.EXIT_VERIFY_FAILED and len(lines) == 4, lines
+    # a zero wall time is fine, and a seed is checked by replay, not by its range
+    doc = {**read_json(reports["spread"]), "wall_time_s": 0}
+    assert verify_lines(tmp_path, capsys, doc) == (cli.EXIT_OK, ["verify: OK (spread)"])
+    doc["seed"] = 2
+    code, lines = verify_lines(tmp_path, capsys, doc)
+    assert code == cli.EXIT_VERIFY_FAILED and lines[0].startswith("verify: FAIL results."), lines
+
+
+def test_verify_fails_a_profile_report_whose_bits_text_is_not_a_string(reports, tmp_path,
+                                                                        capsys):
+    doc = read_json(reports["profile"])
+    doc["parameters"]["bits_text"] = 5
+    assert verify_lines(tmp_path, capsys, doc) == (cli.EXIT_VERIFY_FAILED, [
+        "verify: FAIL the report does not reproduce: ValueError: expected a JSON str, got 5"])
+
+
 UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
 UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)}}
 SMALL_FAMILY = {"alpha": "1/2", "levels": [{"length": 4, "kind": "sampled", "strings_hex": ["0"],
@@ -561,7 +610,7 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
         json.dump(document, fh)
-    write_bit_file(tmp_path / "x.bits", BitString.from_text("01" * 16))
+    write_bit_file(tmp_path / "x.bits", "01" * 16)
     names = {"doc": tmp_path / "doc.json", "dir": tmp_path, "bits": tmp_path / "x.bits"}
     assert run(*(a.format(**names) for a in argv)) == cli.EXIT_BAD_PARAMS
     err = capsys.readouterr().err.strip()
@@ -658,6 +707,24 @@ def test_inputs_that_would_build_a_huge_power_fail_in_one_line(tmp_path, documen
     # the case's line is looked up, not passed in, so that each case keeps its test id
     line, = [m for d, a, c, m in HUGE_POWER_CASES if (d, a, c) == (document, argv, code)]
     assert (done.stdout + done.stderr).strip().splitlines() == [line]
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"ECS1", "packed bit file truncated"),
+    (b"ECS1" + (9).to_bytes(8, "little") + b"\xff", "packed bit file truncated"),
+    (b"ECS1" + (9).to_bytes(8, "little") + b"\xff\x01\x00",
+     "packed bit file has 1 bytes after its 9 bits"),
+    (b"ECS1" + (0).to_bytes(8, "little") + b"\x00", "packed bit file has 1 bytes after its 0 bits"),
+    (b"ECS1" + (9).to_bytes(8, "little") + b"\xff\x03",
+     "packed bit file sets bits beyond its 9 bits"),
+])
+def test_a_packed_bit_file_with_a_payload_write_bit_file_never_writes_exits_2(
+        tmp_path, capsys, blob, message):
+    (tmp_path / "x.bits").write_bytes(blob)
+    capsys.readouterr()
+    assert run("profile", "--bits", str(tmp_path / "x.bits"), "--window", "4") \
+        == cli.EXIT_BAD_PARAMS
+    assert capsys.readouterr().err.splitlines() == [f"ecseq profile: error: {message}"]
 
 
 def test_exhausted_memory_exits_2_in_one_line(tmp_path):

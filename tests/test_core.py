@@ -3,27 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource,
-                        floor_root, frac_to_str, pow2_at_most, pow2_floor,
-                        read_bit_file, write_bit_file)
+from ecseq import core
+from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, floor_root,
+                        fold_bits, frac_to_str, pack_bits, pow2_at_most, pow2_floor,
+                        read_bit_file, unpack_bits, write_bit_file)
 
-from oracles import (concat, numeral_windows, oracle_distribution_json,
-                     oracle_distribution_weights, oracle_window_rows, scaled_to_deficit,
-                     support_masses, support_weights)
-
-
-def bs(text):
-    return BitString.from_text(text)
+from oracles import (OracleBitString, PackedReference, numeral_windows, oracle_bit_file_bytes,
+                     oracle_distribution_json, oracle_distribution_weights, oracle_window_rows,
+                     scaled_to_deficit, support_masses, support_weights)
 
 
 def test_bitstring_representations():
-    x = bs("0110")
+    x = OracleBitString.from_text("0110")
     assert len(x) == 4
     assert x.to_text() == "0110"
-    assert BitString.from_packed_bytes(x.to_packed_bytes(), 4) == x
-    assert concat(bs("01"), bs("10")) == bs("0110")
+    assert OracleBitString.from_packed_bytes(x.to_packed_bytes(), 4) == x
+    assert pack_bits("0110") == x.to_packed_bytes() == b"\x06"
+    assert unpack_bits(6, 4) == "0110" and unpack_bits(0, 0) == ""
     with pytest.raises(ValueError):
-        BitString(4, 2)
+        OracleBitString(4, 2)
 
 
 def test_numeral_windows_against_naive():
@@ -32,53 +30,14 @@ def test_numeral_windows_against_naive():
         x = rs.bits(3 + rs.below(60))
         n = 1 + rs.below(len(x))
         got = list(numeral_windows(x, n))
-        naive = [int(x.to_text()[k:k + n], 2) for k in range(len(x) - n + 1)]
+        naive = [int(x[k:k + n], 2) for k in range(len(x) - n + 1)]
         assert got == naive
-
-
-class PackedReference:
-    """The int-packed bit string BitString used to be: bit i at integer bit
-    position i, read by a shift loop.  Kept as the oracle for the text form."""
-
-    def __init__(self, value, length):
-        self.value, self.length = value, length
-
-    def bits_reference(self):
-        value = self.value
-        for _ in range(self.length):
-            yield value & 1
-            value >>= 1
-
-    def numeral_windows(self, length):
-        bits = list(self.bits_reference())
-        value = 0
-        for i in range(length):
-            value = (value << 1) | bits[i]
-        yield value
-        low_mask = (1 << (length - 1)) - 1
-        for i in range(length, self.length):
-            value = ((value & low_mask) << 1) | bits[i]
-            yield value
-
-    def window(self, start, length):
-        return PackedReference((self.value >> start) & ((1 << length) - 1), length)
-
-    def to_packed_bytes(self):
-        return self.value.to_bytes((self.length + 7) // 8, "little")
-
-    @classmethod
-    def from_packed_bytes(cls, payload, bit_count):
-        return cls(int.from_bytes(payload, "little") & ((1 << bit_count) - 1), bit_count)
-
-    def __add__(self, other):
-        return PackedReference(self.value | (other.value << self.length),
-                               self.length + other.length)
 
 
 def _agrees(x, ref):
     assert len(x) == ref.length
-    assert x.to_bits() == list(ref.bits_reference())
-    assert x.to_packed_bytes() == ref.to_packed_bytes()
+    assert [int(c) for c in x] == list(ref.bits_reference())
+    assert pack_bits(x) == ref.to_packed_bytes()
 
 
 def test_bitstring_agrees_with_packed_reference():
@@ -86,32 +45,28 @@ def test_bitstring_agrees_with_packed_reference():
     lengths = [0, 1, 7, 8, 9, 63, 64, 65] + [rs.below(301) for _ in range(40)]
     for length in lengths:
         value = rs.below(1 << length) if length else 0
-        x, ref = BitString(value, length), PackedReference(value, length)
+        x, ref = unpack_bits(value, length), PackedReference(value, length)
         _agrees(x, ref)
-        assert BitString.from_text(x.to_text()) == x
-        # the packed round trip ignores payload bits beyond the bit count
+        assert OracleBitString(value, length).to_text() == x
+        # the oracle's packed round trip ignores payload bits beyond the bit count
         padded = bytearray(ref.to_packed_bytes() + b"\xff")
         if length % 8:
             padded[-2] |= (0xFF << (length % 8)) & 0xFF
-        assert BitString.from_packed_bytes(bytes(padded), length) == x
+        assert OracleBitString.from_packed_bytes(bytes(padded), length).to_text() == x
         for _ in range(5):
             start = rs.below(length + 1)
             size = rs.below(length - start + 1)
-            _agrees(bs(x.to_text()[start:start + size]), ref.window(start, size))
+            _agrees(x[start:start + size], ref.window(start, size))
         for n in (1, 2, 12, length, 1 + rs.below(length or 1)):
             if 1 <= n <= length:
                 assert list(numeral_windows(x, n)) == list(ref.numeral_windows(n))
         tail_length = rs.below(70)
         tail_value = rs.below(1 << tail_length) if tail_length else 0
-        _agrees(concat(x, BitString(tail_value, tail_length)),
+        _agrees(x + unpack_bits(tail_value, tail_length),
                 ref + PackedReference(tail_value, tail_length))
-        # equal bits are equal and hash alike; a different length or bit is not equal
+        # the two names the benchmark's tracer times
         twin = BitString.from_bits(ref.bits_reference())
-        assert twin == x and hash(twin) == hash(x)
-        assert concat(x, BitString(0, 1)) != x
-        if length:
-            flipped = BitString(value ^ (1 << rs.below(length)), length)
-            assert flipped != x
+        assert twin == x and twin.to_bits() == list(ref.bits_reference())
 
 
 def test_bit_file_round_trip(tmp_path):
@@ -122,6 +77,36 @@ def test_bit_file_round_trip(tmp_path):
     write_bit_file(ascii_path, x, fmt="ascii")
     assert read_bit_file(packed) == x
     assert read_bit_file(ascii_path) == x
+
+
+FOLD_INPUTS = ["", " ", "0", "1", "0110", " 0 1\n", "01\r\n10\t", "\u20030\u00a01",
+               "012", "0b1", "ab", " x ", "\u0660", "0\x001", "1.0", "-1", "0,1"]
+
+
+def test_bit_layer_agrees_with_the_oracle_bit_string(tmp_path):
+    path = tmp_path / "x.bits"
+    rs = RandomSource(31)
+    for seed in (0, 1, 7, (1 << 64) - 1):
+        drawn, oracle = RandomSource(seed, seed % 5), RandomSource(seed, seed % 5)
+        for length in range(201):
+            x = drawn.bits(length)
+            assert x == OracleBitString(oracle._take(length), length).to_text()
+            if length % 23 and length not in (0, 1, 8, 9, 64, 65, 200):
+                continue
+            for fmt in ("packed", "ascii"):
+                write_bit_file(path, x, fmt=fmt)
+                blob = path.read_bytes()
+                assert blob == oracle_bit_file_bytes(OracleBitString.from_text(x), fmt)
+                expected = (OracleBitString.from_packed_bytes(blob[12:], length)
+                            if fmt == "packed" else OracleBitString.from_text(blob.decode()))
+                assert read_bit_file(path) == expected.to_text() == x
+            # ascii text with whitespace anywhere
+            spaced = "".join(c + (" ", "\n", "\t", "\r\n", "")[rs.below(5)] for c in x)
+            path.write_text("\n " + spaced)
+            assert read_bit_file(path) == OracleBitString.from_text(spaced).to_text() == x
+    for text in FOLD_INPUTS:
+        assert _outcome(lambda: fold_bits(text)) == \
+            _outcome(lambda: OracleBitString.from_text(text).to_text()), text
 
 
 # ---------------------------------------------------------------- exact rationals
@@ -241,17 +226,17 @@ def test_distribution_invariants():
     assert len(dict(support_masses(d))) == 8
     assert sum(Fraction(m) for _, m in support_masses(d)) + d.deficit == 1
     with pytest.raises(ValueError):
-        FiniteDistribution(2, {bs("01"): ExactProb(1, 2)})
+        FiniteDistribution(2, {"01": ExactProb(1, 2)})
     with pytest.raises(ValueError):
-        FiniteDistribution(2, {bs("011"): ExactProb(1)})
+        FiniteDistribution(2, {"011": ExactProb(1)})
 
 
 def test_distribution_json_round_trip():
-    d = FiniteDistribution(2, {bs("01"): ExactProb(1, 4), bs("10"): ExactProb(5, 8)},
+    d = FiniteDistribution(2, {"01": ExactProb(1, 4), "10": ExactProb(5, 8)},
                            deficit=ExactProb(1, 8))
     back = FiniteDistribution.from_json(d.to_json())
     assert back.string_length == 2
-    assert dict(support_masses(back))[bs("01")] == Fraction(1, 4)
+    assert dict(support_masses(back))["01"] == Fraction(1, 4)
     assert back.deficit == Fraction(1, 8)
 
 
@@ -271,18 +256,18 @@ def test_distribution_from_json_rejects_malformed_input(doc):
 def test_distribution_rescaling():
     d = scaled_to_deficit(FiniteDistribution.uniform(4), ExactProb(1, 8))
     assert d.deficit == Fraction(1, 8)
-    assert dict(support_masses(d))[bs("0000")] == Fraction(7, 8) / 16
+    assert dict(support_masses(d))["0000"] == Fraction(7, 8) / 16
     assert sum(Fraction(m) for _, m in support_masses(d)) == Fraction(7, 8)
 
 
 def test_distribution_weights_share_one_denominator():
-    d = FiniteDistribution(2, {bs("00"): ExactProb(1, 3), bs("01"): ExactProb(1, 6),
-                               bs("10"): ExactProb(1, 2)})
+    d = FiniteDistribution(2, {"00": ExactProb(1, 3), "01": ExactProb(1, 6),
+                               "10": ExactProb(1, 2)})
     assert d.denominator == 6
-    assert dict(support_weights(d)) == {bs("00"): 2, bs("01"): 1, bs("10"): 3}
+    assert dict(support_weights(d)) == {"00": 2, "01": 1, "10": 3}
     assert d.deficit_weight == 0 and d.deficit == 0
-    assert dict(support_masses(d)) == {bs("00"): Fraction(1, 3), bs("01"): Fraction(1, 6),
-                               bs("10"): Fraction(1, 2)}
+    assert dict(support_masses(d)) == {"00": Fraction(1, 3), "01": Fraction(1, 6),
+                               "10": Fraction(1, 2)}
     assert d.to_json()["masses"] == {"00": "1/3", "01": "1/6", "10": "1/2"}
 
 
@@ -294,7 +279,7 @@ def test_distribution_deficit_only():
 
 def test_distribution_drops_zero_masses():
     d = FiniteDistribution(2, {"00": "0/1", "11": "3/4"}, deficit="1/4")
-    assert dict(support_weights(d)) == {bs("11"): 3}
+    assert dict(support_weights(d)) == {"11": 3}
     assert (d.denominator, d.deficit_weight) == (4, 1)
     assert d.to_json()["masses"] == {"11": "3/4"}
 
@@ -322,7 +307,7 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         # one object asked for lengths in turn, repeats included
         for n in [1 + rs.below(length) for _ in range(6)]:
             assert dist.windows(n) == tuple(
-                (int(x.to_text(), 2), tuple(numeral_windows(x, n)), w)
+                (int(x, 2), tuple(numeral_windows(x, n)), w)
                 for x, w in support_weights(dist))
             assert dist.windows(n) == oracle_window_rows(dist, n)
         for bad in (0, length + 1):
@@ -335,22 +320,19 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
 def test_a_distribution_builds_no_bit_string(monkeypatch):
     keys = [format(v * 0x9E3779B1 % (1 << 32), "032b") for v in range(1024)]  # all distinct
     doc = {"length": 32, "masses": {key: "1/2048" for key in keys}, "deficit": "1/2"}
-    built = []
-    of, init = BitString._of.__func__, BitString.__init__
-    monkeypatch.setattr(BitString, "_of",
-                        classmethod(lambda cls, text: built.append(text) or of(cls, text)))
-    monkeypatch.setattr(BitString, "__init__",
-                        lambda self, *args: built.append(args) or init(self, *args))
+    folded, fold = [], core.fold_bits
+    monkeypatch.setattr(core, "fold_bits", lambda text: folded.append(text) or fold(text))
     uniform = FiniteDistribution.uniform(12)
     parsed = FiniteDistribution.from_json(doc)
     for dist, n in ((uniform, 5), (parsed, 9)):
         dist.windows(n)
         written = dist.to_json()
-    assert built == []
+    assert folded == []  # '0'/'1' keys are read as they are
+    assert all(type(v) is int for v in parsed.numerals)
     assert written == {"length": 32, "masses": {key: "1/2048" for key in sorted(keys)},
                        "deficit": "1/2"}
-    BitString.from_text("01")  # the counters do count
-    assert built == ["01"]
+    FiniteDistribution(2, {" 01": "1/1"})  # the counter does count
+    assert folded == [" 01"]
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -405,7 +387,7 @@ def test_distribution_constructor_agrees_with_the_exact_prob_oracle():
         masses = {}
         for v, w in zip(numerals, weights):
             text = format(v, f"0{length}b")
-            key = (text, BitString.from_text(text), " ".join(text), f" {text}\n")[rs.below(4)]
+            key = (text, f"{text}\n", " ".join(text), f" {text}\n")[rs.below(4)]
             masses[key] = _mass_text(rs, Fraction(w, total))
         if rs.below(5) == 0:  # a zero mass, dropped before the duplicate check
             masses[format(rs.below(1 << length), f"0{length}b") + " "] = "0/7"
@@ -463,7 +445,7 @@ def test_distribution_from_json_needs_an_integer_length_and_string_masses(doc, m
 @pytest.mark.parametrize("masses, deficit, message", [
     ({"01": "1/4", "10": "1/4"}, "0/1", "masses plus deficit must equal 1, got 1/2"),
     ({"01": "1/3", "10": "1/2"}, "1/3", "masses plus deficit must equal 1, got 7/6"),
-    ({"01": "1/2", bs("01"): "1/2"}, "0/1", "duplicate support string 01"),
+    ({"01": "1/2", "0 1": "1/2"}, "0/1", "duplicate support string 01"),
     ({"01": "3/2"}, "0/1", "probability out of [0, 1]: 3/2"),
     ({"01": "-1/2", "10": "3/2"}, "0/1", "probability out of [0, 1]: -1/2"),
     ({"01": "1/2"}, "-1/2", "probability out of [0, 1]: -1/2"),

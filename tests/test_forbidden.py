@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecseq.core import (BitString, CertificateError, ExactProb, FiniteDistribution,
-                        RandomSource, pow2_floor)
+from ecseq.core import CertificateError, ExactProb, FiniteDistribution, RandomSource, pow2_floor
 from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
                              count_simple, derandomize_family, family_avoid_probability, interval_schedule,
                              is_simple, miss_probability_random_set, sample_uniform_set,
@@ -17,23 +16,19 @@ from oracles import (averaged_bound_per_string, count_limited_block_strings,
                      point_mass, support_weights, surjections, text_slice_simple)
 
 
-def bs(text):
-    return BitString.from_text(text)
-
-
 # ---------------------------------------------------------------- substrings
 
 def test_distinct_substrings_examples():
-    assert distinct_substrings(bs("0000000"), 2) == 1
-    assert distinct_substrings(bs("0110"), 2) == 3
+    assert distinct_substrings("0000000", 2) == 1
+    assert distinct_substrings("0110", 2) == 3
     with pytest.raises(ValueError):
-        distinct_substrings(bs("01"), 3)
+        distinct_substrings("01", 3)
 
 
 def test_distinct_substrings_de_bruijn():
     # order-3 binary de Bruijn cycle, extended so every cyclic window appears
-    seq = bs("0001011100")
-    naive = {seq.to_text()[k:k + 3] for k in range(len(seq) - 2)}
+    seq = "0001011100"
+    naive = {seq[k:k + 3] for k in range(len(seq) - 2)}
     assert len(naive) == 8
     assert distinct_substrings(seq, 3) == 8
 
@@ -223,11 +218,11 @@ def test_two_level_dichotomy_local():
     n, N, t = cert.random_length, cert.top_length, cert.threshold
     rs = RandomSource(50)
     samples = [rs.bits(N) for _ in range(200)]
-    samples.append(BitString(0, N))
-    samples.append(bs("01" * (N // 2)))
+    samples.append("0" * N)
+    samples.append("01" * (N // 2))
     for x in samples:
         hit = hit_probability(x, family)
-        if is_simple(int(x.to_text(), 2), N, n, t):
+        if is_simple(int(x, 2), N, n, t):
             assert hit == 1
         else:
             d = distinct_substrings(x, n)
@@ -238,7 +233,7 @@ def test_two_level_dichotomy_local():
 
 def test_hit_probability_simple_string_is_one():
     family, _ = toy_two_level()
-    assert hit_probability(BitString(0, family.string_length), family) == 1
+    assert hit_probability("0" * family.string_length, family) == 1
 
 
 def test_two_level_alpha_guard():
@@ -262,13 +257,13 @@ def small_family():
 
 def test_hit_probability_formula_case():
     family = small_family()
-    x = bs("0001")  # windows {00, 01}, not simple at threshold 1
+    x = "0001"  # windows {00, 01}, not simple at threshold 1
     assert not is_simple(0b0001, 4, 2, 1)
     assert hit_probability(x, family) == 1 - Fraction(1, 6)  # miss C(2,2)/C(4,2)
 
 
 def test_hit_probability_monte_carlo_three_sigma():
-    x = bs("0001")
+    x = "0001"
     exact = 5 / 6
     trials = 10 ** 5
     hits = 0
@@ -283,7 +278,7 @@ def test_hit_probability_monte_carlo_three_sigma():
 
 def test_hit_probability_length_guard():
     with pytest.raises(ValueError):
-        hit_probability(bs("000"), small_family())
+        hit_probability("000", small_family())
 
 
 # ---------------------------------------------------------------- size bounds
@@ -331,7 +326,7 @@ def test_derandomize_uniform_toy_matches_full_summation():
     level = family.levels[5]
     avoiders = 0
     for v in range(1 << 10):
-        x = bs(format(v, "010b"))
+        x = format(v, "010b")
         if not set(numeral_windows(x, 5)) & level:
             avoiders += 1
     assert certificate == Fraction(avoiders, 1 << 10)
@@ -340,11 +335,11 @@ def test_derandomize_uniform_toy_matches_full_summation():
 
 
 def test_derandomize_point_mass_on_constant():
-    dist = point_mass(BitString(0, 8))
+    dist = point_mass("0" * 8)
     family, certificate = derandomize_family(dist, Fraction(9, 10), ExactProb(1, 2),
                                              RandomSource(2), level_length=2)
     assert certificate == 0
-    assert not family_avoids(BitString(0, 8), family)
+    assert not family_avoids("0" * 8, family)
 
 
 def test_family_avoids_agrees_with_naive_window_loop():
@@ -356,14 +351,14 @@ def test_family_avoids_agrees_with_naive_window_loop():
             assert (family.top is not None) == has_top
             lengths = [*family.levels, *([family.top.length] if has_top else [])]
             for x, _ in support_weights(cube):
-                naive = not any(membership(family, n, int(x.to_text()[k:k + n], 2))
+                naive = not any(membership(family, n, int(x[k:k + n], 2))
                                 for n in lengths
                                 for k in range(len(x) - n + 1))
                 assert family_avoids(x, family) == naive
 
 
 def test_derandomize_point_mass_all_distinct_windows():
-    x = bs("00011101")  # all 3-windows distinct
+    x = "00011101"  # all 3-windows distinct
     assert distinct_substrings(x, 3) == 6
     dist = point_mass(x)
     family, certificate = derandomize_family(dist, Fraction(9, 10), ExactProb(1, 2),
@@ -373,7 +368,7 @@ def test_derandomize_point_mass_all_distinct_windows():
 
 
 def test_derandomize_averaged_bound_error():
-    dist = point_mass(BitString(0, 6))
+    dist = point_mass("0" * 6)
     # alpha so small the sampled set has one string: miss(1) too big for eps
     with pytest.raises(AveragedBoundError):
         derandomize_family(dist, Fraction(1, 5), ExactProb(1, 100),
@@ -392,7 +387,7 @@ def test_derandomize_names_an_inadmissible_level_length(level_length):
 def test_derandomize_admits_no_draw_of_more_than_2_to_the_24_strings():
     # at alpha 3/5, level 41 would draw 2**24.6 strings; 40 draws 2**24
     with pytest.raises(ValueError, match="admissible: 1..40$"):
-        derandomize_family(point_mass(BitString(0, 50)), Fraction(3, 5), ExactProb(1, 2),
+        derandomize_family(point_mass("0" * 50), Fraction(3, 5), ExactProb(1, 2),
                            RandomSource(0), level_length=45)
 
 

@@ -1,19 +1,15 @@
 import pytest
 
-from ecseq.core import BitString, RandomSource
+from ecseq.core import RandomSource
 from ecseq import proxy
 from ecseq.proxy import (LENGTH_HEADER_BITS, compress_bits, compress_size, index_bits,
                          window_profile)
 
-from oracles import concat, decompress_bits
-
-
-def bs(text):
-    return BitString.from_text(text)
+from oracles import decompress_bits
 
 
 def test_empty_string_is_header_only():
-    assert compress_size(BitString(0, 0)) == LENGTH_HEADER_BITS
+    assert compress_size("") == LENGTH_HEADER_BITS
 
 
 def test_round_trip_random_strings():
@@ -25,8 +21,7 @@ def test_round_trip_random_strings():
 
 def test_round_trip_structured_strings():
     for text in ("0", "1", "01" * 40, "000" * 30, "0001011100", "1" * 257):
-        x = bs(text)
-        assert decompress_bits(compress_bits(x)) == x
+        assert decompress_bits(compress_bits(text)) == text
 
 
 def test_foreign_streams_decode_or_raise_value_error():
@@ -41,7 +36,7 @@ def test_foreign_streams_decode_or_raise_value_error():
     # bits: "11" names phrase 3, which does not exist
     header = format(10, f"0{LENGTH_HEADER_BITS}b")[::-1]
     with pytest.raises(ValueError):
-        decompress_bits(bs(header + "1" + "10" + "11"))
+        decompress_bits(header + "1" + "10" + "11")
 
 
 def test_compress_size_deterministic():
@@ -52,11 +47,11 @@ def test_compress_size_deterministic():
 def test_compress_size_counts_what_compress_bits_writes():
     rs = RandomSource(19)
     for length in range(300):
-        for x in (rs.bits(length), BitString(0, length), bs(("01" * length)[:length])):
-            assert compress_size(x) == len(compress_bits(x)), x.to_text()
+        for x in (rs.bits(length), "0" * length, ("01" * length)[:length]):
+            assert compress_size(x) == len(compress_bits(x)), x
     for trial in range(3000):
         x = rs.bits(256)
-        assert compress_size(x) == len(compress_bits(x)), x.to_text()
+        assert compress_size(x) == len(compress_bits(x)), x
 
 
 def test_index_bits_closed_form_matches_the_direct_sum():
@@ -67,10 +62,9 @@ def test_index_bits_closed_form_matches_the_direct_sum():
 
 
 def test_profile_sizes_match_compress_bits_on_each_window():
-    x = concat(RandomSource(21).bits(1500), BitString(0, 300), bs("01" * 150))
+    x = RandomSource(21).bits(1500) + "0" * 300 + "01" * 150
     profile = window_profile(x, 256, stride=37)
-    text = x.to_text()
-    assert profile.sizes == tuple(len(compress_bits(bs(text[o:o + 256]))) for o in profile.offsets)
+    assert profile.sizes == tuple(len(compress_bits(x[o:o + 256])) for o in profile.offsets)
 
 
 def test_length_header_bounds_every_size(monkeypatch):
@@ -79,12 +73,12 @@ def test_length_header_bounds_every_size(monkeypatch):
     for size in (compress_bits, compress_size, lambda x: window_profile(x, 16)):
         with pytest.raises(ValueError, match="length header"):
             size(x)
-    short = bs(x.to_text()[:15])
+    short = x[:15]
     assert compress_size(short) == len(compress_bits(short))
 
 
 def test_zero_run_compresses_below_random():
-    zeros = compress_size(BitString(0, 4096))
+    zeros = compress_size("0" * 4096)
     wins = sum(1 for seed in range(100)
                if zeros < compress_size(RandomSource(seed).bits(4096)))
     assert wins >= 95
@@ -95,12 +89,12 @@ def test_subadditivity_on_random_pairs():
     for trial in range(50):
         x = rs.bits(100 + rs.below(400))
         y = rs.bits(100 + rs.below(400))
-        assert compress_size(concat(x, y)) <= (compress_size(x) + compress_size(y)
+        assert compress_size(x + y) <= (compress_size(x) + compress_size(y)
                                         + LENGTH_HEADER_BITS)
 
 
 def test_profile_constant_string():
-    profile = window_profile(BitString((1 << 256) - 1, 256), 64, stride=16)
+    profile = window_profile("1" * 256, 64, stride=16)
     assert len(set(profile.sizes)) == 1
     assert profile.min_size == profile.max_size == profile.mean_size
 
@@ -122,7 +116,7 @@ def test_profile_finds_embedded_zero_run():
     hits = 0
     for seed in range(20):
         rs = RandomSource(seed)
-        x = concat(rs.bits(1024), BitString(0, 512), rs.bits(1024))
+        x = rs.bits(1024) + "0" * 512 + rs.bits(1024)
         profile = window_profile(x, 256, stride=32)
         best = profile.offsets[profile.sizes.index(profile.min_size)]
         if 1024 <= best and best + 256 <= 1024 + 512:
@@ -132,6 +126,6 @@ def test_profile_finds_embedded_zero_run():
 
 def test_profile_argument_guards():
     with pytest.raises(ValueError):
-        window_profile(bs("0101"), 8)
+        window_profile("0101", 8)
     with pytest.raises(ValueError):
-        window_profile(bs("0101"), 2, stride=0)
+        window_profile("0101", 2, stride=0)

@@ -3,18 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ecseq.core import BitString, CertificateError, RandomSource
+from ecseq.core import CertificateError, RandomSource
 from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError, _Intervals,
                             boost_tail, boosted_count, choose_start_level, coverage_faults,
                             disagreements, geometric, inverse_triangular, plan_allocation, recover_prefix,
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import level_counts, oracle_source_map, oracle_window_tally, spread
-
-
-def bs(text):
-    return BitString.from_text(text)
+from oracles import flip, level_counts, oracle_source_map, oracle_window_tally, spread
 
 
 def toy(counts, max_level=64):
@@ -135,14 +131,14 @@ def test_start_level_certificate_guard():
 
 def test_spread_hand_values():
     alloc = toy_alloc()
-    assert spread(alloc, bs("101"), 8) == bs("10111011")
-    assert spread(toy({1: 2}), bs("10"), 6) == bs("101010")
-    assert spread(alloc, bs("000"), 12) == BitString(0, 12)
+    assert spread(alloc, "101", 8) == "10111011"
+    assert spread(toy({1: 2}), "10", 6) == "101010"
+    assert spread(alloc, "000", 12) == "0" * 12
 
 
 def test_spread_source_too_short():
     with pytest.raises(ValueError):
-        spread(toy_alloc(), bs("10"), 8)
+        spread(toy_alloc(), "10", 8)
 
 
 def test_spread_random_round_trip_against_spread():
@@ -160,8 +156,8 @@ def test_spread_random_round_trip_against_spread():
 
 def test_recover_hand_value():
     alloc = toy_alloc()
-    omega = spread(alloc, bs("101"), 8)
-    assert recover_prefix(alloc, bs(omega.to_text()[1:5]), 1, 2) == bs("101")
+    omega = spread(alloc, "101", 8)
+    assert recover_prefix(alloc, omega[1:5], 1, 2) == "101"
 
 
 def test_recover_round_trip_random_windows():
@@ -173,27 +169,26 @@ def test_recover_round_trip_random_windows():
         m = alloc.start_level + rs.below(13 - alloc.start_level)
         size = 1 << m
         k = rs.below(length - size + 1)
-        prefix = recover_prefix(alloc, bs(omega.to_text()[k:k + size]), k % size, m)
+        prefix = recover_prefix(alloc, omega[k:k + size], k % size, m)
         need = alloc.source_count_through(m)
-        assert prefix == bs(tau.to_text()[:need])
+        assert prefix == tau[:need]
 
 
 def test_recover_detects_tamper():
     alloc = toy_alloc()
-    omega = spread(alloc, bs("101"), 8)
-    win = bs(omega.to_text()[:4]).to_bits()
-    win[0] ^= 1  # position 0 carries source bit 0, which repeats at offset 2
+    omega = spread(alloc, "101", 8)
+    win = flip(omega[:4], [0])  # position 0 carries source bit 0, which repeats at offset 2
     with pytest.raises(InconsistentWindowError):
-        recover_prefix(alloc, BitString.from_bits(win), 0, 2)
+        recover_prefix(alloc, win, 0, 2)
 
 
 def test_recover_validates_arguments():
     alloc = toy_alloc()
-    omega = spread(alloc, bs("101"), 8)
+    omega = spread(alloc, "101", 8)
     with pytest.raises(ValueError):
-        recover_prefix(alloc, bs(omega.to_text()[:4]), 0, 3)  # wrong window length
+        recover_prefix(alloc, omega[:4], 0, 3)  # wrong window length
     with pytest.raises(ValueError):
-        recover_prefix(alloc, bs(omega.to_text()[:4]), 9, 2)
+        recover_prefix(alloc, omega[:4], 9, 2)
 
 
 # ---------------------------------------------------------------- structural invariants
@@ -263,7 +258,6 @@ def oracle_recover_prefix(alloc, win, offset_mod, level):
     size = 1 << level
     alloc.ensure_cap(size)
     alloc.ensure_level(level)
-    wbits = win.to_bits()
     out = []
     for lv_level, _, base, pairs in alloc.level_records():
         if lv_level > level:
@@ -272,12 +266,12 @@ def oracle_recover_prefix(alloc, win, offset_mod, level):
         for seen, c in enumerate(c for lo, hi in pairs for c in range(lo, hi)):
             t0 = (c - offset_mod) % step
             for t in range(t0 + step, size, step):
-                if wbits[t] != wbits[t0]:
+                if win[t] != win[t0]:
                     raise InconsistentWindowError(
                         f"source bit {base + seen} reads differently at window "
                         f"offsets {t0} and {t}")
-            out.append(wbits[t0])
-    return BitString.from_bits(out)
+            out.append(win[t0])
+    return "".join(out)
 
 
 @pytest.mark.parametrize("preset", ["inverse-triangular", "zero", "geometric:1/3"])
@@ -302,11 +296,11 @@ def oracle_disagreements(alloc, bits, length):
     carries the same source index; when more than half of a source index's
     copies differ from its first, the copies that agree are listed instead,
     against the first that differs."""
-    text, copies, out = bits.to_text(), {}, []
+    copies, out = {}, []
     for p, j in enumerate(oracle_source_map(alloc, 0, length)):
         copies.setdefault(j, []).append(p)
     for j, ps in copies.items():
-        differ = [p for p in ps if text[p] != text[ps[0]]]
+        differ = [p for p in ps if bits[p] != bits[ps[0]]]
         if 2 * len(differ) > len(ps):
             out += [{"position": p, "source_bit": j, "disagrees_with_position": differ[0]}
                     for p in ps if p not in differ]
@@ -328,13 +322,11 @@ def multi_flips(rng, size, rounds):
 
 
 def recovery_outcomes(alloc, win, flips, offset_mod, level):
-    bits = win.to_bits()
-    for t in flips:
-        bits[t] ^= 1
+    bits = flip(win, flips)
     outcomes = []
     for recover in (recover_prefix, oracle_recover_prefix):
         try:
-            outcomes.append(recover(alloc, BitString.from_bits(bits), offset_mod, level))
+            outcomes.append(recover(alloc, bits, offset_mod, level))
         except InconsistentWindowError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -350,7 +342,7 @@ def test_recover_prefix_agrees_with_copy_loop_oracle(counts):
     for m in range(alloc.start_level, top + 1):
         size = 1 << m
         for k in range(length - size + 1):
-            win = bs(omega.to_text()[k:k + size])
+            win = omega[k:k + size]
             # the clean window, each single-bit tamper of it, then multi-bit ones
             singles = [[t] for t in range(size)]
             for flips in [[]] + singles + list(multi_flips(rng, size, 3)):
@@ -369,7 +361,7 @@ def test_recover_prefix_multi_flips_agree_with_oracle_on_wide_runs():
     for m in range(alloc.start_level, 11):
         size = 1 << m
         for k in rng.sample(range(length - size + 1), 6):
-            win = bs(omega.to_text()[k:k + size])
+            win = omega[k:k + size]
             for flips in multi_flips(rng, size, 8):
                 got, expected = recovery_outcomes(alloc, win, flips, k % size, m)
                 assert got == expected, (m, k, flips)
@@ -399,10 +391,7 @@ def test_disagreements_agree_with_per_position_oracle(preset):
             if trial % 3 == 0:
                 t = rng.randrange(length - 2)
                 flips |= {t, t + 1, t + 2}
-            bits = omega.to_bits()
-            for p in flips:
-                bits[p] ^= 1
-            tampered = BitString.from_bits(bits)
+            tampered = flip(omega, flips)
             assert disagreements(alloc, tampered, length) \
                 == oracle_disagreements(alloc, tampered, length), (length, sorted(flips))
     with pytest.raises(ValueError):
