@@ -1,9 +1,12 @@
 """Command-line surface: deterministic runs, bit-file I/O, JSON reports.
 
 Every subcommand is a pure function of its flags; all randomness flows from
---seed.  Each report kind has one entry in KINDS: `run` computes the results
-and certificates a command reports, and `check` re-derives them for
-`verify`, which compares every field and trusts none.
+--seed.  Each report kind has one entry in KINDS: the names of its
+parameters, a `run` that computes the results and certificates a command
+reports, and a `check` that re-derives them for `verify`.  A command and
+`verify` read every parameter through PARAMETERS, by its exact JSON type,
+and a report holds each in canonical form.  `verify` compares every field,
+the parameters too, and trusts none.
 
 Exit codes: 0 success, 1 verification failure, 2 bad parameters,
 3 budget exhausted.
@@ -15,7 +18,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
@@ -53,12 +55,40 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
-def _alpha(parameters: dict) -> Fraction:
-    return forbidden.read_alpha(parameters["alpha"])
+def _same(value):
+    return value
 
 
-def _epsilon(parameters: dict) -> ExactProb:
-    return ExactProb(Fraction(json_exact(parameters["epsilon"], str)))
+def _exact(kind: type, *choices) -> tuple:
+    """The (read, write) pair of a parameter that JSON gives as exactly a kind
+    (and as one of choices, when any are named) and a report holds unchanged."""
+    def read(value):
+        json_exact(value, kind)
+        if choices and value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+    return read, _same
+
+
+# (read, write) of each report parameter, by name: read takes its JSON form to the
+# value a run takes, and write gives that value's canonical JSON form.
+PARAMETERS = {
+    "alpha": (forbidden.read_alpha, frac_to_str),
+    "epsilon": (lambda value: ExactProb(Fraction(json_exact(value, str))), frac_to_str),
+    "lengths": (lambda value: sorted({json_exact(n, int) for n in value}), _same),
+    "level_length": (lambda value: value if value is None else json_exact(value, int), _same),
+    # looked up at each call, so a from_json replaced on the class is the one run
+    "dist": (lambda doc: FiniteDistribution.from_json(doc), FiniteDistribution.to_json),
+    "family": (forbidden.LevelFamily.from_json, forbidden.LevelFamily.to_json),
+    "bits_text": (lambda text: text if text is None else fold_bits(json_exact(text, str)),
+                  lambda bits: None if bits is None or len(bits) > 1 << 16 else bits),
+    "format": _exact(str, "ascii", "packed"),
+    "dist_family": _exact(str, "uniform"),
+    **dict.fromkeys(("weights", "bits_sha256"), _exact(str)),
+    **dict.fromkeys(("start_level", "certified_start_level", "length", "max_level", "n_min",
+                     "count", "first_length", "max_length", "n", "budget", "window", "stride",
+                     "bit_count"), _exact(int)),
+}
 
 
 def _run_spread(p: dict, seed) -> tuple:
@@ -78,7 +108,7 @@ def _run_spread(p: dict, seed) -> tuple:
 
 
 def _run_family(p: dict, seed) -> tuple:
-    family, cert = forbidden.two_level_family(_alpha(p), _epsilon(p), p["n_min"],
+    family, cert = forbidden.two_level_family(p["alpha"], p["epsilon"], p["n_min"],
                                               RandomSource(seed))
     doc = family.to_json()
     return ({"random_length": cert.random_length, "top_length": cert.top_length,
@@ -90,11 +120,10 @@ def _run_family(p: dict, seed) -> tuple:
 
 
 def _run_family_levels(p: dict, seed) -> tuple:
-    lengths = [json_exact(n, int) for n in p["lengths"]]
-    family = forbidden.random_level_family(_alpha(p), lengths, RandomSource(seed))
+    family = forbidden.random_level_family(p["alpha"], p["lengths"], RandomSource(seed))
     doc = family.to_json()
-    return ({"family": doc}, {f"size_bound_{n}": str(family.size_bound(n)) for n in lengths},
-            doc)
+    return ({"family": doc},
+            {f"size_bound_{n}": str(family.size_bound(n)) for n in p["lengths"]}, doc)
 
 
 def _derandomized(family, certificate) -> tuple:
@@ -102,26 +131,15 @@ def _derandomized(family, certificate) -> tuple:
     return {"family": doc}, {"avoid_probability": frac_to_str(certificate)}, doc
 
 
-def _run_family_derandomize(p: dict, seed, dist: FiniteDistribution = None) -> tuple:
-    """dist is p["dist"] already parsed, when the caller has it at hand."""
-    if dist is None:
-        dist = FiniteDistribution.from_json(p["dist"])
+def _run_family_derandomize(p: dict, seed) -> tuple:
     return _derandomized(*forbidden.derandomize_family(
-        dist, _alpha(p), _epsilon(p), RandomSource(seed),
-        level_length=p["level_length"]))
+        p["dist"], p["alpha"], p["epsilon"], RandomSource(seed), level_length=p["level_length"]))
 
 
 def _check_family_derandomize(p: dict, seed, results: dict) -> tuple:
     return _derandomized(*forbidden.recertify_family(
-        FiniteDistribution.from_json(p["dist"]), _alpha(p), _epsilon(p),
-        forbidden.LevelFamily.from_json(results["family"]),
+        p["dist"], p["alpha"], p["epsilon"], forbidden.LevelFamily.from_json(results["family"]),
         level_length=p["level_length"]))[:2]
-
-
-def _schedule_dists(p: dict) -> Callable:
-    if p["dist_family"] != "uniform":
-        raise ValueError(f"unknown distribution family {p['dist_family']!r}")
-    return FiniteDistribution.uniform
 
 
 def _scheduled(entries: list) -> tuple:
@@ -135,7 +153,7 @@ def _scheduled(entries: list) -> tuple:
 
 def _run_family_schedule(p: dict, seed) -> tuple:
     return _scheduled(forbidden.interval_schedule(
-        _schedule_dists(p), _alpha(p), p["count"], RandomSource(seed),
+        FiniteDistribution.uniform, p["alpha"], p["count"], RandomSource(seed),
         first_length=p["first_length"], max_length=p["max_length"]))
 
 
@@ -143,7 +161,7 @@ def _check_family_schedule(p: dict, seed, results: dict) -> tuple:
     witnesses = [forbidden.LevelFamily.from_json(entry["family"])
                  for entry in results["intervals"]]
     return _scheduled(forbidden.recertify_schedule(
-        _schedule_dists(p), _alpha(p), p["count"], witnesses,
+        FiniteDistribution.uniform, p["alpha"], p["count"], witnesses,
         first_length=p["first_length"], max_length=p["max_length"]))[:2]
 
 
@@ -155,27 +173,23 @@ def _adversary(dist, family) -> tuple:
             doc)
 
 
-def _run_adversary(p: dict, seed, dist: FiniteDistribution = None) -> tuple:
-    """dist is p["dist"] already parsed, when the caller has it at hand."""
-    if dist is None:
-        dist = FiniteDistribution.from_json(p["dist"])
-    return _adversary(dist, adversary.truncated_search(dist, p["n"], _epsilon(p)))
+def _run_adversary(p: dict, seed) -> tuple:
+    return _adversary(p["dist"], adversary.truncated_search(p["dist"], p["n"], p["epsilon"]))
 
 
 def _check_adversary(p: dict, seed, results: dict) -> tuple:
-    dist = FiniteDistribution.from_json(p["dist"])
     targets = adversary.PositionalFamily.from_json(results["family"]).targets
-    certificate = adversary.avoid_probability(dist, adversary.PositionalFamily(p["n"], targets))
-    if not certificate < _epsilon(p):
+    certificate = adversary.avoid_probability(p["dist"],
+                                              adversary.PositionalFamily(p["n"], targets))
+    if not certificate < p["epsilon"]:
         raise CertificateError(f"avoid probability {frac_to_str(certificate)} is not below "
-                               f"{p['epsilon']}")
-    return _adversary(dist, adversary.PositionalFamily(p["n"], targets, certificate))[:2]
+                               f"{frac_to_str(p['epsilon'])}")
+    return _adversary(p["dist"], adversary.PositionalFamily(p["n"], targets, certificate))[:2]
 
 
 def _run_avoid(p: dict, seed) -> tuple:
-    family = forbidden.LevelFamily.from_json(p["family"])
     result = avoider.build_avoiding_string(
-        avoider.AvoidanceInstance(family, p["length"], p["budget"], RandomSource(seed)))
+        avoider.AvoidanceInstance(p["family"], p["length"], p["budget"], RandomSource(seed)))
     return ({"succeeded": result.succeeded, "resamples": result.resamples,
              "residual_violations": result.residual_violations,
              "output_sha256": _sha256_bits(result.string) if result.succeeded else None},
@@ -183,66 +197,69 @@ def _run_avoid(p: dict, seed) -> tuple:
             result.string)
 
 
-def _profile(bits: str, window: int, stride: int) -> tuple:
-    profile = proxy.window_profile(bits, window, stride)
+def _run_profile(p: dict, seed) -> tuple:
+    bits = p["bits_text"]
+    if bits is None:
+        raise ValueError("the report does not inline its bits")
+    if (_sha256_bits(bits), len(bits)) != (p["bits_sha256"], p["bit_count"]):
+        raise ValueError("the inlined bits do not match bits_sha256 and bit_count")
+    profile = proxy.window_profile(bits, p["window"], p["stride"])
     return profile.to_json(), {}, profile
 
 
-def _run_profile(p: dict, seed) -> tuple:
-    if p["bits_text"] is None:
-        raise ValueError("the report does not inline its bits")
-    bits = fold_bits(json_exact(p["bits_text"], str))
-    if (_sha256_bits(bits), len(bits)) != (p["bits_sha256"], p["bit_count"]):
-        raise ValueError("the inlined bits do not match bits_sha256 and bit_count")
-    return _profile(bits, p["window"], p["stride"])
-
-
 class Kind(NamedTuple):
-    run: Callable    # (parameters, seed) -> (results, certificates, what the command writes)
-    check: Callable  # (parameters, seed, results) -> (results, certificates), re-derived
+    parameters: tuple  # the names of its parameters, each read and written by PARAMETERS
+    run: Callable    # (values, seed) -> (results, certificates, what the command writes)
+    check: Callable = None  # (values, seed, results) -> (results, certificates), re-derived
     seeded: bool = True  # the report's seed is an int, or else null
 
 
-def _replay(run: Callable) -> Callable:
-    """The check of a generating kind: run it again, reading no reported result."""
-    return lambda parameters, seed, results: run(parameters, seed)[:2]
-
-
-# One entry per report kind.  The generating kinds are checked by running them
+# One entry per report kind.  A generating kind has no check: verify runs it
 # again.  The search kinds re-certify the witness family their report records
 # instead of repeating the search, which would double the cost of verifying.
 KINDS = {
-    "spread": Kind(_run_spread, _replay(_run_spread)),
-    "family": Kind(_run_family, _replay(_run_family)),
-    "family-levels": Kind(_run_family_levels, _replay(_run_family_levels)),
-    "family-derandomize": Kind(_run_family_derandomize, _check_family_derandomize),
-    "family-schedule": Kind(_run_family_schedule, _check_family_schedule),
-    "adversary": Kind(_run_adversary, _check_adversary, seeded=False),
-    "avoid": Kind(_run_avoid, _replay(_run_avoid)),
-    "profile": Kind(_run_profile, _replay(_run_profile), seeded=False),
+    "spread": Kind(("weights", "start_level", "certified_start_level", "length", "max_level",
+                    "format"), _run_spread),
+    "family": Kind(("alpha", "epsilon", "n_min"), _run_family),
+    "family-levels": Kind(("alpha", "lengths"), _run_family_levels),
+    "family-derandomize": Kind(("alpha", "epsilon", "level_length", "dist"),
+                               _run_family_derandomize, _check_family_derandomize),
+    "family-schedule": Kind(("alpha", "count", "first_length", "max_length", "dist_family"),
+                            _run_family_schedule, _check_family_schedule),
+    "adversary": Kind(("dist", "n", "epsilon"), _run_adversary, _check_adversary, seeded=False),
+    "avoid": Kind(("family", "length", "budget"), _run_avoid),
+    "profile": Kind(("bits_text", "bits_sha256", "bit_count", "window", "stride"), _run_profile,
+                    seeded=False),
 }
 
 
-def _run(args, command: str, seed, parameters: dict, run: Callable = None) -> tuple:
-    """Run one report kind, by default through its table entry, and write its
-    report when --report names a file; returns what the run returned."""
+def _parameters(kind: Kind, given: dict) -> tuple:
+    """The value of each of a kind's parameters, read through PARAMETERS from
+    the form given, and the canonical form of each, which a report holds."""
+    values = {name: PARAMETERS[name][0](given[name]) for name in kind.parameters}
+    return values, {name: PARAMETERS[name][1](value) for name, value in values.items()}
+
+
+def _run(args, command: str, seed, given: dict) -> tuple:
+    """Run a report kind on the parameters a command gives and write its report
+    when --report names a file; returns the canonical parameters and the run's values."""
     started = time.perf_counter()
-    results, certificates, written = (run or KINDS[command].run)(parameters, seed)
+    values, parameters = _parameters(KINDS[command], given)
+    results, certificates, written = KINDS[command].run(values, seed)
     if args.report:
         _write_json(args.report, {
             "command": command, "seed": seed, "parameters": parameters,
             "results": results, "certificates": certificates,
             "wall_time_s": round(time.perf_counter() - started, 6)})
-    return results, certificates, written
+    return parameters, results, certificates, written
 
 
 def cmd_spread(args) -> int:
     certified = spreader.choose_start_level(spreader.weight_preset(args.weights))
-    parameters = {"weights": args.weights,
-                  "start_level": certified if args.m0 is None else args.m0,
-                  "certified_start_level": certified, "length": args.length,
-                  "max_level": args.max_level, "format": args.format}
-    results, _, (omega, alloc) = _run(args, "spread", args.seed, parameters)
+    _, results, _, (omega, alloc) = _run(args, "spread", args.seed, {
+        "weights": args.weights, "start_level": certified if args.m0 is None else args.m0,
+        "certified_start_level": certified, "length": args.length,
+        "max_level": args.max_level, "format": args.format})
     write_bit_file(args.out, omega, fmt=args.format)
     if args.alloc_out:
         _write_json(args.alloc_out, alloc.export())
@@ -289,29 +306,27 @@ def cmd_family(args) -> int:
                          f"--derandomize")
     if args.level_length is not None and args.derandomize is None:
         raise ValueError("--level-length applies only with --derandomize")
-    alpha = frac_to_str(Fraction(args.alpha))
-    epsilon = frac_to_str(ExactProb(Fraction(args.epsilon)))
-    run = None  # the kind's own run, unless a parsed input can be handed over
+    if args.max_length is not None and args.schedule is None:
+        raise ValueError("--max-length applies only with --schedule")
     if args.schedule is not None:
         kind = "family-schedule"
-        parameters = {"alpha": alpha, "count": args.schedule, "first_length": args.n_min,
-                      "max_length": args.max_length, "dist_family": "uniform"}
+        parameters = {"alpha": args.alpha, "count": args.schedule, "first_length": args.n_min,
+                      "max_length": 24 if args.max_length is None else args.max_length,
+                      "dist_family": "uniform"}
     elif args.levels is not None:
         kind = "family-levels"
-        lengths = sorted({int(tok) for tok in args.levels.split(",")})
-        if lengths[0] < 1:
-            raise ValueError(f"--levels lengths must be at least 1, got {lengths[0]}")
-        parameters = {"alpha": alpha, "lengths": lengths}
+        lengths = [int(tok) for tok in args.levels.split(",")]
+        if min(lengths) < 1:
+            raise ValueError(f"--levels lengths must be at least 1, got {min(lengths)}")
+        parameters = {"alpha": args.alpha, "lengths": lengths}
     elif args.derandomize is not None:
         kind = "family-derandomize"
-        dist = FiniteDistribution.from_json(_load_json(args.derandomize))
-        parameters = {"alpha": alpha, "epsilon": epsilon, "level_length": args.level_length,
-                      "dist": dist.to_json()}
-        run = partial(_run_family_derandomize, dist=dist)
+        parameters = {"alpha": args.alpha, "epsilon": args.epsilon,
+                      "level_length": args.level_length, "dist": _load_json(args.derandomize)}
     else:
         kind = "family"
-        parameters = {"alpha": alpha, "epsilon": epsilon, "n_min": args.n_min}
-    results, certificates, written = _run(args, kind, args.seed, parameters, run)
+        parameters = {"alpha": args.alpha, "epsilon": args.epsilon, "n_min": args.n_min}
+    parameters, results, certificates, written = _run(args, kind, args.seed, parameters)
     if args.out:
         _write_json(args.out, written)
     if args.schedule is not None:
@@ -321,19 +336,16 @@ def cmd_family(args) -> int:
         print(f"family: explicit random levels {parameters['lengths']}, sizes {sizes}")
     elif args.derandomize is not None:
         print(f"family: derandomized, avoid probability "
-              f"{certificates['avoid_probability']} < {epsilon}")
+              f"{certificates['avoid_probability']} < {parameters['epsilon']}")
     else:
         print(f"family: lengths ({results['random_length']}, {results['top_length']}), "
-              f"miss bound {certificates['miss_bound']} < {epsilon}")
+              f"miss bound {certificates['miss_bound']} < {parameters['epsilon']}")
     return EXIT_OK
 
 
 def cmd_adversary(args) -> int:
-    dist = FiniteDistribution.from_json(_load_json(args.dist))
-    parameters = {"n": args.n, "epsilon": frac_to_str(ExactProb(Fraction(args.epsilon))),
-                  "dist": dist.to_json()}
-    results, certificates, family = _run(args, "adversary", None, parameters,
-                                         partial(_run_adversary, dist=dist))
+    parameters, results, certificates, family = _run(args, "adversary", None, {
+        "dist": _load_json(args.dist), "n": args.n, "epsilon": args.epsilon})
     if args.out:
         _write_json(args.out, family)
     print(f"adversary: n={args.n} N={results['N']} "
@@ -342,9 +354,8 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_avoid(args) -> int:
-    family = forbidden.LevelFamily.from_json(_load_json(args.family))
-    parameters = {"family": family.to_json(), "length": args.length, "budget": args.budget}
-    results, _, string = _run(args, "avoid", args.seed, parameters)
+    _, results, _, string = _run(args, "avoid", args.seed, {
+        "family": _load_json(args.family), "length": args.length, "budget": args.budget})
     if not results["succeeded"]:
         print(f"avoid: budget exhausted after {results['resamples']} resamples, "
               f"{results['residual_violations']} residual violations")
@@ -357,12 +368,9 @@ def cmd_avoid(args) -> int:
 
 def cmd_profile(args) -> int:
     bits = read_bit_file(args.bits)
-    parameters = {"bits_sha256": _sha256_bits(bits), "window": args.window,
-                  "stride": args.stride, "bit_count": len(bits),
-                  "bits_text": bits if len(bits) <= 1 << 16 else None}
-    # the bits are at hand here, and a report inlines them only up to 2**16
-    _, _, profile = _run(args, "profile", None, parameters,
-                         lambda p, seed: _profile(bits, p["window"], p["stride"]))
+    parameters = {"bits_text": bits, "bits_sha256": _sha256_bits(bits), "bit_count": len(bits),
+                  "window": args.window, "stride": args.stride}
+    *_, profile = _run(args, "profile", None, parameters)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("offset,bits\n")
@@ -407,8 +415,9 @@ def cmd_verify(args) -> int:
     if faults:
         return EXIT_VERIFY_FAILED
     try:
-        derived = dict(zip(sections[1:],
-                           kind.check(doc["parameters"], doc["seed"], doc["results"])))
+        values, parameters = _parameters(kind, doc["parameters"])
+        check = kind.check or (lambda values, seed, results: kind.run(values, seed)[:2])
+        derived = dict(zip(sections, (parameters, *check(values, doc["seed"], doc["results"]))))
     except INPUT_ERRORS + (KeyError, TypeError) as exc:
         print(f"verify: FAIL the report does not reproduce: {type(exc).__name__}: {exc}")
         return EXIT_VERIFY_FAILED
@@ -465,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level-length", type=int, default=None)
     p.add_argument("--schedule", type=int, default=None,
                    help="build this many disjoint certified intervals")
-    p.add_argument("--max-length", type=int, default=24)
+    p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("adversary", help="positional forbidden strings by search")

@@ -159,6 +159,20 @@ class _Level:
     source_base: int
 
 
+def _fill(out, hole, runs, source):
+    """out with source[index:index + width] written at each repetition of each
+    run (offset, step, index, width) from Allocation._runs, clipped at the end
+    of out; AssertionError if a position still holds hole afterwards."""
+    length = len(out)
+    for offset, step, index, width in runs:
+        for a in range(offset, length, step):
+            b = min(a + width, length)
+            out[a:b] = source[index:index + b - a]
+    if hole in out:
+        raise AssertionError("progression partition left a hole")
+    return out
+
+
 class Allocation:
     """Greedy progression allocation, built level by level on demand.
 
@@ -316,15 +330,8 @@ class Allocation:
 
     def source_map(self, start: int, length: int) -> list:
         """Source indices for every position in [start, start + length)."""
-        runs = self._covered_runs(start, length)
-        out = [-1] * length
-        for offset, step, index, width in runs:
-            for a in range(offset, length, step):
-                b = min(a + width, length)
-                out[a:b] = range(index, index + b - a)
-        if -1 in out:
-            raise AssertionError("progression partition left a hole")
-        return out
+        runs = self._covered_runs(start, length)  # builds the levels the range needs
+        return _fill([-1] * length, -1, runs, range(self._source_total))
 
     def export(self) -> dict:
         return {
@@ -392,15 +399,8 @@ def spread_random(alloc: Allocation, rs: RandomSource, length: int):
     position i carries source bit source_map(i, 1)[0]."""
     runs = list(alloc._covered_runs(0, length))
     source_bits = rs.bits(max((index + width for _, _, index, width in runs), default=0))
-    source = source_bits.encode()
-    out = bytearray(length)  # a position no run fills stays 0
-    for offset, step, index, width in runs:
-        for a in range(offset, length, step):
-            b = min(a + width, length)
-            out[a:b] = source[index:index + b - a]
-    if 0 in out:
-        raise AssertionError("progression partition left a hole")
-    return out.decode(), source_bits
+    # a source byte is b"0" or b"1", so a position no run fills stays 0
+    return _fill(bytearray(length), 0, runs, source_bits.encode()).decode(), source_bits
 
 
 def _differing_copies(text: str, runs):

@@ -379,7 +379,8 @@ def test_search_commands_parse_their_distribution_once(tmp_path, monkeypatch, ki
     assert len(parses) == 1
     # the report is what the kind's own run derives from the copy it records
     written = read_json(report)
-    assert list(cli.KINDS[kind].run(written["parameters"], written["seed"])[:2]) \
+    values, _ = cli._parameters(cli.KINDS[kind], written["parameters"])
+    assert list(cli.KINDS[kind].run(values, written["seed"])[:2]) \
         == [written["results"], written["certificates"]]
 
 
@@ -498,6 +499,55 @@ def test_verify_fails_a_profile_report_whose_bits_text_is_not_a_string(reports, 
         "verify: FAIL the report does not reproduce: ValueError: expected a JSON str, got 5"])
 
 
+REPRODUCE_FAIL = "verify: FAIL the report does not reproduce: "
+
+# (report kind, parameter, what it is set to given its value, or None to delete
+# it, and the one line verify prints): parameters no command writes
+PARAMETER_PROBES = [
+    ("avoid", "extra", lambda _: "unchecked claim",
+     "verify: FAIL parameters.extra does not reproduce"),
+    ("avoid", "budget", float,
+     REPRODUCE_FAIL + "ValueError: expected a JSON int, got 1000000.0"),
+    ("avoid", "budget", lambda _: True,
+     REPRODUCE_FAIL + "ValueError: expected a JSON int, got True"),
+    ("avoid", "budget", None, REPRODUCE_FAIL + "KeyError: 'budget'"),
+    ("family-levels", "lengths", lambda lengths: lengths[::-1],
+     "verify: FAIL parameters.lengths does not reproduce"),
+    ("family", "alpha", lambda _: "6/10", "verify: FAIL parameters.alpha does not reproduce"),
+    # a float length once reached core.pow2_floor and ran out of memory
+    ("family", "n_min", lambda _: 8.0, REPRODUCE_FAIL + "ValueError: expected a JSON int, got 8.0"),
+    ("adversary", "epsilon", lambda _: "2/4", "verify: FAIL parameters.epsilon does not reproduce"),
+    ("family-derandomize", "dist",
+     lambda dist: {**dist, "masses": {**dist["masses"], "00000000": "2/512"}},
+     "verify: FAIL parameters.dist does not reproduce"),
+    ("spread", "format", lambda _: "zip",
+     REPRODUCE_FAIL + "ValueError: expected one of ascii, packed, got 'zip'"),
+]
+
+
+@pytest.mark.parametrize("kind, key, change, line", PARAMETER_PROBES)
+def test_verify_reads_every_parameter_by_its_exact_type_and_canonical_form(
+        reports, tmp_path, kind, key, change, line):
+    doc = read_json(reports[kind])
+    if change is None:
+        del doc["parameters"][key]
+    else:
+        doc["parameters"][key] = change(doc["parameters"].get(key))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    # in a capped subprocess, so that a parameter read loosely cannot exhaust memory
+    done = run_capped("verify", "--report", path)
+    assert (done.returncode, done.stdout.splitlines(), done.stderr) \
+        == (cli.EXIT_VERIFY_FAILED, [line], "")
+
+
+def test_a_schedule_tries_top_lengths_up_to_24_unless_told(tmp_path):
+    report = tmp_path / "schedule.report.json"
+    assert run("family", "--alpha", "9/10", "--schedule", "1", "--report", str(report)) \
+        == cli.EXIT_OK
+    assert read_json(report)["parameters"]["max_length"] == 24
+
+
 UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
 UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)}}
 SMALL_FAMILY = {"alpha": "1/2", "levels": [{"length": 4, "kind": "sampled", "strings_hex": ["0"],
@@ -565,6 +615,9 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
     (UNIFORM_2, ["family", "--alpha", "3/5", "--schedule", "1", "--derandomize", "{doc}"]),
     (None, ["family", "--alpha", "3/5", "--level-length", "8"]),
     (None, ["family", "--alpha", "3/10", "--levels", "8", "--level-length", "8"]),
+    # a longest top length with no schedule to bound
+    (None, ["family", "--alpha", "3/5", "--max-length", "12"]),
+    (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--max-length", "12"]),
     # a least random length below 1, in both modes that read --n-min
     (None, ["family", "--alpha", "3/5", "--n-min", "-5"]),
     (None, ["family", "--alpha", "3/5", "--schedule", "1", "--n-min", "-3"]),
