@@ -615,9 +615,6 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
     (UNIFORM_2, ["family", "--alpha", "3/5", "--schedule", "1", "--derandomize", "{doc}"]),
     (None, ["family", "--alpha", "3/5", "--level-length", "8"]),
     (None, ["family", "--alpha", "3/10", "--levels", "8", "--level-length", "8"]),
-    # a longest top length with no schedule to bound
-    (None, ["family", "--alpha", "3/5", "--max-length", "12"]),
-    (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--max-length", "12"]),
     # a least random length below 1, in both modes that read --n-min
     (None, ["family", "--alpha", "3/5", "--n-min", "-5"]),
     (None, ["family", "--alpha", "3/5", "--schedule", "1", "--n-min", "-3"]),
@@ -659,6 +656,9 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
                             "levels": [{**ONE_LEVEL_ALLOCATION["levels"][0], **level}]}
                            for level in ({"level": 8.0}, {"count": 68.0}, {"source_base": 0.0},
                                          {"assigned": [[0, 68.0]]})))),
+    # a longest top length with no schedule to bound
+    (None, ["family", "--alpha", "3/5", "--max-length", "12"]),
+    (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--max-length", "12"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
