@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import ExactProb, FiniteDistribution, frac_to_str, json_exact
+from .core import ExactProb, FiniteDistribution, check_rewrite, frac_to_str, json_exact
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,18 @@ class PositionalFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PositionalFamily":
-        """Parse a family written by to_json: an integer window_length, a list
-        of strings of that many 0s and 1s, and a certificate that is a string
-        or absent; ValueError on any other shape."""
+        """Parse a family as to_json writes it: ValueError unless to_json
+        writes doc again (core.check_rewrite)."""
         try:
-            n, texts = json_exact(doc["window_length"], int), doc["strings"]
-            targets = tuple(int(text, 2) for text in texts)
-            if [format(v, f"0{n}b") for v in targets] != texts:
-                raise ValueError(f"forbidden windows must be strings of {n} 0s and 1s")
             cert = doc.get("certificate")
-            return cls(n, targets, None if cert is None else ExactProb(json_exact(cert, str)))
+            family = cls(json_exact(doc["window_length"], int),
+                         tuple(int(text, 2) for text in doc["strings"]),
+                         None if cert is None else ExactProb(cert))
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"malformed positional family JSON ({type(exc).__name__}: {exc})") from exc
+        check_rewrite(doc, family.to_json(), "positional family JSON")
+        return family
 
 
 def required_positions(window_length: int, epsilon) -> int:

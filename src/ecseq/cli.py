@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
-from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource, fold_bits,
-                   frac_to_str, json_exact, pack_bits, read_bit_file, write_bit_file)
+from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource, differing_keys,
+                   fold_bits, frac_to_str, json_exact, pack_bits, read_bit_file, write_bit_file)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -272,7 +272,7 @@ def cmd_check_windows(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     bits = read_bit_file(args.bits)
-    alloc = spreader.Allocation.from_export(_load_json(args.alloc))
+    alloc = spreader.Allocation.from_export(_load_json(args.alloc), len(bits))
     frontier = alloc.least_uncovered()
     usable = len(bits) if frontier is None else min(len(bits), frontier)
     top = min(args.m_max, usable.bit_length() - 1)  # the highest level whose windows fit
@@ -297,20 +297,27 @@ def cmd_check_windows(args) -> int:
 
 
 def cmd_family(args) -> int:
-    if args.n_min < 1:
-        raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
     modes = [flag for flag, value in (("--schedule", args.schedule), ("--levels", args.levels),
                                       ("--derandomize", args.derandomize)) if value is not None]
     if len(modes) > 1:
         raise ValueError(f"{', '.join(modes)}: give only one of --schedule, --levels and "
                          f"--derandomize")
-    if args.level_length is not None and args.derandomize is None:
+    mode = modes[0] if modes else None  # None: the two-level family
+    if args.level_length is not None and mode != "--derandomize":
         raise ValueError("--level-length applies only with --derandomize")
-    if args.max_length is not None and args.schedule is None:
+    if args.max_length is not None and mode != "--schedule":
         raise ValueError("--max-length applies only with --schedule")
+    if args.epsilon is not None and mode in ("--schedule", "--levels"):
+        raise ValueError("--epsilon applies only with --derandomize or the two-level family")
+    if args.n_min is not None and mode in ("--levels", "--derandomize"):
+        raise ValueError("--n-min applies only with --schedule or the two-level family")
+    epsilon = "1/2" if args.epsilon is None else args.epsilon
+    n_min = 2 if args.n_min is None else args.n_min
+    if n_min < 1:
+        raise ValueError(f"--n-min must be at least 1, got {n_min}")
     if args.schedule is not None:
         kind = "family-schedule"
-        parameters = {"alpha": args.alpha, "count": args.schedule, "first_length": args.n_min,
+        parameters = {"alpha": args.alpha, "count": args.schedule, "first_length": n_min,
                       "max_length": 24 if args.max_length is None else args.max_length,
                       "dist_family": "uniform"}
     elif args.levels is not None:
@@ -321,11 +328,11 @@ def cmd_family(args) -> int:
         parameters = {"alpha": args.alpha, "lengths": lengths}
     elif args.derandomize is not None:
         kind = "family-derandomize"
-        parameters = {"alpha": args.alpha, "epsilon": args.epsilon,
+        parameters = {"alpha": args.alpha, "epsilon": epsilon,
                       "level_length": args.level_length, "dist": _load_json(args.derandomize)}
     else:
         kind = "family"
-        parameters = {"alpha": args.alpha, "epsilon": args.epsilon, "n_min": args.n_min}
+        parameters = {"alpha": args.alpha, "epsilon": epsilon, "n_min": n_min}
     parameters, results, certificates, written = _run(args, kind, args.seed, parameters)
     if args.out:
         _write_json(args.out, written)
@@ -381,10 +388,6 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _canonical(fields: dict, key: str):
-    return json.dumps(fields[key], sort_keys=True) if key in fields else None
-
-
 def _envelope_faults(doc: dict, kind: Kind) -> list:
     """What is wrong with a report's top level besides its three sections."""
     faults = [f"top-level key {key!r} is not a report key" for key in doc
@@ -422,8 +425,7 @@ def cmd_verify(args) -> int:
         print(f"verify: FAIL the report does not reproduce: {type(exc).__name__}: {exc}")
         return EXIT_VERIFY_FAILED
     problems = [f"{section}.{key}" for section, fields in derived.items()
-                for key in sorted(fields.keys() | doc[section].keys())
-                if _canonical(fields, key) != _canonical(doc[section], key)]
+                for key in differing_keys(doc[section], fields)]
     for field in problems:
         print(f"verify: FAIL {field} does not reproduce")
     if problems:
@@ -463,8 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a certified forbidden family")
     p.add_argument("--alpha", required=True, help="rational like 3/5")
-    p.add_argument("--epsilon", default="1/2", help="rational like 1/4")
-    p.add_argument("--n-min", type=int, default=2)
+    p.add_argument("--epsilon", default=None,
+                   help="rational like 1/4 (default 1/2); two-level and --derandomize only")
+    p.add_argument("--n-min", type=int, default=None,
+                   help="least random or first level length (default 2); two-level and "
+                        "--schedule only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--levels", default=None,

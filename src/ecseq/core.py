@@ -6,7 +6,9 @@ whose output is a pure function of (seed, stream, draw index).  No floating
 point is used anywhere in this module.
 """
 
+import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -81,6 +83,30 @@ def json_exact(value, kind: type):
     if type(value) is not kind:
         raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def differing_keys(doc: dict, written: dict) -> list:
+    """The keys, sorted, at which two JSON objects differ: keys one of them
+    lacks, and keys whose values differ in canonical JSON (sorted keys)."""
+    dump = functools.partial(json.dumps, sort_keys=True)
+    return [key for key in sorted(doc.keys() | written.keys())
+            if key not in doc or key not in written or dump(doc[key]) != dump(written[key])]
+
+
+def check_rewrite(doc: dict, written: dict, what: str) -> None:
+    """The read-back rule for a file that ecseq writes: ValueError unless
+    `written`, the JSON ecseq writes for what a reader built from doc, is doc
+    in canonical JSON, where 68.0, true and "68" each differ from 68.  The
+    message names the first field that differs, such as levels.2.count."""
+    path = []
+    while isinstance(doc, dict) and isinstance(written, dict) and (
+            keys := differing_keys(doc, written)):
+        path.append(str(keys[0]))
+        doc, written = doc.get(keys[0]), written.get(keys[0])
+        if isinstance(doc, list) and isinstance(written, list) and len(doc) == len(written):
+            doc, written = dict(enumerate(doc)), dict(enumerate(written))
+    if path:
+        raise ValueError(f"{what} is not as ecseq writes it: {'.'.join(path)} differs")
 
 
 def frac_to_str(value) -> str:

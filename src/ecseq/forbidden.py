@@ -16,7 +16,8 @@ from itertools import compress, islice
 from typing import Callable, Optional
 
 from .core import (SIZE_LIMIT_BITS, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, frac_to_str, json_exact, pow2_at_most, pow2_floor)
+                   RandomSource, check_rewrite, frac_to_str, json_exact, pow2_at_most,
+                   pow2_floor)
 
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 
@@ -149,13 +150,15 @@ class Scanner:
 
 
 def read_alpha(value) -> Fraction:
-    """alpha from its JSON string, such as "3/10".  floor(2**(alpha*n)) is the
-    q-th root of 2**p for alpha*n = p/q, and p is at most alpha's numerator
-    times n, so a numerator above 2**10 in lowest terms is refused before any
-    power of 2 is built."""
+    """alpha from its JSON string, such as "3/10", in (0, 1].
+    floor(2**(alpha*n)) is the q-th root of 2**p for alpha*n = p/q, and p is
+    at most alpha's numerator times n, so a numerator above 2**10 in lowest
+    terms, and an alpha above 1, are refused before any power of 2 is built."""
     alpha = Fraction(json_exact(value, str))
     if alpha.numerator > 1 << 10:
         raise ValueError(f"alpha {frac_to_str(alpha)} has a numerator above {1 << 10}")
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha {frac_to_str(alpha)} is not in (0, 1]")
     return alpha
 
 
@@ -207,41 +210,33 @@ class LevelFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LevelFamily":
-        """Parse a family written by to_json; ValueError on any other shape.
-
-        A sampled level draws from the whole cube (an empty pool_chain and a
-        pool_size of 2**length).  At most one level is implicit, the top,
-        longer than every sampled level, and its chain is one [block_length,
-        threshold] pair.  No other pool or chain is read."""
+        """Parse a family as to_json writes it: ValueError unless to_json
+        writes doc again (core.check_rewrite).  A sampled level's pool_size,
+        2**length, is compared by bit length first, so a huge length builds no
+        power; a level of another kind is the one implicit top."""
         try:
             levels, tops = {}, []
             for entry in doc["levels"]:
                 length = json_exact(entry["length"], int)
                 if entry["kind"] == "sampled":
-                    pool_size = int(entry["pool_size"])
-                    # bit lengths first, so that a huge length builds no power
-                    if entry.get("pool_chain", []) != [] or pool_size.bit_length() != length + 1 \
-                            or pool_size != 1 << length:
+                    if int(entry["pool_size"]).bit_length() != length + 1:
                         raise ValueError(f"level {length} draws from a pool other than "
                                          f"all strings of its length")
-                    if length in levels:
-                        raise ValueError(f"duplicate level length {length}")
-                    levels[length] = [int(h, 16) for h in json_exact(entry["strings_hex"], list)]
-                elif entry["kind"] == "implicit":
+                    levels[length] = [int(h, 16) for h in entry["strings_hex"]]
+                else:
                     chain = entry["chain"]
                     if len(chain) != 1 or len(chain[0]) != 2:
                         raise ValueError(f"level {length} needs a chain of one "
                                          f"[block_length, threshold] pair")
-                    (block_length, threshold), = chain
-                    tops.append(ImplicitLevel(length, block_length, threshold,
+                    tops.append(ImplicitLevel(length, *(json_exact(v, int) for v in chain[0]),
                                               int(entry["cardinality"])))
-                else:
-                    raise ValueError(f"unknown level kind {entry['kind']!r}")
             if len(tops) > 1:
                 raise ValueError(f"a family has at most one implicit level, got {len(tops)}")
-            return cls(read_alpha(doc["alpha"]), levels, *tops)
+            family = cls(read_alpha(doc["alpha"]), levels, *tops)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
+        check_rewrite(doc, family.to_json(), "family JSON")
+        return family
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import CertificateError, RandomSource, frac_to_str, json_exact
+from .core import CertificateError, RandomSource, check_rewrite, frac_to_str, json_exact
 
 
 class CoverageError(RuntimeError):
@@ -264,11 +264,6 @@ class Allocation:
     def levels_built(self) -> int:
         return len(self._levels)
 
-    def level_records(self):
-        """Read-only view: (level, count, source_base, assigned first-term pairs)."""
-        return [(lv.level, lv.count, lv.source_base, lv.assigned.pairs())
-                for lv in self._levels]
-
     def source_count_through(self, level: int) -> int:
         """Number of source bits placed at levels up to and including `level`."""
         self.ensure_level(level)
@@ -352,33 +347,32 @@ class Allocation:
         }
 
     @classmethod
-    def from_export(cls, doc: dict) -> "Allocation":
-        """Rebuild by replaying the recorded counts, then verify the recorded
-        levels match the replay exactly; ValueError on any other shape, and
-        on any integer that JSON does not give as an integer."""
-        def ints(*values) -> tuple:
-            return tuple(json_exact(v, int) for v in values)
+    def from_export(cls, doc: dict, horizon: int) -> "Allocation":
+        """Rebuild by replaying the exported counts at the exported cap, the
+        i-th at level start_level + i: ValueError unless export() then writes
+        doc again (core.check_rewrite).
 
+        The replay's cost grows with the cap, so a cap above 2**max(13,
+        start_level) and above four times the least power of two that holds
+        the horizon the caller reads (the widest cap any spread of it has
+        written) is refused before any level is built."""
         try:
-            records = [(*ints(entry["level"], entry["count"], entry["source_base"]),
-                        [ints(*json_exact(pair, list))
-                         for pair in json_exact(entry["assigned"], list)])
-                       for entry in doc["levels"]]
-            counts = {level: count for level, count, _, _ in records}
-            alloc = cls(*ints(doc["start_level"], doc["max_level"]), lambda m: counts.get(m, 0))
-            alloc._set_cap(*ints(doc["cap"]))
-            if counts:  # an export of an empty spread lists no levels
-                alloc.ensure_level(max(counts))
-            if records != alloc.level_records():
-                raise CertificateError("allocation export inconsistent: its levels are not "
-                                       "the replay's")
-            least = doc.get("least_uncovered")  # null once every position is covered
-            if alloc._least_uncovered != (least if least is None else json_exact(least, int)):
-                raise CertificateError("allocation export inconsistent: coverage frontier")
-            return alloc
+            start, top, cap = (json_exact(doc[key], int)
+                               for key in ("start_level", "max_level", "cap"))
+            widest = max(13, start, (horizon - 1).bit_length() + 2)
+            if (cap - 1).bit_length() > widest:  # cap > 2**widest, with no power built
+                raise ValueError(f"allocation cap {cap} is above 2**{widest}, the widest cap "
+                                 f"a spread of {horizon} bits writes")
+            counts = {start + i: json_exact(entry["count"], int)
+                      for i, entry in enumerate(doc["levels"])}
+            alloc = cls(start, top, lambda m: counts.get(m, 0))
+            alloc._set_cap(cap)
+            alloc.ensure_level(start + len(counts) - 1)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(
                 f"malformed allocation export ({type(exc).__name__}: {exc})") from exc
+        check_rewrite(doc, alloc.export(), "allocation export")
+        return alloc
 
 
 def plan_allocation(weights: WeightSeries, start_level: int = None,

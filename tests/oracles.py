@@ -129,9 +129,16 @@ def numeral_windows(x: str, length: int):
         yield value
 
 
+def level_records(alloc: Allocation) -> list:
+    """(level, count, source_base, assigned first-term pairs) of each level
+    built so far, read from the allocation's export."""
+    return [(lv["level"], lv["count"], lv["source_base"], [tuple(p) for p in lv["assigned"]])
+            for lv in alloc.export()["levels"]]
+
+
 def level_counts(alloc: Allocation) -> dict:
     """Source bits placed at each level built so far."""
-    return {level: count for level, count, _, _ in alloc.level_records()}
+    return {level: count for level, count, _, _ in level_records(alloc)}
 
 
 def support_weights(dist: FiniteDistribution) -> list:
@@ -359,7 +366,7 @@ def _residue_source(records: list, p: int) -> Optional[int]:
 def oracle_source_map(alloc: Allocation, start: int, length: int) -> list:
     """Source indices of [start, start + length) by the residue loop."""
     alloc.ensure_horizon(start + length)
-    records = alloc.level_records()
+    records = level_records(alloc)
     out = []
     for p in range(start, start + length):
         index = _residue_source(records, p)
@@ -375,7 +382,7 @@ def oracle_window_tally(alloc: Allocation, usable: int, top: int) -> list:
     placed at levels up to m must occur, and each one of level m exactly
     once.  Positions come from the residue loop, and one that no level holds
     tallies as -1.  Returns a violation per failing window."""
-    records = alloc.level_records()
+    records = level_records(alloc)
     mapping = [_residue_source(records, p) for p in range(usable)]
     mapping = [-1 if index is None else index for index in mapping]
     violations = []

@@ -7,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,15 +123,15 @@ def test_clean_spread_files_pass_the_sampled_recovery_oracle(tmp_path, preset, l
                "--out", str(bits), "--alloc-out", str(alloc)) == cli.EXIT_OK
     assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc),
                "--m-max", "13") == cli.EXIT_OK
-    allocation = spreader.Allocation.from_export(read_json(alloc))
+    allocation = spreader.Allocation.from_export(read_json(alloc), length)
     top = length.bit_length() - 1
     assert oracle_sampled_recovery(allocation, read_bit_file(bits), length, top, 20, 4) == []
 
 
 def test_sampled_recovery_flags_nothing_the_proof_misses(spread_run):
     bits, alloc, _ = spread_run
-    allocation = spreader.Allocation.from_export(read_json(alloc))
     clean = read_bit_file(bits)
+    allocation = spreader.Allocation.from_export(read_json(alloc), len(clean))
     usable, top = len(clean), 12
     faults = spreader.coverage_faults(allocation, usable, top)  # flips leave it unchanged
     rng = random.Random(12)
@@ -431,7 +432,12 @@ def test_verify_fails_a_report_whose_replay_raises(reports, tmp_path, capsys):
                                       ("family-derandomize", "results", "family",
                                        TWO_TOPS_FAMILY),
                                       ("family-derandomize", "results", "family",
-                                       LOW_TOP_FAMILY)):
+                                       LOW_TOP_FAMILY),
+                                      # a positional family no command writes
+                                      ("adversary", "results", "family",
+                                       {**ADVERSARY_FAMILY, "note": "x"}),
+                                      ("adversary", "results", "family",
+                                       {**ADVERSARY_FAMILY, "certificate": "14/32"})):
         doc = read_json(reports[kind])
         doc[section][key] = value
         capsys.readouterr()
@@ -522,6 +528,9 @@ PARAMETER_PROBES = [
      "verify: FAIL parameters.dist does not reproduce"),
     ("spread", "format", lambda _: "zip",
      REPRODUCE_FAIL + "ValueError: expected one of ascii, packed, got 'zip'"),
+    # an alpha above 1 once built 2**(alpha * level_length) before failing
+    ("family-derandomize", "alpha", lambda _: "1024/1",
+     REPRODUCE_FAIL + "ValueError: alpha 1024/1 is not in (0, 1]"),
 ]
 
 
@@ -558,6 +567,8 @@ TWO_TOPS_FAMILY = {**SMALL_FAMILY, "levels": SMALL_FAMILY["levels"] + [
     {**IMPLICIT_LEVEL, "length": 8}, {**IMPLICIT_LEVEL, "length": 12}]}
 LOW_TOP_FAMILY = {**SMALL_FAMILY,
                   "levels": SMALL_FAMILY["levels"] + [{**IMPLICIT_LEVEL, "length": 4}]}
+# the positional family of the adversary report on the uniform 4-bit strings
+ADVERSARY_FAMILY = {"window_length": 2, "strings": ["00", "00", "10"], "certificate": "7/16"}
 EMPTY_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_uncovered": 0,
                     "source_total": 0, "levels": []}
 # the allocation of the first 32 positions of an inverse-triangular spread
@@ -659,6 +670,35 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
     # a longest top length with no schedule to bound
     (None, ["family", "--alpha", "3/5", "--max-length", "12"]),
     (UNIFORM_4, ["family", "--alpha", "3/5", "--derandomize", "{doc}", "--max-length", "12"]),
+    # a family file that to_json does not write back: upper-case or 0x-prefixed hex, a
+    # repeated string, strings or levels out of order, no pool_chain, an integer
+    # pool_size, and an unknown key
+    *(({**SMALL_FAMILY, "levels": [{**SMALL_FAMILY["levels"][0], **level}]},
+       ["avoid", "--family", "{doc}", "--length", "10"])
+      for level in ({"strings_hex": ["A"]}, {"strings_hex": ["0x0"]},
+                    {"strings_hex": ["0", "0"]}, {"strings_hex": ["1", "0"]},
+                    {"pool_size": 16})),
+    ({**SMALL_FAMILY, "levels": [{key: value for key, value in SMALL_FAMILY["levels"][0].items()
+                                  if key != "pool_chain"}]},
+     ["avoid", "--family", "{doc}", "--length", "10"]),
+    ({**SMALL_FAMILY, "levels": [{"length": 5, "kind": "sampled", "strings_hex": ["00"],
+                                  "pool_chain": [], "pool_size": "32"}, *SMALL_FAMILY["levels"]]},
+     ["avoid", "--family", "{doc}", "--length", "10"]),
+    ({**SMALL_FAMILY, "note": "x"}, ["avoid", "--family", "{doc}", "--length", "10"]),
+    # an allocation that export() does not write back: another source_total, and an
+    # unknown key at the top or in a level
+    *((allocation, ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"])
+      for allocation in ({**ONE_LEVEL_ALLOCATION, "source_total": 69},
+                         {**ONE_LEVEL_ALLOCATION, "note": "x"},
+                         {**ONE_LEVEL_ALLOCATION,
+                          "levels": [{**ONE_LEVEL_ALLOCATION["levels"][0], "note": "x"}]})),
+    # --epsilon and --n-min in a mode that does not read them
+    (None, ["family", "--alpha", "3/10", "--levels", "8", "--epsilon", "1/0"]),
+    (None, ["family", "--alpha", "9/10", "--schedule", "1", "--epsilon", "zzz"]),
+    (None, ["family", "--alpha", "3/10", "--levels", "8", "--n-min", "7"]),
+    (UNIFORM_4, ["family", "--alpha", "9/10", "--derandomize", "{doc}", "--n-min", "7"]),
+    # an alpha outside (0, 1]
+    (None, ["family", "--alpha", "3/2", "--levels", "8"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -672,6 +712,60 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv)
     for flag, value in zip(argv, argv[1:]):
         if value.startswith("-") and value[1:].isdigit():
             assert flag in err, err
+
+
+def objects(node, path=()):
+    """The path of every JSON object inside a JSON value, the value's own included."""
+    if isinstance(node, dict):
+        yield path
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from objects(child, path + (key,))
+
+
+def set_at(doc, path, change):
+    """A copy of doc whose node at path is change(node)."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return change(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = change(node[path[-1]])
+    return doc
+
+
+def written_allocation():
+    alloc = spreader.plan_allocation(spreader.inverse_triangular())
+    alloc.ensure_horizon(3000)
+    return alloc.export()
+
+
+# each reader of a file ecseq writes, with a file its writer wrote
+WRITTEN_FORMS = {
+    "allocation": (lambda doc: spreader.Allocation.from_export(doc, 3000), written_allocation),
+    "level family": (forbidden.LevelFamily.from_json, lambda: forbidden.two_level_family(
+        Fraction(3, 5), Fraction(1, 2), 2, RandomSource(3))[0].to_json()),
+    "positional family": (adversary.PositionalFamily.from_json, lambda: adversary.PositionalFamily(
+        2, (0, 0, 2), Fraction(7, 16)).to_json()),
+}
+
+
+@pytest.mark.parametrize("form", sorted(WRITTEN_FORMS))
+def test_readers_refuse_every_leaf_and_key_their_writer_does_not_write(form):
+    read, write = WRITTEN_FORMS[form]
+    doc = write()
+    read(doc)
+    changes = [(path, float) for path, value in leaves(doc) if type(value) is int]
+    changes += [(path, int) for path, value in leaves(doc)
+                if type(value) is str and value.isdigit()]
+    assert changes
+    changes += [(path, lambda node: {**node, "note": "x"}) for path in objects(doc)]
+    for path, change in changes:
+        with pytest.raises(ValueError):
+            read(set_at(doc, path, change))
 
 
 def test_a_tiny_alpha_draws_one_string_per_level(tmp_path):
@@ -874,6 +968,33 @@ def test_check_windows_reads_an_allocation_with_a_larger_cap(tmp_path, capsys):
         lines.append(capsys.readouterr().out)
     assert lines[0] == lines[1] == ("check-windows: coverage proved for every window of "
                                     "[0, 16384) at levels 8..12; all windows pass up to level 12\n")
+
+
+def test_check_windows_refuses_a_cap_wider_than_its_bits_need(tmp_path):
+    # 30 one-progression levels above start level 8 at cap 2**40: each level
+    # about doubles the cost of replaying them, so reading this file would take hours
+    crafted = {"start_level": 8, "max_level": 64, "cap": 1 << 40, "least_uncovered": 30,
+               "source_total": 30, "levels": [{"level": 8 + i, "count": 1, "source_base": i,
+                                               "assigned": [[i, i + 1]]} for i in range(30)]}
+    bits, alloc = tmp_path / "x.bits", tmp_path / "alloc.json"
+    write_bit_file(bits, "01" * 16)
+    alloc.write_text(json.dumps(crafted))
+    done = run_capped("check-windows", "--bits", bits, "--alloc", alloc, "--m-max", "12",
+                      timeout=10)
+    assert (done.returncode, done.stdout, done.stderr.splitlines()) == (cli.EXIT_BAD_PARAMS, "", [
+        "ecseq check-windows: error: allocation cap 1099511627776 is above 2**13, the widest "
+        "cap a spread of 32 bits writes"])
+
+
+def test_check_windows_reads_an_allocation_whose_levels_cover_every_position(tmp_path):
+    # one level takes every progression, so the levels checked above it place nothing
+    full = spreader.Allocation(8, 64, lambda m: 256 if m == 8 else 0)
+    full.ensure_level(8)
+    bits, alloc = tmp_path / "x.bits", tmp_path / "alloc.json"
+    write_bit_file(bits, "0" * 2048)
+    alloc.write_text(json.dumps(full.export()))
+    assert run("check-windows", "--bits", str(bits), "--alloc", str(alloc), "--m-max", "10") \
+        == cli.EXIT_OK
 
 
 def test_check_windows_proves_coverage_without_a_source_map(spread_run, monkeypatch):

@@ -10,7 +10,8 @@ from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError, 
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import flip, level_counts, oracle_source_map, oracle_window_tally, spread
+from oracles import (flip, level_counts, level_records, oracle_source_map, oracle_window_tally,
+                     spread)
 
 
 def toy(counts, max_level=64):
@@ -101,7 +102,7 @@ def test_full_occupation_is_parity():
 def test_same_progression_same_source_bit():
     alloc = toy_alloc()
     alloc.ensure_horizon(64)
-    for level, _, _, pairs in alloc.level_records():
+    for level, _, _, pairs in level_records(alloc):
         step = 1 << level
         for lo, hi in pairs:
             for c in range(lo, hi):
@@ -111,7 +112,7 @@ def test_same_progression_same_source_bit():
 def test_first_term_below_difference():
     alloc = plan_allocation(inverse_triangular())
     alloc.ensure_horizon(1 << 12)
-    for level, _, _, pairs in alloc.level_records():
+    for level, _, _, pairs in level_records(alloc):
         for lo, hi in pairs:
             assert 0 <= lo < hi <= (1 << level)
 
@@ -199,7 +200,7 @@ def test_partition_over_2_16():
     alloc.ensure_horizon(horizon)
     # independent occupancy oracle straight from the exported progressions
     occupancy = bytearray(horizon)
-    for level, _, _, pairs in Allocation.from_export(alloc.export()).level_records():
+    for level, _, _, pairs in level_records(Allocation.from_export(alloc.export(), horizon)):
         step = 1 << level
         for lo, hi in pairs:
             for c in range(lo, min(hi, horizon)):
@@ -259,7 +260,7 @@ def oracle_recover_prefix(alloc, win, offset_mod, level):
     alloc.ensure_cap(size)
     alloc.ensure_level(level)
     out = []
-    for lv_level, _, base, pairs in alloc.level_records():
+    for lv_level, _, base, pairs in level_records(alloc):
         if lv_level > level:
             break
         step = 1 << lv_level
@@ -535,9 +536,9 @@ def test_export_round_trip_and_tamper():
     alloc = plan_allocation(inverse_triangular())
     alloc.ensure_horizon(1 << 12)
     doc = alloc.export()
-    clone = Allocation.from_export(doc)
-    assert clone.level_records() == alloc.level_records()
+    clone = Allocation.from_export(doc, 1 << 12)
+    assert clone.export() == doc
     doc_bad = alloc.export()
     doc_bad["levels"][2]["assigned"][0] = [0, 1]
-    with pytest.raises(CertificateError):
-        Allocation.from_export(doc_bad)
+    with pytest.raises(ValueError, match="levels.2.assigned.0.0 differs"):
+        Allocation.from_export(doc_bad, 1 << 12)
