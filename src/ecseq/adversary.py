@@ -27,7 +27,7 @@ class PositionalFamily:
     certificate: Optional[ExactProb] = None
 
     def __post_init__(self):
-        if any(not 0 <= v < 1 << self.window_length for v in self.targets):
+        if any(v < 0 or v.bit_length() > self.window_length for v in self.targets):
             raise ValueError("every forbidden window must fit the window length")
 
     def numerals(self) -> tuple:
@@ -43,11 +43,15 @@ class PositionalFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "PositionalFamily":
         """Parse a family as to_json writes it: ValueError unless to_json
-        writes doc again (core.check_rewrite)."""
+        writes doc again (core.check_rewrite).  A string of another length
+        than window_length is refused first, so a huge window_length builds
+        nothing."""
         try:
-            cert = doc.get("certificate")
-            family = cls(json_exact(doc["window_length"], int),
-                         tuple(int(text, 2) for text in doc["strings"]),
+            cert, strings = doc.get("certificate"), doc["strings"]
+            n = json_exact(doc["window_length"], int)
+            if any(len(text) != n for text in strings):
+                raise ValueError(f"a forbidden string is not {n} bits long")
+            family = cls(n, tuple(int(text, 2) for text in strings),
                          None if cert is None else ExactProb(cert))
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(

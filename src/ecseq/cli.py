@@ -45,9 +45,40 @@ def _sha256_bits(bits: str) -> str:
     return h.hexdigest()
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C string encoder json.dumps uses
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str as json.dumps writes it: converted the
+    way json converts it, and refused where json refuses it."""
+    return json.dumps({key: 0})[1:-4]
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, where
+    pad is the newline and indent of value's own line.  That call runs json's
+    pure-Python encoder, because of the indent; here every str and exact int,
+    the bulk of each file, is written inline by _quote and int.__repr__, and
+    only other scalars (floats, booleans and null) go through json.dumps."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # an exact int v formats as int.__repr__(v)
+        items = [f"{_quote(k) if type(k) is str else _json_key(k)}: "
+                 f"{_quote(v) if type(v) is str else v if type(v) is int else _json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                 else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return json.dumps(value)
+
+
 def _write_json(path, doc) -> None:
+    """Write doc byte for byte as json.dump(doc, fh, indent=2, sort_keys=True)
+    and a newline would."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _load_json(path) -> dict:

@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
@@ -258,19 +259,76 @@ class RandomSource:
         return f"RandomSource(seed={self.seed:#x}, stream={self.stream:#x})"
 
 
-def _probability_terms(value) -> tuple:
-    """(numerator, denominator) in lowest terms of a probability.  A string
-    "a/b" of ASCII digits with 0 < b and a <= b is read with int and one gcd;
-    any other value is read by ExactProb, with its forms and its errors."""
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if slash and num.isdigit() and den.isdigit():
-            num, den = int(num), int(den)
-            if 0 < den and num <= den:
-                g = math.gcd(num, den)
-                return num // g, den // g
-    value = ExactProb(value)
-    return value.numerator, value.denominator
+# "a/b" masses of ASCII digits joined by commas: \d would take other digits
+_RATIO_LIST = re.compile(r"[0-9]+/[0-9]+(?:,[0-9]+/[0-9]+)*")
+
+
+def _text_columns(string_length: int, masses, deficit):
+    """(numerals, weights, deficit weight, denominator) of a distribution in
+    the form to_json writes, read in one pass: every key 0/1 text of the
+    string length, and every mass and the deficit an ASCII "a/b" string with
+    0 < b and a <= b, in any terms.  None for any other form.  Masses repeat
+    as weights do, so each distinct text is parsed once.
+
+    The lcm D of the denominators of the non-zero texts, divided by g =
+    gcd(D, every weight over D), is the lcm of their denominators in lowest
+    terms: each weight is a multiple of D/lcm, and each mass is
+    (weight/g)/(D/g), so g is D/lcm."""
+    try:
+        bits, texts = "".join(masses), list({*masses.values(), deficit})
+        text = ",".join(texts)
+    except (TypeError, AttributeError):  # a key or mass that is not a str, or no mapping
+        return None
+    # a mass holding a comma would add a "/" to the count
+    if not (string_length and set(map(len, masses)) <= {string_length}
+            and bits.isascii() and not bits.encode().translate(None, b"01")
+            and _RATIO_LIST.fullmatch(text) and text.count("/") == len(texts)):
+        return None
+    try:
+        terms = list(map(int, text.replace(",", "/").split("/")))
+    except ValueError:  # a number past int's digit limit
+        return None
+    nums, dens = terms[0::2], terms[1::2]
+    if not (min(dens) and all(map(int.__le__, nums, dens))):
+        return None
+    denominator = math.lcm(*[den for num, den in zip(nums, dens) if num])
+    weight_of = {t: num * (denominator // den) for t, num, den in zip(texts, nums, dens)}
+    g = math.gcd(denominator, *weight_of.values())
+    if g > 1:
+        denominator //= g
+        weight_of = {t: weight // g for t, weight in weight_of.items()}
+    keys, weights = list(masses), list(map(weight_of.__getitem__, masses.values()))
+    if not all(weights):  # zero masses leave the support
+        keys = [key for key, weight in zip(keys, weights) if weight]
+        weights = [weight for weight in weights if weight]
+    return (tuple(map(int, keys, itertools.repeat(2))), tuple(weights), weight_of[deficit],
+            denominator)
+
+
+def _per_mass_columns(string_length: int, masses, deficit) -> tuple:
+    """The columns of a distribution in any form the constructor reads: each
+    key folded unless it is 0/1 text, and each mass read by ExactProb, with
+    their errors."""
+    clean = {}  # support numeral -> mass
+    for key, mass in masses.items():
+        if key.strip("01"):  # only 0/1 text skips folding
+            key = fold_bits(key)
+        if len(key) != string_length:
+            raise ValueError(
+                f"support string of length {len(key)} in a length-{string_length} distribution"
+            )
+        mass = ExactProb(mass)
+        if not mass:
+            continue
+        numeral = int(key, 2) if key else 0
+        if numeral in clean:
+            raise ValueError(f"duplicate support string {key}")
+        clean[numeral] = mass
+    deficit = ExactProb(deficit)
+    denominator = math.lcm(deficit.denominator, *(m.denominator for m in clean.values()))
+    weights = tuple([m.numerator * (denominator // m.denominator) for m in clean.values()])
+    return (tuple(clean), weights, deficit.numerator * (denominator // deficit.denominator),
+            denominator)
 
 
 def _ratio_text(weight: int, denominator: int) -> str:
@@ -295,30 +353,14 @@ class FiniteDistribution:
     def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
         if string_length < 0:
             raise ValueError("string length must be non-negative")
-        clean = {}  # support numeral -> (numerator, denominator) in lowest terms
-        for key, mass in masses.items():
-            if key.strip("01"):  # only 0/1 text skips folding
-                key = fold_bits(key)
-            if len(key) != string_length:
-                raise ValueError(
-                    f"support string of length {len(key)} in a length-{string_length} distribution"
-                )
-            num, den = _probability_terms(mass)
-            if not num:
-                continue
-            numeral = int(key, 2) if key else 0
-            if numeral in clean:
-                raise ValueError(f"duplicate support string {key}")
-            clean[numeral] = num, den
-        deficit_num, deficit_den = _probability_terms(deficit)
-        denominator = math.lcm(deficit_den, *(den for _, den in clean.values()))
-        weights = tuple([num * (denominator // den) for num, den in clean.values()])
-        deficit_weight = deficit_num * (denominator // deficit_den)
+        numerals, weights, deficit_weight, denominator = (
+            _text_columns(string_length, masses, deficit)
+            or _per_mass_columns(string_length, masses, deficit))
         total = sum(weights) + deficit_weight
         if total != denominator:
             raise ValueError(f"masses plus deficit must equal 1, got "
                              f"{frac_to_str(Fraction(total, denominator))}")
-        self._set(string_length, denominator, tuple(clean), weights, deficit_weight)
+        self._set(string_length, denominator, numerals, weights, deficit_weight)
 
     def _set(self, string_length: int, denominator: int, numerals, weights: tuple,
              deficit_weight: int) -> None:

@@ -352,14 +352,19 @@ class Allocation:
         i-th at level start_level + i: ValueError unless export() then writes
         doc again (core.check_rewrite).
 
-        The replay's cost grows with the cap, so a cap above 2**max(13,
-        start_level) and above four times the least power of two that holds
-        the horizon the caller reads (the widest cap any spread of it has
-        written) is refused before any level is built."""
+        A cap that is not a power of two of at least 2**max(13, start_level),
+        which no spread writes, is refused before any level is built.  So is
+        one above four times the least power of two that holds the horizon the
+        caller reads (the widest cap any spread of it has written), because
+        the replay's cost grows with the cap."""
         try:
             start, top, cap = (json_exact(doc[key], int)
                                for key in ("start_level", "max_level", "cap"))
-            widest = max(13, start, (horizon - 1).bit_length() + 2)
+            least = max(13, start)
+            if cap & (cap - 1) or cap.bit_length() <= least:  # cap < 2**least, unbuilt
+                raise ValueError(f"allocation cap {cap} is not a power of two of at least "
+                                 f"2**{least}")
+            widest = max(least, (horizon - 1).bit_length() + 2)
             if (cap - 1).bit_length() > widest:  # cap > 2**widest, with no power built
                 raise ValueError(f"allocation cap {cap} is above 2**{widest}, the widest cap "
                                  f"a spread of {horizon} bits writes")

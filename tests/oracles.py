@@ -4,7 +4,9 @@ Each one restates, by enumeration or by the plainest loop, something the
 library computes another way, so a test can compare the two.
 """
 
+import io
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +14,7 @@ from typing import Optional
 
 from ecseq import spreader
 from ecseq.core import (BIT_FILE_MAGIC, ExactProb, FiniteDistribution, RandomSource,
-                        frac_to_str, pow2_floor)
+                        fold_bits, frac_to_str, pow2_floor)
 from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set
 from ecseq.proxy import LENGTH_HEADER_BITS
 from ecseq.spreader import Allocation
@@ -263,6 +265,65 @@ def oracle_distribution_weights(length: int, masses, deficit) -> tuple:
         raise ValueError(f"masses plus deficit must equal 1, got "
                          f"{frac_to_str(Fraction(total, denominator))}")
     return denominator, weights, deficit_weight
+
+
+def _probability_terms(value) -> tuple:
+    """(numerator, denominator) in lowest terms of a probability.  A string
+    "a/b" of ASCII digits with 0 < b and a <= b is read with int and one gcd;
+    any other value is read by ExactProb, with its forms and its errors."""
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if slash and num.isdigit() and den.isdigit():
+            num, den = int(num), int(den)
+            if 0 < den and num <= den:
+                g = math.gcd(num, den)
+                return num // g, den // g
+    value = ExactProb(value)
+    return value.numerator, value.denominator
+
+
+class PerMassDistribution(FiniteDistribution):
+    """A distribution read one mass at a time, as the constructor read every
+    form before it read the form to_json writes in one pass: each key folded
+    unless it is 0/1 text, each mass reduced by its own gcd."""
+
+    def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
+        if string_length < 0:
+            raise ValueError("string length must be non-negative")
+        clean = {}  # support numeral -> (numerator, denominator) in lowest terms
+        for key, mass in masses.items():
+            if key.strip("01"):  # only 0/1 text skips folding
+                key = fold_bits(key)
+            if len(key) != string_length:
+                raise ValueError(
+                    f"support string of length {len(key)} in a length-{string_length} "
+                    f"distribution")
+            num, den = _probability_terms(mass)
+            if not num:
+                continue
+            numeral = int(key, 2) if key else 0
+            if numeral in clean:
+                raise ValueError(f"duplicate support string {key}")
+            clean[numeral] = num, den
+        deficit_num, deficit_den = _probability_terms(deficit)
+        denominator = math.lcm(deficit_den, *(den for _, den in clean.values()))
+        weights = tuple([num * (denominator // den) for num, den in clean.values()])
+        deficit_weight = deficit_num * (denominator // deficit_den)
+        total = sum(weights) + deficit_weight
+        if total != denominator:
+            raise ValueError(f"masses plus deficit must equal 1, got "
+                             f"{frac_to_str(Fraction(total, denominator))}")
+        self._set(string_length, denominator, tuple(clean), weights, deficit_weight)
+
+
+def json_dump_text(doc) -> str:
+    """The text json.dump(doc, fh, indent=2, sort_keys=True) and a newline
+    write, which every JSON file ecseq writes holds byte for byte.  The
+    writer once made it with this call, which runs json's pure-Python
+    encoder."""
+    out = io.StringIO()
+    json.dump(doc, out, indent=2, sort_keys=True)
+    return out.getvalue() + "\n"
 
 
 def oracle_distribution_json(dist: FiniteDistribution) -> dict:

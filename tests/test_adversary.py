@@ -257,3 +257,16 @@ def test_positional_family_json_round_trip():
                    {"window_length": 2.0}, {"certificate": 0.5}):
         with pytest.raises(ValueError):
             PositionalFamily.from_json({**doc, **change})
+
+
+def test_positional_family_measures_its_strings_before_building_a_window():
+    doc = {"window_length": 10 ** 12, "strings": ["00", "10"], "certificate": "7/16"}
+    with pytest.raises(ValueError, match="^a forbidden string is not 1000000000000 bits long$"):
+        PositionalFamily.from_json(doc)
+    # with no strings nothing is built or padded, and the family reads back
+    assert PositionalFamily.from_json({"window_length": 10 ** 12, "strings": []}).targets == ()
+    # a target is checked against the window length by its bit length
+    assert PositionalFamily(10 ** 12, (1 << 40,)).targets == (1 << 40,)
+    for targets in ((-1,), (4,)):
+        with pytest.raises(ValueError, match="fit the window length"):
+            PositionalFamily(2, targets)

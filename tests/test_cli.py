@@ -16,7 +16,7 @@ import ecseq
 from ecseq import adversary, cli, forbidden, spreader
 from ecseq.core import FiniteDistribution, RandomSource, read_bit_file, write_bit_file
 
-from oracles import flip, oracle_sampled_recovery
+from oracles import flip, json_dump_text, oracle_sampled_recovery
 
 
 def run(*argv):
@@ -360,6 +360,34 @@ def test_reports_are_written_as_json_dump_writes_them(reports, kind, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == written
 
 
+# every other file _write_json writes: the command that writes it to {out}
+WRITTEN_FILES = {
+    "allocation": ["spread", "--length", "4096", "--seed", "1", "--out", "{dir}/s.bits",
+                   "--alloc-out", "{out}"],
+    "two-level family": ["family", "--alpha", "3/5", "--epsilon", "1/2", "--n-min", "2",
+                         "--seed", "3", "--out", "{out}"],
+    "level family": ["family", "--alpha", "3/10", "--levels", "8,9,10", "--seed", "42",
+                     "--out", "{out}"],
+    "derandomized family": ["family", "--alpha", "9/10", "--epsilon", "1/4",
+                            "--derandomize", "{dir}/u8.json", "--seed", "5", "--out", "{out}"],
+    "schedule family": ["family", "--alpha", "9/10", "--schedule", "2", "--seed", "11",
+                        "--out", "{out}"],
+    "positional family": ["adversary", "--dist", "{dir}/u4.json", "--n", "2", "--epsilon",
+                          "1/2", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("form", sorted(WRITTEN_FILES))
+def test_every_file_is_written_as_json_dump_writes_it(tmp_path, form):
+    for length in (4, 8):
+        with open(tmp_path / f"u{length}.json", "w") as fh:
+            json.dump(FiniteDistribution.uniform(length).to_json(), fh)
+    out = tmp_path / "out.json"
+    argv = [a.format(dir=tmp_path, out=out) for a in WRITTEN_FILES[form]]
+    assert run(*argv) == cli.EXIT_OK
+    assert out.read_text() == json_dump_text(read_json(out))
+
+
 @pytest.mark.parametrize("kind, argv", [
     ("adversary", ["adversary", "--dist", "{dist}", "--n", "2", "--epsilon", "1/2"]),
     ("family-derandomize", ["family", "--alpha", "9/10", "--epsilon", "1/4",
@@ -699,6 +727,10 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
     (UNIFORM_4, ["family", "--alpha", "9/10", "--derandomize", "{doc}", "--n-min", "7"]),
     # an alpha outside (0, 1]
     (None, ["family", "--alpha", "3/2", "--levels", "8"]),
+    # an allocation cap no spread writes: not a power of two, or below 2**max(13, start_level)
+    *(({**ONE_LEVEL_ALLOCATION, "cap": cap},
+       ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"])
+      for cap in (5000, 4096)),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -809,6 +841,13 @@ TINY_ALPHA_FAMILY = {"alpha": "1/1000000000000",
                      "levels": [{**IMPLICIT_LEVEL, "length": 3 * 10 ** 12 + 1, "cardinality": "8"}]}
 HUGE_ALPHA_ERROR = "alpha 3000000000000001/10000000000000000 has a numerator above 1024"
 
+ADVERSARY_REPORT_OF_HUGE_WINDOW = {
+    "command": "adversary", "seed": None, "wall_time_s": 0,
+    "parameters": {"dist": {**UNIFORM_4, "deficit": "0/1"}, "n": 2, "epsilon": "1/2"},
+    "results": {"N": 3, "family": {"window_length": 10 ** 12, "strings": ["00", "00", "10"],
+                                   "certificate": "7/16"}},
+    "certificates": {"avoid_probability": "7/16", "deficit": "0/1"}}
+
 # (document, command line, exit code, the one line the run prints)
 HUGE_POWER_CASES = [
     # a level of length 10**12: its pool_size is compared by bit length first
@@ -842,6 +881,11 @@ HUGE_POWER_CASES = [
      ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
      "ecseq avoid: error: a count of 4 bits against 2**(3000000000001/1000000000000) needs a "
      "power above 2**24 bits"),
+    # an adversary report whose family claims windows of 10**12 bits: its strings are
+    # measured against that length before any window is built or padded
+    (ADVERSARY_REPORT_OF_HUGE_WINDOW, ["verify", "--report", "{doc}"], cli.EXIT_VERIFY_FAILED,
+     "verify: FAIL the report does not reproduce: ValueError: a forbidden string is not "
+     "1000000000000 bits long"),
 ]
 
 

@@ -542,3 +542,24 @@ def test_export_round_trip_and_tamper():
     doc_bad["levels"][2]["assigned"][0] = [0, 1]
     with pytest.raises(ValueError, match="levels.2.assigned.0.0 differs"):
         Allocation.from_export(doc_bad, 1 << 12)
+
+
+@pytest.mark.parametrize("start_level, cap", [(8, 5000), (8, 4096), (8, 100000), (8, 0),
+                                              (8, -8192), (14, 8192), (14, 3 << 13)])
+def test_export_with_a_cap_no_spread_writes_is_refused_before_any_level_is_built(
+        monkeypatch, start_level, cap):
+    alloc = plan_allocation(inverse_triangular(), start_level=start_level)
+    alloc.ensure_horizon(1 << 12)
+    doc = {**alloc.export(), "cap": cap}
+    monkeypatch.setattr(Allocation, "ensure_level", None)  # building a level would raise
+    with pytest.raises(ValueError, match=f"^allocation cap {cap} is not a power of two of at "
+                                         f"least 2\\*\\*{max(13, start_level)}$"):
+        Allocation.from_export(doc, 1 << 17)
+
+
+def test_export_with_any_power_of_two_cap_a_spread_may_write_reads_back():
+    alloc = plan_allocation(inverse_triangular())
+    alloc.ensure_horizon(1 << 12)
+    for cap in (1 << 13, 1 << 14, 1 << 19):
+        assert Allocation.from_export({**alloc.export(), "cap": cap}, 1 << 17).export()["cap"] \
+            == cap
