@@ -259,29 +259,25 @@ class RandomSource:
         return f"RandomSource(seed={self.seed:#x}, stream={self.stream:#x})"
 
 
-# "a/b" masses of ASCII digits joined by commas: \d would take other digits
-_RATIO_LIST = re.compile(r"[0-9]+/[0-9]+(?:,[0-9]+/[0-9]+)*")
+# "a/b" texts of ASCII digits, no leading zeros, joined by commas: \d takes other digits
+_RATIO = "(?:0|[1-9][0-9]*)/[1-9][0-9]*"
+_RATIO_LIST = re.compile(f"{_RATIO}(?:,{_RATIO})*")
 
 
-def _text_columns(string_length: int, masses, deficit):
+def _columns(length, masses, deficit):
     """(numerals, weights, deficit weight, denominator) of a distribution in
-    the form to_json writes, read in one pass: every key 0/1 text of the
-    string length, and every mass and the deficit an ASCII "a/b" string with
-    0 < b and a <= b, in any terms.  None for any other form.  Masses repeat
-    as weights do, so each distinct text is parsed once.
-
-    The lcm D of the denominators of the non-zero texts, divided by g =
-    gcd(D, every weight over D), is the lcm of their denominators in lowest
-    terms: each weight is a multiple of D/lcm, and each mass is
-    (weight/g)/(D/g), so g is D/lcm."""
+    the form to_json writes, or None.  The keys and the distinct texts are
+    each checked in one pass; masses repeat as weights do, so each distinct
+    text is parsed once.  Every text is in lowest terms, so the lcm of their
+    denominators is the common denominator in lowest terms."""
     try:
-        bits, texts = "".join(masses), list({*masses.values(), deficit})
+        keys, texts = "".join(masses), [deficit, *{*masses.values()}]
         text = ",".join(texts)
-    except (TypeError, AttributeError):  # a key or mass that is not a str, or no mapping
+    except (TypeError, AttributeError):  # a key or mass that is not a str, or no object
         return None
-    # a mass holding a comma would add a "/" to the count
-    if not (string_length and set(map(len, masses)) <= {string_length}
-            and bits.isascii() and not bits.encode().translate(None, b"01")
+    # a text holding a comma would add a "/" to the count
+    if not (type(length) is int and length >= 0 and set(map(len, masses)) <= {length}
+            and keys.isascii() and not keys.encode().translate(None, b"01")
             and _RATIO_LIST.fullmatch(text) and text.count("/") == len(texts)):
         return None
     try:
@@ -289,46 +285,31 @@ def _text_columns(string_length: int, masses, deficit):
     except ValueError:  # a number past int's digit limit
         return None
     nums, dens = terms[0::2], terms[1::2]
-    if not (min(dens) and all(map(int.__le__, nums, dens))):
+    # every mass positive, every text at most 1 and in lowest terms
+    if not (all(nums[1:]) and all(map(int.__le__, nums, dens))
+            and set(map(math.gcd, nums, dens)) == {1}):
         return None
-    denominator = math.lcm(*[den for num, den in zip(nums, dens) if num])
+    denominator = math.lcm(*dens)
     weight_of = {t: num * (denominator // den) for t, num, den in zip(texts, nums, dens)}
-    g = math.gcd(denominator, *weight_of.values())
-    if g > 1:
-        denominator //= g
-        weight_of = {t: weight // g for t, weight in weight_of.items()}
-    keys, weights = list(masses), list(map(weight_of.__getitem__, masses.values()))
-    if not all(weights):  # zero masses leave the support
-        keys = [key for key, weight in zip(keys, weights) if weight]
-        weights = [weight for weight in weights if weight]
-    return (tuple(map(int, keys, itertools.repeat(2))), tuple(weights), weight_of[deficit],
+    numerals = tuple(map(int, masses, itertools.repeat(2))) if length else (0,) * len(masses)
+    return (numerals, tuple(map(weight_of.__getitem__, masses.values())), weight_of[deficit],
             denominator)
 
 
-def _per_mass_columns(string_length: int, masses, deficit) -> tuple:
-    """The columns of a distribution in any form the constructor reads: each
-    key folded unless it is 0/1 text, and each mass read by ExactProb, with
-    their errors."""
-    clean = {}  # support numeral -> mass
-    for key, mass in masses.items():
-        if key.strip("01"):  # only 0/1 text skips folding
-            key = fold_bits(key)
-        if len(key) != string_length:
-            raise ValueError(
-                f"support string of length {len(key)} in a length-{string_length} distribution"
-            )
-        mass = ExactProb(mass)
-        if not mass:
-            continue
-        numeral = int(key, 2) if key else 0
-        if numeral in clean:
-            raise ValueError(f"duplicate support string {key}")
-        clean[numeral] = mass
-    deficit = ExactProb(deficit)
-    denominator = math.lcm(deficit.denominator, *(m.denominator for m in clean.values()))
-    weights = tuple([m.numerator * (denominator // m.denominator) for m in clean.values()])
-    return (tuple(clean), weights, deficit.numerator * (denominator // deficit.denominator),
-            denominator)
+def _form_fault(length, masses, deficit) -> str:
+    """The one line naming the first field at which _columns refuses a
+    distribution, found by asking it about each field alone."""
+    if _columns(length, {}, "1/1") is None:
+        return f"distribution length must be a non-negative integer, got {length!r}"
+    if type(masses) is not dict:
+        return f"distribution masses must be a JSON object, got {type(masses).__name__}"
+    for key, text in masses.items():
+        if _columns(length, {key: "1/1"}, "0/1") is None:
+            return f"distribution masses key {key!r} is not 0/1 text of length {length}"
+        if _columns(length, {key: text}, "0/1") is None:
+            return (f'distribution masses.{key} must be "a/b" in lowest terms with '
+                    f"0 < a <= b, got {text!r}")
+    return f'distribution deficit must be "a/b" in lowest terms with 0 <= a <= b, got {deficit!r}'
 
 
 def _ratio_text(weight: int, denominator: int) -> str:
@@ -344,26 +325,19 @@ class FiniteDistribution:
     string read most significant bit first, and integer `weights` over one
     common `denominator`, so every certificate sums integers and divides
     once.  The deficit is the mass assigned to "no output"; masses plus
-    deficit must sum to exactly 1.
+    deficit must sum to exactly 1.  The constructor takes these columns
+    and checks that sum; from_json is the one reader of text.
     """
 
     __slots__ = ("string_length", "denominator", "numerals", "weights", "deficit_weight",
                  "_table")
 
-    def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
-        if string_length < 0:
-            raise ValueError("string length must be non-negative")
-        numerals, weights, deficit_weight, denominator = (
-            _text_columns(string_length, masses, deficit)
-            or _per_mass_columns(string_length, masses, deficit))
+    def __init__(self, string_length: int, numerals, weights: tuple, deficit_weight: int,
+                 denominator: int):
         total = sum(weights) + deficit_weight
         if total != denominator:
             raise ValueError(f"masses plus deficit must equal 1, got "
                              f"{frac_to_str(Fraction(total, denominator))}")
-        self._set(string_length, denominator, numerals, weights, deficit_weight)
-
-    def _set(self, string_length: int, denominator: int, numerals, weights: tuple,
-             deficit_weight: int) -> None:
         self.string_length = string_length
         self.denominator = denominator
         self.numerals = numerals
@@ -376,10 +350,8 @@ class FiniteDistribution:
         """Weight 1 on each of the 2**L strings, over denominator 2**L."""
         if string_length > SIZE_LIMIT_BITS:
             raise ValueError("uniform support too large to enumerate")
-        self = object.__new__(cls)
         size = 1 << string_length
-        self._set(string_length, size, range(size), (1,) * size, 0)
-        return self
+        return cls(string_length, range(size), (1,) * size, 0, size)
 
     @property
     def deficit(self) -> ExactProb:
@@ -410,7 +382,8 @@ class FiniteDistribution:
         denominator = self.denominator
         texts = {w: _ratio_text(w, denominator) for w in set(self.weights)}  # weights repeat
         weight_of = dict(zip(self.numerals, self.weights))
-        lead = 1 << self.string_length  # a leading 1 keeps the zeros that bin would drop
+        # a leading 1 keeps the zeros that bin would drop; an empty support builds none
+        lead = 1 << self.string_length if weight_of else 0
         return {
             "length": self.string_length,
             "masses": {bin(lead | v)[3:]: texts[weight_of[v]] for v in sorted(weight_of)},
@@ -419,22 +392,19 @@ class FiniteDistribution:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteDistribution":
-        """Parse a distribution written by to_json: an integer length, and
-        masses and a deficit given as strings.  A string mass is read as
-        "num/den" or in any other form ExactProb reads (a decimal, a sign,
-        surrounding whitespace); ValueError on any other shape."""
-        try:
-            length, masses, deficit = doc["length"], doc["masses"], doc.get("deficit", "0/1")
-            if type(length) is not int:
-                raise ValueError(f"distribution length must be an integer, got {length!r}")
-            for mass in itertools.chain(masses.values(), (deficit,)):
-                if type(mass) is not str:
-                    raise ValueError(f'distribution masses and deficit must be "num/den" '
-                                     f"strings, got {mass!r}")
-            return cls(length, masses, deficit)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"malformed distribution JSON ({type(exc).__name__}: {exc})") from exc
+        """Read a distribution in exactly the form to_json writes: the keys
+        length, masses and deficit; an int length; masses keyed by 0/1 text
+        of that length, each "a/b" in lowest terms with 0 < a <= b; a deficit
+        "a/b" in lowest terms with 0 <= a <= b; and all of them summing to 1.
+        ValueError, in one line naming the field, on any other form."""
+        if not (isinstance(doc, dict) and doc.keys() == {"deficit", "length", "masses"}):
+            raise ValueError(f"a distribution has exactly the keys deficit, length and masses, "
+                             f"got {list(doc) if isinstance(doc, dict) else type(doc).__name__}")
+        length, masses, deficit = doc["length"], doc["masses"], doc["deficit"]
+        columns = _columns(length, masses, deficit)
+        if columns is None:
+            raise ValueError(_form_fault(length, masses, deficit))
+        return cls(length, *columns)
 
     def __repr__(self) -> str:
         return (f"FiniteDistribution(length={self.string_length}, "

@@ -20,6 +20,9 @@ from .core import (SIZE_LIMIT_BITS, CertificateError, ExactProb, FiniteDistribut
                    pow2_floor)
 
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
+# the longest sampled level a family file holds: its pool_size 2**14284 has 4300
+# digits, the most that int and str convert by default
+MAX_POOL_LENGTH = 14284
 
 
 class AveragedBoundError(CertificateError):
@@ -72,10 +75,19 @@ def miss_probability_random_set(distinct_count: int, length: int, set_size: int)
     return ExactProb(math.comb(cube - distinct_count, set_size), math.comb(cube, set_size))
 
 
+def _check_pool(length: int) -> None:
+    """ValueError unless a sampled level of the length fits a family file."""
+    if length > MAX_POOL_LENGTH:
+        raise ValueError(f"level {length} is longer than {MAX_POOL_LENGTH} bits, so its "
+                         f"pool_size 2**{length} has more than 4300 digits")
+
+
 def _sampled_size(alpha: Fraction, length: int) -> int:
-    """The floor(2**(alpha*length)) strings a sampled level draws, at most 2**SIZE_LIMIT_BITS."""
+    """The floor(2**(alpha*length)) strings a sampled level draws, at most
+    2**SIZE_LIMIT_BITS, in a level that fits a family file."""
     if alpha * length > SIZE_LIMIT_BITS:
         raise ValueError(f"level {length} would draw more than 2**{SIZE_LIMIT_BITS} strings")
+    _check_pool(length)
     return pow2_floor(alpha * length)
 
 
@@ -219,6 +231,7 @@ class LevelFamily:
             for entry in doc["levels"]:
                 length = json_exact(entry["length"], int)
                 if entry["kind"] == "sampled":
+                    _check_pool(length)
                     if int(entry["pool_size"]).bit_length() != length + 1:
                         raise ValueError(f"level {length} draws from a pool other than "
                                          f"all strings of its length")
@@ -302,12 +315,13 @@ def random_level_family(alpha, lengths, rs: RandomSource) -> LevelFamily:
     """Explicit levels, the avoider's input shape: at each length n, a uniform
     draw of floor(2**(alpha*n)) strings from substream n of rs."""
     alpha = Fraction(alpha)
-    levels = {}
+    sizes = {}  # every level is sized, and so checked, before any is drawn
     for n in lengths:
-        if n in levels:
+        if n in sizes:
             raise ValueError(f"duplicate level length {n}")
-        levels[n] = sample_uniform_set(n, _sampled_size(alpha, n), rs.substream(n))
-    return LevelFamily(alpha, levels)
+        sizes[n] = _sampled_size(alpha, n)
+    return LevelFamily(alpha, {n: sample_uniform_set(n, size, rs.substream(n))
+                               for n, size in sizes.items()})
 
 
 def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> ExactProb:
@@ -344,11 +358,26 @@ def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLeve
     return None
 
 
+def _longest_level(alpha: Fraction, n_total: int) -> int:
+    """The longest level length below n_total that may be admissible: no draw
+    of over 2**SIZE_LIMIT_BITS strings is, nor a level longer than MAX_POOL_LENGTH."""
+    return min(n_total - 1, SIZE_LIMIT_BITS * alpha.denominator // alpha.numerator,
+               MAX_POOL_LENGTH)
+
+
 def _draw_size(alpha: Fraction, ln: int, n_total: int) -> Optional[int]:
     """Strings drawn at level length ln below top length n_total, or None
-    when that level is not admissible, as no draw of over 2**SIZE_LIMIT_BITS is."""
-    size = pow2_floor(alpha * ln) if 0 < ln < n_total and alpha * ln <= SIZE_LIMIT_BITS else 0
+    when that level is not admissible."""
+    size = pow2_floor(alpha * ln) if 0 < ln <= _longest_level(alpha, n_total) else 0
     return size if 1 <= size <= 1 << ln else None
+
+
+def _check_deficit(dist: FiniteDistribution, epsilon) -> None:
+    """AveragedBoundError when the deficit, which every family's avoid
+    probability counts in full, is not below epsilon."""
+    if not dist.deficit < epsilon:
+        raise AveragedBoundError(f"deficit {frac_to_str(dist.deficit)} is not below epsilon "
+                                 f"{frac_to_str(epsilon)}: no family can be certified")
 
 
 def _averaged_bound(dist: FiniteDistribution, ln: int, size: int,
@@ -406,14 +435,15 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
     its exact count fits the size bound."""
     alpha = Fraction(alpha)
     epsilon = ExactProb(epsilon)
+    _check_deficit(dist, epsilon)
     n_total = dist.string_length
+    lengths = range(1, _longest_level(alpha, n_total) + 1)
     if level_length is not None and _draw_size(alpha, level_length, n_total) is None:
-        admissible = [ln for ln in range(1, n_total) if _draw_size(alpha, ln, n_total)]
+        admissible = [ln for ln in lengths if _draw_size(alpha, ln, n_total)]
         span = f"{admissible[0]}..{admissible[-1]}" if admissible else "none"
         raise ValueError(f"level length {level_length} is not admissible for strings of "
                          f"length {n_total} at alpha {frac_to_str(alpha)}; admissible: {span}")
-    candidates = [level_length] if level_length is not None else list(range(1, n_total))
-    for ln in candidates:
+    for ln in [level_length] if level_length is not None else lengths:
         size = _draw_size(alpha, ln, n_total)
         if size is None:
             continue
@@ -424,6 +454,8 @@ def derandomize_family(dist: FiniteDistribution, alpha, epsilon, rs: RandomSourc
         raise AveragedBoundError(
             f"averaged avoid bound not below {frac_to_str(epsilon)} for any admissible level"
         )
+    if top is None:  # the family's empty level at n_total is a sampled level
+        _check_pool(n_total)
     for attempt in range(MAX_DRAWS):
         strings = sample_uniform_set(ln, size, rs.substream(attempt))
         family, certificate = _drawn_family(dist, alpha, ln, strings, top)
@@ -441,13 +473,17 @@ def recertify_family(dist: FiniteDistribution, alpha, epsilon, witness: LevelFam
     The drawn level is the witness's shortest when level_length is None.
     Returns (family, certificate)."""
     alpha = Fraction(alpha)
+    _check_deficit(dist, epsilon)
     n_total = dist.string_length
     ln = min(witness.levels, default=0) if level_length is None else level_length
     drawn = witness.levels.get(ln, frozenset())
     if not (0 < ln < n_total and len(drawn) == pow2_floor(alpha * ln)):
         raise CertificateError(f"the witness holds no full draw of length {ln} "
                                f"below length {n_total}")
-    family, certificate = _drawn_family(dist, alpha, ln, drawn, _simple_top(alpha, ln, n_total))
+    top = _simple_top(alpha, ln, n_total)
+    if top is None:  # the family's empty level at n_total is a sampled level
+        _check_pool(n_total)
+    family, certificate = _drawn_family(dist, alpha, ln, drawn, top)
     if not certificate < epsilon:
         raise CertificateError(f"avoid probability {frac_to_str(certificate)} is not below "
                                f"{frac_to_str(epsilon)}")

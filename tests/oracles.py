@@ -224,7 +224,7 @@ def decompress_bits(stream: str) -> str:
 
 
 def point_mass(x: str) -> FiniteDistribution:
-    return FiniteDistribution(len(x), {x: ExactProb(1)})
+    return distribution(len(x), {x: ExactProb(1)})
 
 
 def scaled_to_deficit(dist: FiniteDistribution, new_deficit) -> FiniteDistribution:
@@ -235,7 +235,7 @@ def scaled_to_deficit(dist: FiniteDistribution, new_deficit) -> FiniteDistributi
         raise ValueError("cannot rescale an all-deficit distribution")
     factor = (1 - Fraction(new_deficit)) / old_mass
     masses = {x: ExactProb(Fraction(m) * factor) for x, m in support_masses(dist)}
-    return FiniteDistribution(dist.string_length, masses, new_deficit)
+    return distribution(dist.string_length, masses, new_deficit)
 
 
 def oracle_distribution_weights(length: int, masses, deficit) -> tuple:
@@ -283,9 +283,11 @@ def _probability_terms(value) -> tuple:
 
 
 class PerMassDistribution(FiniteDistribution):
-    """A distribution read one mass at a time, as the constructor read every
-    form before it read the form to_json writes in one pass: each key folded
-    unless it is 0/1 text, each mass reduced by its own gcd."""
+    """A distribution read one mass at a time, in any form the reader once
+    took: each key folded unless it is 0/1 text, each mass and the deficit
+    a Fraction or any form ExactProb reads, reduced by its own gcd, and zero
+    masses left out.  FiniteDistribution.from_json reads a document exactly
+    when this reads it and writes it back unchanged."""
 
     def __init__(self, string_length: int, masses, deficit=ExactProb(0)):
         if string_length < 0:
@@ -309,11 +311,16 @@ class PerMassDistribution(FiniteDistribution):
         denominator = math.lcm(deficit_den, *(den for _, den in clean.values()))
         weights = tuple([num * (denominator // den) for num, den in clean.values()])
         deficit_weight = deficit_num * (denominator // deficit_den)
-        total = sum(weights) + deficit_weight
-        if total != denominator:
-            raise ValueError(f"masses plus deficit must equal 1, got "
-                             f"{frac_to_str(Fraction(total, denominator))}")
-        self._set(string_length, denominator, tuple(clean), weights, deficit_weight)
+        super().__init__(string_length, tuple(clean), weights, deficit_weight, denominator)
+
+
+def distribution(length: int, masses: dict, deficit=0) -> FiniteDistribution:
+    """The distribution of masses keyed by bit text, each mass and the deficit
+    a Fraction or any form ExactProb reads, built from the columns that
+    PerMassDistribution reads."""
+    per_mass = PerMassDistribution(length, masses, deficit)
+    return FiniteDistribution(length, per_mass.numerals, per_mass.weights,
+                              per_mass.deficit_weight, per_mass.denominator)
 
 
 def json_dump_text(doc) -> str:

@@ -7,7 +7,7 @@ from ecseq.adversary import (PositionalFamily, avoid_probability,
                              truncated_search)
 from ecseq.core import ExactProb, FiniteDistribution, RandomSource
 
-from oracles import (average_avoid_probability, first_lex_search, point_mass,
+from oracles import (average_avoid_probability, distribution, first_lex_search, point_mass,
                      scaled_to_deficit, support_masses)
 
 
@@ -56,7 +56,7 @@ def test_avoid_probability_uniform_fibonacci():
 
 
 def test_avoid_probability_full_deficit():
-    dist = FiniteDistribution(4, {}, deficit=ExactProb(1))
+    dist = distribution(4, {}, deficit=ExactProb(1))
     assert avoid_probability(dist, fam("00", "00", "00")) == 1
 
 
@@ -69,7 +69,7 @@ def test_avoid_probability_agrees_with_a_direct_loop():
         weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
         deficit = 1 + rs.below(4) if trial % 2 else 0
         total = sum(weights.values()) + deficit
-        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+        dist = distribution(length, {x: Fraction(w, total) for x, w in weights.items()},
                                   Fraction(deficit, total))
         family = PositionalFamily(n, tuple(rs.below(1 << n) for _ in range(length - n + 1)))
         expected = Fraction(dist.deficit) + sum(
@@ -133,7 +133,7 @@ def random_search_instance(rs, trial):
     weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
     deficit = 1 + rs.below(4) if trial % 2 else 0
     total = sum(weights.values()) + deficit
-    dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+    dist = distribution(length, {x: Fraction(w, total) for x, w in weights.items()},
                               Fraction(deficit, total))
     share = Fraction(dist.deficit)
     average = (1 - share) * (1 - Fraction(1, 1 << n)) ** (length - n + 1) + share
@@ -227,7 +227,7 @@ def test_average_avoid_identity_small_grid():
 
 def test_average_avoid_linearity_mixture():
     a, b = "0000", "0110"
-    mix = FiniteDistribution(4, {a: ExactProb(1, 3), b: ExactProb(2, 3)})
+    mix = distribution(4, {a: ExactProb(1, 3), b: ExactProb(2, 3)})
     assert average_avoid_probability(mix, 2, 3) == \
         Fraction(1, 3) * Fraction(3, 4) ** 3 + Fraction(2, 3) * Fraction(3, 4) ** 3
 

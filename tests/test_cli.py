@@ -14,7 +14,8 @@ import pytest
 
 import ecseq
 from ecseq import adversary, cli, forbidden, spreader
-from ecseq.core import FiniteDistribution, RandomSource, read_bit_file, write_bit_file
+from ecseq.core import (FiniteDistribution, RandomSource, frac_to_str, read_bit_file,
+                        write_bit_file)
 
 from oracles import flip, json_dump_text, oracle_sampled_recovery
 
@@ -553,7 +554,8 @@ PARAMETER_PROBES = [
     ("adversary", "epsilon", lambda _: "2/4", "verify: FAIL parameters.epsilon does not reproduce"),
     ("family-derandomize", "dist",
      lambda dist: {**dist, "masses": {**dist["masses"], "00000000": "2/512"}},
-     "verify: FAIL parameters.dist does not reproduce"),
+     REPRODUCE_FAIL + 'ValueError: distribution masses.00000000 must be "a/b" in lowest terms '
+     "with 0 < a <= b, got '2/512'"),
     ("spread", "format", lambda _: "zip",
      REPRODUCE_FAIL + "ValueError: expected one of ascii, packed, got 'zip'"),
     # an alpha above 1 once built 2**(alpha * level_length) before failing
@@ -585,8 +587,10 @@ def test_a_schedule_tries_top_lengths_up_to_24_unless_told(tmp_path):
     assert read_json(report)["parameters"]["max_length"] == 24
 
 
-UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
-UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)}}
+UNIFORM_2 = {"length": 2, "masses": {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"},
+             "deficit": "0/1"}
+UNIFORM_4 = {"length": 4, "masses": {format(i, "04b"): "1/16" for i in range(16)},
+             "deficit": "0/1"}
 SMALL_FAMILY = {"alpha": "1/2", "levels": [{"length": 4, "kind": "sampled", "strings_hex": ["0"],
                                             "pool_chain": [], "pool_size": "16"}]}
 # SMALL_FAMILY with two implicit levels, or with one no longer than its sampled level
@@ -608,17 +612,17 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
 
 @pytest.mark.parametrize("document, argv", [
     ({"alpha": "1/2"}, ["avoid", "--family", "{doc}", "--length", "10"]),
-    ({"length": 2, "masses": ["00"]}, ["adversary", "--dist", "{doc}", "--n", "1",
-                                       "--epsilon", "1/2"]),
+    ({"length": 2, "masses": ["00"], "deficit": "0/1"},
+     ["adversary", "--dist", "{doc}", "--n", "1", "--epsilon", "1/2"]),
     (None, ["profile", "--bits", "{dir}", "--window", "4"]),
     (None, ["profile", "--bits", "{bits}", "--window", "0"]),
     (None, ["spread", "--length", "8192", "--max-level", "9", "--out", "{dir}/x.bits"]),
     (None, ["family", "--alpha", "1/0"]),
     (None, ["family", "--alpha", "3/5", "--epsilon", "1/0"]),
-    ({"length": 1, "masses": {"0": "1/1"}}, ["adversary", "--dist", "{doc}", "--n", "1",
-                                             "--epsilon", "1/0"]),
-    ({"length": 1, "masses": {"0": "1/0"}}, ["adversary", "--dist", "{doc}", "--n", "1",
-                                             "--epsilon", "1/2"]),
+    ({"length": 1, "masses": {"0": "1/1"}, "deficit": "0/1"},
+     ["adversary", "--dist", "{doc}", "--n", "1", "--epsilon", "1/0"]),
+    ({"length": 1, "masses": {"0": "1/0"}, "deficit": "0/1"},
+     ["adversary", "--dist", "{doc}", "--n", "1", "--epsilon", "1/2"]),
     ({"alpha": "1/1", "levels": [{"length": 0, "kind": "sampled", "strings_hex": ["0"],
                                   "pool_size": "1"}]}, ["avoid", "--family", "{doc}",
                                                         "--length", "10"]),
@@ -675,8 +679,8 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
                         "--m-max", "-1"]),
     # a distribution length that is not an integer, or a mass that is not a string
     *((doc, argv) for doc in ({**UNIFORM_2, "length": 2.0},
-                              {"length": True, "masses": {"0": "1/2", "1": "1/2"}},
-                              {"length": 2, "masses": {"00": 0.5, "11": 0.5}})
+                              {**UNIFORM_2, "length": True},
+                              {**UNIFORM_2, "masses": {"00": 0.5, "11": 0.5}})
       for argv in (["adversary", "--dist", "{doc}", "--n", "1", "--epsilon", "1/2"],
                    ["family", "--alpha", "3/5", "--derandomize", "{doc}"])),
     # a family whose alpha, level length or strings_hex is not of its JSON type
@@ -782,6 +786,7 @@ WRITTEN_FORMS = {
         Fraction(3, 5), Fraction(1, 2), 2, RandomSource(3))[0].to_json()),
     "positional family": (adversary.PositionalFamily.from_json, lambda: adversary.PositionalFamily(
         2, (0, 0, 2), Fraction(7, 16)).to_json()),
+    "distribution": (FiniteDistribution.from_json, lambda: non_uniform_distribution(4, 7)),
 }
 
 
@@ -798,6 +803,19 @@ def test_readers_refuse_every_leaf_and_key_their_writer_does_not_write(form):
     for path, change in changes:
         with pytest.raises(ValueError):
             read(set_at(doc, path, change))
+
+
+# each reader with a key its writer always writes
+@pytest.mark.parametrize("form, key", [("allocation", "cap"), ("level family", "alpha"),
+                                       ("positional family", "window_length"),
+                                       ("distribution", "deficit")])
+def test_every_reader_refuses_a_missing_and_an_extra_key(form, key):
+    read, write = WRITTEN_FORMS[form]
+    doc = write()
+    with pytest.raises(ValueError):
+        read({name: value for name, value in doc.items() if name != key})
+    with pytest.raises(ValueError):
+        read({**doc, "note": "x"})
 
 
 def test_a_tiny_alpha_draws_one_string_per_level(tmp_path):
@@ -843,18 +861,18 @@ HUGE_ALPHA_ERROR = "alpha 3000000000000001/10000000000000000 has a numerator abo
 
 ADVERSARY_REPORT_OF_HUGE_WINDOW = {
     "command": "adversary", "seed": None, "wall_time_s": 0,
-    "parameters": {"dist": {**UNIFORM_4, "deficit": "0/1"}, "n": 2, "epsilon": "1/2"},
+    "parameters": {"dist": UNIFORM_4, "n": 2, "epsilon": "1/2"},
     "results": {"N": 3, "family": {"window_length": 10 ** 12, "strings": ["00", "00", "10"],
                                    "certificate": "7/16"}},
     "certificates": {"avoid_probability": "7/16", "deficit": "0/1"}}
 
 # (document, command line, exit code, the one line the run prints)
 HUGE_POWER_CASES = [
-    # a level of length 10**12: its pool_size is compared by bit length first
+    # a sampled level of length 10**12: its length is refused before its pool_size is read
     ({**SMALL_FAMILY, "levels": [{**SMALL_FAMILY["levels"][0], "length": 10 ** 12}]},
      ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
-     "ecseq avoid: error: level 1000000000000 draws from a pool other than all strings of "
-     "its length"),
+     "ecseq avoid: error: level 1000000000000 is longer than 14284 bits, so its pool_size "
+     "2**1000000000000 has more than 4300 digits"),
     # alpha 0.3000000000000001, read exactly, has a numerator of about 3 * 10**15
     (None, ["family", "--alpha", "0.3000000000000001", "--levels", "8"], cli.EXIT_BAD_PARAMS,
      f"ecseq family: error: {HUGE_ALPHA_ERROR}"),
@@ -898,6 +916,69 @@ def test_inputs_that_would_build_a_huge_power_fail_in_one_line(tmp_path, documen
     # the case's line is looked up, not passed in, so that each case keeps its test id
     line, = [m for d, a, c, m in HUGE_POWER_CASES if (d, a, c) == (document, argv, code)]
     assert (done.stdout + done.stderr).strip().splitlines() == [line]
+
+
+DEFICIT_ONLY = {"length": 10 ** 5, "masses": {}, "deficit": "1/1"}
+NO_FAMILY = "deficit 1/1 is not below epsilon 1/2: no family can be certified"
+ONE_STRING_OF_20000 = {"length": 20000, "masses": {RandomSource(1).bits(20000): "1/1"},
+                       "deficit": "0/1"}
+
+
+def pool_error(length):
+    return f"level {length} is longer than 14284 bits, so its pool_size 2**{length} has " \
+           f"more than 4300 digits"
+
+
+# (document, command line, exit code, the one line the run prints) for runs that once
+# searched on for minutes with no certificate to find, ran out of memory, or did all
+# their work before failing with Python's integer-to-text limit
+HOPELESS_CASES = {
+    **{f"derandomize-length-{length}{'-level-5' if level else ''}": (
+        {**DEFICIT_ONLY, "length": length},
+        ["family", "--alpha", "3/5", "--derandomize", "{doc}", *level], cli.EXIT_BAD_PARAMS,
+        f"ecseq family: error: {NO_FAMILY}")
+       for length in (10 ** 5, 10 ** 8) for level in ([], ["--level-length", "5"])},
+    "recertify-deficit-only": (
+        {"command": "family-derandomize", "seed": 5, "wall_time_s": 0, "certificates": {},
+         "parameters": {"alpha": "3/5", "epsilon": "1/2", "level_length": None,
+                        "dist": DEFICIT_ONLY}, "results": {"family": SMALL_FAMILY}},
+        ["verify", "--report", "{doc}"], cli.EXIT_VERIFY_FAILED,
+        f"{REPRODUCE_FAIL}AveragedBoundError: {NO_FAMILY}"),
+    "adversary-deficit-only": (
+        {**DEFICIT_ONLY, "length": 10 ** 12},
+        ["adversary", "--dist", "{doc}", "--n", "2", "--epsilon", "1/2"], cli.EXIT_BAD_PARAMS,
+        "ecseq adversary: error: deficit 1/1 exceeds epsilon/2 = 1/4"),
+    "levels-15000": (
+        None, ["family", "--alpha", "1/1000", "--levels", "15000"], cli.EXIT_BAD_PARAMS,
+        f"ecseq family: error: {pool_error(15000)}"),
+    "derandomize-one-string-of-20000": (
+        ONE_STRING_OF_20000, ["family", "--alpha", "3/5", "--derandomize", "{doc}"],
+        cli.EXIT_BAD_PARAMS,
+        f"ecseq family: error: {pool_error(20000)}"),
+    "recertify-one-string-of-20000": (
+        {"command": "family-derandomize", "seed": 5, "wall_time_s": 0, "certificates": {},
+         "parameters": {"alpha": "3/5", "epsilon": "1/2", "level_length": None,
+                        "dist": ONE_STRING_OF_20000},
+         "results": {"family": {"alpha": "3/5", "levels": [
+             {"length": 1, "kind": "sampled", "strings_hex": ["0"], "pool_chain": [],
+              "pool_size": "2"}]}}},
+        ["verify", "--report", "{doc}"], cli.EXIT_VERIFY_FAILED,
+        f"{REPRODUCE_FAIL}ValueError: {pool_error(20000)}"),
+    "family-file-level-15000": (
+        {**SMALL_FAMILY, "levels": [{**SMALL_FAMILY["levels"][0], "length": 15000,
+                                     "pool_size": "1" * 4516}]},
+        ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
+        f"ecseq avoid: error: {pool_error(15000)}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOPELESS_CASES))
+def test_hopeless_or_unwritable_runs_end_in_seconds_in_one_line(tmp_path, case):
+    document, argv, code, line = HOPELESS_CASES[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    done = run_capped(*(a.format(doc=path) for a in argv), timeout=10)
+    assert (done.returncode, (done.stdout + done.stderr).strip().splitlines()) == (code, [line])
 
 
 @pytest.mark.parametrize("blob, message", [
@@ -954,13 +1035,14 @@ def test_family_files_and_reports_keep_their_digests(tmp_path, form):
 
 def non_uniform_distribution(length: int, seed: int) -> dict:
     """About three quarters of the strings of a length, each with a weight
-    from 1 to 9, and a deficit of weight 1; masses are written unreduced."""
+    from 1 to 9, and a deficit of weight 1, every mass in lowest terms."""
     rs = RandomSource(seed)
     weights = {v: 1 + rs.below(9) for v in range(1 << length) if rs.below(4)}
     total = sum(weights.values()) + 1
     return {"length": length,
-            "masses": {format(v, f"0{length}b"): f"{w}/{total}" for v, w in weights.items()},
-            "deficit": f"1/{total}"}
+            "masses": {format(v, f"0{length}b"): frac_to_str(Fraction(w, total))
+                       for v, w in weights.items()},
+            "deficit": frac_to_str(Fraction(1, total))}
 
 
 # the reports that inline a distribution: argv, distribution length, and the
@@ -1100,13 +1182,14 @@ for argv in (
 
 def test_reports_do_not_depend_on_the_string_hash_seed(tmp_path):
     # a bit string hashes as its text, and str hashes are salted per process
-    dist = FiniteDistribution(5, {format(v, "05b"): "1/8" for v in (1, 4, 9, 12, 19, 22, 27, 30)})
+    dist = {"length": 5, "masses": {format(v, "05b"): "1/8" for v in (1, 4, 9, 12, 19, 22, 27, 30)},
+            "deficit": "0/1"}
     src = str(Path(ecseq.__file__).resolve().parents[1])
     sections = []
     for hash_seed in ("0", "1"):
         out = tmp_path / hash_seed
         out.mkdir()
-        (out / "dist.json").write_text(json.dumps(dist.to_json()))
+        (out / "dist.json").write_text(json.dumps(dist))
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, str(out)], env=env,
                        check=True, capture_output=True)

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ecseq import core
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, floor_root,
                         fold_bits, frac_to_str, pack_bits, pow2_at_most, pow2_floor,
                         read_bit_file, unpack_bits, write_bit_file)
 
 from oracles import (OracleBitString, PackedReference, numeral_windows, oracle_bit_file_bytes,
-                     oracle_distribution_json, oracle_distribution_weights, oracle_window_rows,
-                     scaled_to_deficit, support_masses, support_weights)
+                     distribution, oracle_distribution_json, oracle_distribution_weights,
+                     oracle_window_rows, scaled_to_deficit, support_masses, support_weights)
 
 
 def test_bitstring_representations():
@@ -225,15 +224,14 @@ def test_distribution_invariants():
     d = FiniteDistribution.uniform(3)
     assert len(dict(support_masses(d))) == 8
     assert sum(Fraction(m) for _, m in support_masses(d)) + d.deficit == 1
+    with pytest.raises(ValueError, match="must equal 1"):
+        FiniteDistribution(2, (1,), (1,), 0, 2)
     with pytest.raises(ValueError):
-        FiniteDistribution(2, {"01": ExactProb(1, 2)})
-    with pytest.raises(ValueError):
-        FiniteDistribution(2, {"011": ExactProb(1)})
+        distribution(2, {"011": ExactProb(1)})
 
 
 def test_distribution_json_round_trip():
-    d = FiniteDistribution(2, {"01": ExactProb(1, 4), "10": ExactProb(5, 8)},
-                           deficit=ExactProb(1, 8))
+    d = distribution(2, {"01": ExactProb(1, 4), "10": ExactProb(5, 8)}, deficit=ExactProb(1, 8))
     back = FiniteDistribution.from_json(d.to_json())
     assert back.string_length == 2
     assert dict(support_masses(back))["01"] == Fraction(1, 4)
@@ -241,12 +239,12 @@ def test_distribution_json_round_trip():
 
 
 @pytest.mark.parametrize("doc", [
-    {"length": 1, "masses": {"0": "1/0", "1": "1/1"}},
+    {"length": 1, "masses": {"0": "1/0", "1": "1/1"}, "deficit": "0/1"},
     {"length": 1, "masses": {"0": "1/1"}, "deficit": "1/0"},
-    {"length": 1, "masses": {"0": "one"}},
-    {"length": 1, "masses": {"01": "1/1"}},
-    {"length": 1, "masses": ["0"]},
-    {"masses": {"0": "1/1"}},
+    {"length": 1, "masses": {"0": "one"}, "deficit": "0/1"},
+    {"length": 1, "masses": {"01": "1/1"}, "deficit": "0/1"},
+    {"length": 1, "masses": ["0"], "deficit": "0/1"},
+    {"masses": {"0": "1/1"}, "deficit": "0/1"},
 ])
 def test_distribution_from_json_rejects_malformed_input(doc):
     with pytest.raises(ValueError):
@@ -261,8 +259,7 @@ def test_distribution_rescaling():
 
 
 def test_distribution_weights_share_one_denominator():
-    d = FiniteDistribution(2, {"00": ExactProb(1, 3), "01": ExactProb(1, 6),
-                               "10": ExactProb(1, 2)})
+    d = distribution(2, {"00": ExactProb(1, 3), "01": ExactProb(1, 6), "10": ExactProb(1, 2)})
     assert d.denominator == 6
     assert dict(support_weights(d)) == {"00": 2, "01": 1, "10": 3}
     assert d.deficit_weight == 0 and d.deficit == 0
@@ -272,13 +269,13 @@ def test_distribution_weights_share_one_denominator():
 
 
 def test_distribution_deficit_only():
-    d = FiniteDistribution(3, {}, deficit=ExactProb(1))
+    d = FiniteDistribution.from_json({"length": 3, "masses": {}, "deficit": "1/1"})
     assert (d.denominator, d.deficit_weight, dict(support_weights(d))) == (1, 1, {})
     assert d.to_json() == {"length": 3, "masses": {}, "deficit": "1/1"}
 
 
 def test_distribution_drops_zero_masses():
-    d = FiniteDistribution(2, {"00": "0/1", "11": "3/4"}, deficit="1/4")
+    d = distribution(2, {"00": "0/1", "11": "3/4"}, deficit="1/4")
     assert dict(support_weights(d)) == {"11": 3}
     assert (d.denominator, d.deficit_weight) == (4, 1)
     assert d.to_json()["masses"] == {"11": "3/4"}
@@ -287,8 +284,8 @@ def test_distribution_drops_zero_masses():
 @pytest.mark.parametrize("length", [0, 1, 2, 5])
 def test_uniform_equals_the_validating_constructor(length):
     fast = FiniteDistribution.uniform(length)
-    checked = FiniteDistribution(length, {format(v, f"0{length}b") if length else "":
-                                          Fraction(1, 1 << length) for v in range(1 << length)})
+    checked = distribution(length, {format(v, f"0{length}b") if length else "":
+                                    Fraction(1, 1 << length) for v in range(1 << length)})
     assert dict(support_weights(fast)) == dict(support_weights(checked))
     assert (fast.denominator, fast.deficit_weight) == (checked.denominator, checked.deficit_weight)
     assert fast.to_json() == checked.to_json()
@@ -302,8 +299,8 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
         deficit = 1 + rs.below(4) if trial % 2 or not weights else 0
         total = sum(weights.values()) + deficit
-        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
-                                  Fraction(deficit, total))
+        dist = distribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+                            Fraction(deficit, total))
         # one object asked for lengths in turn, repeats included
         for n in [1 + rs.below(length) for _ in range(6)]:
             assert dist.windows(n) == tuple(
@@ -317,22 +314,17 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         (0, (0, 0), 1), (1, (0, 1), 1), (2, (1, 0), 1), (3, (1, 1), 1))
 
 
-def test_a_distribution_builds_no_bit_string(monkeypatch):
+def test_a_distribution_builds_no_bit_string():
     keys = [format(v * 0x9E3779B1 % (1 << 32), "032b") for v in range(1024)]  # all distinct
     doc = {"length": 32, "masses": {key: "1/2048" for key in keys}, "deficit": "1/2"}
-    folded, fold = [], core.fold_bits
-    monkeypatch.setattr(core, "fold_bits", lambda text: folded.append(text) or fold(text))
     uniform = FiniteDistribution.uniform(12)
     parsed = FiniteDistribution.from_json(doc)
     for dist, n in ((uniform, 5), (parsed, 9)):
         dist.windows(n)
         written = dist.to_json()
-    assert folded == []  # '0'/'1' keys are read as they are
     assert all(type(v) is int for v in parsed.numerals)
     assert written == {"length": 32, "masses": {key: "1/2048" for key in sorted(keys)},
                        "deficit": "1/2"}
-    FiniteDistribution(2, {" 01": "1/1"})  # the counter does count
-    assert folded == [" 01"]
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -365,7 +357,7 @@ def _outcome(read):
 
 def test_distribution_constructor_agrees_with_the_exact_prob_oracle():
     def read_fast():
-        d = FiniteDistribution(length, masses, deficit_mass)
+        d = distribution(length, masses, deficit_mass)
         return d.denominator, list(support_weights(d)), d.deficit_weight
 
     def read_slow():
@@ -410,7 +402,7 @@ def test_to_json_agrees_with_the_fraction_writer_and_round_trips():
         weights = {rs.below(1 << length): 1 + rs.below(30) for _ in range(rs.below(40))}
         deficit = 1 + rs.below(20)
         total = sum(weights.values()) + deficit
-        dist = FiniteDistribution(
+        dist = distribution(
             length, {format(v, f"0{length}b"): Fraction(w, total) for v, w in weights.items()},
             Fraction(deficit, total))
         doc = dist.to_json()
@@ -422,19 +414,31 @@ def test_to_json_agrees_with_the_fraction_writer_and_round_trips():
         assert (back.denominator, back.deficit_weight) == (dist.denominator, dist.deficit_weight)
 
 
+MASS_FORM = '"a/b" in lowest terms with 0 < a <= b, got'
+
+
 @pytest.mark.parametrize("doc, message", [
-    ({"length": 2.0, "masses": {"00": "1/1"}}, "distribution length must be an integer, got 2.0"),
-    ({"length": True, "masses": {"0": "1/1"}}, "distribution length must be an integer, got True"),
-    ({"length": "2", "masses": {"00": "1/1"}},
-     "distribution length must be an integer, got '2'"),
-    ({"length": 2, "masses": {"00": 0.5, "11": 0.5}},
-     'distribution masses and deficit must be "num/den" strings, got 0.5'),
-    ({"length": 1, "masses": {"0": 1}},
-     'distribution masses and deficit must be "num/den" strings, got 1'),
+    ({"length": 2.0, "masses": {"00": "1/1"}, "deficit": "0/1"},
+     "distribution length must be a non-negative integer, got 2.0"),
+    ({"length": True, "masses": {"0": "1/1"}, "deficit": "0/1"},
+     "distribution length must be a non-negative integer, got True"),
+    ({"length": "2", "masses": {"00": "1/1"}, "deficit": "0/1"},
+     "distribution length must be a non-negative integer, got '2'"),
+    ({"length": -1, "masses": {}, "deficit": "1/1"},
+     "distribution length must be a non-negative integer, got -1"),
+    ({"length": 2, "masses": {"00": 0.5, "11": 0.5}, "deficit": "0/1"},
+     f"distribution masses.00 must be {MASS_FORM} 0.5"),
+    ({"length": 1, "masses": {"0": 1}, "deficit": "0/1"},
+     f"distribution masses.0 must be {MASS_FORM} 1"),
     ({"length": 2, "masses": {"00": "1/2", "11": "1/2"}, "deficit": 0},
-     'distribution masses and deficit must be "num/den" strings, got 0'),
+     'distribution deficit must be "a/b" in lowest terms with 0 <= a <= b, got 0'),
     ({"length": 2, "masses": {"00": "1/2"}, "deficit": None},
-     'distribution masses and deficit must be "num/den" strings, got None'),
+     'distribution deficit must be "a/b" in lowest terms with 0 <= a <= b, got None'),
+    ({"length": 2, "masses": [["00", "1/1"]], "deficit": "0/1"},
+     "distribution masses must be a JSON object, got list"),
+    ({"length": 2, "masses": {"00": "1/1"}}, "a distribution has exactly the keys deficit, "
+     "length and masses, got ['length', 'masses']"),
+    ([2], "a distribution has exactly the keys deficit, length and masses, got list"),
 ])
 def test_distribution_from_json_needs_an_integer_length_and_string_masses(doc, message):
     with pytest.raises(ValueError) as caught:
@@ -445,12 +449,18 @@ def test_distribution_from_json_needs_an_integer_length_and_string_masses(doc, m
 @pytest.mark.parametrize("masses, deficit, message", [
     ({"01": "1/4", "10": "1/4"}, "0/1", "masses plus deficit must equal 1, got 1/2"),
     ({"01": "1/3", "10": "1/2"}, "1/3", "masses plus deficit must equal 1, got 7/6"),
-    ({"01": "1/2", "0 1": "1/2"}, "0/1", "duplicate support string 01"),
-    ({"01": "3/2"}, "0/1", "probability out of [0, 1]: 3/2"),
-    ({"01": "-1/2", "10": "3/2"}, "0/1", "probability out of [0, 1]: -1/2"),
-    ({"01": "1/2"}, "-1/2", "probability out of [0, 1]: -1/2"),
+    ({"01": "1/2", "0 1": "1/2"}, "0/1", "distribution masses key '0 1' is not 0/1 text of "
+     "length 2"),
+    ({"01": "3/2"}, "0/1", f"distribution masses.01 must be {MASS_FORM} '3/2'"),
+    ({"01": "-1/2", "10": "3/2"}, "0/1", f"distribution masses.01 must be {MASS_FORM} '-1/2'"),
+    ({"01": "2/4", "10": "1/2"}, "0/1", f"distribution masses.01 must be {MASS_FORM} '2/4'"),
+    ({"01": "0/1", "10": "1/1"}, "0/1", f"distribution masses.01 must be {MASS_FORM} '0/1'"),
+    ({"01": "1/2"}, "-1/2",
+     "distribution deficit must be \"a/b\" in lowest terms with 0 <= a <= b, got '-1/2'"),
+    ({"01": "1/1"}, "0/2",
+     "distribution deficit must be \"a/b\" in lowest terms with 0 <= a <= b, got '0/2'"),
 ])
 def test_distribution_error_messages(masses, deficit, message):
     with pytest.raises(ValueError) as caught:
-        FiniteDistribution(2, masses, deficit)
+        FiniteDistribution.from_json({"length": 2, "masses": masses, "deficit": deficit})
     assert str(caught.value) == message

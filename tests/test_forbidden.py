@@ -11,7 +11,7 @@ from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
                              simple_counts, two_level_family, _averaged_bound)
 
 from oracles import (averaged_bound_per_string, count_limited_block_strings,
-                     distinct_substrings, family_avoid_per_string, family_avoids,
+                     distinct_substrings, distribution, family_avoid_per_string, family_avoids,
                      hit_probability, membership, numeral_windows, oracle_simple_top,
                      point_mass, support_weights, surjections, text_slice_simple)
 
@@ -400,7 +400,7 @@ def test_integer_sums_agree_with_per_string_fraction_sums():
         weights = {format(v, f"0{length}b"): 1 + rs.below(12) for v in numerals}
         deficit = rs.below(5) if trial % 2 else 0
         total = sum(weights.values()) + deficit
-        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+        dist = distribution(length, {x: Fraction(w, total) for x, w in weights.items()},
                                   Fraction(deficit, total))
         size = 1 + rs.below(1 << ln)
         strings = sample_uniform_set(ln, size, rs.substream(trial))
@@ -429,7 +429,7 @@ def test_table_certificates_agree_with_the_scanner_on_multi_level_families():
         weights = {format(v, f"0{length}b"): 1 + rs.below(12) for v in numerals}
         deficit = rs.below(5) if trial % 2 else 0
         total = sum(weights.values()) + deficit
-        dist = FiniteDistribution(length, {x: Fraction(w, total) for x, w in weights.items()},
+        dist = distribution(length, {x: Fraction(w, total) for x, w in weights.items()},
                                   Fraction(deficit, total))
         top = None
         blocks = [b for b in range(1, length) if length % b == 0]

@@ -1,8 +1,9 @@
 """Differential properties of the two JSON fast paths against their oracles.
 
 The writer `cli._json_text` must write what json.dumps(indent=2,
-sort_keys=True) writes; the one-pass distribution reader must give the
-columns, or the error, of the per-mass constructor `PerMassDistribution`.
+sort_keys=True) writes; the one-pass distribution reader must read exactly
+the documents that the per-mass oracle `PerMassDistribution` reads and
+writes back unchanged, into the same columns.
 Examples are drawn by hypothesis from a fixed seed with no example database,
 so every run tests the same inputs.
 """
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from ecseq import cli, core
-from ecseq.core import ExactProb, FiniteDistribution
+from ecseq import cli
+from ecseq.core import FiniteDistribution, check_rewrite, frac_to_str, json_exact
 
 from oracles import PerMassDistribution, json_dump_text
 
@@ -65,48 +66,84 @@ def columns(dist):
     return dist.numerals, dist.weights, dist.deficit_weight, dist.denominator
 
 
-def read_both(length, masses, deficit):
-    """The outcome of the constructor and of the per-mass oracle on one input."""
-    return (outcome(lambda: columns(FiniteDistribution(length, masses, deficit))),
-            outcome(lambda: columns(PerMassDistribution(length, masses, deficit))))
+def written_back(doc):
+    """The per-mass oracle's reading of doc, if it writes doc back unchanged,
+    else None.  The length is read as an exact int, and a deficit left out
+    as "0/1", as the reader once read them."""
+    try:
+        dist = PerMassDistribution(json_exact(doc["length"], int), doc["masses"],
+                                   doc.get("deficit", "0/1"))
+        check_rewrite(doc, dist.to_json(), "distribution")
+    except Exception:  # any form the oracle does not read back is refused
+        return None
+    return dist
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
 
 
 @st.composite
-def written_forms(draw):
-    """(length, masses, deficit) in the form to_json writes, except that a mass
-    may be zero or unreduced, the deficit may be non-zero, and the masses may
-    miss 1 or leave [0, 1]."""
-    length = draw(st.integers(1, 7))
-    numerals = draw(st.lists(st.integers(0, (1 << length) - 1), unique=True, max_size=16))
-    weights = [draw(st.integers(0, 9)) for _ in numerals]
+def near_written_docs(draw):
+    """A distribution document in the form to_json writes, or a step away: a
+    mass or the deficit unreduced or in another form, a zero mass, masses
+    that miss 1, a key folded or cut, a length of another JSON type, or a
+    key left out or added."""
+    length = draw(st.integers(0, 6))
+    numerals = draw(st.lists(st.integers(0, (1 << length) - 1), unique=True, max_size=12))
+    weights = [draw(st.integers(1, 9)) for _ in numerals]
     deficit = draw(st.integers(0, 9))
-    total = max(1, sum(weights) + deficit + draw(st.sampled_from([0, 0, 0, 1, -1, -3])))
-
-    def text(weight):
-        scale = draw(st.sampled_from([1, 1, 2, 3, 12]))  # "2/4", "3/12" when not 1
-        return f"{weight * scale}/{total * scale}"
-
-    return (length, {format(v, f"0{length}b"): text(w) for v, w in zip(numerals, weights)},
-            text(deficit))
+    total = max(1, sum(weights) + deficit + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+    masses = {format(v, f"0{length}b") if length else "": frac_to_str(Fraction(w, total))
+              for v, w in zip(numerals, weights)}
+    doc = {"length": length, "masses": masses, "deficit": frac_to_str(Fraction(deficit, total))}
+    step = draw(st.sampled_from([None] * 8 + ["mass", "zero", "deficit", "key", "length",
+                                              "no deficit", "extra"]))
+    if step in ("mass", "deficit"):
+        key = draw(st.sampled_from(sorted(masses))) if step == "mass" and masses else None
+        a, b = map(int, (masses[key] if key is not None else doc["deficit"]).split("/"))
+        form = draw(st.sampled_from([f"{3 * a}/{3 * b}", f"0{a}/{b}", f"+{a}/{b}", f" {a}/{b}",
+                                     f"{a}/{b}\n", f"{a}/{b}".translate(ARABIC_INDIC), a / b]))
+        if key is not None:
+            masses[key] = form
+        else:
+            doc["deficit"] = form
+    elif step == "zero" and len(masses) < 1 << length:
+        masses[next(format(v, f"0{length}b") for v in range(1 << length)
+                    if format(v, f"0{length}b") not in masses)] = "0/1"
+    elif step == "key" and masses:
+        key = next(iter(masses))
+        masses[draw(st.sampled_from([f" {key}", f"{key}\n", key[1:], f"{key}0"]))] = \
+            masses.pop(key)
+    elif step == "length":
+        doc["length"] = draw(st.sampled_from([float(length), bool(length), str(length)]))
+    elif step == "no deficit":
+        del doc["deficit"]
+    elif step == "extra":
+        doc["note"] = "x"
+    return doc
 
 
 @seed(3649)
 @FIXED
-@given(written_forms())
-@example((3, {"001": "2/4", "010": "3/12", "100": "0/5", "111": "1/12"}, "2/12"))
-@example((2, {"00": "0/1", "11": "0/3"}, "4/4"))
-@example((4, {"0000": "1/1"}, "0/1"))
-def test_the_one_pass_reader_agrees_with_the_per_mass_constructor(form):
-    length, masses, deficit = form
-    fast, slow = read_both(length, masses, deficit)
-    assert fast == slow
-    texts = (*masses.values(), deficit)
-    if all(0 < b and a <= b for a, b in (map(int, t.split("/")) for t in texts)):
-        # the form to_json writes takes one pass; the constructor checks the sum
-        one_pass = core._text_columns(length, masses, deficit)
-        assert one_pass is not None
-        if sum(map(Fraction, texts)) == 1:
-            assert one_pass == fast
+@given(near_written_docs())
+@example({"length": 0, "masses": {"": "1/1"}, "deficit": "0/1"})
+@example({"length": 0, "masses": {"": "1/2"}, "deficit": "1/2"})
+@example({"length": 3, "masses": {}, "deficit": "1/1"})
+@example({"length": 2, "masses": {"00": "1/2", "11": "1/2"}})
+@example({"length": 2, "masses": {"00": "0/1", "11": "1/1"}, "deficit": "0/1"})
+@example({"length": 2, "masses": {"00": "1/2", "11": "1/2"}, "deficit": "0/3"})
+def test_the_reader_reads_exactly_what_the_per_mass_oracle_writes_back(doc):
+    oracle = written_back(doc)
+    try:
+        dist = FiniteDistribution.from_json(doc)
+    except ValueError as exc:
+        assert oracle is None
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert oracle is not None
+        assert columns(dist) == columns(oracle)
+        assert dist.to_json() == doc
 
 
 UNIFORM_2 = {"00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}
@@ -118,64 +155,52 @@ def replaced(key, new_key=None, mass=None):
             (mass if k == key and mass is not None else m) for k, m in UNIFORM_2.items()}
 
 
-# every form the one-pass reader leaves to the per-mass path: folded or foreign
-# keys, and masses or deficits that are decimals, signed, padded, non-ASCII,
-# out of range or not strings
-FALLBACK_FORMS = [
-    (2, replaced("01", new_key=" 01"), "0/1"),
-    (2, replaced("01", new_key="0 1"), "0/1"),
-    (2, replaced("01", new_key="01\n"), "0/1"),
-    (2, replaced("01", new_key="0 0"), "0/1"),  # a duplicate once folded
-    (2, replaced("01", new_key="0a"), "0/1"),
-    (2, replaced("01", new_key="012"), "0/1"),
-    (2, replaced("01", new_key="1"), "0/1"),
-    (2, replaced("01", new_key="０１"), "0/1"),
-    (2, replaced("01", new_key="0\ud800"), "0/1"),
-    (2, replaced("01", mass="0.25"), "0/1"),
-    (2, replaced("01", mass="+1/4"), "0/1"),
-    (2, replaced("01", mass=" 1/4"), "0/1"),
-    (2, replaced("01", mass="1/4\n"), "0/1"),
-    (2, replaced("01", mass="١/٤"), "0/1"),
-    (2, replaced("01", mass="1_0/40"), "0/1"),
-    (2, replaced("01", mass="5/4"), "0/1"),
-    (2, replaced("01", mass="-1/4"), "0/1"),
-    (2, replaced("01", mass="1/-4"), "0/1"),
-    (2, replaced("01", mass="1/0"), "0/1"),
-    (2, replaced("01", mass="1"), "0/1"),
-    (2, replaced("01", mass="1e-1"), "0/1"),
-    (2, replaced("01", mass=Fraction(1, 4)), "0/1"),
-    (2, replaced("01", mass=ExactProb(1, 4)), "0/1"),
-    (2, replaced("01", mass=0.25), "0/1"),
-    (2, {"00": "1/4,1/4", "01": "1/4"}, "1/4"),  # one mass that reads as two
-    (2, {"00": "1/4/1", "01": "3"}, "0/1"),
-    (2, replaced("01", mass="1/" + "4" * 5000), "0/1"),  # past int's digit limit
-    (2, UNIFORM_2, "0"),
-    (2, UNIFORM_2, "0.0"),
-    (2, UNIFORM_2, " 0/1"),
-    (2, UNIFORM_2, ExactProb(0)),
-    (2, UNIFORM_2, None),
-    (2, [("00", "1/1")], "0/1"),  # no mapping
-    (2, {1: "1/1"}, "0/1"),  # a key that is not text
-    (0, {"": "1/1"}, "0/1"),  # the empty string, whose numeral int() does not read
-    (0, {"": "1/2"}, "1/2"),
+def doc_of(length, masses, deficit):
+    return {"length": length, "masses": masses, "deficit": deficit}
+
+
+# forms to_json does not write: folded or foreign keys; masses or deficits that are
+# decimals, signed, padded, non-ASCII, unreduced, zero, out of range or not strings;
+# and documents with a key too many or too few, or a length that is not an int
+REFUSED_FORMS = [
+    *(doc_of(2, replaced("01", new_key=key), "0/1")
+      for key in (" 01", "0 1", "01\n", "0 0", "0a", "012", "1", "０１", "0\ud800")),
+    *(doc_of(2, replaced("01", mass=mass), "0/1")
+      for mass in ("0.25", "+1/4", " 1/4", "1/4\n", "١/٤", "1_0/40", "5/4", "-1/4", "1/-4",
+                   "1/0", "1", "1e-1", 0.25, [1], "2/8", "01/4", "1/" + "4" * 5000)),
+    doc_of(2, {"00": "1/4,1/4", "01": "1/4"}, "1/4"),  # one mass that reads as two
+    doc_of(2, {"00": "1/4/1", "01": "3"}, "0/1"),
+    doc_of(2, {"00": "1/2", "01": "1/2", "10": "0/1"}, "0/1"),  # a zero mass
+    *(doc_of(2, UNIFORM_2, deficit) for deficit in ("0", "0.0", " 0/1", "0/4", "00/1", None, 0)),
+    doc_of(2, [["00", "1/1"]], "0/1"),
+    doc_of(2, {"1": "1/1"}, "0/1"),
+    *(doc_of(length, UNIFORM_2, "0/1") for length in (2.0, True, "2", -1)),
+    {"length": 2, "masses": UNIFORM_2},
+    {**doc_of(2, UNIFORM_2, "0/1"), "note": "x"},
 ]
 
 
-@pytest.mark.parametrize("length, masses, deficit", FALLBACK_FORMS)
-def test_every_other_form_takes_the_per_mass_path_with_its_errors(length, masses, deficit):
-    assert outcome(lambda: core._text_columns(length, masses, deficit)) is None
-    fast, slow = read_both(length, masses, deficit)
-    assert fast == slow
+@pytest.fixture(scope="module")
+def adversary_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("adversary") / "dist.json"
+    path.write_text(json.dumps(doc_of(2, UNIFORM_2, "0/1")))
+    report = path.with_name("report.json")
+    assert cli.main(["adversary", "--dist", str(path), "--n", "1", "--epsilon", "1/2",
+                     "--report", str(report)]) == cli.EXIT_OK
+    return json.loads(report.read_text())
 
 
-def test_the_written_form_is_read_without_the_per_mass_path(monkeypatch):
-    def per_mass(*args):
-        raise AssertionError("the written form went through the per-mass path")
-
-    doc = FiniteDistribution.from_json(
-        {"length": 5, "masses": {format(v, "05b"): "1/40" for v in range(30)},
-         "deficit": "1/4"}).to_json()
-    monkeypatch.setattr(core, "_per_mass_columns", per_mass)
-    dist = FiniteDistribution.from_json(doc)
-    assert (dist.denominator, dist.weights, dist.deficit_weight) == (40, (1,) * 30, 10)
-    assert dist.to_json() == doc
+@pytest.mark.parametrize("doc", REFUSED_FORMS)
+def test_every_other_form_exits_2_or_fails_verify_in_one_line(doc, adversary_report, tmp_path,
+                                                              capsys):
+    assert written_back(doc) is None
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["adversary", "--dist", str(path), "--n", "1", "--epsilon", "1/2"]) \
+        == cli.EXIT_BAD_PARAMS
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    path.write_text(json.dumps({**adversary_report,
+                                "parameters": {**adversary_report["parameters"], "dist": doc}}))
+    assert cli.main(["verify", "--report", str(path)]) == cli.EXIT_VERIFY_FAILED
+    assert len(capsys.readouterr().out.splitlines()) == 1
