@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import ExactProb, FiniteDistribution, check_rewrite, frac_to_str, json_exact
+from .core import ExactProb, FiniteDistribution, frac_to_str, json_exact, read_back
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,17 @@ class PositionalFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "PositionalFamily":
         """Parse a family as to_json writes it: ValueError unless to_json
-        writes doc again (core.check_rewrite).  A string of another length
+        writes doc again (core.read_back).  A string of another length
         than window_length is refused first, so a huge window_length builds
         nothing."""
-        try:
+        def parse(doc):
             cert, strings = doc.get("certificate"), doc["strings"]
             n = json_exact(doc["window_length"], int)
             if any(len(text) != n for text in strings):
                 raise ValueError(f"a forbidden string is not {n} bits long")
-            family = cls(n, tuple(int(text, 2) for text in strings),
-                         None if cert is None else ExactProb(cert))
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"malformed positional family JSON ({type(exc).__name__}: {exc})") from exc
-        check_rewrite(doc, family.to_json(), "positional family JSON")
-        return family
+            return cls(n, tuple(int(text, 2) for text in strings),
+                       None if cert is None else ExactProb(cert))
+        return read_back(doc, parse, cls.to_json, "positional family JSON")
 
 
 def required_positions(window_length: int, epsilon) -> int:

@@ -6,7 +6,8 @@ parameters, a `run` that computes the results and certificates a command
 reports, and a `check` that re-derives them for `verify`.  A command and
 `verify` read every parameter through PARAMETERS, by its exact JSON type,
 and a report holds each in canonical form.  `verify` compares every field,
-the parameters too, and trusts none.
+the parameters too, and trusts none.  `family` reads which kind it runs, the
+flags that kind reads and their defaults from FAMILY_KINDS.
 
 Exit codes: 0 success, 1 verification failure, 2 bad parameters,
 3 budget exhausted.
@@ -106,7 +107,7 @@ def _exact(kind: type, *choices) -> tuple:
 PARAMETERS = {
     "alpha": (forbidden.read_alpha, frac_to_str),
     "epsilon": (lambda value: ExactProb(Fraction(json_exact(value, str))), frac_to_str),
-    "lengths": (lambda value: sorted({json_exact(n, int) for n in value}), _same),
+    "lengths": (lambda value: sorted(json_exact(n, int) for n in value), _same),
     "level_length": (lambda value: value if value is None else json_exact(value, int), _same),
     # looked up at each call, so a from_json replaced on the class is the one run
     "dist": (lambda doc: FiniteDistribution.from_json(doc), FiniteDistribution.to_json),
@@ -271,10 +272,11 @@ def _parameters(kind: Kind, given: dict) -> tuple:
     return values, {name: PARAMETERS[name][1](value) for name, value in values.items()}
 
 
-def _run(args, command: str, seed, given: dict) -> tuple:
-    """Run a report kind on the parameters a command gives and write its report
-    when --report names a file; returns the canonical parameters and the run's values."""
+def _run(args, command: str, given: dict) -> tuple:
+    """Run a report kind, seeded by --seed if it is seeded, and write its report when
+    --report names a file; returns the canonical parameters and the run's values."""
     started = time.perf_counter()
+    seed = args.seed if KINDS[command].seeded else None
     values, parameters = _parameters(KINDS[command], given)
     results, certificates, written = KINDS[command].run(values, seed)
     if args.report:
@@ -287,7 +289,7 @@ def _run(args, command: str, seed, given: dict) -> tuple:
 
 def cmd_spread(args) -> int:
     certified = spreader.choose_start_level(spreader.weight_preset(args.weights))
-    _, results, _, (omega, alloc) = _run(args, "spread", args.seed, {
+    _, results, _, (omega, alloc) = _run(args, "spread", {
         "weights": args.weights, "start_level": certified if args.m0 is None else args.m0,
         "certified_start_level": certified, "length": args.length,
         "max_level": args.max_level, "format": args.format})
@@ -327,62 +329,62 @@ def cmd_check_windows(args) -> int:
     return EXIT_OK
 
 
+def _read_levels(text: str) -> list:
+    if min(lengths := [int(tok) for tok in text.split(",")]) < 1:
+        raise ValueError(f"--levels lengths must be at least 1, got {min(lengths)}")
+    return lengths
+
+
+# The kinds `family` runs, by the flag that selects each (None: the two-level
+# family, run when no mode flag is given): the kind, the flag each parameter but
+# alpha is read from, and the summary line made from (parameters, results,
+# certificates).  A flag not given takes its FAMILY_DEFAULTS value, or None.
+FAMILY_KINDS = {
+    "--schedule": ("family-schedule", {"count": "--schedule", "first_length": "--n-min",
+                                       "max_length": "--max-length"},
+                   lambda p, r, c: f"{len(r['intervals'])} disjoint certified intervals"),
+    "--levels": ("family-levels", {"lengths": "--levels"},
+                 lambda p, r, c: f"explicit random levels {p['lengths']}, sizes "
+                                 f"{[len(lv['strings_hex']) for lv in r['family']['levels']]}"),
+    "--derandomize": ("family-derandomize", {"epsilon": "--epsilon",
+                                             "level_length": "--level-length",
+                                             "dist": "--derandomize"},
+                      lambda p, r, c: f"derandomized, avoid probability {c['avoid_probability']} "
+                                      f"< {p['epsilon']}"),
+    None: ("family", {"epsilon": "--epsilon", "n_min": "--n-min"},
+           lambda p, r, c: f"lengths ({r['random_length']}, {r['top_length']}), miss bound "
+                           f"{c['miss_bound']} < {p['epsilon']}"),
+}
+FAMILY_DEFAULTS = {"--epsilon": "1/2", "--n-min": 2, "--max-length": 24}
+FAMILY_READERS = {"--levels": _read_levels, "--derandomize": _load_json}  # others: as parsed
+
+
 def cmd_family(args) -> int:
-    modes = [flag for flag, value in (("--schedule", args.schedule), ("--levels", args.levels),
-                                      ("--derandomize", args.derandomize)) if value is not None]
+    given = {"--" + k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
+    modes = [mode for mode in FAMILY_KINDS if mode in given] or [None]
     if len(modes) > 1:
-        raise ValueError(f"{', '.join(modes)}: give only one of --schedule, --levels and "
-                         f"--derandomize")
-    mode = modes[0] if modes else None  # None: the two-level family
-    if args.level_length is not None and mode != "--derandomize":
-        raise ValueError("--level-length applies only with --derandomize")
-    if args.max_length is not None and mode != "--schedule":
-        raise ValueError("--max-length applies only with --schedule")
-    if args.epsilon is not None and mode in ("--schedule", "--levels"):
-        raise ValueError("--epsilon applies only with --derandomize or the two-level family")
-    if args.n_min is not None and mode in ("--levels", "--derandomize"):
-        raise ValueError("--n-min applies only with --schedule or the two-level family")
-    epsilon = "1/2" if args.epsilon is None else args.epsilon
-    n_min = 2 if args.n_min is None else args.n_min
-    if n_min < 1:
-        raise ValueError(f"--n-min must be at least 1, got {n_min}")
-    if args.schedule is not None:
-        kind = "family-schedule"
-        parameters = {"alpha": args.alpha, "count": args.schedule, "first_length": n_min,
-                      "max_length": 24 if args.max_length is None else args.max_length,
-                      "dist_family": "uniform"}
-    elif args.levels is not None:
-        kind = "family-levels"
-        lengths = [int(tok) for tok in args.levels.split(",")]
-        if min(lengths) < 1:
-            raise ValueError(f"--levels lengths must be at least 1, got {min(lengths)}")
-        parameters = {"alpha": args.alpha, "lengths": lengths}
-    elif args.derandomize is not None:
-        kind = "family-derandomize"
-        parameters = {"alpha": args.alpha, "epsilon": epsilon,
-                      "level_length": args.level_length, "dist": _load_json(args.derandomize)}
-    else:
-        kind = "family"
-        parameters = {"alpha": args.alpha, "epsilon": epsilon, "n_min": n_min}
-    parameters, results, certificates, written = _run(args, kind, args.seed, parameters)
+        *others, last = filter(None, FAMILY_KINDS)
+        raise ValueError(f"{', '.join(modes)}: give only one of {', '.join(others)} and {last}")
+    kind, flags, summary = FAMILY_KINDS[modes[0]]
+    unread = [flag for _, reads, _ in FAMILY_KINDS.values() for flag in reads.values()
+              if flag in given and flag not in flags.values()]
+    if unread:
+        readers = [mode or "the two-level family"
+                   for mode, (_, reads, _) in FAMILY_KINDS.items() if unread[0] in reads.values()]
+        raise ValueError(f"{unread[0]} applies only with {' or '.join(readers)}")
+    # dist_family is read only by a schedule: its distributions are the uniform ones
+    parameters, results, certificates, written = _run(args, kind, {
+        "alpha": args.alpha, "dist_family": "uniform", **{
+            name: FAMILY_READERS.get(flag, _same)(given.get(flag, FAMILY_DEFAULTS.get(flag)))
+            for name, flag in flags.items()}})
     if args.out:
         _write_json(args.out, written)
-    if args.schedule is not None:
-        print(f"family: {len(results['intervals'])} disjoint certified intervals")
-    elif args.levels is not None:
-        sizes = [len(level["strings_hex"]) for level in results["family"]["levels"]]
-        print(f"family: explicit random levels {parameters['lengths']}, sizes {sizes}")
-    elif args.derandomize is not None:
-        print(f"family: derandomized, avoid probability "
-              f"{certificates['avoid_probability']} < {parameters['epsilon']}")
-    else:
-        print(f"family: lengths ({results['random_length']}, {results['top_length']}), "
-              f"miss bound {certificates['miss_bound']} < {parameters['epsilon']}")
+    print(f"family: {summary(parameters, results, certificates)}")
     return EXIT_OK
 
 
 def cmd_adversary(args) -> int:
-    parameters, results, certificates, family = _run(args, "adversary", None, {
+    parameters, results, certificates, family = _run(args, "adversary", {
         "dist": _load_json(args.dist), "n": args.n, "epsilon": args.epsilon})
     if args.out:
         _write_json(args.out, family)
@@ -392,7 +394,7 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_avoid(args) -> int:
-    _, results, _, string = _run(args, "avoid", args.seed, {
+    _, results, _, string = _run(args, "avoid", {
         "family": _load_json(args.family), "length": args.length, "budget": args.budget})
     if not results["succeeded"]:
         print(f"avoid: budget exhausted after {results['resamples']} resamples, "
@@ -408,7 +410,7 @@ def cmd_profile(args) -> int:
     bits = read_bit_file(args.bits)
     parameters = {"bits_text": bits, "bits_sha256": _sha256_bits(bits), "bit_count": len(bits),
                   "window": args.window, "stride": args.stride}
-    *_, profile = _run(args, "profile", None, parameters)
+    *_, profile = _run(args, "profile", parameters)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("offset,bits\n")
@@ -496,21 +498,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a certified forbidden family")
     p.add_argument("--alpha", required=True, help="rational like 3/5")
-    p.add_argument("--epsilon", default=None,
+    p.add_argument("--epsilon",
                    help="rational like 1/4 (default 1/2); two-level and --derandomize only")
-    p.add_argument("--n-min", type=int, default=None,
+    p.add_argument("--n-min", type=int,
                    help="least random or first level length (default 2); two-level and "
                         "--schedule only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--levels", default=None,
-                   help="comma-separated lengths: emit explicit random level sets")
-    p.add_argument("--derandomize", default=None,
-                   help="distribution JSON to derandomize against")
-    p.add_argument("--level-length", type=int, default=None)
-    p.add_argument("--schedule", type=int, default=None,
-                   help="build this many disjoint certified intervals")
-    p.add_argument("--max-length", type=int, default=None)
+    p.add_argument("--levels", help="comma-separated lengths: emit explicit random level sets")
+    p.add_argument("--derandomize", help="distribution JSON to derandomize against")
+    p.add_argument("--level-length", type=int, help="the random level's length; --derandomize only")
+    p.add_argument("--schedule", type=int, help="build this many disjoint certified intervals")
+    p.add_argument("--max-length", type=int, help="max top length (default 24); --schedule only")
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("adversary", help="positional forbidden strings by search")

@@ -12,6 +12,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from typing import Callable
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -108,6 +109,19 @@ def check_rewrite(doc: dict, written: dict, what: str) -> None:
             doc, written = dict(enumerate(doc)), dict(enumerate(written))
     if path:
         raise ValueError(f"{what} is not as ecseq writes it: {'.'.join(path)} differs")
+
+
+def read_back(doc: dict, parse: Callable, write: Callable, what: str):
+    """What parse builds from doc, a file ecseq writes, under the read-back
+    rule: an error that means doc has the wrong shape (a missing key, a value
+    of another type, a zero denominator) becomes ValueError("malformed what
+    (...)"), and check_rewrite then compares write(built) with doc."""
+    try:
+        built = parse(doc)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {what} ({type(exc).__name__}: {exc})") from exc
+    check_rewrite(doc, write(built), what)
+    return built
 
 
 def frac_to_str(value) -> str:

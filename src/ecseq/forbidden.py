@@ -16,8 +16,8 @@ from itertools import compress, islice
 from typing import Callable, Optional
 
 from .core import (SIZE_LIMIT_BITS, CertificateError, ExactProb, FiniteDistribution,
-                   RandomSource, check_rewrite, frac_to_str, json_exact, pow2_at_most,
-                   pow2_floor)
+                   RandomSource, frac_to_str, json_exact, pow2_at_most, pow2_floor,
+                   read_back)
 
 MAX_DRAWS = 100000  # substream draws derandomize_family tries before giving up
 # the longest sampled level a family file holds: its pool_size 2**14284 has 4300
@@ -223,10 +223,10 @@ class LevelFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "LevelFamily":
         """Parse a family as to_json writes it: ValueError unless to_json
-        writes doc again (core.check_rewrite).  A sampled level's pool_size,
+        writes doc again (core.read_back).  A sampled level's pool_size,
         2**length, is compared by bit length first, so a huge length builds no
         power; a level of another kind is the one implicit top."""
-        try:
+        def parse(doc):
             levels, tops = {}, []
             for entry in doc["levels"]:
                 length = json_exact(entry["length"], int)
@@ -245,11 +245,8 @@ class LevelFamily:
                                               int(entry["cardinality"])))
             if len(tops) > 1:
                 raise ValueError(f"a family has at most one implicit level, got {len(tops)}")
-            family = cls(read_alpha(doc["alpha"]), levels, *tops)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed family JSON ({type(exc).__name__}: {exc})") from exc
-        check_rewrite(doc, family.to_json(), "family JSON")
-        return family
+            return cls(read_alpha(doc["alpha"]), levels, *tops)
+        return read_back(doc, parse, cls.to_json, "family JSON")
 
 
 @dataclass(frozen=True)

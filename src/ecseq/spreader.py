@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import CertificateError, RandomSource, check_rewrite, frac_to_str, json_exact
+from .core import CertificateError, RandomSource, frac_to_str, json_exact, read_back
 
 
 class CoverageError(RuntimeError):
@@ -350,14 +350,14 @@ class Allocation:
     def from_export(cls, doc: dict, horizon: int) -> "Allocation":
         """Rebuild by replaying the exported counts at the exported cap, the
         i-th at level start_level + i: ValueError unless export() then writes
-        doc again (core.check_rewrite).
+        doc again (core.read_back).
 
         A cap that is not a power of two of at least 2**max(13, start_level),
         which no spread writes, is refused before any level is built.  So is
         one above four times the least power of two that holds the horizon the
         caller reads (the widest cap any spread of it has written), because
         the replay's cost grows with the cap."""
-        try:
+        def parse(doc):
             start, top, cap = (json_exact(doc[key], int)
                                for key in ("start_level", "max_level", "cap"))
             least = max(13, start)
@@ -373,11 +373,8 @@ class Allocation:
             alloc = cls(start, top, lambda m: counts.get(m, 0))
             alloc._set_cap(cap)
             alloc.ensure_level(start + len(counts) - 1)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(
-                f"malformed allocation export ({type(exc).__name__}: {exc})") from exc
-        check_rewrite(doc, alloc.export(), "allocation export")
-        return alloc
+            return alloc
+        return read_back(doc, parse, cls.export, "allocation export")
 
 
 def plan_allocation(weights: WeightSeries, start_level: int = None,

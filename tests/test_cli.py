@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -735,6 +736,8 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
     *(({**ONE_LEVEL_ALLOCATION, "cap": cap},
        ["check-windows", "--bits", "{bits}", "--alloc", "{doc}", "--m-max", "12"])
       for cap in (5000, 4096)),
+    # a level length given twice
+    (None, ["family", "--alpha", "3/10", "--levels", "8,8"]),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -748,6 +751,51 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv)
     for flag, value in zip(argv, argv[1:]):
         if value.startswith("-") and value[1:].isdigit():
             assert flag in err, err
+
+
+# Each kind of `family`, in the order its messages name them: the flags that
+# select it, and the optional flags it reads.  Written out here apart from
+# cli's own table, so that the two are compared.
+FAMILY_MODES = {
+    "--schedule": (["--alpha", "9/10", "--schedule", "1"], {"--n-min", "--max-length"}),
+    "--levels": (["--alpha", "3/10", "--levels", "8"], set()),
+    "--derandomize": (["--alpha", "9/10", "--derandomize", "{doc}"],
+                      {"--epsilon", "--level-length"}),
+    "the two-level family": (["--alpha", "3/5"], {"--epsilon", "--n-min"}),
+}
+# a value of each optional flag that every kind reading it runs with
+FAMILY_OPTIONS = {"--epsilon": "1/2", "--n-min": "2", "--level-length": "2", "--max-length": "24"}
+
+
+@pytest.mark.parametrize("mode, extra", [
+    *itertools.product(FAMILY_MODES, FAMILY_OPTIONS),
+    *itertools.combinations(list(FAMILY_MODES)[:-1], 2),
+])
+def test_family_runs_a_flag_only_with_a_kind_that_reads_it(tmp_path, capsys, mode, extra):
+    with open(tmp_path / "doc.json", "w") as fh:
+        json.dump(UNIFORM_4, fh)
+    argv, reads = FAMILY_MODES[mode]
+    # another mode adds its own flag and value, the ones after its --alpha
+    added = FAMILY_MODES[extra][0][2:] if extra in FAMILY_MODES else [extra, FAMILY_OPTIONS[extra]]
+    code = run("family", *(a.format(doc=tmp_path / "doc.json") for a in argv + added))
+    err = capsys.readouterr().err.strip()
+    if extra in reads:
+        assert (code, err) == (cli.EXIT_OK, "")
+    elif extra in FAMILY_MODES:
+        modes = ", ".join(m for m in FAMILY_MODES if m in (mode, extra))
+        assert (code, err) == (cli.EXIT_BAD_PARAMS, f"ecseq family: error: {modes}: give only "
+                               f"one of --schedule, --levels and --derandomize")
+    else:
+        readers = " or ".join(m for m, (_, flags) in FAMILY_MODES.items() if extra in flags)
+        assert (code, err) == (cli.EXIT_BAD_PARAMS, f"ecseq family: error: {extra} applies only "
+                               f"with {readers}")
+
+
+def test_family_help_gives_the_defaults_family_takes():
+    family = cli.build_parser()._subparsers._group_actions[0].choices["family"]
+    helps = [(action.option_strings[0], action.help or "") for action in family._actions]
+    assert {flag: text.partition("(default ")[2].partition(")")[0] for flag, text in helps
+            if "(default " in text} == {flag: str(v) for flag, v in cli.FAMILY_DEFAULTS.items()}
 
 
 def objects(node, path=()):
