@@ -330,7 +330,12 @@ def cmd_check_windows(args) -> int:
 
 
 def _read_levels(text: str) -> list:
-    if min(lengths := [int(tok) for tok in text.split(",")]) < 1:
+    try:
+        lengths = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--levels must be lengths joined by commas, such as 8,9,10, "
+                         f"got {text!r}") from None
+    if min(lengths) < 1:
         raise ValueError(f"--levels lengths must be at least 1, got {min(lengths)}")
     return lengths
 

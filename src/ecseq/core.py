@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import struct
 from fractions import Fraction
 from typing import Callable
 
@@ -217,36 +218,103 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# _mix64 of a batch of words at once: word j sits in the low half of the j-th
+# 128-bit lane of one int, so each shift, xor, mask and 64-bit multiply acts on
+# every word and no product reaches the next lane.
+_LANE_BYTES = 16
+_LANES = 512  # words a long draw mixes per batch
+_REFILL = 16  # words a short draw's buffer is refilled with
+
+
+def _lanes(values) -> int:
+    """The int whose j-th 128-bit lane holds the j-th of values, each below 2**64."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE_BYTES, "little") for v in values), "little")
+
+
+def _lane_constants(count: int) -> tuple:
+    """(ones, steps, mask) over count lanes: lane j holds 1, j*GAMMA mod 2**64
+    and 2**64 - 1."""
+    return (_lanes([1] * count), _lanes(j * _GAMMA & _MASK64 for j in range(count)),
+            _lanes([_MASK64] * count))
+
+
+_BATCH = _lane_constants(_LANES)
+_REFILL_BATCH = _lane_constants(_REFILL)
+# the refill's words from its big-endian bytes, last lane first, so pop() yields them in order
+_REFILL_WORDS = struct.Struct(">" + "8xQ" * _REFILL)
+
+
+def _mix_lanes(base: int, ones: int, steps: int, mask: int) -> int:
+    """_mix64(base + j*GAMMA) in lane j of the lanes that mask keeps."""
+    z = (base * ones + steps) & mask
+    z = (z ^ (z >> 30)) & mask
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z = (z ^ (z >> 27)) & mask
+    z = (z * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
+
+
 class RandomSource:
     """Counter-based deterministic bit source.
 
     Word i of a source is a pure function of (seed, stream, i), so identical
     draw sequences reproduce bit-exactly on every platform and substreams
-    never interact.  Not cryptographic.
+    never interact.  Words are mixed in batches: a draw of more than 64 bits
+    takes its words from lane batches, and a draw of 1 to 64 bits takes the
+    next word from a small buffer of upcoming words.  Every draw, however
+    short, starts at a fresh word, and _counter is the index of the next one.
+    Not cryptographic.
     """
 
-    __slots__ = ("seed", "stream", "_key", "_counter")
+    __slots__ = ("seed", "stream", "_key", "_counter", "_buffer")
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
         self._key = _mix64(self.seed ^ _mix64(self.stream ^ _STREAM_SALT))
         self._counter = 0
+        self._buffer = []  # words _counter, _counter + 1, ... in pop() order
+
+    def _input(self, index: int) -> int:
+        """What _mix64 turns into word index."""
+        return (self._key + (index + 1) * _GAMMA) & _MASK64
 
     def word_at(self, index: int) -> int:
-        return _mix64((self._key + (index + 1) * _GAMMA) & _MASK64)
+        return _mix64(self._input(index))
 
     def next_word(self) -> int:
-        word = self.word_at(self._counter)
+        buffer = self._buffer
+        if not buffer:
+            buffer += _REFILL_WORDS.unpack(_mix_lanes(self._input(self._counter), *_REFILL_BATCH)
+                                           .to_bytes(_REFILL * _LANE_BYTES, "big"))
         self._counter += 1
-        return word
+        return buffer.pop()
+
+    def _words(self, count: int) -> bytes:
+        """The next count words, little-endian, word by word, from lane
+        batches; the buffer is dropped, as its words are among them."""
+        start, self._counter = self._counter, self._counter + count
+        self._buffer.clear()
+        ones, steps, mask = _BATCH
+        chunks = []
+        for first in range(start, start + count, _LANES):
+            lanes = min(_LANES, start + count - first)
+            if lanes < _LANES:  # the last batch: the mask keeps its lanes only
+                drop = (_LANES - lanes) * _LANE_BYTES * 8
+                ones, mask = ones >> drop, mask >> drop
+            z = _mix_lanes(self._input(first), ones, steps, mask)
+            # the low 8 bytes of each 16-byte lane
+            chunks.append(memoryview(z.to_bytes(lanes * _LANE_BYTES, "little")).cast("Q")[::2]
+                          .tobytes())
+        return b"".join(chunks)
 
     def _take(self, bit_count: int) -> int:
-        value = 0
-        got = 0
-        while got < bit_count:
-            value |= self.next_word() << got
-            got += 64
+        if bit_count > 64:
+            value = int.from_bytes(self._words(-(-bit_count // 64)), "little")
+        elif bit_count:
+            value = self.next_word()
+        else:
+            return 0
         return value & ((1 << bit_count) - 1)
 
     def bits(self, count: int) -> str:

@@ -66,6 +66,28 @@ class OracleBitString:
         return isinstance(other, OracleBitString) and self._text == other._text
 
 
+def scalar_take(rs: RandomSource, bit_count: int) -> int:
+    """The low bit_count bits of the next ceil(bit_count / 64) words of rs,
+    word k at bit 64*k: the draw RandomSource made before it mixed words in
+    batches, one word_at call per word ORed into a growing int.  It moves
+    rs._counter on and reads no other state, so rs is a source only the
+    scalar_* oracles draw from."""
+    value = got = 0
+    while got < bit_count:
+        value |= rs.word_at(rs._counter) << got
+        rs._counter += 1
+        got += 64
+    return value & ((1 << bit_count) - 1)
+
+
+def scalar_below(rs: RandomSource, bound: int) -> int:
+    """RandomSource.below over scalar_take: rejection on (bound - 1).bit_length() bits."""
+    width, value = (bound - 1).bit_length(), bound
+    while value >= bound:
+        value = scalar_take(rs, width)
+    return value
+
+
 def oracle_bit_file_bytes(x: OracleBitString, fmt: str) -> bytes:
     """The bytes write_bit_file used to write for a bit string."""
     if fmt == "ascii":

@@ -611,6 +611,10 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
                                                         "assigned": [[0, 68]]}]}
 
 
+# --levels values that are not integers joined by commas
+BAD_LEVEL_LISTS = ["x", "8,,9"]
+
+
 @pytest.mark.parametrize("document, argv", [
     ({"alpha": "1/2"}, ["avoid", "--family", "{doc}", "--length", "10"]),
     ({"length": 2, "masses": ["00"], "deficit": "0/1"},
@@ -738,6 +742,8 @@ ONE_LEVEL_ALLOCATION = {"start_level": 8, "max_level": 64, "cap": 8192, "least_u
       for cap in (5000, 4096)),
     # a level length given twice
     (None, ["family", "--alpha", "3/10", "--levels", "8,8"]),
+    # a level list that is not integers joined by commas
+    *((None, ["family", "--alpha", "3/10", "--levels", levels]) for levels in BAD_LEVEL_LISTS),
 ])
 def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv):
     with open(tmp_path / "doc.json", "w") as fh:
@@ -747,9 +753,9 @@ def test_malformed_inputs_exit_2_with_one_line(tmp_path, capsys, document, argv)
     assert run(*(a.format(**names) for a in argv)) == cli.EXIT_BAD_PARAMS
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    # a negative size names the flag that gave it
+    # a negative size, or a level list that is not integers, names the flag that gave it
     for flag, value in zip(argv, argv[1:]):
-        if value.startswith("-") and value[1:].isdigit():
+        if value.startswith("-") and value[1:].isdigit() or value in BAD_LEVEL_LISTS:
             assert flag in err, err
 
 

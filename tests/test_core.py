@@ -1,15 +1,19 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from ecseq import core
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, floor_root,
                         fold_bits, frac_to_str, pack_bits, pow2_at_most, pow2_floor,
                         read_bit_file, unpack_bits, write_bit_file)
 
 from oracles import (OracleBitString, PackedReference, numeral_windows, oracle_bit_file_bytes,
                      distribution, oracle_distribution_json, oracle_distribution_weights,
-                     oracle_window_rows, scaled_to_deficit, support_masses, support_weights)
+                     oracle_window_rows, scalar_below, scalar_take, scaled_to_deficit,
+                     support_masses, support_weights)
 
 
 def test_bitstring_representations():
@@ -89,7 +93,7 @@ def test_bit_layer_agrees_with_the_oracle_bit_string(tmp_path):
         drawn, oracle = RandomSource(seed, seed % 5), RandomSource(seed, seed % 5)
         for length in range(201):
             x = drawn.bits(length)
-            assert x == OracleBitString(oracle._take(length), length).to_text()
+            assert x == OracleBitString(scalar_take(oracle, length), length).to_text()
             if length % 23 and length not in (0, 1, 8, 9, 64, 65, 200):
                 continue
             for fmt in ("packed", "ascii"):
@@ -207,6 +211,58 @@ def test_random_source_counter_is_stateless():
     rs = RandomSource(3)
     words = [rs.next_word() for _ in range(10)]
     assert words == [RandomSource(3).word_at(i) for i in range(10)]
+
+
+# bit counts on each side of one word, of a buffer refill and of a lane batch
+DRAW_COUNTS = sorted({0, 1, 63, 64, 65, 127, 128, 129, 12345, 2 ** 16,
+                      *(64 * words + d for words in (core._REFILL, core._LANES)
+                        for d in (-64, -1, 0, 1, 64))})
+BOUNDS = [1, 2, 3, 7, 1 << 12, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 200) + 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, (1 << 64) - 1])
+def test_random_source_agrees_with_the_scalar_oracle(seed):
+    rng = random.Random(seed)
+    fast, slow = RandomSource(seed, seed % 5), RandomSource(seed, seed % 5)
+    for step in range(300):
+        op = rng.choice(("bits", "below", "next_word", "word_at", "substream"))
+        if op == "bits":
+            count = rng.choice(DRAW_COUNTS + [rng.randrange(200)])
+            got, want = fast.bits(count), OracleBitString(scalar_take(slow, count), count).to_text()
+        elif op == "below":
+            bound = rng.choice(BOUNDS + [1 + rng.randrange(1 << rng.randrange(1, 130))])
+            got, want = fast.below(bound), scalar_below(slow, bound)
+        elif op == "next_word":
+            # runs of short draws across the end of the buffer
+            run = rng.choice((1, core._REFILL - 1, core._REFILL, core._REFILL + 1))
+            got = [fast.next_word() for _ in range(run)]
+            want = [scalar_take(slow, 64) for _ in range(run)]
+        elif op == "word_at":
+            index = rng.choice((0, fast._counter, fast._counter + 1, rng.randrange(1 << 70)))
+            got, want = fast.word_at(index), slow.word_at(index)
+        else:
+            index = rng.randrange(1 << 64)
+            fast, slow = fast.substream(index), slow.substream(index)
+            got, want = (fast.seed, fast.stream), (slow.seed, slow.stream)
+        assert got == want and fast._counter == slow._counter, (step, op)
+
+
+def test_long_draws_call_no_scalar_mix(monkeypatch):
+    # a draw that mixed its words one _mix64 call at a time would call it 2**14 times
+    calls = []
+    mix = core._mix64
+    monkeypatch.setattr(core, "_mix64", lambda z: calls.append(z) or mix(z))
+    rs = RandomSource(1)
+    rs.bits(2 ** 20)
+    for _ in range(1000):
+        rs.next_word()
+    assert len(calls) <= 4
+
+
+def test_a_long_draw_keeps_its_bits():
+    # the digest of the draw as the scalar source made it, too slow to redo in a test
+    digest = hashlib.sha256(RandomSource(1).bits(2 ** 22).encode()).hexdigest()
+    assert digest == "5a42ab3c9d333b4e9f13e44e91f3c127455d494ba9e9b9c0fd12348ad3c2acc4"
 
 
 def test_below_is_exact_and_deterministic():
