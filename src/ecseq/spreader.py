@@ -21,6 +21,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import Callable
 
 from .core import CertificateError, RandomSource, frac_to_str, json_exact, read_back
@@ -110,20 +112,18 @@ def choose_start_level(weights: WeightSeries) -> int:
 
 
 class _Intervals:
-    """Sorted disjoint half-open integer intervals with rank queries."""
+    """Sorted disjoint half-open integer intervals with rank queries, kept as
+    lists of lows, highs and running width totals (cum) that are built and
+    split with list slices and maps, not one interval at a time."""
 
     __slots__ = ("los", "his", "cum")
 
-    def __init__(self, pairs=()):
-        los, his = [], []
-        for lo, hi in pairs:
-            if hi > lo:
-                los.append(lo)
-                his.append(hi)
-        cum = [0]
-        for lo, hi in zip(los, his):
-            cum.append(cum[-1] + (hi - lo))
-        self.los, self.his, self.cum = los, his, cum
+    def __init__(self, pairs=(), los=None, his=None):
+        if los is None:  # (lo, hi) pairs, empty ones dropped; lists hold none
+            kept = [(lo, hi) for lo, hi in pairs if hi > lo]
+            los, his = [lo for lo, _ in kept], [hi for _, hi in kept]
+        self.los, self.his = los, his
+        self.cum = [0, *accumulate(map(sub, his, los))]
 
     @property
     def total(self) -> int:
@@ -138,17 +138,13 @@ class _Intervals:
     def take_prefix(self, k: int):
         """Split off the k smallest elements (all of them if k >= total)."""
         if k >= self.total:
-            return self, _Intervals(())
+            return self, _Intervals()
+        los, his = self.los, self.his
         j = bisect_right(self.cum, k) - 1
-        cut = self.los[j] + (k - self.cum[j])
-        taken = list(zip(self.los[:j], self.his[:j]))
-        rest = []
-        if cut > self.los[j]:
-            taken.append((self.los[j], cut))
-        if cut < self.his[j]:
-            rest.append((cut, self.his[j]))
-        rest.extend(zip(self.los[j + 1:], self.his[j + 1:]))
-        return _Intervals(taken), _Intervals(rest)
+        cut = los[j] + (k - self.cum[j])  # los[j] <= cut < his[j]
+        split = cut > los[j]  # interval j has elements on both sides of the cut
+        return (_Intervals(los=los[:j + split], his=his[:j] + [cut] * split),
+                _Intervals(los=[cut] + los[j + 1:], his=his[j:]))
 
 
 @dataclass
@@ -159,16 +155,20 @@ class _Level:
     source_base: int
 
 
-def _fill(out, hole, runs, source):
-    """out with source[index:index + width] written at each repetition of each
-    run (offset, step, index, width) from Allocation._runs, clipped at the end
-    of out; AssertionError if a position still holds hole afterwards."""
-    length = len(out)
-    for offset, step, index, width in runs:
-        for a in range(offset, length, step):
-            b = min(a + width, length)
-            out[a:b] = source[index:index + b - a]
-    if hole in out:
+def _fill(blank, length: int, runs, source):
+    """A buffer of type(blank) and the given length in which each run (first,
+    step, index, width) of Allocation._runs(start, length), with start a
+    multiple of every step below length, carries
+    source[index:index + width], spread by period doubling: a lower level's
+    step divides every later one, so the buffer is doubled up to each step and
+    only a run's first repetition is written.  AssertionError if a position
+    still holds blank[0] afterwards."""
+    out = blank * min(length, 1)
+    for first, step, index, width in [*runs, (0, length, 0, 0)]:  # last: double to length
+        while len(out) < min(step, length):
+            out += out[:min(step, length) - len(out)]
+        out[first:first + width] = source[index:index + width]
+    if blank[0] in out:
         raise AssertionError("progression partition left a hole")
     return out
 
@@ -221,16 +221,18 @@ class Allocation:
         else:
             first = rest.first()
             self._least_uncovered = first if first is not None else self._cap
+            # rest and its odd halves, rest shifted by the step: all below the
+            # cap, a power of two, while the step is below it, and none after
             step = 1 << m
-            pairs = rest.pairs()
-            shifted = [(lo + step, min(hi + step, self._cap))
-                       for lo, hi in pairs if lo + step < self._cap]
-            self._pool = _Intervals(pairs + shifted)
+            self._pool = rest if step >= self._cap else _Intervals(
+                los=rest.los + list(map(step.__add__, rest.los)),
+                his=rest.his + list(map(step.__add__, rest.his)))
             self._pool_total = 2 * remaining
         return True
 
     def _set_cap(self, cap: int):
-        """Move the cap and rebuild the levels built so far below it."""
+        """Move the cap, a power of two of at least 2**start_level, and rebuild
+        the levels built so far below it."""
         built = len(self._levels)
         self._cap = cap
         self._reset()
@@ -309,24 +311,26 @@ class Allocation:
                         yield (first + shift, step,
                                lv.source_base + cum[i] + first - los[i], stop - first)
 
-    def _covered_runs(self, start: int, length: int):
-        """The runs of [start, start + length), once the levels that cover the
-        range are built; CoverageError when the level budget cannot cover it."""
-        if start < 0 or length < 0:
+    def _covered_runs(self, end: int) -> list:
+        """The runs of [0, end), once the levels that cover it are built;
+        CoverageError when the level budget cannot cover it."""
+        if end < 0:
             raise ValueError("bad range")
-        end = start + length
         self.ensure_horizon(end)
         if self._least_uncovered is not None and self._least_uncovered < end:
             raise CoverageError(
                 f"position {self._least_uncovered} is not covered by levels up to "
                 f"{self.max_level}; raise max_level"
             )
-        return self._runs(start, length)
+        return list(self._runs(0, end))
 
     def source_map(self, start: int, length: int) -> list:
-        """Source indices for every position in [start, start + length)."""
-        runs = self._covered_runs(start, length)  # builds the levels the range needs
-        return _fill([-1] * length, -1, runs, range(self._source_total))
+        """Source indices for every position in [start, start + length), read
+        off the spread of the indices themselves over [0, start + length)."""
+        if start < 0 or length < 0:
+            raise ValueError("bad range")
+        end = start + length
+        return _fill([-1], end, self._covered_runs(end), range(self._source_total))[start:]
 
     def export(self) -> dict:
         return {
@@ -391,12 +395,32 @@ def plan_allocation(weights: WeightSeries, start_level: int = None,
 
 
 def spread_random(alloc: Allocation, rs: RandomSource, length: int):
-    """Draw exactly the source bits [0, length) needs, then spread them:
-    position i carries source bit source_map(i, 1)[0]."""
-    runs = list(alloc._covered_runs(0, length))
+    """Draw exactly the source bits [0, length) needs, then spread them by
+    period doubling (_fill): position i carries source bit
+    source_map(i, 1)[0]."""
+    runs = alloc._covered_runs(length)
     source_bits = rs.bits(max((index + width for _, _, index, width in runs), default=0))
     # a source byte is b"0" or b"1", so a position no run fills stays 0
-    return _fill(bytearray(length), 0, runs, source_bits.encode()).decode(), source_bits
+    return _fill(bytearray(1), length, runs, source_bits.encode()).decode(), source_bits
+
+
+def _copies_agree(alloc: Allocation, bits: str, length: int, block: int = 1 << 20) -> bool:
+    """Whether every position of bits[:length] reads as the first copy of its
+    source bit: each block of the text equals its spread (_fill) from those
+    first copies, so at most a block is held twice.  The block is a power of
+    two, so a lower level's runs start each block alike and a higher one's
+    meet it once; either way a run's first term is its offset's residue."""
+    for a in range(0, length, block):
+        n = min(block, length - a)
+        runs, firsts, index = [], [], 0
+        for offset, step, _, width in alloc._runs(a, n):
+            first = (a + offset) % step
+            runs.append((offset, step, index, width))
+            firsts.append(bits[first:first + width])
+            index += width
+        if _fill(bytearray(1), n, runs, "".join(firsts).encode()) != bits[a:a + n].encode():
+            return False
+    return True
 
 
 def _differing_copies(text: str, runs):
@@ -422,7 +446,9 @@ def disagreements(alloc: Allocation, bits: str, length: int) -> list:
     included, each against the first copy that differs."""
     if length > len(bits):
         raise ValueError(f"length {length} exceeds the {len(bits)} bits given")
-    runs = list(alloc._covered_runs(0, length))
+    runs = alloc._covered_runs(length)
+    if _copies_agree(alloc, bits, length):
+        return []
     differing = {}
     for j, p, q in _differing_copies(bits[:length], runs):
         differing.setdefault(j, (q, []))[1].append(p)
@@ -474,7 +500,7 @@ def coverage_faults(alloc: Allocation, length: int, top_level: int) -> list:
     # one mark per covered position, with room for a clipped last repetition to
     # spill past the end: every position is covered exactly once when all are
     # marked and the covered widths sum to the length
-    runs = list(alloc._covered_runs(0, length))
+    runs = alloc._covered_runs(length)
     marks = bytearray(length + max((width for *_, width in runs), default=0))
     widths = 0
     for offset, step, _, width in runs:

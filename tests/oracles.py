@@ -4,6 +4,7 @@ Each one restates, by enumeration or by the plainest loop, something the
 library computes another way, so a test can compare the two.
 """
 
+import bisect
 import io
 import itertools
 import json
@@ -521,6 +522,122 @@ def oracle_sampled_recovery(alloc: Allocation, bits: str, usable: int, top: int,
             else:
                 agreed += recovered[common:]
     return violations
+
+
+class OracleIntervals:
+    """The interval list spreader._Intervals was before it worked on whole
+    lists: built from (lo, hi) pairs, summed and split one interval at a
+    time."""
+
+    __slots__ = ("los", "his", "cum")
+
+    def __init__(self, pairs=()):
+        los, his = [], []
+        for lo, hi in pairs:
+            if hi > lo:
+                los.append(lo)
+                his.append(hi)
+        cum = [0]
+        for lo, hi in zip(los, his):
+            cum.append(cum[-1] + (hi - lo))
+        self.los, self.his, self.cum = los, his, cum
+
+    @property
+    def total(self) -> int:
+        return self.cum[-1]
+
+    def first(self):
+        return self.los[0] if self.los else None
+
+    def pairs(self):
+        return list(zip(self.los, self.his))
+
+    def take_prefix(self, k: int):
+        if k >= self.total:
+            return self, OracleIntervals(())
+        j = bisect.bisect_right(self.cum, k) - 1
+        cut = self.los[j] + (k - self.cum[j])
+        taken = list(zip(self.los[:j], self.his[:j]))
+        rest = []
+        if cut > self.los[j]:
+            taken.append((self.los[j], cut))
+        if cut < self.his[j]:
+            rest.append((cut, self.his[j]))
+        rest.extend(zip(self.los[j + 1:], self.his[j + 1:]))
+        return OracleIntervals(taken), OracleIntervals(rest)
+
+
+class OracleAllocation(Allocation):
+    """An Allocation whose pool is an OracleIntervals, split into the next
+    level's pool one (lo, hi) pair at a time: the oracle of the list-sliced
+    pool split in Allocation._build_next."""
+
+    def _reset(self):
+        super()._reset()
+        self._pool = OracleIntervals(self._pool.pairs())
+
+    def _build_next(self) -> bool:
+        m = self.start_level + len(self._levels)
+        if m > self.max_level:
+            return False
+        count = self._count_for(m)
+        if count < 0:
+            raise ValueError(f"negative progression count at level {m}")
+        if count > self._pool_total:
+            raise spreader.CertificateError(
+                f"level {m} needs {count} progressions but only {self._pool_total} remain")
+        taken, rest = self._pool.take_prefix(count)
+        self._levels.append(spreader._Level(m, count, taken, self._source_total))
+        self._source_total += count
+        remaining = self._pool_total - count
+        if remaining == 0:
+            self._least_uncovered = None
+            self._pool = OracleIntervals(())
+            self._pool_total = 0
+        else:
+            first = rest.first()
+            self._least_uncovered = first if first is not None else self._cap
+            step = 1 << m
+            pairs = rest.pairs()
+            shifted = [(lo + step, min(hi + step, self._cap))
+                       for lo, hi in pairs if lo + step < self._cap]
+            self._pool = OracleIntervals(pairs + shifted)
+            self._pool_total = 2 * remaining
+        return True
+
+
+def oracle_plan(weights: spreader.WeightSeries, start_level: int) -> OracleAllocation:
+    """plan_allocation's allocation, built by OracleAllocation."""
+    return OracleAllocation(start_level, 64, lambda m: spreader.boosted_count(weights, m))
+
+
+def oracle_fill(out, hole, runs, source):
+    """out with source[index:index + width] written at each repetition of each
+    run (offset, step, index, width) from Allocation._runs, clipped at the end
+    of out: one slice per repetition, where spreader._fill doubles a period.
+    AssertionError if a position still holds hole afterwards."""
+    length = len(out)
+    for offset, step, index, width in runs:
+        for a in range(offset, length, step):
+            b = min(a + width, length)
+            out[a:b] = source[index:index + b - a]
+    if hole in out:
+        raise AssertionError("progression partition left a hole")
+    return out
+
+
+def oracle_fill_source_map(alloc: Allocation, start: int, length: int) -> list:
+    """Allocation.source_map by the per-repetition fill of [start, start + length)."""
+    alloc._covered_runs(start + length)  # builds the levels the range needs
+    return oracle_fill([-1] * length, -1, alloc._runs(start, length),
+                       range(alloc._source_total))
+
+
+def oracle_spread_random(alloc: Allocation, rs: RandomSource, length: int):
+    """spread_random by the per-repetition fill."""
+    runs = alloc._covered_runs(length)
+    source_bits = rs.bits(max((index + width for _, _, index, width in runs), default=0))
+    return oracle_fill(bytearray(length), 0, runs, source_bits.encode()).decode(), source_bits
 
 
 def spread(alloc: Allocation, source_bits: str, length: int) -> str:

@@ -535,7 +535,20 @@ def test_verify_fails_a_profile_report_whose_bits_text_is_not_a_string(reports, 
         "verify: FAIL the report does not reproduce: ValueError: expected a JSON str, got 5"])
 
 
-REPRODUCE_FAIL = "verify: FAIL the report does not reproduce: "
+def test_verify_fails_a_spread_report_of_a_negative_length(reports, tmp_path, capsys):
+    # the results and certificates of an empty spread, which a spread of -5
+    # bits would also give if its length were not refused
+    doc = read_json(reports["spread"])
+    doc["parameters"]["length"] = 0
+    doc["results"], doc["certificates"] = cli.KINDS["spread"].run(doc["parameters"],
+                                                                  doc["seed"])[:2]
+    assert verify_lines(tmp_path, capsys, doc) == (cli.EXIT_OK, ["verify: OK (spread)"])
+    doc["parameters"]["length"] = -5
+    assert verify_lines(tmp_path, capsys, doc) == (cli.EXIT_VERIFY_FAILED, [
+        "verify: FAIL the report does not reproduce: ValueError: bad range"])
+
+
+REPRODUCE_FAIL ="verify: FAIL the report does not reproduce: "
 
 # (report kind, parameter, what it is set to given its value, or None to delete
 # it, and the one line verify prints): parameters no command writes

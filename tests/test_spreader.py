@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 
 from ecseq.core import CertificateError, RandomSource
 from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError, _Intervals,
+                            _copies_agree,
                             boost_tail, boosted_count, choose_start_level, coverage_faults,
                             disagreements, geometric, inverse_triangular, plan_allocation, recover_prefix,
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import (flip, level_counts, level_records, oracle_source_map, oracle_window_tally,
+from oracles import (OracleIntervals, flip, level_counts, level_records, oracle_fill_source_map,
+                     oracle_plan, oracle_source_map, oracle_spread_random, oracle_window_tally,
                      spread)
 
 
@@ -151,6 +154,55 @@ def test_spread_random_round_trip_against_spread():
             assert spread(oracle, tau, length) == omega, (weights.name, length)
             mapping = oracle_source_map(oracle, 0, length)
             assert len(tau) == (max(mapping) + 1 if mapping else 0), (weights.name, length)
+
+
+# ---------------------------------------------------------------- list kernels against oracles
+
+def parts(*intervals):
+    return [(x.los, x.his, x.cum) for x in intervals]
+
+
+def test_take_prefix_agrees_with_the_pairwise_oracle_at_every_k():
+    rng = random.Random(28)
+    for trial in range(80):
+        # edges drawn with repeats: some intervals are empty, some touch
+        edges = sorted(rng.choices(range(40), k=2 * rng.randint(0, 9)))
+        pairs = list(zip(edges[::2], edges[1::2]))
+        if trial % 4 == 0:
+            pairs.insert(rng.randint(0, len(pairs)), (30, 20))  # backwards, dropped too
+        intervals, oracle = _Intervals(pairs), OracleIntervals(pairs)
+        assert parts(intervals) == parts(oracle), pairs
+        for k in range(oracle.total + 2):
+            assert parts(*intervals.take_prefix(k)) == parts(*oracle.take_prefix(k)), (pairs, k)
+
+
+@pytest.mark.parametrize("preset", ["inverse-triangular", "zero", "geometric:1/3",
+                                    "geometric:3/4"])
+def test_doubling_fill_and_list_build_agree_with_the_per_item_oracles(preset):
+    weights = weight_preset(preset)
+    certified = choose_start_level(weights)
+    for start_level in (certified, certified + 1):
+        for seed, length in enumerate([1, 255, (1 << 13) - 1, (1 << 13) + 1, 100003, 1 << 17]):
+            alloc = plan_allocation(weights, start_level)
+            oracle = oracle_plan(weights, start_level)
+            assert spread_random(alloc, RandomSource(seed), length) \
+                == oracle_spread_random(oracle, RandomSource(seed), length), (start_level, length)
+            assert alloc.export() == oracle.export(), (start_level, length)
+        # ranges below the cap of 2**17, then one past it, which rebuilds every
+        # level at a cap of 2**18
+        for start, length in [(0, 300), (7, 1000), (8190, 5), (100000, 31072), ((1 << 17) - 3, 9)]:
+            assert alloc.source_map(start, length) == oracle_fill_source_map(oracle, start, length)
+            assert alloc.export() == oracle.export(), (start_level, start, length)
+        assert alloc.export()["cap"] == 1 << 18
+
+
+def test_a_long_spread_keeps_its_bits():
+    # spread --length 4194304 --seed 1 as the per-repetition fill wrote it:
+    # a length the residue-loop oracles cannot reach in a test
+    omega, tau = spread_random(plan_allocation(inverse_triangular()), RandomSource(1), 1 << 22)
+    assert len(tau) == 1140064
+    assert hashlib.sha256(omega.encode()).hexdigest() \
+        == "cfed23a05258381eac66be0bfe0e071ba8798249f0912d51bd7576c29ccf1492"
 
 
 # ---------------------------------------------------------------- recovery
@@ -397,6 +449,25 @@ def test_disagreements_agree_with_per_position_oracle(preset):
                 == oracle_disagreements(alloc, tampered, length), (length, sorted(flips))
     with pytest.raises(ValueError):
         disagreements(plan_allocation(weights), omega, total + 1)
+
+
+@pytest.mark.parametrize("preset", ["inverse-triangular", "geometric:1/3"])
+def test_copies_agree_block_by_block_as_the_oracle_finds(preset):
+    # blocks below, at and above the start level's step and the whole text:
+    # a block's first copies lie in the first block or in earlier blocks
+    weights = weight_preset(preset)
+    omega, _ = spread_random(plan_allocation(weights), RandomSource(5), 20000)
+    rng = random.Random(5)
+    for length in (20000, 16384, 9000, 1):
+        alloc = plan_allocation(weights)
+        texts = [omega] + [flip(omega, {rng.randrange(length) for _ in range(1 + trial % 2)})
+                           for trial in range(6)]
+        for text in texts:
+            agree = oracle_disagreements(alloc, text, length) == []
+            for block in (1, 64, 1 << 13, 1 << 14, 1 << 20):
+                assert _copies_agree(alloc, text, length, block) == agree, (length, block)
+    with pytest.raises(ValueError, match="bad range"):
+        disagreements(plan_allocation(weights), omega, -5)
 
 
 # ---------------------------------------------------------------- coverage proof against the window tally
