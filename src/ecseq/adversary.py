@@ -11,24 +11,27 @@ accounting work: certifying the enumerated part against a reduced target
 certifies the full distribution against the original one.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ExactProb, FiniteDistribution, frac_to_str, json_exact, read_back
 
 
-@dataclass(frozen=True)
-class PositionalFamily:
-    """One forbidden window numeral per start position, plus the avoid certificate."""
-
+class _PositionalFields(NamedTuple):
     window_length: int
     targets: tuple
     certificate: Optional[ExactProb] = None
 
-    def __post_init__(self):
-        if any(v < 0 or v.bit_length() > self.window_length for v in self.targets):
+
+class PositionalFamily(_PositionalFields):
+    """One forbidden window numeral per start position, plus the avoid certificate."""
+
+    __slots__ = ()
+
+    def __new__(cls, window_length: int, targets: tuple, certificate: Optional[ExactProb] = None):
+        if any(v < 0 or v.bit_length() > window_length for v in targets):
             raise ValueError("every forbidden window must fit the window length")
+        return super().__new__(cls, window_length, targets, certificate)
 
     def numerals(self) -> tuple:
         return self.targets
@@ -134,17 +137,21 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
     # when the support is)
     columns = list(zip(*(windows for _, windows, _ in rows))) or [()] * N
 
-    def options(p: int, alive: list, total: int):
+    def tally(column, alive: list) -> dict:
+        counts = {}
+        for i in alive:
+            counts[column[i]] = counts.get(column[i], 0) + weights[i]
+        return counts
+
+    def options(p: int, alive: list, total: int, tallies: list):
         """The window values at position p, in order, that may lead to a
-        qualifying family, each with the strings and weight surviving it."""
-        tallies = []
-        for column in columns[p:]:
-            tally = {}
-            for i in alive:
-                tally[column[i]] = tally.get(column[i], 0) + weights[i]
-            tallies.append(tally)
-        here = tallies[0]
-        least = base + total - sum(max(t.values(), default=0) for t in tallies[1:])
+        qualifying family, each with the strings and weight surviving it and
+        the tallies of the later positions over those survivors.  tallies[j]
+        maps each window value at position p + j to the weight of the
+        survivors showing it there; a child's tallies are a copy less the
+        strings its step removes, so no node counts all its survivors."""
+        here, later = tallies[0], tallies[1:]
+        least = base + total - sum(max(t.values(), default=0) for t in later)
         column, walked_unchanged = columns[p], False
         for v in range(1 << n):
             removed = here.get(v, 0)
@@ -156,15 +163,21 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
                 if walked_unchanged:
                     continue
                 walked_unchanged = True
-                yield v, alive, total
+                yield v, alive, total, later
             elif p == N - 1:
-                yield v, None, total - removed
+                yield v, None, total - removed, None
             else:
-                yield v, [i for i in alive if column[i] != v], total - removed
+                gone = [i for i in alive if column[i] == v]
+                gone_weights = [weights[i] for i in gone]
+                kept = [t.copy() for t in later]
+                for counts, other in zip(kept, columns[p + 1:]):
+                    for value, weight in zip(map(other.__getitem__, gone), gone_weights):
+                        counts[value] -= weight
+                yield v, [i for i in alive if column[i] != v], total - removed, kept
 
     prefix = []
     alive, total = list(range(len(weights))), sum(weights)
-    walk = [options(0, alive, total)]
+    walk = [options(0, alive, total, [tally(column, alive) for column in columns])]
     # until the prefix is a whole family or its survivors already weigh under
     # the limit; a step back leaves a prefix at least as heavy as the one left
     while len(prefix) < N and base + total >= limit:
@@ -175,9 +188,9 @@ def positional_family_search(dist: FiniteDistribution, window_length: int,
                 raise AssertionError("averaged bound held but no family qualified")
             prefix.pop()
         else:
-            v, alive, total = step
+            v, alive, total, tallies = step
             prefix.append(v)
-            walk.append(options(len(prefix), alive, total))
+            walk.append(options(len(prefix), alive, total, tallies))
     if len(prefix) < N:
         # every completion qualifies, and zeros are the first of them
         rest = columns[len(prefix):]

@@ -7,33 +7,30 @@ Moser-Tardos constraint resampling.
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import RandomSource
 from .forbidden import LevelFamily, Scanner
 
 
-@dataclass(frozen=True)
 class AvoidanceInstance:
-    family: LevelFamily
-    length: int
-    max_resamples: int
-    source: RandomSource
+    __slots__ = ("family", "length", "max_resamples", "source")
 
-    def __post_init__(self):
-        if self.length <= 0 or self.max_resamples <= 0:
+    def __init__(self, family: LevelFamily, length: int, max_resamples: int,
+                 source: RandomSource):
+        if length <= 0 or max_resamples <= 0:
             raise ValueError("length and resample budget must be positive")
-        if self.family.top is not None:
+        if family.top is not None:
             raise ValueError("avoidance needs explicit level sets")
-        for n in self.family.levels:
-            if n > self.length:
-                raise ValueError(f"forbidden length {n} exceeds target length {self.length}")
+        for n in family.levels:
+            if n > length:
+                raise ValueError(f"forbidden length {n} exceeds target length {length}")
+        self.family, self.length, self.max_resamples, self.source = (
+            family, length, max_resamples, source)
 
 
-@dataclass(frozen=True)
-class AvoidanceResult:
+class AvoidanceResult(NamedTuple):
     succeeded: bool
     string: Optional[str]
     resamples: int

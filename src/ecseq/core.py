@@ -10,8 +10,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import struct
+import sys
 from fractions import Fraction
 from typing import Callable
 
@@ -88,12 +90,49 @@ def json_exact(value, kind: type):
     return value
 
 
+_ARRAYS = frozenset((list, tuple))
+_PLAIN = frozenset((str, int, bool, type(None)))  # compared by ==, once the types agree
+
+
+def _same_json(a, b) -> bool:
+    """Whether a and b are one JSON value with the same type at every node: a
+    dict with str keys, a list (a tuple counts as one), a str, an int, a float
+    (compared by repr), a bool or None.  Equal values pass; any other pair,
+    whether or not its JSON texts agree, fails."""
+    ta, tb = type(a), type(b)
+    if ta is dict:
+        return (tb is dict and a.keys() == b.keys() and set(map(type, a)) <= {str}
+                and _same_items(list(a.values()), list(map(b.__getitem__, a))))
+    if ta in _ARRAYS:
+        return tb in _ARRAYS and len(a) == len(b) and _same_items(a, b)
+    if ta is float:
+        return tb is float and repr(a) == repr(b)
+    return ta is tb and ta in _PLAIN and a == b
+
+
+def _same_items(a, b) -> bool:
+    """_same_json of the items of two sequences of one length, in turn.  When
+    every item on both sides is of one type in _PLAIN, such as the masses of
+    a distribution, the two compare as lists, at C speed; when every item is
+    an array, such as an allocation's [first, last] pairs, arrays of the same
+    lengths compare as their items run together."""
+    kinds, other = set(map(type, a)), set(map(type, b))
+    if len(kinds) == 1 and kinds <= _PLAIN and other == kinds:
+        return list(a) == list(b)
+    if kinds and kinds | other <= _ARRAYS and list(map(len, a)) == list(map(len, b)):
+        return _same_items([*itertools.chain.from_iterable(a)],
+                           [*itertools.chain.from_iterable(b)])
+    return all(map(_same_json, a, b))
+
+
 def differing_keys(doc: dict, written: dict) -> list:
     """The keys, sorted, at which two JSON objects differ: keys one of them
-    lacks, and keys whose values differ in canonical JSON (sorted keys)."""
+    lacks, and keys whose values differ in canonical JSON (sorted keys).  A
+    value is dumped only when the type-strict walk _same_json fails on it."""
     dump = functools.partial(json.dumps, sort_keys=True)
     return [key for key in sorted(doc.keys() | written.keys())
-            if key not in doc or key not in written or dump(doc[key]) != dump(written[key])]
+            if key not in doc or key not in written or not (
+                _same_json(doc[key], written[key]) or dump(doc[key]) == dump(written[key]))]
 
 
 def check_rewrite(doc: dict, written: dict, what: str) -> None:
@@ -400,6 +439,32 @@ def _ratio_text(weight: int, denominator: int) -> str:
     return f"{weight // g}/{denominator // g}"
 
 
+def _window_columns(numerals, string_length: int, length: int) -> list:
+    """The numerals of the windows of the given length of strings of
+    string_length bits, one list per position, first position first.
+
+    The numerals are packed once into one int, string i in lane i of whole
+    64-bit words; a position's column is that int shifted and masked in every
+    lane at once, read back a word per lane.  A window wider than 64 bits ORs
+    the words of its lane together."""
+    order, words = sys.byteorder, -(-string_length // 64)
+    lane, count = 8 * words, len(numerals)  # lane in bytes
+    packed = int.from_bytes(b"".join(map(int.to_bytes, numerals, itertools.repeat(lane),
+                                         itertools.repeat(order))), order)
+    lane_masks = int.from_bytes(((1 << length) - 1).to_bytes(lane, order) * count, order)
+    # the word of significance k in each lane: a lane's bytes keep their order
+    offsets = range(words) if order == "little" else range(words - 1, -1, -1)
+    columns = []
+    for shift in range(string_length - length, -1, -1):
+        cells = memoryview(((packed >> shift) & lane_masks).to_bytes(lane * count, order)).cast("Q")
+        column = cells[offsets[0]::words].tolist()
+        for k in range(1, -(-length // 64)):
+            column = list(map(operator.or_, column, map(operator.lshift, cells[offsets[k]::words]
+                                                       .tolist(), itertools.repeat(64 * k))))
+        columns.append(column)
+    return columns
+
+
 class FiniteDistribution:
     """Explicit (sub)probability distribution over fixed-length bit strings.
 
@@ -451,12 +516,9 @@ class FiniteDistribution:
         if length != cached_length:
             if not 0 < length <= self.string_length:
                 raise ValueError(f"window length {length} out of range")
-            mask = (1 << length) - 1
-            numerals = self.numerals
             # one column of window numerals per position, turned into rows by zip
-            columns = [[(v >> s) & mask for v in numerals]
-                       for s in range(self.string_length - length, -1, -1)]
-            rows = tuple(zip(numerals, zip(*columns), self.weights))
+            columns = _window_columns(self.numerals, self.string_length, length)
+            rows = tuple(zip(self.numerals, zip(*columns), self.weights))
             self._table = (length, rows)
         return rows
 

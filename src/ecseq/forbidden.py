@@ -10,10 +10,10 @@ schedule construction.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
-from typing import Callable, Optional
+from operator import and_, itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .core import (SIZE_LIMIT_BITS, CertificateError, ExactProb, FiniteDistribution,
                    RandomSource, frac_to_str, json_exact, pow2_at_most, pow2_floor,
@@ -104,8 +104,7 @@ def sample_uniform_set(length: int, size: int, rs: RandomSource) -> frozenset:
     return frozenset(chosen)
 
 
-@dataclass(frozen=True)
-class ImplicitLevel:
+class ImplicitLevel(NamedTuple):
     """The simple strings of a length (see is_simple), with their exact count."""
 
     length: int
@@ -249,8 +248,7 @@ class LevelFamily:
         return read_back(doc, parse, cls.to_json, "family JSON")
 
 
-@dataclass(frozen=True)
-class TwoLevelCertificate:
+class TwoLevelCertificate(NamedTuple):
     random_length: int
     top_length: int
     threshold: int
@@ -297,8 +295,14 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
             if miss_bound < epsilon:
                 break
         n += 1
+    # a top of `blocks` blocks may hold floor(2**(p*blocks/q)) strings, for alpha*n =
+    # p/q: a count of b bits is below 2**b and at least 2**(b - 1), so bit lengths
+    # decide it unless p*blocks/q lies in [b - 1, b), where pow2_at_most decides
+    p, q = (alpha * n).numerator, (alpha * n).denominator
     for blocks, cardinality in enumerate(simple_counts(n, threshold), start=1):
-        if pow2_at_most(cardinality, alpha * n * blocks):
+        b = cardinality.bit_length()
+        if b * q <= p * blocks or ((b - 1) * q <= p * blocks
+                                   and pow2_at_most(cardinality, Fraction(p * blocks, q))):
             break
     top_size_bound = pow2_floor(alpha * n * blocks)
     top = ImplicitLevel(n * blocks, n, threshold, cardinality)
@@ -333,15 +337,13 @@ def family_avoid_probability(dist: FiniteDistribution, family: LevelFamily) -> E
     avoiding = [True] * len(dist.weights)
     for n, strings in family.levels.items():
         if strings:
-            isdisjoint = strings.isdisjoint
-            avoiding = [a and isdisjoint(windows)
-                        for a, (_, windows, _) in zip(avoiding, dist.windows(n))]
+            disjoint = map(strings.isdisjoint, map(itemgetter(1), dist.windows(n)))
+            avoiding = list(map(and_, avoiding, disjoint))
     top = family.top
-    total = dist.deficit_weight
-    for numeral, weight in compress(zip(dist.numerals, dist.weights), avoiding):
-        if top is None or not top.holds(numeral):
-            total += weight
-    return ExactProb(total, dist.denominator)
+    if top is not None:
+        avoiding = [a and not top.holds(numeral) for a, numeral in zip(avoiding, dist.numerals)]
+    return ExactProb(dist.deficit_weight + sum(compress(dist.weights, avoiding)),
+                     dist.denominator)
 
 
 def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLevel]:
@@ -384,11 +386,13 @@ def _averaged_bound(dist: FiniteDistribution, ln: int, size: int,
     as avoiding."""
     # strings with the same number d of distinct windows miss alike, so their
     # weights are summed first and each miss probability is used once
+    rows = dist.windows(ln)
+    counts, weights = map(len, map(set, map(itemgetter(1), rows))), map(itemgetter(2), rows)
+    if top is not None:
+        kept = [not top.holds(numeral) for numeral, _, _ in rows]
+        counts, weights = compress(counts, kept), compress(weights, kept)
     by_count = {}
-    for numeral, windows, weight in dist.windows(ln):
-        if top is not None and top.holds(numeral):
-            continue
-        d = len(set(windows))
+    for d, weight in zip(counts, weights):
         by_count[d] = by_count.get(d, 0) + weight
     average = Fraction(dist.deficit_weight)
     for d, weight in by_count.items():
@@ -487,8 +491,7 @@ def recertify_family(dist: FiniteDistribution, alpha, epsilon, witness: LevelFam
     return family, certificate
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     lower: int            # lengths used lie strictly above this
     upper: int            # top length of the interval's family
     epsilon: ExactProb

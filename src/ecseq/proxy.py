@@ -7,7 +7,7 @@ platforms; it is a heuristic profile signal only and never feeds
 certificates.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import _BIT_VALUES
 
@@ -80,8 +80,7 @@ def compress_size(x: str) -> int:
     return _size(x.encode().translate(_BIT_VALUES))
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     window_length: int
     stride: int
     offsets: tuple

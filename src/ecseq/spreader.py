@@ -19,11 +19,10 @@ dry.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import CertificateError, RandomSource, frac_to_str, json_exact, read_back
 
@@ -36,8 +35,7 @@ class InconsistentWindowError(ValueError):
     """Duplicate reads of one source bit disagree inside a window."""
 
 
-@dataclass(frozen=True)
-class WeightSeries:
+class WeightSeries(NamedTuple):
     """A computable series of non-negative rational weights with a certified
     upper bound on every tail sum."""
 
@@ -147,12 +145,12 @@ class _Intervals:
                 _Intervals(los=[cut] + los[j + 1:], his=his[j:]))
 
 
-@dataclass
 class _Level:
-    level: int
-    count: int
-    assigned: _Intervals
-    source_base: int
+    __slots__ = ("level", "count", "assigned", "source_base")
+
+    def __init__(self, level: int, count: int, assigned: _Intervals, source_base: int):
+        self.level, self.count, self.assigned, self.source_base = (
+            level, count, assigned, source_base)
 
 
 def _fill(blank, length: int, runs, source):

@@ -15,8 +15,8 @@ from typing import Optional
 
 from ecseq import spreader
 from ecseq.core import (BIT_FILE_MAGIC, ExactProb, FiniteDistribution, RandomSource,
-                        fold_bits, frac_to_str, pow2_floor)
-from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set
+                        fold_bits, frac_to_str, pow2_at_most, pow2_floor)
+from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set, simple_counts
 from ecseq.proxy import LENGTH_HEADER_BITS
 from ecseq.spreader import Allocation
 
@@ -354,6 +354,15 @@ def json_dump_text(doc) -> str:
     out = io.StringIO()
     json.dump(doc, out, indent=2, sort_keys=True)
     return out.getvalue() + "\n"
+
+
+def oracle_differing_keys(doc: dict, written: dict) -> list:
+    """The keys, sorted, at which two JSON objects differ, each pair of
+    values compared as the text json.dumps(sort_keys=True) writes."""
+    def dump(value):
+        return json.dumps(value, sort_keys=True)
+    return [key for key in sorted(doc.keys() | written.keys())
+            if key not in doc or key not in written or dump(doc[key]) != dump(written[key])]
 
 
 def oracle_distribution_json(dist: FiniteDistribution) -> dict:
@@ -743,3 +752,66 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[str]:
         return None
 
     return smallest(0, length)
+
+
+def oracle_top_blocks(alpha: Fraction, n: int, threshold: int) -> tuple:
+    """(blocks, cardinality) of the simple top two_level_family once chose:
+    the carried count of each block count in turn, until pow2_at_most admits
+    it against the Fraction exponent alpha*n*blocks."""
+    for blocks, cardinality in enumerate(simple_counts(n, threshold), start=1):
+        if pow2_at_most(cardinality, alpha * n * blocks):
+            return blocks, cardinality
+
+
+def recount_search(dist: FiniteDistribution, window_length: int, epsilon) -> tuple:
+    """(targets, certificate) of the pruned first-lex search as
+    positional_family_search once ran it: every node tallies its survivors
+    afresh at every remaining position to bound what the rest can remove."""
+    n, N = window_length, dist.string_length - window_length + 1
+    limit = -(-epsilon.numerator * dist.denominator // epsilon.denominator)
+    base = dist.deficit_weight
+    rows = dist.windows(n)
+    weights = [w for _, _, w in rows]
+    columns = list(zip(*(windows for _, windows, _ in rows))) or [()] * N
+
+    def options(p: int, alive: list, total: int):
+        tallies = []
+        for column in columns[p:]:
+            tally = {}
+            for i in alive:
+                tally[column[i]] = tally.get(column[i], 0) + weights[i]
+            tallies.append(tally)
+        here = tallies[0]
+        least = base + total - sum(max(t.values(), default=0) for t in tallies[1:])
+        column, walked_unchanged = columns[p], False
+        for v in range(1 << n):
+            removed = here.get(v, 0)
+            if least - removed >= limit:
+                continue
+            if not removed:
+                if walked_unchanged:
+                    continue
+                walked_unchanged = True
+                yield v, alive, total
+            elif p == N - 1:
+                yield v, None, total - removed
+            else:
+                yield v, [i for i in alive if column[i] != v], total - removed
+
+    prefix = []
+    alive, total = list(range(len(weights))), sum(weights)
+    walk = [options(0, alive, total)]
+    while len(prefix) < N and base + total >= limit:
+        step = next(walk[-1], None)
+        if step is None:
+            walk.pop()
+            prefix.pop()
+        else:
+            v, alive, total = step
+            prefix.append(v)
+            walk.append(options(len(prefix), alive, total))
+    if len(prefix) < N:
+        rest = columns[len(prefix):]
+        total = sum(weights[i] for i in alive if all(column[i] for column in rest))
+        prefix += [0] * len(rest)
+    return tuple(prefix), ExactProb(base + total, dist.denominator)

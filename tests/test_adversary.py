@@ -8,7 +8,7 @@ from ecseq.adversary import (PositionalFamily, avoid_probability,
 from ecseq.core import ExactProb, FiniteDistribution, RandomSource
 
 from oracles import (average_avoid_probability, distribution, first_lex_search, point_mass,
-                     scaled_to_deficit, support_masses)
+                     recount_search, scaled_to_deficit, support_masses)
 
 
 def fam(*texts):
@@ -153,6 +153,40 @@ def test_search_agrees_with_the_unpruned_first_lex_search():
         assert family.certificate == certificate, (trial, dist, epsilon)
         assert avoid_probability(dist, family) == certificate
     assert with_deficit == 160
+
+
+def seeded_instance(rs, n: int, positions: int, deficit_share: Fraction):
+    """Up to 64 weighted strings of positions + n - 1 bits with the given
+    deficit share, and an epsilon between the averaged existence bound and 1,
+    skewed toward the bound so that the first qualifying family lies deeper."""
+    length = positions + n - 1
+    numerals = {rs.below(1 << length) for _ in range(1 + rs.below(64))}
+    weights = {format(v, f"0{length}b"): 1 + rs.below(9) for v in numerals}
+    total = sum(weights.values())
+    dist = distribution(length, {x: (1 - deficit_share) * Fraction(w, total)
+                                 for x, w in weights.items()}, deficit_share)
+    average = (1 - deficit_share) * (1 - Fraction(1, 1 << n)) ** positions + deficit_share
+    return dist, average + (1 - average) * Fraction(1 + rs.below(300), 300) ** 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_search_with_incremental_tallies_agrees_with_the_recounting_search(n):
+    rs = RandomSource(4096 + n)
+    positions = required_positions(n, Fraction(1, 2))
+    for trial in range(12):
+        share = Fraction(1 + rs.below(7), 64) if trial % 2 else Fraction(0)
+        dist, epsilon = seeded_instance(rs, n, positions, share)
+        family = positional_family_search(dist, n, epsilon)
+        assert (family.targets, family.certificate) == recount_search(dist, n, epsilon), trial
+        assert avoid_probability(dist, family) == family.certificate < epsilon
+
+
+def test_search_with_a_16_bit_window_agrees_with_the_recounting_search():
+    # three positions: the tallies hold only the windows the support shows
+    dist, epsilon = seeded_instance(RandomSource(16), 16, 3, Fraction(0))
+    family = positional_family_search(dist, 16, epsilon)
+    assert (family.targets, family.certificate) == recount_search(dist, 16, epsilon)
+    assert avoid_probability(dist, family) == family.certificate < epsilon
 
 
 def test_search_existence_precondition():

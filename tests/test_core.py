@@ -370,6 +370,20 @@ def test_window_table_matches_numeral_windows_at_alternating_lengths():
         (0, (0, 0), 1), (1, (0, 1), 1), (2, (1, 0), 1), (3, (1, 1), 1))
 
 
+@pytest.mark.parametrize("length", [63, 64, 65, 128, 129])
+def test_window_table_matches_the_oracle_at_word_boundaries(length):
+    # the columns are cut from lanes of whole 64-bit words: strings and
+    # windows on either side of a word's edge, over supports of 0, 1 and 11
+    rs = RandomSource(length)
+    ones = (1 << length) - 1
+    for support in ([], [ones], sorted({0, ones, *(int(rs.bits(length), 2) for _ in range(9))})):
+        share = Fraction(1, len(support) + 1)
+        dist = distribution(length, {format(v, f"0{length}b"): share for v in support}, share)
+        for n in (1, 63, 64, 65, length):
+            if n <= length:
+                assert dist.windows(n) == oracle_window_rows(dist, n), (len(support), n)
+
+
 def test_a_distribution_builds_no_bit_string():
     keys = [format(v * 0x9E3779B1 % (1 << 32), "032b") for v in range(1024)]  # all distinct
     doc = {"length": 32, "masses": {key: "1/2048" for key in keys}, "deficit": "1/2"}

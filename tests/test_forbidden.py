@@ -13,7 +13,8 @@ from ecseq.forbidden import (AveragedBoundError, ImplicitLevel, LevelFamily,
 from oracles import (averaged_bound_per_string, count_limited_block_strings,
                      distinct_substrings, distribution, family_avoid_per_string, family_avoids,
                      hit_probability, membership, numeral_windows, oracle_simple_top,
-                     point_mass, support_weights, surjections, text_slice_simple)
+                     oracle_top_blocks, point_mass, support_weights, surjections,
+                     text_slice_simple)
 
 
 # ---------------------------------------------------------------- substrings
@@ -211,6 +212,25 @@ def test_two_level_top_matches_the_per_multiple_recount():
             _, cert = two_level_family(alpha, ExactProb(1, 4), n_min, RandomSource(0))
             assert (cert.top_length, cert.top_cardinality) \
                 == oracle_simple_top(alpha, cert.random_length), (alpha, n_min)
+
+
+# (alpha, epsilon) pairs of the grid below; 11/20 and 3/5 at epsilon 1/64 are
+# left out: their random lengths, 42 and 22, make the top search carry 2**21
+# and 2**11 counts per block, far too slow for a test whichever way it decides
+TWO_LEVEL_GRID = [(alpha, epsilon) for alpha in (Fraction(11, 20), Fraction(3, 5),
+                                                 Fraction(2, 3), Fraction(9, 10))
+                  for epsilon in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 64))
+                  if epsilon > Fraction(1, 64) or alpha > Fraction(3, 5)]
+
+
+@pytest.mark.parametrize("alpha, epsilon", TWO_LEVEL_GRID)
+def test_two_level_top_matches_the_per_block_fraction_loop(alpha, epsilon):
+    for n_min in range(1, 13):
+        _, cert = two_level_family(alpha, epsilon, n_min, RandomSource(0))
+        n = cert.random_length
+        blocks, cardinality = oracle_top_blocks(alpha, n, cert.threshold)
+        assert (cert.top_length, cert.top_cardinality, cert.top_size_bound) == (
+            n * blocks, cardinality, pow2_floor(alpha * n * blocks)), n_min
 
 
 def test_two_level_dichotomy_local():

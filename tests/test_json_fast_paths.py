@@ -3,7 +3,9 @@
 The writer `cli._json_text` must write what json.dumps(indent=2,
 sort_keys=True) writes; the one-pass distribution reader must read exactly
 the documents that the per-mass oracle `PerMassDistribution` reads and
-writes back unchanged, into the same columns.
+writes back unchanged, into the same columns; and `core.differing_keys`,
+which dumps only values its type-strict walk finds unequal, must name the
+keys that comparing every value's dump names.
 Examples are drawn by hypothesis from a fixed seed with no example database,
 so every run tests the same inputs.
 """
@@ -16,9 +18,10 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ecseq import cli
-from ecseq.core import FiniteDistribution, check_rewrite, frac_to_str, json_exact
+from ecseq.core import (FiniteDistribution, check_rewrite, differing_keys, frac_to_str,
+                        json_exact)
 
-from oracles import PerMassDistribution, json_dump_text
+from oracles import PerMassDistribution, json_dump_text, oracle_differing_keys
 
 FIXED = settings(max_examples=300, deadline=None, database=None, print_blob=False)
 
@@ -58,6 +61,61 @@ def test_the_writer_writes_what_json_dump_writes(value):
 ])
 def test_the_writer_converts_and_refuses_keys_and_values_as_json_dump_does(value):
     assert outcome(lambda: cli._json_text(value) + "\n") == outcome(lambda: json_dump_text(value))
+
+
+# ------------------------------------------------------------------ the comparison
+
+# pairs of values whose JSON texts differ though Python may call them equal
+# or walk them alike, or agree though Python calls them unequal
+TWINS = [(0.0, -0.0), (1, 1.0), (1, True), (1.0, True), (0, False), (0, 0.0), (68, "68"),
+         (68, 68.0), (None, "null"), (float("nan"), float("nan")), (2 ** 64, 2.0 ** 64),
+         (["a"], "a"), (["k"], {"k": 0}), ({1: 0}, {True: 0}), ({1: 0}, {1.0: 0})]
+SCALAR_PAIRS = (SCALARS.map(lambda v: (v, v)) | st.sampled_from(TWINS)
+                | st.sampled_from(TWINS).map(lambda pair: pair[::-1])
+                | st.tuples(SCALARS, SCALARS))
+
+
+def _containers(inner):
+    """Pairs of arrays, each side a list or a tuple, and pairs of objects,
+    with a key sometimes missing from one side."""
+    arrays = st.tuples(st.lists(inner, max_size=4), st.sampled_from([list, tuple]),
+                       st.sampled_from([list, tuple]))
+    objects = st.tuples(st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                        st.sampled_from([None, "a", ""]))
+    return (arrays.map(lambda t: (t[1](a for a, _ in t[0]), t[2](b for _, b in t[0])))
+            | objects.map(lambda t: ({k: a for k, (a, _) in t[0].items()},
+                                     {k: b for k, (_, b) in t[0].items() if k != t[1]})))
+
+
+VALUE_PAIRS = st.recursive(SCALAR_PAIRS, _containers, max_leaves=30)
+
+
+@seed(1010)
+@FIXED
+@given(st.dictionaries(st.text(max_size=3), VALUE_PAIRS, max_size=5),
+       st.dictionaries(st.text(max_size=3), VALUES, max_size=2))
+@example({"a": (0.0, -0.0), "b": (1, 1.0), "c": (1, True), "d": (1.0, True)}, {})
+@example({"nested": ([[1, (2, 3)], {"x": [4]}], ([1, [2, 3]], {"x": (4,)}))}, {})
+@example({"n": ([0.0], [-0.0]), "m": ({"k": [True]}, {"k": [1]})}, {"only": 1})
+@example({"s": (["a"], "a"), "d": (["k"], {"k": 0}), "t": ({1: 0}, {True: 0})}, {})
+@example({"i": ([1, 0], [True, False]), "j": ([1, True], [True, 1]), "e": ([], ())}, {})
+@example({"r": ([[1], [2, 3]], [[1, 2], [3]]), "p": ([[0, 1], (2, 3)], ([0, 1], [2, 3.0])),
+          "q": ([[], []], [(), ()]), "u": ([[1], "1"], [[1], ["1"]]), "v": ([["k"]], [{"k": 0}]),
+          "w": ([["a"]], ["a"])}, {})
+def test_differing_keys_name_what_comparing_every_dump_names(pairs, extra):
+    doc = {**extra, **{k: a for k, (a, _) in pairs.items()}}
+    written = {k: b for k, (_, b) in pairs.items()}
+    assert differing_keys(doc, written) == oracle_differing_keys(doc, written)
+
+
+@pytest.mark.parametrize("value", [68.0, True, "68", [68], None])
+def test_a_value_of_another_json_type_fails_the_read_back_by_its_path(value):
+    doc = {"levels": [{"count": 1}, {"count": 68}]}
+    written = {"levels": [{"count": 1}, {"count": value}]}
+    message = r"^it is not as ecseq writes it: levels\.1\.count differs$"
+    with pytest.raises(ValueError, match=message):
+        check_rewrite(doc, written, "it")
+    check_rewrite(doc, {"levels": ({"count": 1}, {"count": 68})}, "it")
 
 
 # ------------------------------------------------------------------ the reader
