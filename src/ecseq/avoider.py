@@ -97,20 +97,22 @@ def build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
     instance's source in a fixed sequence.
     """
     pattern = first_violation_pattern(inst.family)
-    longest = max((n for n, strings in inst.family.levels.items() if strings), default=0)
-    rs = inst.source
-    text = bytearray(rs.bits(inst.length), "ascii")
+    # fresh violations can only overlap the redrawn block: they start at most
+    # back positions before it
+    back = max((n for n, strings in inst.family.levels.items() if strings), default=1) - 1
+    budget = inst.max_resamples
+    text = bytearray(inst.source.bits(inst.length), "ascii")
+    draw = inst.source.draws()
     resamples = 0
     scan_from = 0
     while True:
         hit = pattern.search(text, scan_from)
         if hit is None:
             return AvoidanceResult(True, text.decode(), resamples, 0)
-        if resamples >= inst.max_resamples:
+        if resamples >= budget:
             residual = sum(1 for _ in Scanner(inst.family.levels).occurrences(text))
             return AvoidanceResult(False, None, resamples, residual)
         k, end = hit.span()
-        text[k:end] = rs.bits(end - k).encode()
+        text[k:end] = draw(end - k).encode()
         resamples += 1
-        # fresh violations can only overlap the redrawn block
-        scan_from = max(0, k - longest + 1)
+        scan_from = k - back if k > back else 0

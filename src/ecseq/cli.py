@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 
 from . import adversary, avoider, forbidden, proxy, spreader
 from .core import (CertificateError, ExactProb, FiniteDistribution, RandomSource, differing_keys,
-                   fold_bits, frac_to_str, json_exact, pack_bits, read_bit_file, write_bit_file)
+                   fold_bits, frac_to_str, json_exact, pack_bits, read_bit_file, row_values,
+                   write_bit_file)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -59,8 +60,9 @@ def _json_text(value, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, where
     pad is the newline and indent of value's own line.  That call runs json's
     pure-Python encoder, because of the indent; here every str and exact int,
-    the bulk of each file, is written inline by _quote and int.__repr__, and
-    only other scalars (floats, booleans and null) go through json.dumps."""
+    the bulk of each file, is written inline by _quote and int.__repr__, a
+    list of rows of exact ints through _int_rows, and only other scalars
+    (floats, booleans and null) go through json.dumps."""
     inner = pad + "  "
     if isinstance(value, dict):
         # an exact int v formats as int.__repr__(v)
@@ -69,10 +71,29 @@ def _json_text(value, pad: str = "\n") -> str:
                  for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-                 else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+        if not value:
+            return "[]"
+        items = type(value[0]) is dict and _int_rows(value, inner) or ("," + inner).join([
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else _json_text(v, inner) for v in value])
+        return "[" + inner + items + pad + "]"
     return json.dumps(value)
+
+
+def _int_rows(items, pad: str):
+    """The items of a list of dicts that hold the same str keys and only exact
+    ints, such as a profile's rows, as _json_text writes them at pad, joined
+    by commas: one template per row, filled from all their values at once.
+    None for any other list."""
+    if set(map(type, items)) != {dict} or set(map(type, items[0])) != {str}:
+        return None
+    keys = sorted(items[0])
+    values = row_values(items, keys)
+    if values is None or set(map(type, values)) != {int}:
+        return None
+    inner = pad + "  "
+    row = "{" + inner + ("," + inner).join(_quote(k).replace("%", "%%") + ": %d" for k in keys)
+    return ("," + pad).join([row + pad + "}"] * len(items)) % tuple(values)
 
 
 def _write_json(path, doc) -> None:
@@ -321,7 +342,8 @@ def cmd_check_windows(args) -> int:
     if faults or disagreeing:
         print(f"check-windows: {len(faults)} coverage fault(s), {len(disagreeing)} "
               f"position(s) disagree with other copies of their source bit")
-        for v in (faults + disagreeing)[:20]:
+        fields = ("position", "source_bit", "disagrees_with_position")
+        for v in [*faults, *(dict(zip(fields, d)) for d in disagreeing[:20])][:20]:
             print(f"  {v}")
         return EXIT_VERIFY_FAILED
     print(f"check-windows: coverage proved for every window of [0, {usable}) at levels "

@@ -115,14 +115,33 @@ def _same_items(a, b) -> bool:
     every item on both sides is of one type in _PLAIN, such as the masses of
     a distribution, the two compare as lists, at C speed; when every item is
     an array, such as an allocation's [first, last] pairs, arrays of the same
-    lengths compare as their items run together."""
+    lengths compare as their items run together; and when every item is a
+    dict with the first one's str keys, such as a profile's rows, the dicts
+    compare as their values run together, read in the first one's key order."""
     kinds, other = set(map(type, a)), set(map(type, b))
     if len(kinds) == 1 and kinds <= _PLAIN and other == kinds:
         return list(a) == list(b)
     if kinds and kinds | other <= _ARRAYS and list(map(len, a)) == list(map(len, b)):
         return _same_items([*itertools.chain.from_iterable(a)],
                            [*itertools.chain.from_iterable(b)])
+    if kinds == other == {dict} and set(map(type, keys := [*a[0]])) <= {str}:
+        values, others = row_values(a, keys), row_values(b, keys)
+        if values is not None and others is not None:
+            return _same_items(values, others)
     return all(map(_same_json, a, b))
+
+
+def row_values(rows, keys: list):
+    """The values of rows, dicts that each hold exactly the keys given, row
+    after row and each in the order of keys; None when there are no keys or
+    some row does not hold exactly those keys."""
+    if not keys or set(map(len, rows)) != {len(keys)}:
+        return None
+    try:
+        values = list(map(operator.itemgetter(*keys), rows))
+    except KeyError:
+        return None
+    return values if len(keys) == 1 else [*itertools.chain.from_iterable(values)]
 
 
 def differing_keys(doc: dict, written: dict) -> list:
@@ -360,6 +379,28 @@ class RandomSource:
         if count < 0:
             raise ValueError("bit count must be non-negative")
         return unpack_bits(self._take(count), count)
+
+    def draws(self) -> Callable[[int], str]:
+        """A function draw(n) that returns what bits(n) would, for n >= 1:
+        the next ceil(n/64) words' 64-character texts, joined and cut to n
+        characters, with _counter left after those words.  It cuts them from
+        a text drawn through bits, 16 words at first and twice as many at
+        each refill up to 512, so a short draw costs one slice.  Words are a
+        function of their index, so other draws may come between its calls."""
+        text, first, size = "", 0, _REFILL
+
+        def draw(count: int) -> str:
+            nonlocal text, first, size
+            start = (self._counter - first) << 6
+            end = start + count
+            if self._buffer or not 0 <= start <= len(text) - count:
+                first = self._counter
+                text = self.bits(max(size << 6, count))
+                size = min(size << 1, _LANES)
+                start, end = 0, count
+            self._counter = first + ((end + 63) >> 6)
+            return text[start:end]
+        return draw
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), exact by rejection."""

@@ -437,8 +437,8 @@ def _differing_copies(text: str, runs):
 
 def disagreements(alloc: Allocation, bits: str, length: int) -> list:
     """The minority copies in [0, length) of each source bit whose copies
-    differ, as {"position", "source_bit", "disagrees_with_position"}, sorted
-    by position.  These are the copies that differ from the bit's first copy,
+    differ, as (position, source_bit, disagrees_with_position), sorted by
+    position.  These are the copies that differ from the bit's first copy,
     each against that first copy; but when more than half of the copies
     differ, they are the copies that agree with the first, the first one
     included, each against the first copy that differs."""
@@ -461,8 +461,8 @@ def disagreements(alloc: Allocation, bits: str, length: int) -> list:
                 found += [(p, j, positions[0]) for p in sorted(set(copies) - set(positions))]
             else:
                 found += [(p, j, q) for p in positions]
-    return [{"position": p, "source_bit": j, "disagrees_with_position": q}
-            for p, j, q in sorted(found)]
+    found.sort()
+    return found
 
 
 def coverage_faults(alloc: Allocation, length: int, top_level: int) -> list:

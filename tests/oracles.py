@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ecseq import spreader
+from ecseq.avoider import AvoidanceInstance, AvoidanceResult, first_violation_pattern
 from ecseq.core import (BIT_FILE_MAGIC, ExactProb, FiniteDistribution, RandomSource,
                         fold_bits, frac_to_str, pow2_at_most, pow2_floor)
 from ecseq.forbidden import LevelFamily, Scanner, miss_probability_random_set, simple_counts
@@ -752,6 +753,29 @@ def brute_force_avoider(family: LevelFamily, length: int) -> Optional[str]:
         return None
 
     return smallest(0, length)
+
+
+def oracle_build_avoiding_string(inst: AvoidanceInstance) -> AvoidanceResult:
+    """avoider.build_avoiding_string as it was with one RandomSource.bits call
+    per redraw, kept as the oracle of the redraws that the library cuts from
+    RandomSource.draws' batches."""
+    pattern = first_violation_pattern(inst.family)
+    longest = max((n for n, strings in inst.family.levels.items() if strings), default=0)
+    rs = inst.source
+    text = bytearray(rs.bits(inst.length), "ascii")
+    resamples = 0
+    scan_from = 0
+    while True:
+        hit = pattern.search(text, scan_from)
+        if hit is None:
+            return AvoidanceResult(True, text.decode(), resamples, 0)
+        if resamples >= inst.max_resamples:
+            residual = sum(1 for _ in Scanner(inst.family.levels).occurrences(text))
+            return AvoidanceResult(False, None, resamples, residual)
+        k, end = hit.span()
+        text[k:end] = rs.bits(end - k).encode()
+        resamples += 1
+        scan_from = max(0, k - longest + 1)
 
 
 def oracle_top_blocks(alpha: Fraction, n: int, threshold: int) -> tuple:

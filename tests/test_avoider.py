@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import ecseq
+from ecseq import cli
 from ecseq.avoider import (AvoidanceInstance, build_avoiding_string,
                            first_violation_pattern, scan_violations)
 from ecseq.core import RandomSource
 from ecseq.forbidden import LevelFamily, Scanner, random_level_family, two_level_family
 
-from oracles import brute_force_avoider, membership, scanner_first
+from oracles import brute_force_avoider, membership, oracle_build_avoiding_string, scanner_first
 
 
 def explicit_family(alpha, sets):
@@ -256,6 +257,56 @@ def test_build_is_deterministic():
     second = build_avoiding_string(AvoidanceInstance(TRIPLES, 64, 10 ** 4, RandomSource(9)))
     assert first.string == second.string
     assert first.resamples == second.resamples
+
+
+# ---------------------------------------------------------------- redraws against the oracle
+
+def built(build, family, length, budget, seed):
+    """A build's result, then the next 64 bits of its source after it."""
+    rs = RandomSource(seed)
+    result = build(AvoidanceInstance(family, length, budget, rs))
+    return result, rs.bits(64)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 29])
+def test_build_agrees_with_the_per_redraw_oracle_on_benchmark_families(seed):
+    # the benchmark's family and length; the smaller budgets run out (exit 3)
+    family = random_level_family(Fraction(3, 10), [8, 9, 10, 11, 12], RandomSource(seed))
+    outcomes = []
+    for budget in (10 ** 6, 1500, 40, 1):
+        got = built(build_avoiding_string, family, 1 << 15, budget, seed)
+        assert got == built(oracle_build_avoiding_string, family, 1 << 15, budget, seed), budget
+        outcomes.append(got[0].succeeded)
+    assert outcomes == [True, False, False, False]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_build_agrees_with_the_per_redraw_oracle_on_redraws_of_n_bits(n, monkeypatch):
+    # a lone 1 is forbidden, so zeros pile up until n of them are redrawn at once
+    family = explicit_family(Fraction(1, 2), {1: ["1"], n: ["0" * n]})
+    lengths = []
+    bits = RandomSource.bits
+    monkeypatch.setattr(RandomSource, "bits", lambda rs, count: lengths.append(count)
+                        or bits(rs, count))
+    for seed, length, budget in ((n, 3 * n, 4000), (n + 1, n, 300)):
+        expected = built(oracle_build_avoiding_string, family, length, budget, seed)
+        assert n in lengths[1:]  # the oracle draws each redraw through bits
+        assert built(build_avoiding_string, family, length, budget, seed) == expected
+        assert not expected[0].succeeded and expected[0].resamples == budget
+        lengths.clear()
+
+
+def test_avoid_exits_3_with_the_oracle_s_counts(tmp_path, capsys):
+    family = random_level_family(Fraction(3, 10), [8, 9, 10, 11, 12], RandomSource(0))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family.to_json()))
+    argv = ["avoid", "--family", str(path), "--length", str(1 << 15), "--budget", "1500",
+            "--seed", "0", "--out", str(tmp_path / "avoid.bits")]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    expected, _ = built(oracle_build_avoiding_string, family, 1 << 15, 1500, 0)
+    assert capsys.readouterr().out == (f"avoid: budget exhausted after {expected.resamples} "
+                                       f"resamples, {expected.residual_violations} residual "
+                                       f"violations\n")
 
 
 # ---------------------------------------------------------------- brute force

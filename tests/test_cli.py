@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import io
@@ -92,6 +93,27 @@ def test_check_windows_clean_and_tampered(tmp_path, spread_run, capsys):
     assert lines[0] == ("check-windows: 0 coverage fault(s), 1 position(s) disagree with "
                         "other copies of their source bit")
     assert lines[1] == "  {'position': 0, 'source_bit': 0, 'disagrees_with_position': 256}"
+
+
+def test_check_windows_of_a_random_file_keeps_within_112_mib(tmp_path):
+    # about a third of the 2**20 positions of random bits disagree; with one
+    # dict per disagreeing position the check needed about 146 MiB of address
+    # space, with one tuple about 74 MiB (Python 3.11, Linux x86-64)
+    bits, alloc = tmp_path / "random.bits", tmp_path / "alloc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("spread", "--weights", "inverse-triangular", "--length", str(1 << 20),
+                   "--seed", "1", "--out", str(tmp_path / "omega.bits"),
+                   "--alloc-out", str(alloc)) == cli.EXIT_OK
+    write_bit_file(bits, RandomSource(99).bits(1 << 20))
+    done = run_capped("check-windows", "--bits", bits, "--alloc", alloc, "--m-max", "20",
+                      memory=112 << 20)
+    assert (done.returncode, done.stderr) == (cli.EXIT_VERIFY_FAILED, "")
+    allocation = spreader.Allocation.from_export(read_json(alloc), 1 << 20)
+    found = spreader.disagreements(allocation, read_bit_file(bits), 1 << 20)
+    fields = ("position", "source_bit", "disagrees_with_position")
+    assert done.stdout.splitlines() == [
+        f"check-windows: 0 coverage fault(s), {len(found)} position(s) disagree with other "
+        f"copies of their source bit", *(f"  {dict(zip(fields, d))}" for d in found[:20])]
 
 
 def test_check_windows_mmax_below_start(tmp_path, spread_run, capsys):

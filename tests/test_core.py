@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from ecseq import core
 from ecseq.core import (BitString, ExactProb, FiniteDistribution, RandomSource, floor_root,
@@ -245,6 +247,46 @@ def test_random_source_agrees_with_the_scalar_oracle(seed):
             fast, slow = fast.substream(index), slow.substream(index)
             got, want = (fast.seed, fast.stream), (slow.seed, slow.stream)
         assert got == want and fast._counter == slow._counter, (step, op)
+
+
+# the words each refill of draws() cuts from: 16, 32, ... up to 512
+REFILLS = [min(core._REFILL << i, core._LANES) for i in range(8)]
+
+
+@seed(2029)
+@settings(max_examples=120, deadline=None, database=None, print_blob=False)
+@given(st.lists(st.integers(1, 200), max_size=700), st.integers(0, (1 << 64) - 1))
+@example([64] * core._REFILL + [1], 0)  # the first refill used up exactly, then one more
+@example([64] * (core._REFILL - 1) + [65, 1], 1)  # a draw across the first refill's end
+@example([128] * (sum(REFILLS[:6]) // 2) + [1], 2)  # through to the first 512-word refill
+@example([200] * 600, 3)
+@example([1] * 1200, (1 << 64) - 1)
+def test_draws_hand_out_what_successive_bits_calls_return(lengths, source_seed):
+    drawn, expected = RandomSource(source_seed, 3), RandomSource(source_seed, 3)
+    draw = drawn.draws()
+    assert [draw(n) for n in lengths] == [expected.bits(n) for n in lengths]
+    assert drawn._counter == expected._counter
+    assert drawn.bits(64) == expected.bits(64)
+
+
+@seed(2030)
+@settings(max_examples=80, deadline=None, database=None, print_blob=False)
+@given(st.lists(st.tuples(st.sampled_from(["draw", "bits", "below", "next_word"]),
+                          st.integers(1, 2000)), max_size=200))
+def test_draws_may_be_interleaved_with_other_draws(steps):
+    drawn, expected = RandomSource(5), RandomSource(5)
+    draw = drawn.draws()
+    for op, n in steps:
+        if op == "draw":
+            got, want = draw(n), expected.bits(n)
+        elif op == "bits":
+            got, want = drawn.bits(n), expected.bits(n)
+        elif op == "below":
+            got, want = drawn.below(n), expected.below(n)
+        else:
+            got, want = drawn.next_word(), expected.next_word()
+        assert got == want and drawn._counter == expected._counter, (op, n)
+    assert drawn.bits(64) == expected.bits(64)
 
 
 def test_long_draws_call_no_scalar_mix(monkeypatch):

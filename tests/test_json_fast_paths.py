@@ -1,11 +1,12 @@
 """Differential properties of the two JSON fast paths against their oracles.
 
 The writer `cli._json_text` must write what json.dumps(indent=2,
-sort_keys=True) writes; the one-pass distribution reader must read exactly
+sort_keys=True) writes, lists of rows of ints included; the one-pass distribution reader must read exactly
 the documents that the per-mass oracle `PerMassDistribution` reads and
 writes back unchanged, into the same columns; and `core.differing_keys`,
 which dumps only values its type-strict walk finds unequal, must name the
-keys that comparing every value's dump names.
+keys that comparing every value's dump names, rows of values read in the
+first side's key order included.
 Examples are drawn by hypothesis from a fixed seed with no example database,
 so every run tests the same inputs.
 """
@@ -18,8 +19,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ecseq import cli
-from ecseq.core import (FiniteDistribution, check_rewrite, differing_keys, frac_to_str,
-                        json_exact)
+from ecseq.core import (FiniteDistribution, _same_json, check_rewrite, differing_keys,
+                        frac_to_str, json_exact)
 
 from oracles import PerMassDistribution, json_dump_text, oracle_differing_keys
 
@@ -116,6 +117,117 @@ def test_a_value_of_another_json_type_fails_the_read_back_by_its_path(value):
     with pytest.raises(ValueError, match=message):
         check_rewrite(doc, written, "it")
     check_rewrite(doc, {"levels": ({"count": 1}, {"count": 68})}, "it")
+
+
+# ------------------------------------------------------------------ rows of ints
+
+# keys that a template could mistake for its own syntax, or that json escapes
+ROW_KEYS = st.sampled_from(["offset", "bits", "a", "{", "}", "{0}", '"q"', "%d", "%", "%%s",
+                            "é", "\u2603", "", "b\\c", "1"])
+
+
+@st.composite
+def row_lists(draw):
+    """A list of flat dicts: mostly rows that share one key set and hold
+    exact ints, else with a bool or a float among them, an empty row, a row
+    whose keys differ, or a row whose keys come in another order."""
+    keys = draw(st.lists(ROW_KEYS, unique=True, max_size=4))
+    rows = draw(st.lists(st.fixed_dictionaries({k: st.integers() | st.integers(10 ** 30, 10 ** 60)
+                                                for k in keys}), min_size=1, max_size=8))
+    step = draw(st.sampled_from([None] * 4 + ["scalar", "empty", "keys", "order"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if step == "scalar" and keys:
+        rows[i][draw(st.sampled_from(keys))] = draw(st.booleans() | st.floats()
+                                                    | st.sampled_from([1.0, 0.0, -0.0]))
+    elif step == "empty":
+        rows[i] = {}
+    elif step == "keys":
+        rows[i] = draw(st.dictionaries(ROW_KEYS, st.integers(), max_size=4))
+    elif step == "order":
+        rows[i] = dict(reversed(rows[i].items()))
+    return rows
+
+
+@seed(3650)
+@FIXED
+@given(row_lists())
+@example([{"offset": 0, "bits": 12}, {"offset": 64, "bits": 9}])
+@example([{"{": 1, "}": 2, "{0}": 3, '"q"': 4, "%d": 5, "é": 6}])
+@example([{}, {}])
+@example([{"a": 1}, {"b": 2}])
+@example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+@example([{"a": True}, {"a": 1}])
+@example([{"a": 1}, {"a": 2.5}])
+@example([{"a": 1}, {"a": 1}, {}])
+def test_the_writer_writes_rows_as_json_dump_does(rows):
+    assert cli._json_text(rows) + "\n" == json_dump_text(rows)
+    assert cli._json_text({"rows": rows, "n": 1}) + "\n" == json_dump_text({"rows": rows, "n": 1})
+
+
+@st.composite
+def row_pairs(draw):
+    """Two lists of rows, the second made from the first: rows with their keys
+    in another order, values moved between keys, a value changed for an equal
+    one of another type or for another int, or a key dropped or added."""
+    rows = draw(row_lists())
+    other = []
+    for row in rows:
+        items = list(row.items())
+        step = draw(st.sampled_from([None, None, "order", "swap", "twin", "int", "drop",
+                                     "add"]))
+        if step == "order":
+            items = draw(st.permutations(items))
+        elif step == "swap" and len(items) > 1:
+            (k1, v1), (k2, v2) = items[:2]
+            items[:2] = [(k1, v2), (k2, v1)]
+        elif step in ("twin", "int") and items:
+            k, v = items[0]
+            twin = draw(st.sampled_from([float(v), bool(v), v]) if type(v) is int
+                        else st.just(v))
+            items[0] = (k, twin if step == "twin" else draw(st.integers()))
+        elif step == "drop" and items:
+            items.pop()
+        elif step == "add":
+            items.append((draw(ROW_KEYS), draw(st.integers())))
+        other.append(dict(items))
+    return rows, other
+
+
+@seed(3651)
+@FIXED
+@given(row_pairs())
+@example(([{"x": 1, "y": 2}], [{"y": 1, "x": 2}]))
+@example(([{"x": 1, "y": 2}, {"x": 3, "y": 4}], [{"y": 2, "x": 1}, {"x": 3, "y": 4}]))
+def test_rows_compare_as_comparing_their_dumps_compares_them(pair):
+    a, b = pair
+    dumped_alike = not oracle_differing_keys({"rows": a}, {"rows": b})
+    assert differing_keys({"rows": a}, {"rows": b}) == oracle_differing_keys({"rows": a},
+                                                                             {"rows": b})
+    assert _same_json(a, b) <= dumped_alike
+    values = [v for row in a + b for v in row.values()]
+    if set(map(type, values)) <= {int}:  # no twin of another type: equal means alike
+        assert _same_json(a, b) == dumped_alike
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ([{"x": 1, "y": 2}], [{"y": 1, "x": 2}], False),
+    ([{"x": 1, "y": 2}], [{"y": 2, "x": 1}], True),
+    ([{"a": 1}, {"a": 2}], [{"a": 1}, {"a": 2.0}], False),
+    ([{"a": 1}], [{"a": 1.0}], False),
+    ([{"a": 1}], [{"a": True}], False),
+    ([{"a": 1.0}, {"a": 1}], [{"a": True}, {"a": 1}], False),
+    ([{"a": 1, "b": 2}], [{"a": 1}], False),
+    ([{"a": 1}], [{"a": 1, "b": 2}], False),
+    ([{"a": 1}, {"a": 2}], [{"a": 1}, {"a": 2, "b": 3}], False),
+    ([{"a": 1}, {"a": 2}], [{"a": 1}, {"b": 2}], False),
+    ([{"a": 1}, {"b": 2}], [{"a": 1}, {"b": 2}], True),
+    ([{"1": 0}], [{1: 0}], False),
+    ([{1: 0}], [{"1": 0}], False),
+    ([{1: 0}], [{1: 0}], False),
+])
+def test_rows_compare_by_type_and_by_key(a, b, same):
+    assert _same_json(a, b) is same
+    assert differing_keys({"r": a}, {"r": b}) == oracle_differing_keys({"r": a}, {"r": b})
 
 
 # ------------------------------------------------------------------ the reader

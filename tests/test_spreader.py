@@ -348,19 +348,18 @@ def oracle_disagreements(alloc, bits, length):
     """Each position in [0, length) compared with the first position that
     carries the same source index; when more than half of a source index's
     copies differ from its first, the copies that agree are listed instead,
-    against the first that differs."""
+    against the first that differs.  Each as (position, source_bit,
+    disagrees_with_position)."""
     copies, out = {}, []
     for p, j in enumerate(oracle_source_map(alloc, 0, length)):
         copies.setdefault(j, []).append(p)
     for j, ps in copies.items():
         differ = [p for p in ps if bits[p] != bits[ps[0]]]
         if 2 * len(differ) > len(ps):
-            out += [{"position": p, "source_bit": j, "disagrees_with_position": differ[0]}
-                    for p in ps if p not in differ]
+            out += [(p, j, differ[0]) for p in ps if p not in differ]
         else:
-            out += [{"position": p, "source_bit": j, "disagrees_with_position": ps[0]}
-                    for p in differ]
-    return sorted(out, key=lambda v: v["position"])
+            out += [(p, j, ps[0]) for p in differ]
+    return sorted(out)
 
 
 def multi_flips(rng, size, rounds):
