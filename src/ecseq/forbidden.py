@@ -352,7 +352,7 @@ def _simple_top(alpha: Fraction, ln: int, n_total: int) -> Optional[ImplicitLeve
     threshold = 1 << ((ln + 1) // 2)
     if n_total % ln == 0:
         cardinality = count_simple(n_total, ln, threshold)
-        if cardinality <= pow2_floor(alpha * n_total):
+        if pow2_at_most(cardinality, alpha * n_total):
             return ImplicitLevel(n_total, ln, threshold, cardinality)
     return None
 
@@ -478,7 +478,7 @@ def recertify_family(dist: FiniteDistribution, alpha, epsilon, witness: LevelFam
     n_total = dist.string_length
     ln = min(witness.levels, default=0) if level_length is None else level_length
     drawn = witness.levels.get(ln, frozenset())
-    if not (0 < ln < n_total and len(drawn) == pow2_floor(alpha * ln)):
+    if len(drawn) != _draw_size(alpha, ln, n_total):
         raise CertificateError(f"the witness holds no full draw of length {ln} "
                                f"below length {n_total}")
     top = _simple_top(alpha, ln, n_total)

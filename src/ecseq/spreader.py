@@ -402,37 +402,26 @@ def spread_random(alloc: Allocation, rs: RandomSource, length: int):
     return _fill(bytearray(1), length, runs, source_bits.encode()).decode(), source_bits
 
 
-def _copies_agree(alloc: Allocation, bits: str, length: int, block: int = 1 << 20) -> bool:
-    """Whether every position of bits[:length] reads as the first copy of its
-    source bit: each block of the text equals its spread (_fill) from those
-    first copies, so at most a block is held twice.  The block is a power of
-    two, so a lower level's runs start each block alike and a higher one's
-    meet it once; either way a run's first term is its offset's residue."""
-    for a in range(0, length, block):
-        n = min(block, length - a)
-        runs, firsts, index = [], [], 0
-        for offset, step, _, width in alloc._runs(a, n):
-            first = (a + offset) % step
-            runs.append((offset, step, index, width))
-            firsts.append(bits[first:first + width])
-            index += width
-        if _fill(bytearray(1), n, runs, "".join(firsts).encode()) != bits[a:a + n].encode():
-            return False
-    return True
-
-
-def _differing_copies(text: str, runs):
-    """Yield (source index, position, first position) for every position of
-    text whose bit differs from the run's first copy of the same source index;
-    run by run, then repetition by repetition.  Repetitions end with the text,
-    so a run's last one may be clipped."""
+def _differing_bits(text: str, runs):
+    """Yield (source index, first position, step, copies, first differing
+    position) for every source bit of the runs whose copies in text do not
+    all read alike, copies being text[first::step]; run by run, so source
+    indices ascend.  Each run's repetitions are compared with its first one,
+    and only a run with a differing repetition has its bits read, each as one
+    stride slice.  Repetitions end with the text, so a run's last one may be
+    clipped."""
     for offset, step, index, width in runs:
         first = text[offset:offset + width]
         for a in range(offset + step, len(text), step):
-            chunk = text[a:a + width]
-            if not first.startswith(chunk):
-                yield from ((index + i, a + i, offset + i)
-                            for i, b in enumerate(chunk) if b != first[i])
+            if not first.startswith(text[a:a + width]):
+                break
+        else:
+            continue
+        for q in range(offset, offset + width):
+            copies = text[q::step]
+            rest = copies.lstrip(copies[0])
+            if rest:
+                yield index + q - offset, q, step, copies, q + step * (len(copies) - len(rest))
 
 
 def disagreements(alloc: Allocation, bits: str, length: int) -> list:
@@ -444,23 +433,14 @@ def disagreements(alloc: Allocation, bits: str, length: int) -> list:
     included, each against the first copy that differs."""
     if length > len(bits):
         raise ValueError(f"length {length} exceeds the {len(bits)} bits given")
-    runs = alloc._covered_runs(length)
-    if _copies_agree(alloc, bits, length):
-        return []
-    differing = {}
-    for j, p, q in _differing_copies(bits[:length], runs):
-        differing.setdefault(j, (q, []))[1].append(p)
     found = []
-    for offset, step, index, width in runs if differing else ():
-        for j in range(index, index + width):
-            if j not in differing:
-                continue
-            q, positions = differing[j]
-            copies = range(q, length, step)
-            if 2 * len(positions) > len(copies):
-                found += [(p, j, positions[0]) for p in sorted(set(copies) - set(positions))]
-            else:
-                found += [(p, j, q) for p in positions]
+    for j, q, step, copies, differs in _differing_bits(bits[:length],
+                                                        alloc._covered_runs(length)):
+        c = copies[0]
+        if 2 * copies.count(c) < len(copies):
+            found += [(q + step * k, j, differs) for k, b in enumerate(copies) if b == c]
+        else:
+            found += [(q + step * k, j, q) for k, b in enumerate(copies) if b != c]
     found.sort()
     return found
 
@@ -534,17 +514,12 @@ def recover_prefix(alloc: Allocation, win: str, offset_mod: int, level: int) -> 
         raise ValueError("offset_mod out of range")
     alloc.ensure_cap(size)
     alloc.ensure_level(level)
-    out = []
     # every step divides the window length, so window offsets are offsets from
     # offset_mod and every repetition lies whole inside the window
-    for run in alloc._runs(offset_mod, size, level):
-        differing = min(_differing_copies(win, [run]), default=None)
-        if differing is not None:
-            index, position, first = differing
-            raise InconsistentWindowError(
-                f"source bit {index} reads differently at window "
-                f"offsets {first} and {position}"
-            )
-        offset, _, _, width = run
-        out.append(win[offset:offset + width])
-    return "".join(out)
+    runs = list(alloc._runs(offset_mod, size, level))
+    for index, first, _, _, position in _differing_bits(win, runs):
+        raise InconsistentWindowError(
+            f"source bit {index} reads differently at window "
+            f"offsets {first} and {position}"
+        )
+    return "".join(win[offset:offset + width] for offset, _, _, width in runs)

@@ -477,6 +477,24 @@ def oracle_source_map(alloc: Allocation, start: int, length: int) -> list:
     return out
 
 
+def oracle_disagreements(alloc, bits, length):
+    """Each position in [0, length) compared with the first position that
+    carries the same source index; when more than half of a source index's
+    copies differ from its first, the copies that agree are listed instead,
+    against the first that differs.  Each as (position, source_bit,
+    disagrees_with_position)."""
+    copies, out = {}, []
+    for p, j in enumerate(oracle_source_map(alloc, 0, length)):
+        copies.setdefault(j, []).append(p)
+    for j, ps in copies.items():
+        differ = [p for p in ps if bits[p] != bits[ps[0]]]
+        if 2 * len(differ) > len(ps):
+            out += [(p, j, differ[0]) for p in ps if p not in differ]
+        else:
+            out += [(p, j, ps[0]) for p in differ]
+    return sorted(out)
+
+
 def oracle_window_tally(alloc: Allocation, usable: int, top: int) -> list:
     """Tally the source indices of every window [k, k + 2**m) inside
     [0, usable), for each level m from the start level to top: every index

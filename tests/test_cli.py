@@ -16,10 +16,10 @@ import pytest
 
 import ecseq
 from ecseq import adversary, cli, forbidden, spreader
-from ecseq.core import (FiniteDistribution, RandomSource, frac_to_str, read_bit_file,
-                        write_bit_file)
+from ecseq.core import (SIZE_LIMIT_BITS, FiniteDistribution, RandomSource, frac_to_str,
+                        read_bit_file, write_bit_file)
 
-from oracles import flip, json_dump_text, oracle_sampled_recovery
+from oracles import flip, json_dump_text, oracle_disagreements, oracle_sampled_recovery
 
 
 def run(*argv):
@@ -112,6 +112,31 @@ def test_check_windows_of_a_random_file_keeps_within_112_mib(tmp_path):
     found = spreader.disagreements(allocation, read_bit_file(bits), 1 << 20)
     fields = ("position", "source_bit", "disagrees_with_position")
     assert done.stdout.splitlines() == [
+        f"check-windows: 0 coverage fault(s), {len(found)} position(s) disagree with other "
+        f"copies of their source bit", *(f"  {dict(zip(fields, d))}" for d in found[:20])]
+
+
+@pytest.mark.parametrize("tamper", ["random", "three flips"])
+def test_check_windows_prints_the_copies_the_oracle_names(tmp_path, spread_run, capsys, tamper):
+    # a random file, whose copies disagree almost everywhere, and three flips of
+    # a spread, one of them of source bit 0's first copy, which its other 31
+    # copies outvote
+    bits, alloc, _ = spread_run
+    omega = read_bit_file(bits)
+    text = RandomSource(99).bits(len(omega)) if tamper == "random" else flip(omega, [0, 777, 2500])
+    bad = tmp_path / "bad.bits"
+    write_bit_file(bad, text)
+    capsys.readouterr()
+    assert run("check-windows", "--bits", str(bad), "--alloc", str(alloc),
+               "--m-max", "13") == cli.EXIT_VERIFY_FAILED
+    found = oracle_disagreements(spreader.Allocation.from_export(read_json(alloc), len(text)),
+                                 text, len(text))
+    if tamper == "random":
+        assert len(found) > 1000
+    else:  # the flipped first copy is the one named
+        assert len(found) == 3 and found[0] == (0, 0, 256)
+    fields = ("position", "source_bit", "disagrees_with_position")
+    assert capsys.readouterr().out.splitlines() == [
         f"check-windows: 0 coverage fault(s), {len(found)} position(s) disagree with other "
         f"copies of their source bit", *(f"  {dict(zip(fields, d))}" for d in found[:20])]
 
@@ -1068,6 +1093,35 @@ def test_hopeless_or_unwritable_runs_end_in_seconds_in_one_line(tmp_path, case):
     path.write_text(json.dumps(document))
     done = run_capped(*(a.format(doc=path) for a in argv), timeout=10)
     assert (done.returncode, (done.stdout + done.stderr).strip().splitlines()) == (code, [line])
+
+
+def test_derandomize_and_its_verify_take_no_root_above_the_size_limit(tmp_path, monkeypatch,
+                                                                      capsys):
+    # at alpha 1023/1024 the simple top of 801-bit strings, and a witness level
+    # edited to 801 bits, were once checked against floor(2**(alpha*801)), the
+    # 1024th root of a power of 1023*801 bits, which takes seconds to build
+    pow2_floor = forbidden.pow2_floor
+
+    def bounded(exponent):
+        assert exponent <= SIZE_LIMIT_BITS, exponent
+        return pow2_floor(exponent)
+    monkeypatch.setattr(forbidden, "pow2_floor", bounded)
+    reports = {}
+    for n in (801, 1601):
+        dist, reports[n] = tmp_path / f"one{n}.json", tmp_path / f"report{n}.json"
+        dist.write_text(json.dumps({"length": n, "masses": {RandomSource(1).bits(n): "1/1"},
+                                    "deficit": "0/1"}))
+        assert run("family", "--alpha", "1023/1024", "--epsilon", "1/2", "--derandomize",
+                   str(dist), "--seed", "5", "--report", str(reports[n])) == cli.EXIT_OK
+    doc = read_json(reports[1601])
+    drawn = doc["results"]["family"]["levels"][0]
+    drawn.update(length=801, pool_size=str(1 << 801), strings_hex=["0" * 201])
+    reports[1601].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--report", str(reports[1601])) == cli.EXIT_VERIFY_FAILED
+    assert capsys.readouterr().out.splitlines() == [
+        f"{REPRODUCE_FAIL}CertificateError: the witness holds no full draw of length 801 "
+        f"below length 1601"]
 
 
 @pytest.mark.parametrize("blob, message", [

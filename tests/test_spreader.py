@@ -6,15 +6,14 @@ import pytest
 
 from ecseq.core import CertificateError, RandomSource
 from ecseq.spreader import (Allocation, CoverageError, InconsistentWindowError, _Intervals,
-                            _copies_agree,
                             boost_tail, boosted_count, choose_start_level, coverage_faults,
                             disagreements, geometric, inverse_triangular, plan_allocation, recover_prefix,
                             spread_random, start_level_certificate, weight_preset,
                             zero_series)
 
-from oracles import (OracleIntervals, flip, level_counts, level_records, oracle_fill_source_map,
-                     oracle_plan, oracle_source_map, oracle_spread_random, oracle_window_tally,
-                     spread)
+from oracles import (OracleIntervals, flip, level_counts, level_records, oracle_disagreements,
+                     oracle_fill_source_map, oracle_plan, oracle_source_map, oracle_spread_random,
+                     oracle_window_tally, spread)
 
 
 def toy(counts, max_level=64):
@@ -344,24 +343,6 @@ def test_source_map_agrees_with_residue_loop_oracle(preset):
         assert shared.source_map(p, 1)[0] == oracle_source_map(oracle, p, 1)[0]
 
 
-def oracle_disagreements(alloc, bits, length):
-    """Each position in [0, length) compared with the first position that
-    carries the same source index; when more than half of a source index's
-    copies differ from its first, the copies that agree are listed instead,
-    against the first that differs.  Each as (position, source_bit,
-    disagrees_with_position)."""
-    copies, out = {}, []
-    for p, j in enumerate(oracle_source_map(alloc, 0, length)):
-        copies.setdefault(j, []).append(p)
-    for j, ps in copies.items():
-        differ = [p for p in ps if bits[p] != bits[ps[0]]]
-        if 2 * len(differ) > len(ps):
-            out += [(p, j, differ[0]) for p in ps if p not in differ]
-        else:
-            out += [(p, j, ps[0]) for p in differ]
-    return sorted(out)
-
-
 def multi_flips(rng, size, rounds):
     """Random two- and three-bit flips of a window: in each round, one of
     adjacent offsets, which a run carries as neighbouring source indices, and
@@ -448,25 +429,20 @@ def test_disagreements_agree_with_per_position_oracle(preset):
                 == oracle_disagreements(alloc, tampered, length), (length, sorted(flips))
     with pytest.raises(ValueError):
         disagreements(plan_allocation(weights), omega, total + 1)
-
-
-@pytest.mark.parametrize("preset", ["inverse-triangular", "geometric:1/3"])
-def test_copies_agree_block_by_block_as_the_oracle_finds(preset):
-    # blocks below, at and above the start level's step and the whole text:
-    # a block's first copies lie in the first block or in earlier blocks
-    weights = weight_preset(preset)
-    omega, _ = spread_random(plan_allocation(weights), RandomSource(5), 20000)
-    rng = random.Random(5)
-    for length in (20000, 16384, 9000, 1):
-        alloc = plan_allocation(weights)
-        texts = [omega] + [flip(omega, {rng.randrange(length) for _ in range(1 + trial % 2)})
-                           for trial in range(6)]
-        for text in texts:
-            agree = oracle_disagreements(alloc, text, length) == []
-            for block in (1, 64, 1 << 13, 1 << 14, 1 << 20):
-                assert _copies_agree(alloc, text, length, block) == agree, (length, block)
     with pytest.raises(ValueError, match="bad range"):
         disagreements(plan_allocation(weights), omega, -5)
+    # a single position, and a whole power-of-two text, clean and tampered
+    whole, _ = spread_random(plan_allocation(weights), RandomSource(5), 1 << 14)
+    for length in (1, 1 << 14):
+        alloc = plan_allocation(weights)
+        assert disagreements(alloc, whole, length) == []
+        failing = 0
+        for trial in range(6):
+            tampered = flip(whole, {rng.randrange(length) for _ in range(1 + trial % 2)})
+            found = disagreements(alloc, tampered, length)
+            assert found == oracle_disagreements(alloc, tampered, length), length
+            failing += found != []
+        assert (failing > 0) == (length > 1), length
 
 
 # ---------------------------------------------------------------- coverage proof against the window tally

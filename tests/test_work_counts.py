@@ -7,6 +7,8 @@ than timed, so that a change cannot quietly go back to one call per item.
 - Writing and verifying a 509-row profile report calls the JSON writer and
   the type-strict comparison a small, fixed number of times: not once per
   row.
+- Checking that every copy of every source bit of a clean spread agrees
+  walks the allocation's runs once.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ from ecseq import cli, core
 from ecseq.avoider import AvoidanceInstance, build_avoiding_string
 from ecseq.core import RandomSource, write_bit_file
 from ecseq.forbidden import random_level_family
+from ecseq.spreader import (Allocation, disagreements, inverse_triangular, plan_allocation,
+                            spread_random)
 
 
 def counting(monkeypatch, owner, name) -> list:
@@ -55,3 +59,11 @@ def test_a_509_row_profile_report_takes_a_few_writer_and_compare_calls(tmp_path,
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--report", str(report)]) == cli.EXIT_OK
     assert len(compared) <= 24
+
+
+def test_disagreements_walk_the_runs_of_a_clean_spread_once(monkeypatch):
+    alloc = plan_allocation(inverse_triangular())
+    omega, _ = spread_random(alloc, RandomSource(1), 1 << 17)
+    walks = counting(monkeypatch, Allocation, "_runs")
+    assert disagreements(alloc, omega, 1 << 17) == []
+    assert len(walks) == 1
