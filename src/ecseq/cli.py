@@ -163,6 +163,11 @@ def _run_spread(p: dict, seed) -> tuple:
 def _run_family(p: dict, seed) -> tuple:
     family, cert = forbidden.two_level_family(p["alpha"], p["epsilon"], p["n_min"],
                                               RandomSource(seed))
+    if cert.top_size_bound >= 10 ** 4300:  # and so may the top's cardinality, written below
+        raise ValueError(f"at {cert.top_length // cert.random_length} blocks of "
+                         f"{cert.random_length} bits the top_size_bound floor(2**("
+                         f"{frac_to_str(p['alpha'] * cert.top_length)})) has more than "
+                         f"4300 digits")
     doc = family.to_json()
     return ({"random_length": cert.random_length, "top_length": cert.top_length,
              "threshold": cert.threshold, "sample_size": cert.sample_size, "family": doc},

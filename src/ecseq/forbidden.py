@@ -291,6 +291,10 @@ def two_level_family(alpha, epsilon, min_random_length: int, rs: RandomSource):
         # with ceil(n/2) >= alpha*n, the simple strings of any number of
         # blocks outnumber 2**(alpha*n*blocks), so no top length would fit
         if 1 <= size and (n + 1) // 2 < alpha * n:
+            # its denominator is 2**(ceil(n/2)*size), and grows with n
+            if (n + 1) // 2 * size > MAX_POOL_LENGTH:
+                raise ValueError(f"at random length {n} the miss_bound's denominator "
+                                 f"2**{(n + 1) // 2 * size} has more than 4300 digits")
             miss_bound = (1 - Fraction(1, threshold)) ** size
             if miss_bound < epsilon:
                 break

@@ -18,7 +18,7 @@ dry.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
@@ -155,8 +155,7 @@ class _Level:
 
 def _fill(blank, length: int, runs, source):
     """A buffer of type(blank) and the given length in which each run (first,
-    step, index, width) of Allocation._runs(start, length), with start a
-    multiple of every step below length, carries
+    step, index, width) of Allocation._runs(length) carries
     source[index:index + width], spread by period doubling: a lower level's
     step divides every later one, so the buffer is doubled up to each step and
     only a run's first repetition is written.  AssertionError if a position
@@ -279,35 +278,23 @@ class Allocation:
             total += Fraction(lv.count, 1 << lv.level)
         return total
 
-    def _runs(self, start: int, length: int, top_level: int = None):
-        """Yield (offset, step, index, width) for every run of built first terms
-        at levels up to top_level that meets [start, start + length): positions
-        start + offset + i + k*step carry source index index + i, for i < width
-        and k >= 0.  A run is a stretch of consecutive first terms inside one
-        assigned interval and one residue span.  Levels come in order and,
-        within a level, first terms ascend, so source indices ascend.
-
-        A level's first terms meeting the range are the residues of the range
-        modulo the step: at most two spans, the second one wrapping round to 0.
-        Every offset + width is at most min(length, step), so a run's first
-        repetition lies whole inside the range and no two repetitions overlap."""
+    def _runs(self, end: int):
+        """Yield (first, step, index, width) for every run of built first terms
+        below end: positions first + i + k*step carry source index index + i,
+        for i < width and k >= 0.  A level's runs are its assigned intervals
+        whose first term lies below min(end, step), the last one clipped there,
+        so every first + width is at most min(end, step): a run's first
+        repetition lies whole inside [0, end) and no two repetitions overlap.
+        Levels come in order and, within a level, first terms ascend, so
+        source indices ascend."""
         for lv in self._levels:
-            if top_level is not None and lv.level > top_level:
-                break
             step = 1 << lv.level
-            lo = start % step
-            hi = lo + min(length, step)
-            spans = [(0, hi - step, step - lo)] if hi > step else []
-            spans.append((lo, min(hi, step), -lo))
+            top = min(end, step)
             los, his, cum = lv.assigned.los, lv.assigned.his, lv.assigned.cum
-            for a, b, shift in spans:
-                for i in range(max(bisect_right(los, a) - 1, 0), len(los)):
-                    if los[i] >= b:
-                        break
-                    first, stop = max(los[i], a), min(his[i], b)
-                    if first < stop:
-                        yield (first + shift, step,
-                               lv.source_base + cum[i] + first - los[i], stop - first)
+            last = bisect_left(los, top) - 1
+            for i in range(last + 1):
+                hi = his[i] if i < last else min(his[i], top)
+                yield los[i], step, lv.source_base + cum[i], hi - los[i]
 
     def _covered_runs(self, end: int) -> list:
         """The runs of [0, end), once the levels that cover it are built;
@@ -320,7 +307,7 @@ class Allocation:
                 f"position {self._least_uncovered} is not covered by levels up to "
                 f"{self.max_level}; raise max_level"
             )
-        return list(self._runs(0, end))
+        return list(self._runs(end))
 
     def source_map(self, start: int, length: int) -> list:
         """Source indices for every position in [start, start + length), read
@@ -514,12 +501,14 @@ def recover_prefix(alloc: Allocation, win: str, offset_mod: int, level: int) -> 
         raise ValueError("offset_mod out of range")
     alloc.ensure_cap(size)
     alloc.ensure_level(level)
-    # every step divides the window length, so window offsets are offsets from
-    # offset_mod and every repetition lies whole inside the window
-    runs = list(alloc._runs(offset_mod, size, level))
-    for index, first, _, _, position in _differing_bits(win, runs):
-        raise InconsistentWindowError(
-            f"source bit {index} reads differently at window "
-            f"offsets {first} and {position}"
-        )
-    return "".join(win[offset:offset + width] for offset, _, _, width in runs)
+    # turned[j] reads a position that is j modulo every step up to the window
+    # length, which each one divides: so the window's runs are those of [0, size)
+    turned = win[size - offset_mod:] + win[:size - offset_mod]
+    runs = [run for run in alloc._runs(size) if run[1] <= size]
+    for index, q, step, _, _ in _differing_bits(turned, runs):
+        first = (q - offset_mod) % step  # q's first copy, in window order
+        copies = win[first::step]
+        position = first + step * (len(copies) - len(copies.lstrip(copies[0])))
+        raise InconsistentWindowError(f"source bit {index} reads differently at window "
+                                      f"offsets {first} and {position}")
+    return "".join(turned[first:first + width] for first, _, _, width in runs)

@@ -655,10 +655,11 @@ def oracle_fill(out, hole, runs, source):
 
 
 def oracle_fill_source_map(alloc: Allocation, start: int, length: int) -> list:
-    """Allocation.source_map by the per-repetition fill of [start, start + length)."""
-    alloc._covered_runs(start + length)  # builds the levels the range needs
-    return oracle_fill([-1] * length, -1, alloc._runs(start, length),
-                       range(alloc._source_total))
+    """Allocation.source_map by the per-repetition fill of [0, start + length),
+    sliced to [start, start + length)."""
+    end = start + length
+    return oracle_fill([-1] * end, -1, alloc._covered_runs(end),
+                       range(alloc._source_total))[start:]
 
 
 def oracle_spread_random(alloc: Allocation, rs: RandomSource, length: int):

@@ -1083,6 +1083,22 @@ HOPELESS_CASES = {
                                      "pool_size": "1" * 4516}]},
         ["avoid", "--family", "{doc}", "--length", "10"], cli.EXIT_BAD_PARAMS,
         f"ecseq avoid: error: {pool_error(15000)}"),
+    # two-level certificates whose miss bound or size bound would be written
+    # with more than 4300 digits: these hung, or failed in Python's own words
+    "two-level-alpha-3/5-epsilon-1/16": (
+        None, ["family", "--alpha", "3/5", "--epsilon", "1/16", "--n-min", "2"],
+        cli.EXIT_BAD_PARAMS,
+        "ecseq family: error: at 1507 blocks of 16 bits the top_size_bound "
+        "floor(2**(72336/5)) has more than 4300 digits"),
+    **{f"two-level-alpha-{alpha}-epsilon-{epsilon}": (
+        None, ["family", "--alpha", alpha, "--epsilon", epsilon, "--n-min", "2"],
+        cli.EXIT_BAD_PARAMS,
+        f"ecseq family: error: at random length {n} the miss_bound's denominator "
+        f"2**{exponent} has more than 4300 digits")
+       for alpha, epsilon, n, exponent in [
+           ("2/3", "1/1024", 17, 23220), ("3/5", "1/64", 18, 16038),
+           ("3/5", "1/1024", 18, 16038), ("11/20", "1/16", 20, 20480),
+           ("11/20", "1/64", 20, 20480), ("11/20", "1/1024", 20, 20480)]},
 }
 
 

@@ -332,6 +332,9 @@ def test_source_map_agrees_with_residue_loop_oracle(preset):
     rs = RandomSource(17)
     # the cap starts at 2**13: some ranges cross it, most starts are unaligned
     ranges = [(0, 1 << 14), (8000, 400), (8191, 2), (8192, 1), (3, 0), (5, 1)]
+    # ranges that end at 0, 1, either side of 2**start_level and of the initial cap
+    first = 1 << choose_start_level(weights)
+    ranges += [(0, 0), (0, 1), (1, first - 2), (first - 3, 4), (5, 8186), (8150, 43)]
     ranges += [(rs.below(1 << 15), rs.below(1 << 12)) for _ in range(12)]
     oracle = plan_allocation(weights)
     shared = plan_allocation(weights)

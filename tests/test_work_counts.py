@@ -9,6 +9,10 @@ than timed, so that a change cannot quietly go back to one call per item.
   row.
 - Checking that every copy of every source bit of a clean spread agrees
   walks the allocation's runs once.
+- A spread, its verify and its check-windows walk the allocation's runs four
+  times in all: the spread, verify's replay, the coverage check and the
+  copy check.
+- Recovering a window's source prefix walks the allocation's runs once.
 """
 
 import contextlib
@@ -20,7 +24,7 @@ from ecseq.avoider import AvoidanceInstance, build_avoiding_string
 from ecseq.core import RandomSource, write_bit_file
 from ecseq.forbidden import random_level_family
 from ecseq.spreader import (Allocation, disagreements, inverse_triangular, plan_allocation,
-                            spread_random)
+                            recover_prefix, spread_random)
 
 
 def counting(monkeypatch, owner, name) -> list:
@@ -66,4 +70,30 @@ def test_disagreements_walk_the_runs_of_a_clean_spread_once(monkeypatch):
     omega, _ = spread_random(alloc, RandomSource(1), 1 << 17)
     walks = counting(monkeypatch, Allocation, "_runs")
     assert disagreements(alloc, omega, 1 << 17) == []
+    assert len(walks) == 1
+
+
+def test_a_spread_verify_and_check_windows_chain_walks_the_runs_four_times(tmp_path,
+                                                                          monkeypatch):
+    bits, alloc, report = (tmp_path / name for name in ("omega.bits", "alloc.json",
+                                                        "spread.report.json"))
+    walks = counting(monkeypatch, Allocation, "_runs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["spread", "--weights", "inverse-triangular", "--length",
+                         str(1 << 17), "--seed", "1", "--out", str(bits), "--alloc-out",
+                         str(alloc), "--report", str(report)]) == cli.EXIT_OK
+        assert cli.main(["verify", "--report", str(report)]) == cli.EXIT_OK
+        assert cli.main(["check-windows", "--bits", str(bits), "--alloc", str(alloc),
+                         "--m-max", "10", "--samples", "20"]) == cli.EXIT_OK
+    assert len(walks) == 4
+
+
+def test_recovering_a_prefix_walks_the_runs_once(monkeypatch):
+    alloc = plan_allocation(inverse_triangular())
+    omega, tau = spread_random(alloc, RandomSource(1), 1 << 12)
+    walks = counting(monkeypatch, Allocation, "_runs")
+    m = alloc.start_level + 2
+    size = 1 << m
+    assert recover_prefix(alloc, omega[5:5 + size], 5 % size, m) \
+        == tau[:alloc.source_count_through(m)]
     assert len(walks) == 1
